@@ -4,13 +4,13 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench parallel delta faults chaos chaosbench fuzzwal fuzzftl fuzzwire cover obs server benchcmp city cityquick citycheck racequery cluster clusterquick
+.PHONY: check fmt vet build test race bench parallel delta faults chaos chaosbench fuzzwal fuzzftl fuzzwire cover obs server benchcmp city cityquick citycheck racequery racestream cluster clusterquick perfbench-smoke
 
 # Checked-in coverage floor for `make cover`: total statement coverage under
 # the race detector must not fall below this.
 COVER_FLOOR := 78.0
 
-check: fmt vet build test citycheck racequery cityquick cluster clusterquick
+check: fmt vet build test citycheck racequery racestream cityquick cluster clusterquick perfbench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -136,6 +136,18 @@ clusterquick:
 # oracle already run inside `make test`; this target is the quick repro.
 citycheck:
 	$(GO) test -short -count=1 -run 'TestCityCorrectnessOracle|TestCityDeterminism' ./internal/city/
+
+# Race-detector pass over the delta NOTIFY stream: the client-vs-server
+# stream differential (coalescing, patch-ring overflow, broken delta
+# chains) and the orphan-notify ordering regression.
+racestream:
+	$(GO) test -race -count=1 -run 'TestDeltaStreamDifferential|TestOrphanNotifiesKeepOrder' ./internal/server/ ./internal/client/
+
+# The benchmark's own smoke test: every perfbench workload on a tiny city,
+# untraced and traced, with its output checks.  perfbench is a separate
+# module, so `go test ./...` at the root never builds it.
+perfbench-smoke:
+	cd perfbench && $(GO) test -count=1 .
 
 # Race-detector pass over the shared-plan registration/cancel/drain races:
 # the cheap always-on slice of `make race` that guards continuous-query

@@ -24,9 +24,10 @@
 // shard keeps its objects and quarantines any that were mid-handoff.
 //
 // -proto caps the wire protocol version the server offers during the Hello
-// handshake (PROTOCOL.md): 1 forces JSON payloads for every session, the
-// default offers the newest implemented version (currently 2, binary) and
-// lets each client negotiate down.
+// handshake (PROTOCOL.md): 1 forces JSON payloads for every session, 2
+// the binary payloads with full-answer NOTIFYs, and the default offers the
+// newest implemented version (currently 3: binary, with delta NOTIFYs)
+// and lets each client negotiate down.
 //
 // With -wal set the server is durable: every committed mutation is
 // write-ahead logged under DIR before its response is sent, and on startup

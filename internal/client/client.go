@@ -39,10 +39,14 @@
 //
 // Subscribe registers a continuous query and returns a Subscription
 // mirroring the in-process query.Continuous handle: the server pushes the
-// full materialized Answer(CQ) after every maintenance round, the handle
-// stores the newest answer, and presentation at a tick is a local lookup
-// (wire.RowsAt) — no round trip per tick, the paper's continuous-query
-// contract preserved across the network boundary.  A subscription survives
+// materialized Answer(CQ) after every maintenance round — on a version-3
+// connection as a delta against the answer the handle holds, which the
+// handle applies — the handle holds the newest answer, and presentation
+// at a tick is a local lookup (wire.RowsAt) — no round trip per tick, the
+// paper's continuous-query contract preserved across the network
+// boundary.  A delta the handle cannot apply (its base is not the answer
+// held) makes the handle re-register the query and reconcile, exactly as
+// after a lost connection.  A subscription survives
 // its connection: when the transport fails, the client parks it, heals the
 // connection in the background, and transparently re-registers the query,
 // reconciling the resumed answer against the last delivered one so the
@@ -61,6 +65,7 @@ import (
 	"hash/crc32"
 	mathrand "math/rand"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
@@ -170,9 +175,11 @@ func WithResolver(resolve func(prev string) (string, error)) Option {
 func WithPeer() Option { return func(c *Client) { c.peer = true } }
 
 // WithObs instruments the client: client.reconnects counts successful
-// re-establishments of a previously lost connection, and
+// re-establishments of a previously lost connection,
 // client.resume_gap_rows counts answer rows delivered by subscription
-// resume reconciliation (changes that arrived while disconnected).
+// resume reconciliation (changes that arrived while disconnected), and
+// client.resyncs counts subscriptions re-registered because a delta
+// NOTIFY did not apply to the answer they held.
 func WithObs(reg *obs.Registry) Option { return func(c *Client) { c.reg = reg } }
 
 // Client is a MOST network client.  Safe for concurrent use; concurrent
@@ -195,6 +202,7 @@ type Client struct {
 
 	reconnects    *obs.Counter
 	resumeGapRows *obs.Counter
+	resyncs       *obs.Counter
 
 	writeMu sync.Mutex // serializes frame writes to conn
 
@@ -211,10 +219,15 @@ type Client struct {
 	pending map[uint64]chan wire.Frame
 	subs    map[uint64]*Subscription // by current server subscription ID
 	parked  map[uint64]*Subscription // by key: awaiting resume after a teardown
-	orphans map[uint64]wire.Notify   // notifies that beat their SubscribeResp
-	resumed bool                     // last Hello's Resumed flag
-	healing bool
-	closed  bool
+	// orphans buffers, per server subscription ID and in arrival order,
+	// the notifies that beat their SubscribeResp.  They are kept only
+	// while a Subscribe is in flight (subscribing > 0): no other notify
+	// for an unknown ID can ever be claimed.
+	orphans     map[uint64]*orphanQueue
+	subscribing int
+	resumed     bool // last Hello's Resumed flag
+	healing     bool
+	closed      bool
 }
 
 // Dial connects to a mostserver at addr.
@@ -232,7 +245,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		pending:     map[uint64]chan wire.Frame{},
 		subs:        map[uint64]*Subscription{},
 		parked:      map[uint64]*Subscription{},
-		orphans:     map[uint64]wire.Notify{},
+		orphans:     map[uint64]*orphanQueue{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -249,6 +262,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	c.jitter = mathrand.New(mathrand.NewSource(c.jitterSeed))
 	c.reconnects = c.reg.Counter("client.reconnects")
 	c.resumeGapRows = c.reg.Counter("client.resume_gap_rows")
+	c.resyncs = c.reg.Counter("client.resyncs")
 	c.mu.Lock()
 	err := c.connectLocked()
 	c.mu.Unlock()
@@ -433,14 +447,12 @@ func (c *Client) readLoop(conn net.Conn, gen uint64, proto uint8) {
 			}
 			c.mu.Lock()
 			sub, ok := c.subs[n.SubID]
-			if !ok {
-				if len(c.orphans) < 64 {
-					c.orphans[n.SubID] = n
-				}
+			if !ok && c.subscribing > 0 {
+				c.bufferOrphanLocked(n)
 			}
 			c.mu.Unlock()
-			if ok {
-				sub.deliver(n)
+			if ok && !sub.deliver(n) {
+				c.resync(sub)
 			}
 		case wire.OpSubClosed:
 			var sc wire.SubClosed
@@ -487,7 +499,7 @@ func (c *Client) teardownConnLocked(conn net.Conn, cause error) {
 	}
 	subs := c.subs
 	c.subs = map[uint64]*Subscription{}
-	c.orphans = map[uint64]wire.Notify{}
+	c.orphans = map[uint64]*orphanQueue{}
 	if c.closed {
 		for _, sub := range subs {
 			go sub.fail(fmt.Errorf("%w: %v", ErrConnLost, cause))
@@ -579,8 +591,12 @@ func (c *Client) drainParkedLocked() []*Subscription {
 // the subscription was resumed, permanently rejected, or withdrawn.
 func (c *Client) resubscribe(sub *Subscription) bool {
 	var resp wire.SubscribeResp
+	c.beginSubscribe()
 	err := c.call(wire.OpSubscribe, &wire.SubscribeReq{Src: sub.src, Horizon: sub.horizon}, &resp)
 	if err != nil {
+		c.mu.Lock()
+		c.endSubscribeLocked(0)
+		c.mu.Unlock()
 		var se *ServerError
 		if errors.As(err, &se) {
 			// The server evaluated and refused the query itself: resuming
@@ -594,6 +610,7 @@ func (c *Client) resubscribe(sub *Subscription) bool {
 		return false
 	}
 	c.mu.Lock()
+	orphans := c.endSubscribeLocked(resp.SubID)
 	if _, still := c.parked[sub.key]; !still || c.closed {
 		// Closed while the registration was in flight: withdraw it.
 		c.mu.Unlock()
@@ -602,17 +619,104 @@ func (c *Client) resubscribe(sub *Subscription) bool {
 	}
 	delete(c.parked, sub.key)
 	sub.subID = resp.SubID
+	// Reconcile and replay the orphans before the read loop can see the
+	// registration, so no later notify overtakes them.
+	rows, changed := sub.resumeReconcile(resp.Answer)
+	claimed := sub.claim(orphans)
 	c.subs[resp.SubID] = sub
-	orphan, hadOrphan := c.orphans[resp.SubID]
-	delete(c.orphans, resp.SubID)
 	c.mu.Unlock()
-	if rows, changed := sub.resumeReconcile(resp.Answer); changed {
+	if changed {
 		c.resumeGapRows.Add(int64(rows))
 	}
-	if hadOrphan {
-		sub.deliver(orphan)
+	if !claimed {
+		c.resync(sub)
 	}
 	return true
+}
+
+// maxOrphans bounds one subscription's buffered orphan notifies.  Past it
+// the chain is marked broken and the subscription resyncs once claimed.
+const maxOrphans = 1024
+
+// orphanQueue is one subscription ID's buffered notifies, oldest first.
+type orphanQueue struct {
+	notes  []wire.Notify
+	broken bool // a notify was dropped: the chain cannot be applied
+}
+
+// bufferOrphanLocked queues a notify for a subscription whose
+// SubscribeResp has not been processed yet.  A full-form notify
+// supersedes everything queued before it; delta-form notifies chain, so
+// all are kept in order.  Callers hold c.mu.
+func (c *Client) bufferOrphanLocked(n wire.Notify) {
+	q := c.orphans[n.SubID]
+	if q == nil {
+		q = &orphanQueue{}
+		c.orphans[n.SubID] = q
+	}
+	switch {
+	case !n.Delta:
+		q.notes, q.broken = append(q.notes[:0], n), false
+	case len(q.notes) < maxOrphans:
+		q.notes = append(q.notes, n)
+	default:
+		q.broken = true
+	}
+}
+
+// beginSubscribe opens the orphan-buffering window for one Subscribe.
+func (c *Client) beginSubscribe() {
+	c.mu.Lock()
+	c.subscribing++
+	c.mu.Unlock()
+}
+
+// endSubscribeLocked closes one Subscribe's buffering window and takes the
+// orphans of its server subscription ID (0: the call failed).  The last
+// window to close drops every unclaimed orphan.  Callers hold c.mu.
+func (c *Client) endSubscribeLocked(subID uint64) *orphanQueue {
+	q := c.orphans[subID]
+	delete(c.orphans, subID)
+	if c.subscribing--; c.subscribing <= 0 {
+		c.subscribing = 0
+		clear(c.orphans)
+	}
+	return q
+}
+
+// claim delivers a new registration's buffered notifies in arrival
+// order, reporting false when the chain is broken and the subscription
+// must resync.  Callers hold c.mu and have not yet made the registration
+// visible to the read loop, so no later notify can overtake these.
+func (s *Subscription) claim(q *orphanQueue) bool {
+	if q == nil {
+		return true
+	}
+	for _, n := range q.notes {
+		if !s.deliver(n) {
+			return false
+		}
+	}
+	return !q.broken
+}
+
+// resync re-registers a live subscription whose delta stream broke (a
+// NOTIFY's base is not the answer it holds): it is parked, the heal loop
+// re-subscribes and reconciles it exactly as after a lost connection, and
+// the broken server-side registration is withdrawn.
+func (c *Client) resync(sub *Subscription) {
+	c.mu.Lock()
+	if c.closed || c.subs[sub.subID] != sub {
+		c.mu.Unlock()
+		return
+	}
+	old := sub.subID
+	delete(c.subs, old)
+	c.parked[sub.key] = sub
+	c.startHealLocked()
+	c.mu.Unlock()
+	c.resyncs.Inc()
+	go c.call(wire.OpUnsubscribe, &wire.UnsubscribeReq{SubID: old}, nil)
 }
 
 // call executes one request, retransmitting on transport errors under the
@@ -843,8 +947,17 @@ type Subscription struct {
 	horizon temporal.Tick
 	subID   uint64 // current server-side subscription ID
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// The held answer is answer (in canonical order) with the changes in
+	// pend applied.  A delta NOTIFY only records its instantiations in
+	// pend (key -> replacement rows, nil for gone), in O(|delta|); pend is
+	// merged into a fresh answer slice once it outgrows a fraction of the
+	// answer, or when Answer is called, so the merge's O(|answer|) cost is
+	// spread over many changes.  Slices handed out by Answer are never
+	// modified.
 	answer []wire.AnswerRow
+	pend   map[string][]wire.AnswerRow
+	srvSeq uint64 // server sequence number of the held answer
 	seq    uint64 // effective sequence, monotonic across resumes
 	base   uint64 // offset added to server sequence numbers after a resume
 	err    error
@@ -857,7 +970,11 @@ type Subscription struct {
 // Subscribe registers src as a continuous query on the server.
 func (c *Client) Subscribe(src string, horizon temporal.Tick) (*Subscription, error) {
 	var resp wire.SubscribeResp
+	c.beginSubscribe()
 	if err := c.call(wire.OpSubscribe, &wire.SubscribeReq{Src: src, Horizon: horizon}, &resp); err != nil {
+		c.mu.Lock()
+		c.endSubscribeLocked(0)
+		c.mu.Unlock()
 		return nil, err
 	}
 	sub := &Subscription{
@@ -870,34 +987,113 @@ func (c *Client) Subscribe(src string, horizon temporal.Tick) (*Subscription, er
 		done:    make(chan struct{}),
 	}
 	c.mu.Lock()
-	orphan, hadOrphan := c.orphans[resp.SubID]
-	delete(c.orphans, resp.SubID)
+	orphans := c.endSubscribeLocked(resp.SubID)
 	if c.conn == nil || c.closed {
 		c.mu.Unlock()
 		return nil, ErrConnLost
 	}
 	c.nextKey++
 	sub.key = c.nextKey
+	claimed := sub.claim(orphans)
 	c.subs[resp.SubID] = sub
 	c.mu.Unlock()
-	if hadOrphan {
-		sub.deliver(orphan)
+	if !claimed {
+		c.resync(sub)
 	}
 	return sub, nil
 }
 
 // deliver installs a notification (monotonic in effective sequence: the
-// server's per-registration sequence shifted by the resume base).
-func (s *Subscription) deliver(n wire.Notify) {
+// server's per-registration sequence shifted by the resume base).  It
+// reports false, installing nothing, for a delta whose base is not the
+// held answer.
+func (s *Subscription) deliver(n wire.Notify) bool {
 	s.mu.Lock()
-	if eff := s.base + n.Seq; eff > s.seq {
-		s.answer, s.seq = n.Answer, eff
+	eff := s.base + n.Seq
+	if eff <= s.seq {
+		s.mu.Unlock()
+		return true
 	}
+	if n.Delta {
+		if n.Base != s.srvSeq {
+			s.mu.Unlock()
+			return false
+		}
+		s.applyLocked(n.Gone, n.Answer)
+	} else {
+		s.answer, s.pend = n.Answer, nil
+	}
+	s.srvSeq, s.seq = n.Seq, eff
 	s.mu.Unlock()
 	select {
 	case s.updates <- struct{}{}:
 	default:
 	}
+	return true
+}
+
+// applyLocked records a delta against the held answer: the gone
+// instantiations leave, and each instantiation of rows (consecutive rows
+// with equal values) replaces that instantiation's rows.  Callers hold
+// s.mu.
+func (s *Subscription) applyLocked(gone [][]wire.Value, rows []wire.AnswerRow) {
+	if len(gone) == 0 && len(rows) == 0 {
+		return
+	}
+	if s.pend == nil {
+		s.pend = map[string][]wire.AnswerRow{}
+	}
+	for _, vals := range gone {
+		s.pend[wire.InstanceKey(vals)] = nil
+	}
+	for i := 0; i < len(rows); {
+		j := wire.InstanceEnd(rows, i)
+		s.pend[wire.InstanceKey(rows[i].Vals)] = rows[i:j:j]
+		i = j
+	}
+	if len(s.pend) > len(s.answer)/8+32 {
+		s.mergeLocked()
+	}
+}
+
+// mergeLocked folds the pending changes into a fresh answer slice: one
+// ordered merge of the answer's instantiations with the sorted pending
+// keys.  Callers hold s.mu.
+func (s *Subscription) mergeLocked() {
+	if len(s.pend) == 0 {
+		return
+	}
+	keys := make([]string, 0, len(s.pend))
+	extra := 0
+	for k, rows := range s.pend {
+		keys = append(keys, k)
+		extra += len(rows)
+	}
+	sort.Strings(keys)
+	out := make([]wire.AnswerRow, 0, len(s.answer)+extra)
+	var buf []byte
+	i, k := 0, 0
+	for i < len(s.answer) || k < len(keys) {
+		if i == len(s.answer) {
+			out = append(out, s.pend[keys[k]]...)
+			k++
+			continue
+		}
+		j := wire.InstanceEnd(s.answer, i)
+		buf = wire.AppendInstanceKey(buf[:0], s.answer[i].Vals)
+		switch {
+		case k == len(keys) || string(buf) < keys[k]:
+			out = append(out, s.answer[i:j]...)
+			i = j
+		case string(buf) > keys[k]:
+			out = append(out, s.pend[keys[k]]...)
+			k++
+		default: // replaced (or gone: nil rows)
+			out = append(out, s.pend[keys[k]]...)
+			i, k = j, k+1
+		}
+	}
+	s.answer, s.pend = out, nil
 }
 
 // resumeReconcile folds the answer returned by a re-registration into the
@@ -908,9 +1104,13 @@ func (s *Subscription) deliver(n wire.Notify) {
 // It reports the number of rows installed and whether anything changed.
 func (s *Subscription) resumeReconcile(answer []wire.AnswerRow) (int, bool) {
 	s.mu.Lock()
+	// The fresh registration restarts the server-side sequence at zero;
+	// its deltas are based on this initial answer.
+	s.srvSeq = 0
+	s.mergeLocked()
 	if wire.CanonicalAnswers(answer) == wire.CanonicalAnswers(s.answer) {
-		// The fresh registration restarts the server-side sequence at
-		// zero; rebase so its next notification lands at s.seq+1.
+		// Rebase so the registration's next notification lands at
+		// s.seq+1.
 		s.base = s.seq
 		s.mu.Unlock()
 		return 0, false
@@ -936,11 +1136,13 @@ func (s *Subscription) fail(err error) {
 	})
 }
 
-// Answer returns the newest materialized answer with its server sequence
-// number (0 = the subscription's initial answer).
+// Answer returns the newest materialized answer, in canonical order (by
+// instantiation, then interval), with its sequence number (0 = the
+// subscription's initial answer).  The returned rows must not be modified.
 func (s *Subscription) Answer() ([]wire.AnswerRow, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.mergeLocked()
 	return s.answer, s.seq, s.err
 }
 

@@ -81,9 +81,11 @@ type Node struct {
 	bounces     atomic.Uint64
 }
 
-// pendXfer is one in-doubt transfer: sent, never acknowledged.  The
-// object stays frozen until the retry loop gets an answer.
+// pendXfer is one outbound transfer; parked in the pending set, it is in
+// doubt: sent, never acknowledged.  The object stays frozen until the
+// retry loop gets an answer.
 type pendXfer struct {
+	id   string
 	ver  uint64
 	doc  []byte
 	dest string
@@ -133,18 +135,22 @@ func (n *Node) retryLoop() {
 		case <-tick.C:
 		}
 		n.mu.Lock()
-		snap := make(map[string]pendXfer, len(n.pend))
-		for id, p := range n.pend {
-			snap[id] = p
+		byDest := map[string][]pendXfer{}
+		for _, p := range n.pend {
+			byDest[p.dest] = append(byDest[p.dest], p)
 		}
 		n.mu.Unlock()
-		for id, p := range snap {
-			select {
-			case <-n.retryStop:
-				return
-			default:
+		for dest, xs := range byDest {
+			for len(xs) > 0 {
+				select {
+				case <-n.retryStop:
+					return
+				default:
+				}
+				batch := xs[:min(len(xs), maxHandoffBatch)]
+				xs = xs[len(batch):]
+				n.send(batch, dest)
 			}
-			n.send(id, p.ver, p.doc, p.dest)
 		}
 	}
 }
@@ -238,9 +244,31 @@ func (n *Node) ZoneMap() *wire.ZoneMapResp {
 	return &wire.ZoneMapResp{}
 }
 
-// Handoff is the receiver side of an object transfer.  Runs on a session
-// goroutine with the commit lock held (shared), like any other mutation.
+// Handoff is the receiver side of a batch of object transfers.  Runs on a
+// session goroutine with the commit lock held (shared), like any other
+// mutation.  Objects apply in order; the first failure aborts the rest
+// (the sender keeps the whole batch in doubt and retries, and the fences
+// acknowledge the objects that did apply as duplicates).
 func (n *Node) Handoff(req *wire.HandoffReq, prov *most.Prov) (*wire.HandoffResp, error) {
+	resp := &wire.HandoffResp{Accepted: make([]bool, 0, len(req.Objects))}
+	for i := range req.Objects {
+		var p *most.Prov
+		if prov != nil {
+			p = &most.Prov{Client: prov.Client, Req: prov.Req, Op: prov.Op + i}
+		}
+		accepted, err := n.accept(&req.Objects[i], p)
+		if err != nil {
+			return nil, err
+		}
+		resp.Accepted = append(resp.Accepted, accepted)
+	}
+	resp.Now = n.srv.DB().Now()
+	return resp, nil
+}
+
+// accept applies one transferred object, fenced by its version; false
+// acknowledges a duplicate without re-applying.
+func (n *Node) accept(req *wire.HandoffObject, prov *most.Prov) (bool, error) {
 	n.mu.Lock()
 	fence := n.fences[req.ID]
 	if req.Version <= fence {
@@ -252,7 +280,7 @@ func (n *Node) Handoff(req *wire.HandoffReq, prov *most.Prov) (*wire.HandoffResp
 			// vouch that the lineage survives the sender's delete.
 			n.mu.Unlock()
 			n.handoffDups.Add(1)
-			return &wire.HandoffResp{Accepted: false, Now: n.srv.DB().Now()}, nil
+			return false, nil
 		}
 		// Stale version, but nothing here to vouch with: the sender's copy
 		// is the only live one (a recovered sender restarts its fence at
@@ -290,21 +318,21 @@ func (n *Node) Handoff(req *wire.HandoffReq, prov *most.Prov) (*wire.HandoffResp
 			n.fences[req.ID] = fence
 		}
 		n.mu.Unlock()
-		return nil, fmt.Errorf("cluster: handoff decode %s: %w", req.ID, err)
+		return false, fmt.Errorf("cluster: handoff decode %s: %w", req.ID, err)
 	}
 	// Replace any local copy.  The pre-delete carries no provenance on
 	// purpose: if the node crashes between delete and insert, recovery
-	// finds no receipt and no partial for the request, the sender's retry
-	// re-executes from the top, and the (now absent) object inserts
-	// cleanly.  Only the insert is stamped, so a crash after it rolls the
-	// retry forward without re-applying.
+	// finds no stamp for this object, the sender's retry re-executes it
+	// (rolling forward past the batch's earlier, stamped objects), and the
+	// (now absent) object inserts cleanly.  Only the insert is stamped, so
+	// a crash after it rolls the retry forward without re-applying.
 	if _, ok := n.srv.DB().Get(o.ID()); ok {
 		if err := n.srv.DB().Delete(o.ID()); err != nil {
-			return nil, fmt.Errorf("cluster: handoff replace %s: %w", req.ID, err)
+			return false, fmt.Errorf("cluster: handoff replace %s: %w", req.ID, err)
 		}
 	}
 	if err := n.srv.DB().InsertProv(o, prov); err != nil {
-		return nil, fmt.Errorf("cluster: handoff insert %s: %w", req.ID, err)
+		return false, fmt.Errorf("cluster: handoff insert %s: %w", req.ID, err)
 	}
 	// Only now that the insert is committed does the departure record go:
 	// dropping it earlier would leave a window with neither possession nor
@@ -315,7 +343,7 @@ func (n *Node) Handoff(req *wire.HandoffReq, prov *most.Prov) (*wire.HandoffResp
 	delete(n.tomb, req.ID)
 	n.mu.Unlock()
 	n.handoffsIn.Add(1)
-	return &wire.HandoffResp{Accepted: true, Now: n.srv.DB().Now()}, nil
+	return true, nil
 }
 
 // Relay forwards a wrong-node batch to its owner on behalf of the origin
@@ -375,82 +403,110 @@ func (n *Node) AfterCommit(touched []string) {
 			}
 		}
 	}
-	// Transfers are independent (one object never has two movers — the
-	// frozen flag guards the retry loop), so fan them out: pipelined peer
-	// connections let the receiver commit back-to-back transfers without a
-	// round trip between each, which is what keeps the rebalance barrier
-	// short when a whole seam's worth of objects crosses at once.
-	var wg sync.WaitGroup
+	// Movers bound for one receiver travel together: one HANDOFF per
+	// destination is one round trip and one commit on each side, however
+	// many objects cross a seam at once.  Destinations are independent,
+	// so their batches fly concurrently.
+	byDest := map[string][]*most.Object{}
 	for _, m := range movers {
-		m := m
+		byDest[m.dest] = append(byDest[m.dest], m.o)
+	}
+	var wg sync.WaitGroup
+	for dest, objs := range byDest {
+		dest, objs := dest, objs
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n.handoff(m.o, m.dest)
+			n.handoff(objs, dest)
 		}()
 	}
 	wg.Wait()
 }
 
-// handoff transfers one object to dest: freeze, send fenced, delete on
-// acknowledgement.  A transport failure leaves the object frozen and
-// parked as an in-doubt transfer — the receiver may have applied it, so
-// no write may land here until the retry loop gets an answer.
-func (n *Node) handoff(o *most.Object, dest string) {
-	id := string(o.ID())
-	n.mu.Lock()
-	if n.frozen[id] {
-		n.mu.Unlock()
-		return
-	}
-	n.frozen[id] = true
-	ver := n.fences[id] + 1
-	n.mu.Unlock()
+// maxHandoffBatch caps the objects in one HANDOFF, keeping a frame from a
+// mass exodus (a whole shard re-homed) well inside the peer frame bound.
+const maxHandoffBatch = 256
 
-	doc, err := most.EncodeObjectJSON(o)
-	if err != nil {
+// handoff transfers objects to dest: freeze, send fenced, delete on
+// acknowledgement.  A transport failure leaves the batch's objects frozen
+// and parked as in-doubt transfers — the receiver may have applied them,
+// so no write may land here until the retry loop gets an answer.
+func (n *Node) handoff(objs []*most.Object, dest string) {
+	xs := make([]pendXfer, 0, len(objs))
+	for _, o := range objs {
+		id := string(o.ID())
 		n.mu.Lock()
-		delete(n.frozen, id)
+		if n.frozen[id] {
+			n.mu.Unlock()
+			continue
+		}
+		n.frozen[id] = true
+		ver := n.fences[id] + 1
 		n.mu.Unlock()
-		return
+
+		doc, err := most.EncodeObjectJSON(o)
+		if err != nil {
+			n.mu.Lock()
+			delete(n.frozen, id)
+			n.mu.Unlock()
+			continue
+		}
+		xs = append(xs, pendXfer{id: id, ver: ver, doc: doc, dest: dest})
 	}
-	if n.send(id, ver, doc, dest) != nil {
-		n.mu.Lock()
-		n.pend[id] = pendXfer{ver: ver, doc: doc, dest: dest}
-		n.mu.Unlock()
+	for len(xs) > 0 {
+		batch := xs[:min(len(xs), maxHandoffBatch)]
+		xs = xs[len(batch):]
+		if n.send(batch, dest) != nil {
+			n.mu.Lock()
+			for _, x := range batch {
+				n.pend[x.id] = x
+			}
+			n.mu.Unlock()
+		}
 	}
 }
 
-// send pushes one fenced transfer and, on any acknowledgement — accepted
-// or duplicate, either way the receiver vouches for the object's lineage
-// — releases the local copy.  The delete holds the commit lock shared,
-// so a checkpoint never splits it from the WAL records around it.  A
-// non-nil return means the receiver never answered; the caller keeps the
-// transfer in doubt.
-func (n *Node) send(id string, ver uint64, doc []byte, dest string) error {
+// send pushes one batch of fenced transfers to dest and, on the
+// acknowledgement — accepted or duplicate, either way the receiver vouches
+// for each object's lineage — releases the local copies.  The deletes
+// hold the commit lock shared, so a checkpoint never splits them from the
+// WAL records around them.  A non-nil return means the receiver never
+// answered; the caller keeps the batch in doubt.
+func (n *Node) send(xs []pendXfer, dest string) error {
 	cl, err := n.peerClient(dest)
 	if err != nil {
 		return err
 	}
-	resp, err := cl.Handoff(&wire.HandoffReq{ID: id, Version: ver, From: n.name, Object: doc})
+	req := &wire.HandoffReq{From: n.name, Objects: make([]wire.HandoffObject, len(xs))}
+	for i, x := range xs {
+		req.Objects[i] = wire.HandoffObject{ID: x.id, Version: x.ver, Object: x.doc}
+	}
+	resp, err := cl.Handoff(req)
 	if err != nil {
 		return err
 	}
+	if len(resp.Accepted) != len(xs) {
+		return fmt.Errorf("cluster: handoff to %s acknowledged %d of %d objects", dest, len(resp.Accepted), len(xs))
+	}
 	n.srv.WithCommitLock(func() {
-		n.srv.DB().Delete(most.ObjectID(id))
-		n.mu.Lock()
-		n.tomb[id] = dest
-		if ver > n.fences[id] {
-			n.fences[id] = ver
+		for _, x := range xs {
+			n.srv.DB().Delete(most.ObjectID(x.id))
+			n.mu.Lock()
+			n.tomb[x.id] = dest
+			if x.ver > n.fences[x.id] {
+				n.fences[x.id] = x.ver
+			}
+			delete(n.frozen, x.id)
+			delete(n.pend, x.id)
+			n.mu.Unlock()
 		}
-		delete(n.frozen, id)
-		delete(n.pend, id)
-		n.mu.Unlock()
 	})
-	if resp.Accepted {
-		n.handoffsOut.Add(1)
-	} else {
-		n.bounces.Add(1)
+	for _, ok := range resp.Accepted {
+		if ok {
+			n.handoffsOut.Add(1)
+		} else {
+			n.bounces.Add(1)
+		}
 	}
 	return nil
 }
@@ -498,7 +554,7 @@ func (n *Node) Quarantine() (int, error) {
 		n.mu.Lock()
 		if !n.frozen[id] {
 			n.frozen[id] = true
-			n.pend[id] = pendXfer{ver: n.fences[id] + 1, doc: doc, dest: dest}
+			n.pend[id] = pendXfer{id: id, ver: n.fences[id] + 1, doc: doc, dest: dest}
 			count++
 		}
 		n.mu.Unlock()

@@ -607,13 +607,20 @@ func rowKey(row []wire.Value) string {
 // another's; the union is briefly recomputed and the merged stream
 // converges to exactly the single-database answer — the subscription
 // follows the object.
+//
+// The union is rebuilt when it is read, not on every node notification:
+// a node NOTIFY only marks the merged answer stale and signals Updates,
+// so following a query across the cluster costs nothing per update
+// beyond the per-node subscriptions' own delta application.
 type MergedSub struct {
 	subs  []*client.Subscription
 	addrs []string
 
+	rmu     sync.Mutex // serializes rebuilding the union in Answer
 	mu      sync.Mutex
 	answer  []wire.AnswerRow
 	canon   string
+	stale   bool // a node answer changed since the union was built
 	seq     uint64
 	err     error
 	updates chan struct{}
@@ -648,7 +655,8 @@ func (r *Router) Subscribe(src string, horizon temporal.Tick) (*MergedSub, error
 	return m, nil
 }
 
-// watch folds one node's notifications into the merged answer.
+// watch marks the merged answer stale on each of one node's
+// notifications and signals Updates.
 func (m *MergedSub) watch(i int) {
 	sub := m.subs[i]
 	for {
@@ -659,13 +667,19 @@ func (m *MergedSub) watch(i int) {
 			m.fail(fmt.Errorf("cluster: subscription on %s failed: %w", m.addrs[i], sub.Err()))
 			return
 		case <-sub.Updates():
-			m.recompute()
+			m.mu.Lock()
+			m.stale = true
+			m.mu.Unlock()
+			select {
+			case m.updates <- struct{}{}:
+			default:
+			}
 		}
 	}
 }
 
 // recompute rebuilds the union of the per-node answers; a change bumps
-// the merged sequence number and signals Updates.
+// the merged sequence number.
 func (m *MergedSub) recompute() {
 	merged := map[string]wire.AnswerRow{}
 	for _, sub := range m.subs {
@@ -692,10 +706,6 @@ func (m *MergedSub) recompute() {
 		m.canon = canon
 		m.answer = rows
 		m.seq++
-		select {
-		case m.updates <- struct{}{}:
-		default:
-		}
 	}
 	m.mu.Unlock()
 }
@@ -709,14 +719,30 @@ func (m *MergedSub) fail(err error) {
 	m.once.Do(func() { close(m.done) })
 }
 
-// Answer returns the current merged answer and its sequence number.
+// Answer returns the current merged answer and its sequence number,
+// which increases whenever the union differs from the one last read.
+//
+// Readers rebuild one at a time: stale is cleared before the node answers
+// are read, so a node change landing mid-rebuild marks the union stale
+// again for the next reader, and a concurrent reader waits for the
+// rebuild instead of returning the union it replaces.
 func (m *MergedSub) Answer() ([]wire.AnswerRow, uint64, error) {
+	m.rmu.Lock()
+	defer m.rmu.Unlock()
+	m.mu.Lock()
+	stale := m.stale
+	m.stale = false
+	m.mu.Unlock()
+	if stale {
+		m.recompute()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]wire.AnswerRow(nil), m.answer...), m.seq, m.err
 }
 
-// Updates signals (coalesced) that the merged answer changed.
+// Updates signals (coalesced) that a node's answer changed, so the merged
+// answer may have: read it with Answer.
 func (m *MergedSub) Updates() <-chan struct{} { return m.updates }
 
 // Done closes when the merged stream fails.

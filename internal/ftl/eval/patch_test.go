@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/mostdb/most/internal/ftl"
@@ -11,52 +12,6 @@ import (
 
 func setOf(ivs ...temporal.Interval) temporal.Set {
 	return temporal.NewSet(ivs...)
-}
-
-func TestRelationClone(t *testing.T) {
-	r := NewRelation("o")
-	r.Add([]Val{ObjVal("a")}, setOf(temporal.Interval{Start: 0, End: 5}))
-	r.Add([]Val{ObjVal("b")}, setOf(temporal.Interval{Start: 2, End: 4}))
-
-	c := r.Clone()
-	// Mutating the clone (union into an existing tuple, delete another)
-	// must leave the original untouched.
-	c.Add([]Val{ObjVal("a")}, setOf(temporal.Interval{Start: 8, End: 9}))
-	if _, err := c.DeleteWhere("o", ObjVal("b")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := r.Lookup([]Val{ObjVal("a")}); !got.Equal(setOf(temporal.Interval{Start: 0, End: 5})) {
-		t.Errorf("original a set changed to %v", got)
-	}
-	if _, ok := r.Lookup([]Val{ObjVal("b")}); !ok {
-		t.Error("original lost tuple b after clone mutation")
-	}
-	if got, _ := c.Lookup([]Val{ObjVal("a")}); !got.Contains(8) {
-		t.Errorf("clone a set = %v, want union with [8,9]", got)
-	}
-}
-
-func TestRelationDeleteWhere(t *testing.T) {
-	r := NewRelation("o", "n")
-	iv := setOf(temporal.Interval{Start: 0, End: 1})
-	r.Add([]Val{ObjVal("a"), ObjVal("b")}, iv)
-	r.Add([]Val{ObjVal("b"), ObjVal("a")}, iv)
-	r.Add([]Val{ObjVal("c"), ObjVal("c")}, iv)
-
-	n, err := r.DeleteWhere("o", ObjVal("a"))
-	if err != nil || n != 1 {
-		t.Fatalf("DeleteWhere(o,a) = %d, %v; want 1, nil", n, err)
-	}
-	n, err = r.DeleteWhere("n", ObjVal("a"))
-	if err != nil || n != 1 {
-		t.Fatalf("DeleteWhere(n,a) = %d, %v; want 1, nil", n, err)
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d, want 1", r.Len())
-	}
-	if _, err := r.DeleteWhere("x", ObjVal("a")); err == nil {
-		t.Error("DeleteWhere on unknown column: want error")
-	}
 }
 
 func TestRelationInsertFrom(t *testing.T) {
@@ -126,13 +81,11 @@ func TestEvalQueryPinned(t *testing.T) {
 				}
 				// Every pinned tuple must match the full answer, and every
 				// full-answer tuple binding id at pinVar must be present.
-				restricted := full.Clone()
-				for _, other := range []most.ObjectID{"fast", "slow", "parked"} {
-					if other == id {
-						continue
-					}
-					if _, err := restricted.DeleteWhere(pinVar, ObjVal(other)); err != nil {
-						t.Fatal(err)
+				restricted := NewRelation(full.Cols...)
+				col := slices.Index(full.Cols, pinVar)
+				for _, tu := range full.Tuples() {
+					if tu.Vals[col] == ObjVal(id) {
+						restricted.Add(tu.Vals, tu.Times)
 					}
 				}
 				if !relationsEqual(pinned, restricted) {

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/mostdb/most/internal/pmap"
 	"github.com/mostdb/most/internal/temporal"
 )
 
@@ -12,9 +13,19 @@ import (
 // during which g is satisfied with respect to that instantiation.  One
 // Tuple aggregates all intervals of one instantiation (the appendix's
 // non-consecutiveness invariant is temporal.Set's invariant).
+//
+// A relation has two storage forms.  The evaluator builds relations in
+// the mutable form, a hash map.  Freeze and Patch produce the frozen form,
+// a persistent sorted tree (internal/pmap) that a Patch shares with the
+// relation it was patched from: maintained continuous-query answers are
+// frozen, so an install touching k instantiations copies O(k log n) tree
+// nodes and every earlier install stays intact for its readers.  Frozen
+// relations are read-only: Add panics on one.
 type Relation struct {
 	Cols   []string
-	tuples map[string]*Tuple
+	tuples map[string]*Tuple // mutable form (nil when frozen)
+	tree   pmap.Map[*Tuple]  // frozen form
+	frozen bool
 }
 
 // Tuple is one instantiation with its satisfaction set.
@@ -28,8 +39,42 @@ func NewRelation(cols ...string) *Relation {
 	return &Relation{Cols: cols, tuples: map[string]*Tuple{}}
 }
 
-// Add unions the set into the instantiation's tuple.
+// Key is the canonical encoding of an instantiation: relations key their
+// tuples by it, and its byte-wise order is the canonical tuple order of
+// Tuples and Answers.
+func Key(vals []Val) string { return encodeVals(vals) }
+
+// get returns the tuple of the instantiation with the given key.
+func (r *Relation) get(key string) (*Tuple, bool) {
+	if r.frozen {
+		return r.tree.Get(key)
+	}
+	t, ok := r.tuples[key]
+	return t, ok
+}
+
+// tupleMap returns the tuples keyed by instantiation: the mutable map
+// itself, or for a frozen relation a fresh map (frozen relations may be
+// read concurrently, so they are never converted in place).
+func (r *Relation) tupleMap() map[string]*Tuple {
+	if !r.frozen {
+		return r.tuples
+	}
+	m := make(map[string]*Tuple, r.tree.Len())
+	r.tree.Ascend(func(k string, t *Tuple) bool {
+		m[k] = t
+		return true
+	})
+	return m
+}
+
+// Add unions the set into the instantiation's tuple.  Frozen relations
+// are read-only (an installed answer is shared by every reader): Add on
+// one panics.  Build a mutable copy with NewRelation and InsertFrom.
 func (r *Relation) Add(vals []Val, times temporal.Set) {
+	if r.frozen {
+		panic("eval: Add on a frozen relation")
+	}
 	if times.IsEmpty() {
 		return
 	}
@@ -41,44 +86,6 @@ func (r *Relation) Add(vals []Val, times temporal.Set) {
 	cp := make([]Val, len(vals))
 	copy(cp, vals)
 	r.tuples[key] = &Tuple{Vals: cp, Times: times}
-}
-
-// Clone returns a copy sharing no mutable state with r: patching one never
-// changes the other.  Value slices and satisfaction sets are shared — both
-// are immutable throughout this package (Add replaces a tuple's set rather
-// than mutating it).
-func (r *Relation) Clone() *Relation {
-	out := &Relation{
-		Cols:   append([]string(nil), r.Cols...),
-		tuples: make(map[string]*Tuple, len(r.tuples)),
-	}
-	for k, t := range r.tuples {
-		out.tuples[k] = &Tuple{Vals: t.Vals, Times: t.Times}
-	}
-	return out
-}
-
-// DeleteWhere removes every tuple whose col column equals v, returning the
-// number of tuples removed.
-func (r *Relation) DeleteWhere(col string, v Val) (int, error) {
-	idx := -1
-	for i, c := range r.Cols {
-		if c == col {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return 0, errf("delete column %q not in relation %v", col, r.Cols)
-	}
-	n := 0
-	for k, t := range r.tuples {
-		if t.Vals[idx] == v {
-			delete(r.tuples, k)
-			n++
-		}
-	}
-	return n, nil
 }
 
 // InsertFrom adds every tuple of src (whose columns must be a permutation
@@ -98,11 +105,24 @@ func (r *Relation) InsertFrom(src *Relation) error {
 }
 
 // Len returns the number of distinct instantiations.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int {
+	if r.frozen {
+		return r.tree.Len()
+	}
+	return len(r.tuples)
+}
 
 // Tuples returns the tuples sorted by instantiation for deterministic
 // iteration.
 func (r *Relation) Tuples() []*Tuple {
+	if r.frozen {
+		out := make([]*Tuple, 0, r.tree.Len())
+		r.tree.Ascend(func(_ string, t *Tuple) bool {
+			out = append(out, t)
+			return true
+		})
+		return out
+	}
 	keys := make([]string, 0, len(r.tuples))
 	for k := range r.tuples {
 		keys = append(keys, k)
@@ -117,7 +137,7 @@ func (r *Relation) Tuples() []*Tuple {
 
 // Lookup returns the satisfaction set for an instantiation.
 func (r *Relation) Lookup(vals []Val) (temporal.Set, bool) {
-	t, ok := r.tuples[encodeVals(vals)]
+	t, ok := r.get(encodeVals(vals))
 	if !ok {
 		return temporal.Set{}, false
 	}
@@ -145,7 +165,7 @@ func (r *Relation) Project(cols []string) (*Relation, error) {
 		pos[i] = p
 	}
 	out := NewRelation(cols...)
-	for _, t := range r.tuples {
+	for _, t := range r.tupleMap() {
 		vals := make([]Val, len(cols))
 		for i, p := range pos {
 			vals[i] = t.Vals[p]
@@ -159,7 +179,7 @@ func (r *Relation) Project(cols []string) (*Relation, error) {
 // result is empty.  It implements the unary temporal operators.
 func (r *Relation) Map(fn func(temporal.Set) temporal.Set) *Relation {
 	out := NewRelation(r.Cols...)
-	for _, t := range r.tuples {
+	for _, t := range r.tupleMap() {
 		out.Add(t.Vals, fn(t.Times))
 	}
 	return out
@@ -183,7 +203,7 @@ func joinWith(a, b *Relation, op func(x, y temporal.Set) temporal.Set) *Relation
 	aIdx, bIdx := a.colIndex(), b.colIndex()
 	// Index b by its shared-column projection.
 	bByShared := map[string][]*Tuple{}
-	for _, t := range b.tuples {
+	for _, t := range b.tupleMap() {
 		key := projectKey(t.Vals, bIdx, shared)
 		bByShared[key] = append(bByShared[key], t)
 	}
@@ -191,7 +211,7 @@ func joinWith(a, b *Relation, op func(x, y temporal.Set) temporal.Set) *Relation
 	for i, c := range bOnly {
 		bOnlyPos[i] = bIdx[c]
 	}
-	for _, ta := range a.tuples {
+	for _, ta := range a.tupleMap() {
 		key := projectKey(ta.Vals, aIdx, shared)
 		for _, tb := range bByShared[key] {
 			combined := op(ta.Times, tb.Times)
@@ -281,7 +301,7 @@ func (r *Relation) Expand(cols []string, domains map[string][]Val) (*Relation, e
 			rec(t, i+1, acc)
 		}
 	}
-	for _, t := range r.tuples {
+	for _, t := range r.tupleMap() {
 		rec(t, 0, map[string]Val{})
 	}
 	return out, nil
@@ -298,7 +318,7 @@ func CombineAligned(a, b *Relation, op func(x, y temporal.Set) temporal.Set) (*R
 	}
 	out := NewRelation(a.Cols...)
 	seen := map[string]bool{}
-	for key, ta := range a.tuples {
+	for key, ta := range a.tupleMap() {
 		seen[key] = true
 		var bt temporal.Set
 		if tb, ok := bAligned.tuples[key]; ok {
@@ -328,7 +348,7 @@ func (r *Relation) ComplementOver(domains map[string][]Val, w temporal.Interval)
 	rec = func(i int, vals []Val) {
 		if i == len(r.Cols) {
 			var cur temporal.Set
-			if t, ok := r.tuples[encodeVals(vals)]; ok {
+			if t, ok := r.get(encodeVals(vals)); ok {
 				cur = t.Times
 			}
 			out.Add(vals, cur.ComplementWithin(w))
@@ -376,14 +396,12 @@ func (r *Relation) At(tick temporal.Tick) [][]Val {
 }
 
 // Equal reports whether r and o hold exactly the same instantiations with
-// identical satisfaction sets (columns compared positionally).  Continuous
-// query maintenance uses it to suppress no-change installs: a reevaluation
-// that reproduces the previous answer need not fan out to listeners.
+// identical satisfaction sets (columns compared positionally).
 func (r *Relation) Equal(o *Relation) bool {
 	if r == nil || o == nil {
 		return r == o
 	}
-	if len(r.Cols) != len(o.Cols) || len(r.tuples) != len(o.tuples) {
+	if len(r.Cols) != len(o.Cols) || r.Len() != o.Len() {
 		return false
 	}
 	for i, c := range r.Cols {
@@ -391,11 +409,11 @@ func (r *Relation) Equal(o *Relation) bool {
 			return false
 		}
 	}
-	for k, t := range r.tuples {
-		ot, ok := o.tuples[k]
-		if !ok || !t.Times.Equal(ot.Times) {
-			return false
-		}
-	}
-	return true
+	equal := true
+	r.each(func(k string, t *Tuple) bool {
+		ot, ok := o.get(k)
+		equal = ok && t.Times.Equal(ot.Times)
+		return equal
+	})
+	return equal
 }

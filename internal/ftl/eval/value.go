@@ -112,22 +112,28 @@ func (v Val) String() string {
 
 // encodeVals builds a map key for an instantiation.
 func encodeVals(vals []Val) string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(AppendKey(buf[:0], vals...))
+}
+
+// AppendKey appends the Key encoding of vals to dst, so callers comparing
+// many instantiations can encode into reused buffers.
+func AppendKey(dst []byte, vals ...Val) []byte {
 	for _, v := range vals {
-		b.WriteByte(byte('0' + v.Kind))
+		dst = append(dst, byte('0'+v.Kind))
 		switch v.Kind {
 		case ValObj:
-			b.WriteString(string(v.Obj))
+			dst = append(dst, v.Obj...)
 		case ValNum:
-			b.WriteString(strconv.FormatFloat(v.Num, 'g', -1, 64))
+			dst = strconv.AppendFloat(dst, v.Num, 'g', -1, 64)
 		case ValStr:
-			b.WriteString(v.Str)
+			dst = append(dst, v.Str...)
 		case ValBool:
-			b.WriteString(strconv.FormatBool(v.Bool))
+			dst = strconv.AppendBool(dst, v.Bool)
 		}
-		b.WriteByte(0)
+		dst = append(dst, 0)
 	}
-	return b.String()
+	return dst
 }
 
 // Error wraps evaluation failures.

@@ -1,0 +1,353 @@
+// Package pmap is a persistent sorted map from string keys to values: a
+// copy-on-write B+tree whose versions share every node a batch of edits
+// does not touch.  A batch (Txn) copies the root-to-leaf path of each key
+// it writes the first time it writes there and mutates its own copies in
+// place afterwards, so k edits against an n-entry map cost O(k log n) time
+// and allocation however large the map is, and the map they started from
+// is never changed.  Iteration is in ascending key order (byte-wise string
+// comparison, the order of sort.Strings).
+//
+// Maintained continuous-query answers use it so that an install touching a
+// handful of instantiations copies a handful of nodes instead of the whole
+// relation, while every earlier install stays intact for the readers that
+// still hold it.
+package pmap
+
+import "sort"
+
+// Fanout bounds.  A node holds at most maxEntries entries (leaf values or
+// child pointers) and is merged with a sibling once it falls below
+// minEntries, so the tree stays O(log n) deep under any edit sequence.
+const (
+	maxEntries = 32
+	minEntries = maxEntries / 4
+	// bulkFill is how full FromSorted packs nodes, leaving room for later
+	// inserts before the first split.
+	bulkFill = maxEntries * 3 / 4
+)
+
+// owner identifies the batch allowed to mutate a node in place.
+type owner struct{ _ byte }
+
+type node[V any] struct {
+	own *owner
+	// keys[i] is the key of leaf entry i, or for an internal node a lower
+	// bound of child i's keys that is greater than every key of child i-1
+	// (keys[0] is the subtree minimum at the time the child was placed).
+	keys []string
+	vals []V        // leaf entries (nil for internal nodes)
+	kids []*node[V] // children (nil for leaves)
+}
+
+func (n *node[V]) leaf() bool { return n.kids == nil }
+
+func (n *node[V]) size() int { return len(n.keys) }
+
+// Map is one immutable version of the map.  The zero Map is empty and
+// ready to use; Maps are values and safe for concurrent readers.
+type Map[V any] struct {
+	root *node[V]
+	n    int
+}
+
+// Len returns the number of entries.
+func (m Map[V]) Len() int { return m.n }
+
+// Get returns the value stored under k.
+func (m Map[V]) Get(k string) (V, bool) {
+	for n := m.root; n != nil; {
+		if n.leaf() {
+			i := sort.SearchStrings(n.keys, k)
+			if i < len(n.keys) && n.keys[i] == k {
+				return n.vals[i], true
+			}
+			break
+		}
+		n = n.kids[route(n.keys, k)]
+	}
+	var zero V
+	return zero, false
+}
+
+// route picks the child of an internal node whose key range holds k: the
+// last child whose lower bound is <= k, or the first child.
+func route(keys []string, k string) int {
+	i := sort.Search(len(keys), func(i int) bool { return keys[i] > k }) - 1
+	if i < 0 {
+		return 0
+	}
+	return i
+}
+
+// Ascend calls fn for every entry in ascending key order until fn returns
+// false.
+func (m Map[V]) Ascend(fn func(k string, v V) bool) {
+	if m.root != nil {
+		ascend(m.root, fn)
+	}
+}
+
+func ascend[V any](n *node[V], fn func(string, V) bool) bool {
+	if n.leaf() {
+		for i, k := range n.keys {
+			if !fn(k, n.vals[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, c := range n.kids {
+		if !ascend(c, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// FromSorted builds a map from keys in strictly ascending order and their
+// values in O(n).
+func FromSorted[V any](keys []string, vals []V) Map[V] {
+	if len(keys) == 0 {
+		return Map[V]{}
+	}
+	var level []*node[V]
+	for start := 0; start < len(keys); {
+		end := min(start+bulkFill, len(keys))
+		if rest := len(keys) - end; rest > 0 && rest < minEntries {
+			end = len(keys) // fold a short tail into the last leaf
+		}
+		level = append(level, &node[V]{
+			keys: append([]string(nil), keys[start:end]...),
+			vals: append([]V(nil), vals[start:end]...),
+		})
+		start = end
+	}
+	for len(level) > 1 {
+		var up []*node[V]
+		for start := 0; start < len(level); {
+			end := min(start+bulkFill, len(level))
+			if rest := len(level) - end; rest > 0 && rest < minEntries {
+				end = len(level)
+			}
+			in := &node[V]{kids: append([]*node[V](nil), level[start:end]...)}
+			for _, c := range in.kids {
+				in.keys = append(in.keys, c.keys[0])
+			}
+			up = append(up, in)
+			start = end
+		}
+		level = up
+	}
+	return Map[V]{root: level[0], n: len(keys)}
+}
+
+// Txn is a batch of edits on top of a Map.  Nodes the batch copies belong
+// to it and are mutated in place by its later edits; nodes it has not
+// touched stay shared with the Map it started from, which never changes.
+// A Txn is not safe for concurrent use.
+type Txn[V any] struct {
+	own  *owner
+	root *node[V]
+	n    int
+}
+
+// Edit starts a batch of edits on m.
+func (m Map[V]) Edit() *Txn[V] {
+	return &Txn[V]{own: &owner{}, root: m.root, n: m.n}
+}
+
+// Map ends the batch and returns its result.  The Txn may keep editing
+// afterwards; its next write copies again, so the returned Map is never
+// changed.
+func (t *Txn[V]) Map() Map[V] {
+	m := Map[V]{root: t.root, n: t.n}
+	t.own = &owner{}
+	return m
+}
+
+// writable returns n itself when the batch owns it, else the batch's copy.
+func (t *Txn[V]) writable(n *node[V]) *node[V] {
+	if n.own == t.own {
+		return n
+	}
+	c := &node[V]{own: t.own, keys: append(make([]string, 0, len(n.keys)+1), n.keys...)}
+	if n.leaf() {
+		c.vals = append(make([]V, 0, len(n.vals)+1), n.vals...)
+	} else {
+		c.kids = append(make([]*node[V], 0, len(n.kids)+1), n.kids...)
+	}
+	return c
+}
+
+// Set stores v under k, replacing any previous value.
+func (t *Txn[V]) Set(k string, v V) {
+	if t.root == nil {
+		t.root = &node[V]{own: t.own, keys: []string{k}, vals: []V{v}}
+		t.n = 1
+		return
+	}
+	root, right, added := t.set(t.root, k, v)
+	if right != nil {
+		root = &node[V]{own: t.own, keys: []string{root.keys[0], right.keys[0]}, kids: []*node[V]{root, right}}
+	}
+	t.root = root
+	if added {
+		t.n++
+	}
+}
+
+// set inserts into the subtree at n, returning its writable replacement,
+// the new right sibling when it split, and whether the key was new.
+func (t *Txn[V]) set(n *node[V], k string, v V) (*node[V], *node[V], bool) {
+	if n.leaf() {
+		i := sort.SearchStrings(n.keys, k)
+		if i < len(n.keys) && n.keys[i] == k {
+			w := t.writable(n)
+			w.vals[i] = v
+			return w, nil, false
+		}
+		w := t.writable(n)
+		w.keys = insertAt(w.keys, i, k)
+		w.vals = insertAt(w.vals, i, v)
+		return w, t.split(w), true
+	}
+	i := route(n.keys, k)
+	c, right, added := t.set(n.kids[i], k, v)
+	w := t.writable(n)
+	w.kids[i] = c
+	if k < w.keys[i] {
+		w.keys[i] = k
+	}
+	if right != nil {
+		w.keys = insertAt(w.keys, i+1, right.keys[0])
+		w.kids = insertAt(w.kids, i+1, right)
+	}
+	return w, t.split(w), added
+}
+
+// split halves an overfull writable node, returning the right half.
+func (t *Txn[V]) split(w *node[V]) *node[V] {
+	if w.size() <= maxEntries {
+		return nil
+	}
+	h := w.size() / 2
+	r := &node[V]{own: t.own, keys: append(make([]string, 0, maxEntries), w.keys[h:]...)}
+	clear(w.keys[h:])
+	w.keys = w.keys[:h]
+	if w.leaf() {
+		r.vals = append(make([]V, 0, maxEntries), w.vals[h:]...)
+		clear(w.vals[h:])
+		w.vals = w.vals[:h]
+	} else {
+		r.kids = append(make([]*node[V], 0, maxEntries), w.kids[h:]...)
+		clear(w.kids[h:])
+		w.kids = w.kids[:h]
+	}
+	return r
+}
+
+// Delete removes k, reporting whether it was present.
+func (t *Txn[V]) Delete(k string) bool {
+	if t.root == nil {
+		return false
+	}
+	root, ok := t.del(t.root, k)
+	if !ok {
+		return false
+	}
+	t.n--
+	for !root.leaf() && root.size() == 1 {
+		root = root.kids[0]
+	}
+	if root.size() == 0 {
+		root = nil
+	}
+	t.root = root
+	return true
+}
+
+// del removes k from the subtree at n, returning its writable replacement.
+// An underfull child is merged into a neighbour (or borrows from it).
+func (t *Txn[V]) del(n *node[V], k string) (*node[V], bool) {
+	if n.leaf() {
+		i := sort.SearchStrings(n.keys, k)
+		if i == len(n.keys) || n.keys[i] != k {
+			return n, false
+		}
+		w := t.writable(n)
+		w.keys = removeAt(w.keys, i)
+		w.vals = removeAt(w.vals, i)
+		return w, true
+	}
+	i := route(n.keys, k)
+	c, ok := t.del(n.kids[i], k)
+	if !ok {
+		return n, false
+	}
+	w := t.writable(n)
+	w.kids[i] = c
+	if c.size() < minEntries {
+		t.rebalance(w, i)
+	}
+	return w, true
+}
+
+// rebalance fixes the underfull child i of the writable internal node w:
+// an empty child is dropped, otherwise it merges with a neighbour when the
+// two fit in one node and takes entries from it when they do not.
+func (t *Txn[V]) rebalance(w *node[V], i int) {
+	c := w.kids[i]
+	if c.size() == 0 {
+		w.keys = removeAt(w.keys, i)
+		w.kids = removeAt(w.kids, i)
+		return
+	}
+	if len(w.kids) == 1 {
+		return
+	}
+	l := i - 1 // merge children l and l+1
+	if i == 0 {
+		l = 0
+	}
+	a, b := t.writable(w.kids[l]), t.writable(w.kids[l+1])
+	w.kids[l], w.kids[l+1] = a, b
+	if a.size()+b.size() <= maxEntries {
+		a.keys = append(a.keys, b.keys...)
+		if a.leaf() {
+			a.vals = append(a.vals, b.vals...)
+		} else {
+			a.kids = append(a.kids, b.kids...)
+		}
+		w.keys = removeAt(w.keys, l+1)
+		w.kids = removeAt(w.kids, l+1)
+		return
+	}
+	// Redistribute evenly across the pair.
+	keys := append(append([]string(nil), a.keys...), b.keys...)
+	h := len(keys) / 2
+	a.keys, b.keys = append(a.keys[:0], keys[:h]...), append(b.keys[:0], keys[h:]...)
+	if a.leaf() {
+		vals := append(append([]V(nil), a.vals...), b.vals...)
+		a.vals, b.vals = append(a.vals[:0], vals[:h]...), append(b.vals[:0], vals[h:]...)
+		clear(vals)
+	} else {
+		kids := append(append([]*node[V](nil), a.kids...), b.kids...)
+		a.kids, b.kids = append(a.kids[:0], kids[:h]...), append(b.kids[:0], kids[h:]...)
+	}
+	w.keys[l+1] = b.keys[0]
+}
+
+func insertAt[T any](s []T, i int, v T) []T {
+	var zero T
+	s = append(s, zero)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+func removeAt[T any](s []T, i int) []T {
+	copy(s[i:], s[i+1:])
+	var zero T
+	s[len(s)-1] = zero
+	return s[:len(s)-1]
+}

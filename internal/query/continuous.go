@@ -25,8 +25,25 @@ type Continuous struct {
 	sp *sharedPlan
 
 	mu        sync.Mutex
-	listeners []func(*eval.Relation)
+	listeners []func(Install)
 	cancelled bool
+}
+
+// Install is one installed Answer(CQ) as fanned out to listeners: the
+// relation, its number, and the patch that produced it.
+type Install struct {
+	// Rel is the installed relation.  It is immutable: later installs are
+	// new relations sharing its untouched structure.
+	Rel *eval.Relation
+	// Gen numbers the plan's installs: the registration-time answer is 1
+	// and every fanned-out install is one more than the previous one, so
+	// a listener can name the answer a consumer already holds.  Every
+	// handle on a shared plan sees the same numbering.
+	Gen uint64
+	// Patch takes install Gen-1 to this one (in instantiation order).  It
+	// is nil when the plan cannot name the previous install — the first
+	// answer after a failed round — and Rel must be taken whole.
+	Patch *eval.Delta
 }
 
 // Continuous registers a continuous query, evaluating it once — or, when a
@@ -91,7 +108,8 @@ func (e *Engine) Continuous(q *ftl.Query, opts Options) (*Continuous, error) {
 			return nil, err
 		}
 		p.mu.Lock()
-		p.answer, p.version, p.anchor = rel, v, now
+		p.answer, p.version, p.anchor, p.gen = rel.Freeze(), v, now, 1
+		p.reindex(p.answer, nil)
 		p.storeValidity(now)
 		p.mu.Unlock()
 		close(p.ready)
@@ -108,16 +126,25 @@ func (cq *Continuous) PlanID() uint64 { return cq.sp.planID }
 
 // Answer returns the materialized Answer(CQ) relation.
 func (cq *Continuous) Answer() (*eval.Relation, error) {
+	in, err := cq.Installed()
+	return in.Rel, err
+}
+
+// Installed returns the current install: the materialized Answer(CQ) with
+// its install number (Patch is nil).  A consumer that registers a listener
+// and then reads Installed receives, through the listener, every install
+// numbered above the one returned here, and possibly that one again.
+func (cq *Continuous) Installed() (Install, error) {
 	cq.mu.Lock()
 	if cq.cancelled {
 		cq.mu.Unlock()
-		return nil, errUnregistered
+		return Install{}, errUnregistered
 	}
 	cq.mu.Unlock()
 	p := cq.sp
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.answer, p.err
+	return Install{Rel: p.answer, Gen: p.gen}, p.err
 }
 
 // Current returns the instantiations presented at tick t: "the system
@@ -143,6 +170,13 @@ func (cq *Continuous) Current(t temporal.Tick) ([]Row, error) {
 // A listener added while a maintenance round is in flight observes the
 // next install.
 func (cq *Continuous) Subscribe(fn func(*eval.Relation)) error {
+	return cq.SubscribeInstalls(func(in Install) { fn(in.Rel) })
+}
+
+// SubscribeInstalls is Subscribe for consumers that follow the patch
+// stream: the listener receives each install with its number and patch,
+// in install order.
+func (cq *Continuous) SubscribeInstalls(fn func(Install)) error {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
 	if cq.cancelled {

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"slices"
+
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/ftl/eval"
 	"github.com/mostdb/most/internal/geom"
@@ -14,6 +16,8 @@ import (
 // only the touched object's instantiations.  Computed once from the
 // normalized query at registration; immutable afterwards.
 type deltaPlan struct {
+	// query is the normalized query every pinned evaluation runs.
+	query    ftl.Query
 	analysis ftl.DeltaAnalysis
 	// varsByClass lists the FROM-bound variables ranging over each class:
 	// an update to an object of class C is covered by re-pinning each of
@@ -24,6 +28,7 @@ type deltaPlan struct {
 func newDeltaPlan(q *ftl.Query) deltaPlan {
 	nq := ftl.NormalizeQuery(*q)
 	p := deltaPlan{
+		query:       nq,
 		analysis:    ftl.AnalyzeDelta(&nq),
 		varsByClass: map[string][]string{},
 	}
@@ -98,14 +103,15 @@ func (e *Engine) pinnedContext(opts Options, now temporal.Tick, sp *obs.Span, pi
 // runDelta applies one batch of queued updates as per-object patches: each
 // distinct touched object has its answer tuples recomputed from the
 // current state — one pinned evaluation per variable of its class — and
-// spliced into a copy of the materialized relation (remove the object's
-// old tuples, insert the recomputed ones).  Reading the *current* state
-// makes the patch idempotent: a later update to the same object queued
-// behind this round is absorbed, and recomputing in any order converges.
-// A patch that reproduces the installed relation exactly is not fanned
-// out (see runFull's no-change suppression).  Returns false when the
-// batch cannot be applied and the caller must fall back to a full
-// reevaluation.
+// the difference against the object's installed tuples becomes the
+// round's patch (eval.Delta).  The next install is the installed relation
+// with the patch applied, sharing every untouched part of its tree, so a
+// round costs O(touched tuples · log |answer|) however large the answer
+// is; a round whose patch is empty changes nothing and is not fanned out.
+// Reading the *current* state makes the patch idempotent: a later update
+// to the same object queued behind this round is absorbed, and
+// recomputing in any order converges.  Returns false when the batch cannot
+// be applied and the caller must fall back to a full reevaluation.
 func (p *sharedPlan) runDelta(batch []most.Update) bool {
 	e := p.engine
 	reg := e.reg()
@@ -114,21 +120,25 @@ func (p *sharedPlan) runDelta(batch []most.Update) bool {
 	t0 := reg.Start()
 	defer reg.Histogram("query.continuous.delta_ns").Since(t0)
 
-	// Distinct touched objects, in arrival order.
-	seen := map[most.ObjectID]bool{}
+	// Distinct touched objects, in arrival order.  The scratch set is the
+	// drain's own: only one goroutine drains a plan at a time.
+	if p.seen == nil {
+		p.seen = map[most.ObjectID]struct{}{}
+	}
 	ids := make([]most.ObjectID, 0, len(batch))
 	for _, u := range batch {
-		if !seen[u.Object] {
-			seen[u.Object] = true
+		if _, dup := p.seen[u.Object]; !dup {
+			p.seen[u.Object] = struct{}{}
 			ids = append(ids, u.Object)
 		}
 	}
+	clear(p.seen)
 
 	// Version before the snapshot, as in runFull, so the install stamp is
 	// conservative.
 	v := e.db.Version()
 	now := e.db.Now()
-	nq := ftl.NormalizeQuery(*p.query)
+	nq := &p.plan.query
 	// Single-binding fast path: a pinned evaluation of a one-variable query
 	// touches only the pinned object, so the context can carry just that
 	// object instead of a full database snapshot and all-ids domain — this
@@ -139,14 +149,14 @@ func (p *sharedPlan) runDelta(batch []most.Update) bool {
 	}
 	var ctx *eval.Context
 	if single == "" {
-		full, err := e.context(&nq, p.opts, now, sp)
+		full, err := e.context(nq, p.opts, now, sp)
 		if err != nil {
 			reg.Counter("query.continuous.fallback").Inc()
 			return false
 		}
 		ctx = full
 	}
-	replacements := make(map[most.ObjectID][]*eval.Relation, len(ids))
+	var replacements []*eval.Relation
 	for _, id := range ids {
 		o, ok := e.db.Get(id)
 		if !ok {
@@ -158,13 +168,13 @@ func (p *sharedPlan) runDelta(batch []most.Update) bool {
 			if single != "" {
 				ectx = e.pinnedContext(p.opts, now, sp, pin, id, o)
 			}
-			rel, err := eval.EvalQueryPinned(&nq, ectx, pin, eval.ObjVal(id))
+			rel, err := eval.EvalQueryPinned(nq, ectx, pin, eval.ObjVal(id))
 			if err != nil {
 				reg.Counter("query.continuous.fallback").Inc()
 				return false
 			}
 			e.countEval()
-			replacements[id] = append(replacements[id], rel)
+			replacements = append(replacements, rel)
 		}
 	}
 
@@ -177,36 +187,88 @@ func (p *sharedPlan) runDelta(batch []most.Update) bool {
 		p.mu.Unlock()
 		return false
 	}
-	patched := p.answer.Clone()
-	for _, id := range ids {
-		ov := eval.ObjVal(id)
-		for _, col := range patched.Cols {
-			if _, err := patched.DeleteWhere(col, ov); err != nil {
-				p.mu.Unlock()
-				return false
-			}
-		}
-		for _, rel := range replacements[id] {
-			if err := patched.InsertFrom(rel); err != nil {
-				p.mu.Unlock()
-				return false
-			}
+	cur := p.answer
+	repl := eval.NewRelation(cur.Cols...)
+	for _, rel := range replacements {
+		if err := repl.InsertFrom(rel); err != nil {
+			p.mu.Unlock()
+			return false
 		}
 	}
+	var oldKeys []string
+	for _, id := range ids {
+		oldKeys = append(oldKeys, p.keysOf(cur, id)...)
+	}
+	d := cur.ReplaceDelta(oldKeys, repl)
 	if v > p.version {
 		p.version = v
 	}
 	reg.Counter("query.continuous.delta").Add(int64(len(ids)))
-	if p.answer.Equal(patched) {
-		// The patch changed nothing: keep the installed relation object
-		// and do not fan out.
+	if d.Empty() {
+		// The patch changed nothing: keep the installed relation and do
+		// not fan out.
 		reg.Counter("query.continuous.suppressed").Inc()
 		p.mu.Unlock()
 		return true
 	}
-	p.answer = patched
-	subs := append([]*Continuous(nil), p.subs...)
+	subs, in := p.installLocked(cur.Patch(d), &d)
 	p.mu.Unlock()
-	p.notify(subs, patched)
+	p.notify(subs, in)
 	return true
+}
+
+// keysOf returns the keys of the installed tuples that mention object id.
+// A one-column answer keys each object's tuple by the object alone; wider
+// answers go through the plan's object index.  Called by the drain.
+func (p *sharedPlan) keysOf(cur *eval.Relation, id most.ObjectID) []string {
+	if len(cur.Cols) == 1 {
+		return []string{eval.Key([]eval.Val{eval.ObjVal(id)})}
+	}
+	return p.byObj[id]
+}
+
+// reindex brings the object index in line with a new install: a patch
+// updates only the keys it touches, a reset (d == nil) rebuilds the index.
+// One-column answers need no index.  Called by the drain or, for the
+// initial install, before the drain starts.
+func (p *sharedPlan) reindex(next *eval.Relation, d *eval.Delta) {
+	if len(next.Cols) < 2 {
+		p.byObj = nil
+		return
+	}
+	if d == nil || p.byObj == nil {
+		p.byObj = map[most.ObjectID][]string{}
+		for _, t := range next.Tuples() {
+			p.indexTuple(t, eval.Key(t.Vals), true)
+		}
+		return
+	}
+	for _, t := range d.Gone {
+		p.indexTuple(t, eval.Key(t.Vals), false)
+	}
+	for _, t := range d.Put {
+		p.indexTuple(t, eval.Key(t.Vals), true)
+	}
+}
+
+// indexTuple adds (or removes) key under every object the tuple mentions.
+func (p *sharedPlan) indexTuple(t *eval.Tuple, key string, add bool) {
+	for i, v := range t.Vals {
+		if v.Kind != eval.ValObj || slices.ContainsFunc(t.Vals[:i], func(w eval.Val) bool { return w == v }) {
+			continue
+		}
+		keys := p.byObj[v.Obj]
+		j := slices.Index(keys, key)
+		switch {
+		case add && j < 0:
+			p.byObj[v.Obj] = append(keys, key)
+		case !add && j >= 0:
+			keys = slices.Delete(keys, j, j+1)
+			if len(keys) == 0 {
+				delete(p.byObj, v.Obj)
+			} else {
+				p.byObj[v.Obj] = keys
+			}
+		}
+	}
 }

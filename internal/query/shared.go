@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,8 +35,9 @@ type sharedPlan struct {
 	initErr error
 
 	mu         sync.Mutex
-	answer     *eval.Relation
+	answer     *eval.Relation // frozen; replaced, never mutated
 	err        error
+	gen        uint64 // number of the installed answer (see Install.Gen)
 	version    uint64
 	anchor     temporal.Tick
 	evaluating bool
@@ -43,6 +45,12 @@ type sharedPlan struct {
 	queue      []most.Update
 	removed    bool
 	subs       []*Continuous
+
+	// byObj indexes a multi-column answer's tuple keys by the objects
+	// they mention, and seen is runDelta's scratch set; both belong to the
+	// goroutine holding the evaluating flag.
+	byObj map[most.ObjectID][]string
+	seen  map[most.ObjectID]struct{}
 
 	// validUntil is anchor+horizon-depth of the installed answer (the last
 	// tick it stays presentable at): the ROI filter may skip an update only
@@ -193,10 +201,12 @@ func (p *sharedPlan) drain() {
 
 // runFull recomputes the answer from the current state and installs it
 // under the version guard, so a slow evaluation finishing late never
-// overwrites a newer answer.  An install that reproduces the previous
-// relation exactly still advances version/anchor/validity but does not fan
-// out: same-class no-op updates stop producing spurious pushes to every
-// subscriber.
+// overwrites a newer answer.  The new answer is diffed against the
+// installed one (a full run is O(data) anyway) and installed as a patch,
+// so listeners see the same patch stream as after delta rounds.  An
+// install that reproduces the previous relation exactly still advances
+// version/anchor/validity but does not fan out: same-class no-op updates
+// stop producing spurious pushes to every subscriber.
 func (p *sharedPlan) runFull() {
 	e := p.engine
 	reg := e.reg()
@@ -212,44 +222,61 @@ func (p *sharedPlan) runFull() {
 		return
 	}
 	var subs []*Continuous
+	var in Install
 	if v >= p.version {
 		p.version = v
-		unchanged := err == nil && p.err == nil && p.answer != nil && p.answer.Equal(rel)
-		p.err = err
 		p.anchor = now
-		if err == nil {
+		switch {
+		case err != nil:
+			p.err, p.answer = err, nil
+		case p.err == nil && p.answer != nil && slices.Equal(p.answer.Cols, rel.Cols):
 			p.storeValidity(now)
-		}
-		if unchanged {
-			reg.Counter("query.continuous.suppressed").Inc()
-			// Keep the old relation object: subscribers comparing answer
-			// identity (the server's shared row conversion) see no change.
-		} else {
-			p.answer = rel
-			if err == nil {
-				subs = append([]*Continuous(nil), p.subs...)
+			if d := eval.Diff(p.answer, rel); d.Empty() {
+				reg.Counter("query.continuous.suppressed").Inc()
+			} else {
+				subs, in = p.installLocked(p.answer.Patch(d), &d)
 			}
+		default:
+			// No installed answer to patch (first success after a failed
+			// round): the install is a reset.
+			p.err = nil
+			p.storeValidity(now)
+			subs, in = p.installLocked(rel.Freeze(), nil)
 		}
-		rel = p.answer
 	}
 	p.mu.Unlock()
-	p.notify(subs, rel)
+	p.notify(subs, in)
 }
 
-// notify fans one installed relation out to the listeners of the given
-// subscriber handles.  Handle listener lists are snapshotted under each
-// handle's lock; invocations run lock-free.
-func (p *sharedPlan) notify(subs []*Continuous, rel *eval.Relation) {
+// installLocked makes next the installed answer, numbers it, and returns
+// the handles to fan it out to.  d is the patch from the previous install,
+// nil for a reset.  Callers hold p.mu and the evaluating flag.
+func (p *sharedPlan) installLocked(next *eval.Relation, d *eval.Delta) ([]*Continuous, Install) {
+	p.answer = next
+	p.gen++
+	p.reindex(next, d)
+	if d != nil {
+		p.engine.reg().Counter("query.continuous.patch_tuples").Add(int64(d.Len()))
+	} else {
+		p.engine.reg().Counter("query.continuous.patch_tuples").Add(int64(next.Len()))
+	}
+	return append([]*Continuous(nil), p.subs...), Install{Rel: next, Gen: p.gen, Patch: d}
+}
+
+// notify fans one install out to the listeners of the given subscriber
+// handles.  Handle listener lists are snapshotted under each handle's
+// lock; invocations run lock-free.
+func (p *sharedPlan) notify(subs []*Continuous, in Install) {
 	for _, h := range subs {
 		h.mu.Lock()
 		if h.cancelled {
 			h.mu.Unlock()
 			continue
 		}
-		ls := append([]func(*eval.Relation){}, h.listeners...)
+		ls := append([]func(Install){}, h.listeners...)
 		h.mu.Unlock()
 		for _, fn := range ls {
-			fn(rel)
+			fn(in)
 		}
 	}
 }

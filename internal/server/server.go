@@ -6,8 +6,9 @@
 //
 // # Protocol versions
 //
-// The server speaks both wire encodings: protocol version 1 (JSON
-// payloads) and version 2 (the compact binary codec, see PROTOCOL.md).
+// The server speaks every wire encoding: protocol version 1 (JSON
+// payloads), version 2 (the compact binary codec, see PROTOCOL.md) and
+// version 3 (version 2 plus delta NOTIFYs).
 // Every session starts at version 1; the Hello handshake negotiates
 // min(client max, Config.MaxProtocol) and the session switches to the
 // negotiated version for all subsequent frames.  A frame carrying any
@@ -26,11 +27,13 @@
 // Continuous-query notifications must never let one slow client stall
 // commits or other sessions, so they take a three-stage path: the engine's
 // maintenance callback (which runs on the updater's commit path) only
-// stores the new answer in a per-subscription mailbox and sets a flag —
-// it never blocks and never serializes; a per-subscription pump goroutine
-// converts the latest answer to wire form and enqueues it, coalescing
-// rounds that arrive while the connection is backed up; and the writer
-// drains the queue to the socket.  If the pump cannot enqueue, or the
+// records the install's patch in the plan's wire state and stores the
+// install in a per-subscription mailbox — it never blocks on the
+// connection; a per-subscription pump goroutine turns the newest install
+// into a NOTIFY and enqueues it, coalescing rounds that arrive while the
+// connection is backed up (on a version-3 session the NOTIFY is the delta
+// from the answer the client holds, composed from the plan's recent
+// patches); and the writer drains the queue to the socket.  If the pump cannot enqueue, or the
 // writer cannot complete a write, within Config.WriteBudget, the session
 // is a slow consumer: it is disconnected (counted in
 // server.slow_consumer_disconnects) and everyone else proceeds.
@@ -48,9 +51,15 @@
 //
 // With Config.Reg set, the server maintains connection and subscription
 // gauges, frame counters, per-opcode latency histograms
-// (server.op_ns.<opcode>), pure apply-path latency (server.apply_ns), and
-// slow-consumer/dedup counters, all surfaced on the existing /obs +
-// /debug/pprof mux (obs.NewServeMux).
+// (server.op_ns.<opcode>), pure apply-path latency (server.apply_ns),
+// slow-consumer/dedup counters, and the push path's counters:
+// server.notifies (NOTIFYs sent), server.notifies_coalesced (rounds folded
+// into a later NOTIFY), server.notify_delta / server.notify_reset (NOTIFYs
+// sent in the delta / full form), server.notify_rows (answer rows and
+// departed instantiations put on the wire), and server.conv_hits /
+// server.conv_misses (full answers served from / converted into a plan's
+// cached rows).  All are surfaced on the existing /obs + /debug/pprof mux
+// (obs.NewServeMux).
 package server
 
 import (
@@ -136,9 +145,10 @@ type ClusterHooks interface {
 	RouteOp(op *wire.UpdateOp) (addr string, owned, frozen bool)
 	// ZoneMap returns the cluster topology served to OpZoneMap requests.
 	ZoneMap() *wire.ZoneMapResp
-	// Handoff applies an incoming object transfer (receiver side), fenced
-	// by req.Version so duplicates acknowledge without re-applying.  prov
-	// (non-nil on a durable node) stamps the apply for crash recovery.
+	// Handoff applies an incoming batch of object transfers (receiver
+	// side), each fenced by its Version so duplicates acknowledge without
+	// re-applying.  prov (non-nil on a durable node) stamps the applies
+	// for crash recovery: object i is stamped with operation prov.Op+i.
 	Handoff(req *wire.HandoffReq, prov *most.Prov) (*wire.HandoffResp, error)
 	// Relay forwards a whole batch to the owning node on behalf of the
 	// origin client (used when every op in a client batch belongs to one
@@ -228,12 +238,12 @@ type Server struct {
 	dedupMu sync.Mutex
 	dedup   map[string]*dedupCache
 
-	// convs memoizes wire-row conversion per shared plan: every
-	// subscription on the same plan receives the same installed relation
-	// objects, so each install is converted to []wire.AnswerRow once and
-	// the rows are reused by all pumps (see planConv).
-	convMu sync.Mutex
-	convs  map[uint64]*planConv
+	// wires holds the wire state of each subscribed engine plan: every
+	// subscription on a plan receives the same installs, so each install's
+	// patch is converted to wire form once and shared by all pumps (see
+	// planWire).
+	wireMu sync.Mutex
+	wires  map[wireKey]*planWire
 
 	// Epoch fencing: the newest session generation per ClientID, so a
 	// reconnecting client supersedes its zombie predecessor and a stale
@@ -265,7 +275,7 @@ func New(db *most.Database, eng *query.Engine, cfg Config) *Server {
 		m:         newMetrics(cfg.Reg),
 		sessions:  map[*session]struct{}{},
 		dedup:     map[string]*dedupCache{},
-		convs:     map[uint64]*planConv{},
+		wires:     map[wireKey]*planWire{},
 		epochs:    map[string]*clientEpoch{},
 		partial:   map[string]map[uint64]int{},
 		recovered: map[string]struct{}{},
@@ -568,6 +578,9 @@ type metrics struct {
 	protocolViolations *obs.Counter
 	notifies           *obs.Counter
 	notifyCoalesced    *obs.Counter
+	notifyDelta        *obs.Counter
+	notifyReset        *obs.Counter
+	notifyRows         *obs.Counter
 	convHits           *obs.Counter
 	convMisses         *obs.Counter
 	dedupHits          *obs.Counter
@@ -594,6 +607,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 		protocolViolations: reg.Counter("server.protocol_violations"),
 		notifies:           reg.Counter("server.notifies"),
 		notifyCoalesced:    reg.Counter("server.notifies_coalesced"),
+		notifyDelta:        reg.Counter("server.notify_delta"),
+		notifyReset:        reg.Counter("server.notify_reset"),
+		notifyRows:         reg.Counter("server.notify_rows"),
 		convHits:           reg.Counter("server.conv_hits"),
 		convMisses:         reg.Counter("server.conv_misses"),
 		dedupHits:          reg.Counter("server.dedup_hits"),

@@ -867,12 +867,14 @@ func (s *session) handleZoneMap(f wire.Frame) wire.Frame {
 	return s.enc(wire.OpResult, f.ID, hooks.ZoneMap())
 }
 
-// handleHandoff applies an incoming object transfer.  It sits in the
-// mutating dispatch set, so on a durable node the response is receipted in
-// the WAL: a sender retrying after the receiver crashed replays the
-// receipt instead of re-applying (exactly-once across crash-during-
-// handoff), and the version fence inside the hook covers retries that
-// arrive under a fresh identity.
+// handleHandoff applies an incoming batch of object transfers.  It sits
+// in the mutating dispatch set, so on a durable node the response is
+// receipted in the WAL: a sender retrying after the receiver crashed
+// replays the receipt instead of re-applying (exactly-once across crash-
+// during-handoff), a crash mid-batch rolls the retry forward past the
+// objects already applied (each apply is stamped with its index), and the
+// version fences inside the hook cover retries that arrive under a fresh
+// identity.
 func (s *session) handleHandoff(f wire.Frame) wire.Frame {
 	hooks := s.srv.cfg.Cluster
 	if hooks == nil {
@@ -882,26 +884,40 @@ func (s *session) handleHandoff(f wire.Frame) wire.Frame {
 	if err := wire.Unmarshal(f, &req); err != nil {
 		return s.errFrame(f.ID, err)
 	}
-	if s.rollForward > 0 {
-		// The apply committed before a crash (recovered from WAL
-		// provenance); only the acknowledgement was lost.  Re-ack.
-		return s.enc(wire.OpResult, f.ID, &wire.HandoffResp{Accepted: true, Now: s.srv.state().db.Now()})
+	// Objects before skip committed before a crash (recovered from WAL
+	// provenance); only the acknowledgement was lost.  Re-ack them.
+	skip := s.rollForward
+	if skip > len(req.Objects) {
+		skip = len(req.Objects)
 	}
+	rest := wire.HandoffReq{From: req.From, Objects: req.Objects[skip:]}
 	var p *most.Prov
 	if s.srv.durable {
 		if id := s.reqClientID(); id != "" {
-			p = &most.Prov{Client: id, Req: f.ID}
+			p = &most.Prov{Client: id, Req: f.ID, Op: skip}
 		}
 	}
-	resp, err := hooks.Handoff(&req, p)
-	if err != nil {
-		return s.errFrame(f.ID, err)
+	resp := &wire.HandoffResp{Now: s.srv.state().db.Now()}
+	if len(rest.Objects) > 0 {
+		var err error
+		if resp, err = hooks.Handoff(&rest, p); err != nil {
+			return s.errFrame(f.ID, err)
+		}
+		for i, ok := range resp.Accepted {
+			if ok {
+				// An arrival might itself sit outside this node's zones (a
+				// stale copy bounced back after a crash): let the post-
+				// dispatch scan re-check it and forward it onward if so.
+				s.touched = append(s.touched, rest.Objects[i].ID)
+			}
+		}
 	}
-	if resp.Accepted {
-		// The arrival might itself sit outside this node's zones (a stale
-		// copy bounced back after a crash): let the post-dispatch scan
-		// re-check it and forward it onward if so.
-		s.touched = append(s.touched, req.ID)
+	if skip > 0 {
+		acks := make([]bool, skip, len(req.Objects))
+		for i := range acks {
+			acks[i] = true
+		}
+		resp.Accepted = append(acks, resp.Accepted...)
 	}
 	return s.enc(wire.OpResult, f.ID, resp)
 }
@@ -940,89 +956,41 @@ func (s *session) handleForward(f wire.Frame) wire.Frame {
 // ---- subscriptions ----
 
 // serverSub is one continuous-query subscription: the engine's maintenance
-// callback deposits the newest answer in the mailbox (latest/seq) and sets
-// the dirty flag; the pump converts and sends.  Rounds that arrive while
-// the pump or connection is busy coalesce — the newest answer supersedes
-// anything unsent.
+// callback deposits the newest install in the mailbox (latest/gen/seq) and
+// sets the dirty flag; the pump turns it into a NOTIFY and sends it.
+// Rounds that arrive while the pump or connection is busy coalesce — the
+// pump sends the newest install, as one delta composed from every install
+// the client missed.
 type serverSub struct {
 	id uint64
 	cq *query.Continuous
 
 	mu     sync.Mutex
 	latest *eval.Relation
+	gen    uint64 // install number of latest (or of the initial answer)
 	seq    uint64
 
 	dirty chan struct{} // capacity 1
 	stop  chan struct{}
 
-	// conv is the plan-wide conversion memo shared with every other
-	// subscription on the same engine plan: an install is converted to
-	// wire rows once per plan, not once per subscriber.
-	conv *planConv
+	// wire is the plan-wide wire state shared with every other
+	// subscription on the same engine plan: each install's patch is
+	// converted to wire form once per plan, not once per subscriber.
+	wire *planWire
+	wkey wireKey
 }
 
-// planConv memoizes the wire-row conversion of one shared plan's installed
-// relations.  The engine shares one maintained plan across subscriptions
-// that canonicalize to the same planKey and installs each changed answer
-// as a fresh relation object (no-change rounds keep the old object), so
-// relation identity is a sound memo key: with N subscribers on one plan,
-// each install is converted once and all pumps encode the same rows.
-type planConv struct {
-	refs int // guarded by Server.convMu
-
-	mu   sync.Mutex
-	rel  *eval.Relation
-	rows []wire.AnswerRow
-}
-
-// rowsFor returns the wire rows of rel, converting only when rel is not
-// the memoized relation.  The returned slice is shared across pumps and
-// must be treated as immutable.
-func (pc *planConv) rowsFor(rel *eval.Relation, m *metrics) []wire.AnswerRow {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.rel != rel {
-		pc.rows = wire.AppendRelation(nil, rel)
-		pc.rel = rel
-		m.convMisses.Inc()
-	} else {
-		m.convHits.Inc()
-	}
-	return pc.rows
-}
-
-// acquireConv returns the refcounted conversion memo for a plan.
-func (srv *Server) acquireConv(planID uint64) *planConv {
-	srv.convMu.Lock()
-	defer srv.convMu.Unlock()
-	pc, ok := srv.convs[planID]
-	if !ok {
-		pc = &planConv{}
-		srv.convs[planID] = pc
-	}
-	pc.refs++
-	return pc
-}
-
-// releaseConv drops one reference; the last release frees the memo.
-func (srv *Server) releaseConv(planID uint64) {
-	srv.convMu.Lock()
-	defer srv.convMu.Unlock()
-	pc, ok := srv.convs[planID]
-	if !ok {
+// onAnswer runs on the updater's commit path: record the patch, store and
+// signal, never block.  Installs at or below the one the client received
+// with its initial answer are already covered.
+func (sub *serverSub) onAnswer(in query.Install) {
+	sub.wire.record(in)
+	sub.mu.Lock()
+	if in.Gen <= sub.gen {
+		sub.mu.Unlock()
 		return
 	}
-	pc.refs--
-	if pc.refs <= 0 {
-		delete(srv.convs, planID)
-	}
-}
-
-// onAnswer runs on the updater's commit path: store and signal, never
-// block.
-func (sub *serverSub) onAnswer(rel *eval.Relation) {
-	sub.mu.Lock()
-	sub.latest = rel
+	sub.latest, sub.gen = in.Rel, in.Gen
 	sub.seq++
 	sub.mu.Unlock()
 	select {
@@ -1032,8 +1000,14 @@ func (sub *serverSub) onAnswer(rel *eval.Relation) {
 }
 
 // pump streams mailbox contents to the session until the subscription or
-// session ends.
-func (s *session) pump(sub *serverSub) {
+// session ends.  held is the install the client holds: the initial answer
+// first, then whatever the last NOTIFY brought it to.  On a version-3
+// session each NOTIFY is the delta from held (base = the seq the client
+// holds); when the plan's ring no longer reaches held, and on older
+// sessions always, it is the full answer.
+func (s *session) pump(sub *serverSub, held uint64) {
+	m := s.srv.m
+	deltas := s.proto.Load() >= wire.ProtocolV3
 	var sent uint64
 	for {
 		select {
@@ -1043,21 +1017,32 @@ func (s *session) pump(sub *serverSub) {
 			return
 		case <-sub.dirty:
 			sub.mu.Lock()
-			rel, seq := sub.latest, sub.seq
+			rel, gen, seq := sub.latest, sub.gen, sub.seq
 			sub.mu.Unlock()
 			if seq == sent || rel == nil {
 				continue
 			}
-			s.srv.m.notifies.Inc()
+			m.notifies.Inc()
 			if seq > sent+1 {
-				s.srv.m.notifyCoalesced.Add(int64(seq - sent - 1))
+				m.notifyCoalesced.Add(int64(seq - sent - 1))
 			}
-			rows := sub.conv.rowsFor(rel, s.srv.m)
-			n := wire.Notify{SubID: sub.id, Seq: seq, Answer: rows}
+			n := wire.Notify{SubID: sub.id, Seq: seq}
+			if deltas {
+				if gone, rows, ok := sub.wire.since(held, gen); ok {
+					n.Delta, n.Base, n.Gone, n.Answer = true, sent, gone, rows
+				}
+			}
+			if n.Delta {
+				m.notifyDelta.Inc()
+			} else {
+				n.Answer = sub.wire.fullRows(rel, gen, m)
+				m.notifyReset.Inc()
+			}
+			m.notifyRows.Add(int64(len(n.Answer) + len(n.Gone)))
 			if err := s.enqueue(s.enc(wire.OpNotify, 0, &n)); err != nil {
 				return
 			}
-			sent = seq
+			sent, held = seq, gen
 		}
 	}
 }
@@ -1080,38 +1065,45 @@ func (s *session) handleSubscribe(f wire.Frame) wire.Frame {
 	if err != nil {
 		return s.errFrame(f.ID, err)
 	}
+	wk := wireKey{eng: st.eng, plan: cq.PlanID()}
 	sub := &serverSub{
 		id:    s.srv.nextSub.Add(1),
 		cq:    cq,
 		dirty: make(chan struct{}, 1),
 		stop:  make(chan struct{}),
-		conv:  s.srv.acquireConv(cq.PlanID()),
+		wire:  s.srv.acquireWire(wk),
+		wkey:  wk,
 	}
-	if err := cq.Subscribe(sub.onAnswer); err != nil {
+	// The initial answer is read after the listener is live, and the
+	// listener is held off (sub.mu) until the answer's install number is
+	// known: every later install reaches the pump, every earlier one is
+	// in the answer.
+	sub.mu.Lock()
+	err = cq.SubscribeInstalls(sub.onAnswer)
+	var in query.Install
+	if err == nil {
+		in, err = cq.Installed()
+	}
+	sub.gen = in.Gen
+	sub.mu.Unlock()
+	if err != nil {
 		cq.Cancel()
-		s.srv.releaseConv(cq.PlanID())
+		s.srv.releaseWire(wk)
 		return s.errFrame(f.ID, err)
 	}
 	s.mu.Lock()
 	if s.subsClosed {
 		s.mu.Unlock()
 		cq.Cancel()
-		s.srv.releaseConv(cq.PlanID())
+		s.srv.releaseWire(wk)
 		return s.errFrame(f.ID, errSessionClosed)
 	}
 	s.subs[sub.id] = sub
 	s.mu.Unlock()
 	s.srv.m.subscriptions.Add(1)
-	go s.pump(sub)
-	// The initial answer is read after the listener is live, so any update
-	// racing the registration is covered either here or by a notify.
-	rel, err := cq.Answer()
-	if err != nil {
-		s.removeSub(sub.id, "", false)
-		return s.errFrame(f.ID, err)
-	}
+	go s.pump(sub, in.Gen)
 	return s.enc(wire.OpResult, f.ID, &wire.SubscribeResp{
-		SubID: sub.id, Now: st.db.Now(), Answer: wire.FromRelation(rel),
+		SubID: sub.id, Now: st.db.Now(), Answer: sub.wire.fullRows(in.Rel, in.Gen, s.srv.m),
 	})
 }
 
@@ -1139,7 +1131,7 @@ func (s *session) removeSub(id uint64, reason string, push bool) bool {
 		return false
 	}
 	sub.cq.Cancel()
-	s.srv.releaseConv(sub.cq.PlanID())
+	s.srv.releaseWire(sub.wkey)
 	close(sub.stop)
 	s.srv.m.subscriptions.Add(-1)
 	if push {
@@ -1164,7 +1156,7 @@ func (s *session) closeSubs(reason string) {
 	s.mu.Unlock()
 	for _, sub := range subs {
 		sub.cq.Cancel()
-		s.srv.releaseConv(sub.cq.PlanID())
+		s.srv.releaseWire(sub.wkey)
 		close(sub.stop)
 		s.srv.m.subscriptions.Add(-1)
 		if reason != "" {

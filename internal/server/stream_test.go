@@ -1,0 +1,329 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math/rand"
+	"net"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/mostdb/most/internal/client"
+	"github.com/mostdb/most/internal/ftl"
+	"github.com/mostdb/most/internal/ftl/eval"
+	"github.com/mostdb/most/internal/geom"
+	"github.com/mostdb/most/internal/most"
+	"github.com/mostdb/most/internal/obs"
+	"github.com/mostdb/most/internal/query"
+	"github.com/mostdb/most/internal/temporal"
+	"github.com/mostdb/most/internal/wire"
+	"github.com/mostdb/most/internal/workload"
+)
+
+// gatedListener hands out connections whose writes block while the gate
+// is closed: from the server's side, a client that has stopped reading.
+type gatedListener struct {
+	net.Listener
+	mu   sync.Mutex
+	open chan struct{} // closed while writes may proceed
+}
+
+func newGatedListener(ln net.Listener) *gatedListener {
+	g := &gatedListener{Listener: ln, open: make(chan struct{})}
+	close(g.open)
+	return g
+}
+
+func (g *gatedListener) Accept() (net.Conn, error) {
+	c, err := g.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, g: g}, nil
+}
+
+func (g *gatedListener) pause() {
+	g.mu.Lock()
+	g.open = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gatedListener) resume() {
+	g.mu.Lock()
+	close(g.open)
+	g.mu.Unlock()
+}
+
+type gatedConn struct {
+	net.Conn
+	g *gatedListener
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.g.mu.Lock()
+	open := c.g.open
+	c.g.mu.Unlock()
+	<-open
+	return c.Conn.Write(p)
+}
+
+// dropConn is a client-side connection that silently drops the dropAt-th
+// NOTIFY frame the server sends, breaking a delta chain.
+type dropConn struct {
+	net.Conn
+	r        *bufio.Reader
+	pending  bytes.Buffer
+	notifies int
+	dropAt   int
+}
+
+func (c *dropConn) Read(p []byte) (int, error) {
+	for c.pending.Len() == 0 {
+		var hdr [wire.HeaderSize]byte
+		if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+			return 0, err
+		}
+		payload := make([]byte, binary.BigEndian.Uint32(hdr[12:16]))
+		if _, err := io.ReadFull(c.r, payload); err != nil {
+			return 0, err
+		}
+		if wire.Opcode(hdr[3]) == wire.OpNotify {
+			if c.notifies++; c.notifies == c.dropAt {
+				continue
+			}
+		}
+		c.pending.Write(hdr[:])
+		c.pending.Write(payload)
+	}
+	return c.pending.Read(p)
+}
+
+// installLog records every install of a plan by number, through a handle
+// of the test's own on the same shared plan the server subscription uses.
+type installLog struct {
+	mu   sync.Mutex
+	rels map[uint64]*eval.Relation
+	last uint64
+}
+
+func (l *installLog) add(in query.Install) {
+	l.mu.Lock()
+	l.rels[in.Gen], l.last = in.Rel, in.Gen
+	l.mu.Unlock()
+}
+
+func (l *installLog) get(gen uint64) (*eval.Relation, uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.rels[gen], l.last
+}
+
+const streamSrc = `RETRIEVE o FROM Vehicles o WHERE EVENTUALLY WITHIN 10 INSIDE(o, P)`
+
+// TestDeltaStreamDifferential drives random updates through a version-3
+// subscription and checks the client against the server after every
+// notify it delivers: the client's answer at seq s must equal
+// wire.FromRelation of the plan's install s steps after the initial
+// answer, rows and order alike.  Scenarios force the stream's edge
+// cases: a client that stops reading (the pump coalesces several installs
+// into one delta), the same with a two-install patch ring (the pump falls
+// off the ring and sends a full reset), and a NOTIFY lost in transit (the
+// next delta's base does not match, and the client re-registers).
+func TestDeltaStreamDifferential(t *testing.T) {
+	cases := []struct {
+		name   string
+		ring   int
+		dropAt int
+	}{
+		{name: "coalescing", ring: 64},
+		{name: "ring overflow", ring: 2},
+		{name: "base mismatch", ring: 64, dropAt: 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func(n int) { patchRing = n }(patchRing)
+			patchRing = tc.ring
+			runStreamScenario(t, tc.dropAt)
+		})
+	}
+}
+
+func runStreamScenario(t *testing.T, dropAt int) {
+	db, err := workload.Fleet(workload.FleetSpec{
+		N: 40, Region: geom.Rect{Max: geom.Point{X: 100, Y: 100}}, MaxSpeed: 2, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := query.NewEngine(db)
+	reg := obs.New()
+	opts := query.Options{Horizon: 50, Regions: map[string]geom.Polygon{"P": geom.RectPolygon(20, 20, 70, 70)}}
+	srv := New(db, eng, Config{BaseOptions: opts, Reg: reg, OutQueue: 1})
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := newGatedListener(raw)
+	go srv.Serve(gate)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+
+	// The test's own handle creates the plan first, so its listener runs
+	// before the server subscription's on every install.
+	mine, err := eng.Continuous(ftl.MustParse(streamSrc), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mine.Cancel()
+	log := &installLog{rels: map[uint64]*eval.Relation{}}
+	if err := mine.SubscribeInstalls(log.add); err != nil {
+		t.Fatal(err)
+	}
+
+	creg := obs.New()
+	dialOpts := []client.Option{client.WithObs(creg)}
+	if dropAt > 0 {
+		dialOpts = append(dialOpts, client.WithDialer(func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return &dropConn{Conn: c, r: bufio.NewReader(c), dropAt: dropAt}, nil
+		}))
+	}
+	c, err := client.Dial(gate.Addr().String(), dialOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Protocol() != wire.ProtocolV3 {
+		t.Fatalf("negotiated protocol %d, want %d", c.Protocol(), wire.ProtocolV3)
+	}
+	sub, err := c.Subscribe(streamSrc, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in0, err := mine.Installed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g0 := in0.Gen
+	log.add(in0)
+
+	// check compares one observation with the install it claims to be.
+	checked := 0
+	check := func() bool {
+		rows, seq, err := sub.Answer()
+		if err != nil {
+			t.Fatalf("subscription failed: %v", err)
+		}
+		rel, _ := log.get(g0 + seq)
+		if rel == nil {
+			t.Fatalf("client at seq %d, but the plan has no install %d", seq, g0+seq)
+		}
+		if want := wire.FromRelation(rel); !reflect.DeepEqual(rows, want) && !(len(rows) == 0 && len(want) == 0) {
+			t.Fatalf("client answer at seq %d differs from install %d:\n got:  %v\n want: %v", seq, g0+seq, rows, want)
+		}
+		checked++
+		_, last := log.get(0)
+		return seq == last-g0
+	}
+	// settle waits until the client holds the newest install, checking
+	// every answer it delivers on the way.
+	settle := func() {
+		deadline := time.After(10 * time.Second)
+		for !check() {
+			select {
+			case <-sub.Updates():
+			case <-time.After(20 * time.Millisecond):
+			case <-deadline:
+				t.Fatal("client never caught up with the newest install")
+			}
+		}
+	}
+	// converge waits until the client's answer equals the newest install
+	// (after a re-registration the client's sequence numbers no longer
+	// map onto install numbers).
+	converge := func() {
+		deadline := time.After(10 * time.Second)
+		for {
+			rows, _, err := sub.Answer()
+			if err != nil {
+				t.Fatalf("subscription failed: %v", err)
+			}
+			_, last := log.get(0)
+			rel, _ := log.get(last)
+			if reflect.DeepEqual(rows, wire.FromRelation(rel)) {
+				return
+			}
+			select {
+			case <-sub.Updates():
+			case <-time.After(20 * time.Millisecond):
+			case <-deadline:
+				t.Fatalf("client never converged on the newest install %d (resyncs %d):\n got:  %v\n want: %v",
+					last, creg.Snapshot().Counters["client.resyncs"], rows, wire.FromRelation(rel))
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 40; round++ {
+		gate.pause()
+		for k := 1 + rng.Intn(12); k > 0; k-- {
+			id := fmt.Sprintf("car-%05d", rng.Intn(40))
+			if rng.Intn(25) == 0 {
+				db.Advance(temporal.Tick(15))
+				continue
+			}
+			v := geom.Vector{X: float64(rng.Intn(9) - 4), Y: float64(rng.Intn(9) - 4)}
+			if err := db.SetMotion(most.ObjectID(id), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gate.resume()
+		if dropAt == 0 {
+			settle()
+			continue
+		}
+		// Pace the rounds so NOTIFYs do not all coalesce into fewer than
+		// dropAt frames (the dropped one never signals).
+		select {
+		case <-sub.Updates():
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	if dropAt > 0 {
+		// The chain breaks at the dropped NOTIFY; the next one exposes it.
+		converge()
+	}
+	snap := reg.Snapshot().Counters
+	t.Logf("%d observations checked; notifies %d, coalesced %d, delta %d, reset %d, rows %d; client resyncs %d",
+		checked, snap["server.notifies"], snap["server.notifies_coalesced"], snap["server.notify_delta"],
+		snap["server.notify_reset"], snap["server.notify_rows"], creg.Snapshot().Counters["client.resyncs"])
+	if snap["server.notify_delta"] == 0 {
+		t.Error("no delta NOTIFY was sent")
+	}
+	switch {
+	case dropAt > 0:
+		if creg.Snapshot().Counters["client.resyncs"] == 0 {
+			t.Error("a dropped NOTIFY never forced a resync")
+		}
+	case patchRing < 8:
+		if snap["server.notify_reset"] == 0 {
+			t.Error("ring overflow never forced a reset")
+		}
+	default:
+		if snap["server.notifies_coalesced"] == 0 {
+			t.Error("a paused reader never made the pump coalesce")
+		}
+	}
+}

@@ -38,6 +38,16 @@ type binaryPayload interface {
 	decodeBinary(r *binReader) error
 }
 
+// appendPayload appends p's binary form at version v.  Version 3 differs
+// from version 2 only in NOTIFY, which gains a form byte (and the delta
+// form); every other payload encodes identically.
+func appendPayload(b []byte, p binaryPayload, v uint8) []byte {
+	if n, ok := p.(*Notify); ok && v >= ProtocolV3 {
+		return n.appendBinaryV3(b)
+	}
+	return p.appendBinary(b)
+}
+
 // Interner resolves recurring byte strings (object IDs, attribute names)
 // to previously allocated string instances so a steady-state decode stream
 // stops allocating.  The zero/nil Interner disables interning; a session
@@ -96,10 +106,11 @@ func appendBool(b []byte, v bool) []byte {
 // surfaces the recorded error.  All bounds are checked against the
 // remaining payload before any slice or string is materialized.
 type binReader struct {
-	data []byte
-	off  int
-	in   Interner
-	err  error
+	data    []byte
+	off     int
+	in      Interner
+	err     error
+	version uint8 // frame version: selects the v3 NOTIFY grammar
 }
 
 // binReaderPool recycles binReaders across UnmarshalInterned calls (the
@@ -435,27 +446,38 @@ func (u *UnsubscribeReq) decodeBinary(r *binReader) error {
 
 func (q *QueryResp) appendBinary(b []byte) []byte {
 	b = appendTick(b, q.Now)
-	b = appendU32(b, uint32(len(q.Rows)))
-	for i := range q.Rows {
-		b = appendValues(b, q.Rows[i])
-	}
-	return b
+	return appendRows(b, q.Rows)
 }
 
 func (q *QueryResp) decodeBinary(r *binReader) error {
 	q.Now = r.tick()
-	n := r.count(minRowSize)
-	if cap(q.Rows) < n {
-		q.Rows = make([][]Value, n)
+	q.Rows = decodeRows(r, q.Rows)
+	return r.err
+}
+
+// appendRows encodes Row[] (Row := Value[]).
+func appendRows(b []byte, rows [][]Value) []byte {
+	b = appendU32(b, uint32(len(rows)))
+	for i := range rows {
+		b = appendValues(b, rows[i])
 	}
-	q.Rows = q.Rows[:n]
-	for i := range q.Rows {
-		q.Rows[i] = decodeValues(r, q.Rows[i])
+	return b
+}
+
+// decodeRows decodes Row[], bounding the count by the payload remaining.
+func decodeRows(r *binReader, dst [][]Value) [][]Value {
+	n := r.count(minRowSize)
+	if cap(dst) < n {
+		dst = make([][]Value, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = decodeValues(r, dst[i])
 		if r.err != nil {
-			return r.err
+			return nil
 		}
 	}
-	return r.err
+	return dst
 }
 
 func (u *UpdateBatchResp) appendBinary(b []byte) []byte {
@@ -557,8 +579,42 @@ func (n *Notify) appendBinary(b []byte) []byte {
 func (n *Notify) decodeBinary(r *binReader) error {
 	n.SubID = r.u64()
 	n.Seq = r.u64()
+	n.Delta, n.Base, n.Gone = false, 0, nil
+	if r.version >= ProtocolV3 {
+		switch form := r.u8(); form {
+		case notifyFull:
+		case notifyDelta:
+			n.Delta = true
+			n.Base = r.u64()
+			n.Gone = decodeRows(r, nil)
+		default:
+			r.fail("unknown notify form %d", form)
+		}
+	}
 	n.Answer = decodeAnswerRows(r, n.Answer)
 	return r.err
+}
+
+// NOTIFY form bytes (version 3).
+const (
+	notifyFull  = 0
+	notifyDelta = 1
+)
+
+// appendBinaryV3 is the version-3 NOTIFY: the v2 fields with a form byte
+// after seq, and in the delta form the base sequence number and the
+// departed instantiations before the replacement rows.
+func (n *Notify) appendBinaryV3(b []byte) []byte {
+	b = appendU64(b, n.SubID)
+	b = appendU64(b, n.Seq)
+	if !n.Delta {
+		b = appendU8(b, notifyFull)
+		return appendAnswerRows(b, n.Answer)
+	}
+	b = appendU8(b, notifyDelta)
+	b = appendU64(b, n.Base)
+	b = appendRows(b, n.Gone)
+	return appendAnswerRows(b, n.Answer)
 }
 
 func (s *SubClosed) appendBinary(b []byte) []byte {
@@ -609,6 +665,8 @@ func (e *ErrorResp) decodeBinary(r *binReader) error {
 
 // Minimum encoded zone size: u32 id + 4 f64 bounds + empty addr string.
 const minZoneSize = 4 + 4*8 + 1
+
+const minHandoffObjectSize = 1 + 8 + 1 // id, version, object
 
 func (z *Zone) appendBinary(b []byte) []byte {
 	b = appendU32(b, uint32(z.ID))
@@ -666,27 +724,50 @@ func (m *ZoneMapResp) decodeBinary(r *binReader) error {
 }
 
 func (h *HandoffReq) appendBinary(b []byte) []byte {
-	b = appendStr(b, h.ID)
-	b = appendU64(b, h.Version)
 	b = appendStr(b, h.From)
-	return appendBytes(b, h.Object)
+	b = appendU32(b, uint32(len(h.Objects)))
+	for i := range h.Objects {
+		o := &h.Objects[i]
+		b = appendStr(b, o.ID)
+		b = appendU64(b, o.Version)
+		b = appendBytes(b, o.Object)
+	}
+	return b
 }
 
 func (h *HandoffReq) decodeBinary(r *binReader) error {
-	h.ID = r.internedStr()
-	h.Version = r.u64()
 	h.From = r.internedStr()
-	h.Object = json.RawMessage(r.strBytes())
+	n := r.count(minHandoffObjectSize)
+	if cap(h.Objects) < n {
+		h.Objects = make([]HandoffObject, n)
+	}
+	h.Objects = h.Objects[:n]
+	for i := range h.Objects {
+		o := &h.Objects[i]
+		o.ID = r.internedStr()
+		o.Version = r.u64()
+		o.Object = json.RawMessage(r.strBytes())
+	}
 	return r.err
 }
 
 func (h *HandoffResp) appendBinary(b []byte) []byte {
-	b = appendBool(b, h.Accepted)
+	b = appendU32(b, uint32(len(h.Accepted)))
+	for _, a := range h.Accepted {
+		b = appendBool(b, a)
+	}
 	return appendTick(b, h.Now)
 }
 
 func (h *HandoffResp) decodeBinary(r *binReader) error {
-	h.Accepted = r.boolean()
+	n := r.count(1)
+	if cap(h.Accepted) < n {
+		h.Accepted = make([]bool, n)
+	}
+	h.Accepted = h.Accepted[:n]
+	for i := range h.Accepted {
+		h.Accepted[i] = r.boolean()
+	}
 	h.Now = r.tick()
 	return r.err
 }

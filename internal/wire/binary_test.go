@@ -185,7 +185,10 @@ func TestNegotiateVersion(t *testing.T) {
 		{1, 2, 1},   // v1 client against v2 server
 		{2, 1, 1},   // v2 client against v1-capped server: graceful downgrade
 		{2, 2, 2},   // both speak v2
-		{99, 99, 2}, // futures clamp to what we implement
+		{3, 2, 2},   // v3 client against v2 server: full notifies only
+		{2, 3, 2},   // v2 client against v3 server
+		{3, 3, 3},   // both speak v3: delta notifies
+		{99, 99, 3}, // futures clamp to what we implement
 		{-5, 2, 1},  // nonsense clamps up to v1
 		{2, 0, 1},   // unconfigured server max means v1
 	}

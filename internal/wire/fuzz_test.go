@@ -11,8 +11,10 @@ import (
 // decoder never panics, never allocates more than its configured payload
 // bound per frame, consumes the stream frame by frame until an error or
 // EOF, every frame it accepts re-encodes to bytes that decode to an
-// identical frame, and every v2 payload that decodes re-encodes to a
-// canonical byte string (decode∘encode is idempotent).  Hello payloads
+// identical frame, and every v2 or v3 payload that decodes re-encodes to
+// a canonical byte string (decode∘encode is idempotent) — including both
+// forms of the v3 NOTIFY, whose gone and row counts are bounded by the
+// payload length before anything is allocated.  Hello payloads
 // additionally drive the negotiation state machine: whatever MaxVersion a
 // hostile client declares, the negotiated version stays in
 // [ProtocolV1, MaxProtocolVersion].
@@ -36,13 +38,27 @@ func FuzzWireDecode(f *testing.F) {
 	nf2, _ := EncodeFrame(ProtocolV2, OpNotify, 0, &Notify{SubID: 3, Seq: 9, Answer: []AnswerRow{{Vals: []Value{{Kind: 1, Obj: "car-1"}}, Start: 0, End: 7}}})
 	notify2, _ := AppendFrame(nil, nf2)
 	mixed := append(append([]byte(nil), query...), update2...)
+	nf3, _ := EncodeFrame(ProtocolV3, OpNotify, 0, &Notify{SubID: 3, Seq: 9, Answer: []AnswerRow{{Vals: []Value{{Kind: 1, Obj: "car-1"}}, Start: 0, End: 7}}})
+	notify3, _ := AppendFrame(nil, nf3)
+	df3, _ := EncodeFrame(ProtocolV3, OpNotify, 0, &Notify{SubID: 3, Seq: 11, Delta: true, Base: 9,
+		Gone:   [][]Value{{{Kind: 1, Obj: "car-1"}}},
+		Answer: []AnswerRow{{Vals: []Value{{Kind: 1, Obj: "car-2"}}, Start: 2, End: 5}, {Vals: []Value{{Kind: 1, Obj: "car-2"}}, Start: 8, End: 9}}})
+	delta3, _ := AppendFrame(nil, df3)
+	hostileGone := append(append([]byte(nil), delta3[:HeaderSize+17+8]...), 0xff, 0xff, 0xff, 0x7f)
+	binaryBigEndianLength(hostileGone)
 
 	zf2, _ := EncodeFrame(ProtocolV2, OpZoneMap, 5, &ZoneMapResp{Epoch: 1, Zones: []Zone{
 		{ID: 0, MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, Addr: "127.0.0.1:1"},
 	}, Replicated: []string{"POIs"}})
 	zonemap2, _ := AppendFrame(nil, zf2)
-	hf2, _ := EncodeFrame(ProtocolV2, OpHandoff, 6, &HandoffReq{ID: "car-1", Version: 3, From: "127.0.0.1:1", Object: []byte(`{"id":"car-1"}`)})
+	hf2, _ := EncodeFrame(ProtocolV2, OpHandoff, 6, &HandoffReq{From: "127.0.0.1:1", Objects: []HandoffObject{
+		{ID: "car-1", Version: 3, Object: []byte(`{"id":"car-1"}`)},
+		{ID: "car-2", Version: 1, Object: []byte(`{"id":"car-2"}`)},
+	}})
 	handoff2, _ := AppendFrame(nil, hf2)
+	// from str ("127.0.0.1:1": 1 + 11 bytes), then a hostile object count.
+	hostileHandoff := append(append([]byte(nil), handoff2[:HeaderSize+12]...), 0xff, 0xff, 0xff, 0x7f)
+	binaryBigEndianLength(hostileHandoff)
 	ff2, _ := EncodeFrame(ProtocolV2, OpForward, 7, &ForwardReq{Origin: "cli-9", ReqID: 44, Ops: []UpdateOp{
 		{Op: OpSetMotion, ID: "car-1", VX: 0.5, VY: 0.5},
 	}})
@@ -61,8 +77,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(update2)
 	f.Add(notify2)
 	f.Add(mixed)
+	f.Add(notify3)
+	f.Add(delta3)
+	f.Add(append(append([]byte(nil), notify3...), delta3...))
+	f.Add(hostileGone)
 	f.Add(zonemap2)
 	f.Add(handoff2)
+	f.Add(hostileHandoff)
 	f.Add(forward2)
 	f.Add(helloFrame)
 	f.Add(helloHostileFrame)
@@ -140,24 +161,31 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
+// binaryBigEndianLength rewrites a hand-built frame's header length field
+// to match its payload.
+func binaryBigEndianLength(frame []byte) {
+	n := uint32(len(frame) - HeaderSize)
+	frame[12], frame[13], frame[14], frame[15] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
+}
+
 // checkPayload unmarshals a fuzzed frame into a; if the payload is
-// accepted and the frame is v2, it checks decode∘encode idempotence: the
+// accepted and the frame is binary (v2 or v3), it checks decode∘encode idempotence: the
 // re-encoded bytes b1 must decode (into b) and re-encode to exactly b1.
 // This holds bit-for-bit even for NaN floats, since v2 carries IEEE-754
 // bits verbatim.
 func checkPayload(t *testing.T, fr Frame, a, b binaryPayload) {
 	t.Helper()
-	if err := Unmarshal(fr, a); err != nil || fr.Version != ProtocolV2 {
+	if err := Unmarshal(fr, a); err != nil || fr.Version < ProtocolV2 {
 		return
 	}
-	b1 := a.appendBinary(nil)
-	if err := Unmarshal(Frame{Op: fr.Op, Version: ProtocolV2, Payload: b1}, b); err != nil {
+	b1 := appendPayload(nil, a, fr.Version)
+	if err := Unmarshal(Frame{Op: fr.Op, Version: fr.Version, Payload: b1}, b); err != nil {
 		if len(b1) > 0 {
 			t.Fatalf("canonical re-encode of accepted %s payload does not decode: %v", fr.Op, err)
 		}
 		return
 	}
-	b2 := b.appendBinary(nil)
+	b2 := appendPayload(nil, b, fr.Version)
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("%s payload not canonical after one decode/encode cycle:\n b1: %x\n b2: %x", fr.Op, b1, b2)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -181,14 +182,25 @@ type UnsubscribeReq struct {
 	SubID uint64 `json:"sub_id"`
 }
 
-// Notify is the server push after a maintenance round: the full new
-// Answer(CQ).  Seq increases by one per maintenance round on the server;
-// gaps mean rounds were coalesced while the connection was backed up (the
-// latest answer always supersedes skipped ones).
+// Notify is the server push after a maintenance round.  Seq increases by
+// one per maintenance round on the server; gaps mean rounds were coalesced
+// while the connection was backed up (the latest answer always supersedes
+// skipped ones).
+//
+// In the full form (the only form of protocol versions 1 and 2) Answer is
+// the whole new Answer(CQ).  In the delta form (Delta set; version 3
+// only) the push is relative to the answer the client holds at sequence
+// number Base: Gone lists the instantiations that left it, and Answer
+// holds every row of each instantiation that arrived or changed, which
+// replace that instantiation's rows.  Instantiations named in neither keep
+// their rows.
 type Notify struct {
 	SubID  uint64      `json:"sub_id"`
 	Seq    uint64      `json:"seq"`
 	Answer []AnswerRow `json:"answer,omitempty"`
+	Delta  bool        `json:"delta,omitempty"`
+	Base   uint64      `json:"base,omitempty"`
+	Gone   [][]Value   `json:"gone,omitempty"`
 }
 
 // SubClosed is the server push ending a subscription (database replaced,
@@ -261,8 +273,17 @@ type ZoneMapResp struct {
 	Replicated []string `json:"replicated,omitempty"`
 }
 
-// HandoffReq transfers ownership of one moving object between nodes when
-// its trajectory crosses a zone boundary.  Object is the full motion
+// HandoffReq transfers ownership of moving objects between nodes when
+// their trajectories cross a zone boundary.  One request carries every
+// object a sender moves to the same receiver in one scan, so a rebalance
+// barrier costs one round trip and one commit per destination, not one
+// per object.
+type HandoffReq struct {
+	From    string          `json:"from,omitempty"`
+	Objects []HandoffObject `json:"objects"`
+}
+
+// HandoffObject is one transferred object.  Object is the full motion
 // record in the snapshot encoding (most.EncodeObjectJSON), which is all
 // the state a deterministic CQ engine needs to rebuild the object's
 // in-flight continuous-query contributions on the receiver.
@@ -271,18 +292,18 @@ type ZoneMapResp struct {
 // version accepted per object ID and acknowledges-without-applying any
 // transfer at or below it, so retried and reordered handoffs (crash
 // during handoff, duplicate delivery) apply exactly once.
-type HandoffReq struct {
+type HandoffObject struct {
 	ID      string          `json:"id"`
 	Version uint64          `json:"version"`
-	From    string          `json:"from,omitempty"`
 	Object  json.RawMessage `json:"object"`
 }
 
-// HandoffResp acknowledges a transfer.  Accepted is false when the version
-// fence already covered this transfer (a duplicate); either way the sender
-// may release the object — the receiver durably owns it.
+// HandoffResp acknowledges a transfer, one entry per object in request
+// order.  Accepted[i] is false when the version fence already covered
+// that object (a duplicate); either way the sender may release it — the
+// receiver durably owns it.
 type HandoffResp struct {
-	Accepted bool          `json:"accepted"`
+	Accepted []bool        `json:"accepted"`
 	Now      temporal.Tick `json:"now"`
 }
 
@@ -368,6 +389,58 @@ func AppendRelation(dst []AnswerRow, rel *eval.Relation) []AnswerRow {
 		dst = append(dst, AnswerRow{Vals: vals, Start: a.Interval.Start, End: a.Interval.End})
 	}
 	return dst
+}
+
+// InstanceKey is the canonical key of an instantiation, eval.Key of its
+// values: answer rows are ordered by it (byte-wise), and delta-form
+// notifies are applied by it.
+func InstanceKey(vals []Value) string {
+	var buf [64]byte
+	return string(AppendInstanceKey(buf[:0], vals))
+}
+
+// AppendInstanceKey appends InstanceKey(vals) to dst.
+func AppendInstanceKey(dst []byte, vals []Value) []byte {
+	for _, v := range vals {
+		dst = eval.AppendKey(dst, v.Val())
+	}
+	return dst
+}
+
+// InstanceEnd returns the end of the run of rows starting at i that share
+// rows[i]'s instantiation: answers list an instantiation's intervals
+// consecutively, so rows[i:InstanceEnd(rows, i)] is all of them.
+func InstanceEnd(rows []AnswerRow, i int) int {
+	j := i + 1
+	for j < len(rows) && slices.Equal(rows[j].Vals, rows[i].Vals) {
+		j++
+	}
+	return j
+}
+
+// FromDelta converts a maintenance patch into the fields of a delta-form
+// Notify: the departed instantiations, and the rows of the arrived or
+// changed ones, both in canonical order.  Rows of one instantiation share
+// one Vals slice.
+func FromDelta(d eval.Delta) (gone [][]Value, rows []AnswerRow) {
+	for _, t := range d.Gone {
+		gone = append(gone, fromVals(t.Vals))
+	}
+	for _, t := range d.Put {
+		vals := fromVals(t.Vals)
+		for _, iv := range t.Times.Intervals() {
+			rows = append(rows, AnswerRow{Vals: vals, Start: iv.Start, End: iv.End})
+		}
+	}
+	return gone, rows
+}
+
+func fromVals(vals []eval.Val) []Value {
+	out := make([]Value, len(vals))
+	for i, v := range vals {
+		out[i] = FromVal(v)
+	}
+	return out
 }
 
 // RowsAt presents the answer rows whose interval contains t — the client

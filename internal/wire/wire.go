@@ -2,7 +2,7 @@
 // versioned frame codec carrying typed payloads.  One frame is
 //
 //	magic   2 bytes  'M' 'W'
-//	version 1 byte   protocol version of the payload encoding (1 or 2)
+//	version 1 byte   protocol version of the payload encoding (1, 2 or 3)
 //	opcode  1 byte   Opcode
 //	id      8 bytes  big-endian request ID (0 on unsolicited pushes)
 //	length  4 bytes  big-endian payload length
@@ -12,6 +12,9 @@
 // byte selects the payload encoding.  Version 1 payloads are JSON; version
 // 2 payloads are the compact binary encoding of binary.go (fixed-width
 // little-endian numbers, varint-prefixed strings, IEEE-754 float64 bits).
+// Version 3 is version 2 plus the delta form of NOTIFY: a push that
+// carries only the instantiations an install changed, relative to the
+// answer the client already holds.
 // Both encodings round-trip every value exactly, which is what lets the
 // loopback oracle demand bit-identical answers across the wire.
 //
@@ -47,15 +50,18 @@ import (
 )
 
 // Protocol versions.  V1 frames carry JSON payloads; V2 frames carry the
-// compact binary encoding.  The Hello handshake (always spoken at V1)
-// negotiates the session version.
+// compact binary encoding; V3 frames carry the V2 encoding except that a
+// NOTIFY may take the delta form (Notify.Delta).  The Hello handshake
+// (always spoken at V1) negotiates the session version.
 const (
 	// ProtocolV1 is the original JSON payload encoding.
 	ProtocolV1 = 1
 	// ProtocolV2 is the compact binary payload encoding.
 	ProtocolV2 = 2
+	// ProtocolV3 is ProtocolV2 plus delta-form NOTIFY pushes.
+	ProtocolV3 = 3
 	// MaxProtocolVersion is the highest version this package implements.
-	MaxProtocolVersion = ProtocolV2
+	MaxProtocolVersion = ProtocolV3
 )
 
 // HeaderSize is the fixed frame header length in bytes, identical across
@@ -150,7 +156,7 @@ func (o Opcode) valid() bool {
 }
 
 // Frame is one decoded protocol frame.  Version is the payload encoding
-// (ProtocolV1 or ProtocolV2); the zero value encodes as ProtocolV1 so
+// (ProtocolV1, ProtocolV2 or ProtocolV3); the zero value encodes as ProtocolV1 so
 // pre-negotiation code paths stay valid.
 type Frame struct {
 	Op      Opcode
@@ -249,12 +255,15 @@ func Encode(op Opcode, id uint64, payload any) (Frame, error) {
 }
 
 // EncodeFrame marshals payload at the given protocol version.  Version 1
-// marshals JSON; version 2 requires payload to be a pointer to one of this
-// package's payload types (or nil) and appends its binary form.
+// marshals JSON; versions 2 and 3 require payload to be a pointer to one
+// of this package's payload types (or nil) and append its binary form.
 func EncodeFrame(version uint8, op Opcode, id uint64, payload any) (Frame, error) {
 	f := Frame{Op: op, ID: id, Version: version}
 	if payload == nil {
 		return f, nil
+	}
+	if err := checkForm(version, op, payload); err != nil {
+		return Frame{}, err
 	}
 	switch version {
 	case 0, ProtocolV1:
@@ -264,16 +273,26 @@ func EncodeFrame(version uint8, op Opcode, id uint64, payload any) (Frame, error
 			return Frame{}, fmt.Errorf("wire: encode %s: %w", op, err)
 		}
 		f.Payload = data
-	case ProtocolV2:
+	case ProtocolV2, ProtocolV3:
 		ba, ok := payload.(binaryPayload)
 		if !ok {
 			return Frame{}, fmt.Errorf("wire: encode %s: %T has no v2 binary form (pass a pointer to a wire payload type)", op, payload)
 		}
-		f.Payload = ba.appendBinary(nil)
+		f.Payload = appendPayload(nil, ba, version)
 	default:
 		return Frame{}, fmt.Errorf("%w: cannot encode version %d", ErrBadFrame, version)
 	}
 	return f, nil
+}
+
+// checkForm refuses a delta-form NOTIFY below version 3: the older
+// encodings have no way to mark it, and a client would take its rows for
+// the whole answer.
+func checkForm(version uint8, op Opcode, payload any) error {
+	if n, ok := payload.(*Notify); ok && n.Delta && version < ProtocolV3 {
+		return fmt.Errorf("wire: encode %s: delta form needs protocol version %d, session speaks %d", op, ProtocolV3, version)
+	}
+	return nil
 }
 
 // encBufPool recycles payload buffers between EncodePooled and Recycle so
@@ -286,16 +305,19 @@ var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &
 // Frame.Detach if it is retained.  Version-1 frames are encoded normally
 // and Recycle is a no-op on them.
 func EncodePooled(version uint8, op Opcode, id uint64, payload any) (Frame, error) {
-	if version != ProtocolV2 || payload == nil {
+	if (version != ProtocolV2 && version != ProtocolV3) || payload == nil {
 		return EncodeFrame(version, op, id, payload)
 	}
 	ba, ok := payload.(binaryPayload)
 	if !ok {
 		return Frame{}, fmt.Errorf("wire: encode %s: %T has no v2 binary form (pass a pointer to a wire payload type)", op, payload)
 	}
+	if err := checkForm(version, op, payload); err != nil {
+		return Frame{}, err
+	}
 	bp := encBufPool.Get().(*[]byte)
-	*bp = ba.appendBinary((*bp)[:0])
-	return Frame{Op: op, ID: id, Version: ProtocolV2, Payload: *bp, pbuf: bp}, nil
+	*bp = appendPayload((*bp)[:0], ba, version)
+	return Frame{Op: op, ID: id, Version: version, Payload: *bp, pbuf: bp}, nil
 }
 
 // Recycle returns a pooled frame's payload buffer to the encode pool.  The
@@ -433,7 +455,7 @@ func (d *Decoder) next(reuse bool) (Frame, error) {
 // Unmarshal decodes a frame payload into v according to the frame's
 // protocol version: JSON for version 1 (unknown fields tolerated, for
 // forward compatibility within the version) and the binary grammar for
-// version 2 (v must be a pointer to the matching payload type).
+// versions 2 and 3 (v must be a pointer to the matching payload type).
 func Unmarshal(f Frame, v any) error {
 	return UnmarshalInterned(f, v, nil)
 }
@@ -446,7 +468,7 @@ func UnmarshalInterned(f Frame, v any, in Interner) error {
 	if len(f.Payload) == 0 {
 		return nil
 	}
-	if f.Version == ProtocolV2 {
+	if f.Version == ProtocolV2 || f.Version == ProtocolV3 {
 		bd, ok := v.(binaryPayload)
 		if !ok {
 			return fmt.Errorf("%w: %s payload: %T has no v2 binary form", ErrBadFrame, f.Op, v)
@@ -454,7 +476,7 @@ func UnmarshalInterned(f Frame, v any, in Interner) error {
 		// The reader is pooled: passing &r through the interface method
 		// would force a heap allocation per decode otherwise.
 		r := binReaderPool.Get().(*binReader)
-		*r = binReader{data: f.Payload, in: in}
+		*r = binReader{data: f.Payload, in: in, version: f.Version}
 		err := bd.decodeBinary(r)
 		off, n := r.off, len(r.data)
 		r.data = nil

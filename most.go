@@ -492,7 +492,8 @@ func WithRetries(n int) ClientOption { return client.WithRetries(n) }
 func WithClientID(id string) ClientOption { return client.WithClientID(id) }
 
 // WithProtocol caps the wire protocol version the client offers during the
-// Hello handshake (1 = JSON payloads, 2 = binary).  The session runs at
+// Hello handshake (1 = JSON payloads, 2 = binary, 3 = binary with delta
+// NOTIFYs).  The session runs at
 // min(client, server); by default clients offer the newest version they
 // implement.  See PROTOCOL.md for the negotiation rules.
 func WithProtocol(v int) ClientOption { return client.WithProtocol(v) }
