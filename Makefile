@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench parallel delta faults chaos chaosbench fuzzwal fuzzftl fuzzwire cover obs server benchcmp city cityquick citycheck racequery racestream cluster clusterquick perfbench-smoke
+.PHONY: check fmt vet build test race bench parallel delta faults chaos chaosbench fuzzwal fuzzckpt fuzzftl fuzzwire cover obs server benchcmp city cityquick citycheck racequery racestream cluster clusterquick perfbench-smoke
 
 # Checked-in coverage floor for `make cover`: total statement coverage under
 # the race detector must not fall below this.
@@ -60,6 +60,12 @@ chaosbench:
 # partial-recovery report, never a panic.
 fuzzwal:
 	$(GO) test ./internal/most -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s
+
+# Fuzz the checkpoint loader: hostile images must fail with an error, never
+# a panic or an allocation beyond a fixed multiple of their length, and
+# loading must be deterministic.
+fuzzckpt:
+	$(GO) test ./internal/most -run='^$$' -fuzz=FuzzCheckpointLoad -fuzztime=10s
 
 # Fuzz the FTL parse-then-evaluate pipeline: accepted inputs must evaluate
 # without panics, keep satisfaction sets normalized and windowed, survive

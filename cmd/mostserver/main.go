@@ -47,6 +47,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -186,7 +187,12 @@ func main() {
 		durable, info, err := mostdb.NewDurableServer(*walDir, cfg, world)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mostserver: recovery from %s failed: %v\n", *walDir, err)
-			fmt.Fprintln(os.Stderr, "mostserver: refusing to serve partial state; inspect wal.log / checkpoint.json or move the directory aside to reseed")
+			var legacy *mostdb.LegacyFormatError
+			if errors.As(err, &legacy) {
+				fmt.Fprintln(os.Stderr, "mostserver: the directory was left untouched; to migrate, serve it with the old mostserver, `.save FILE` from `mostql -connect`, then `.load FILE` into this server on an empty -wal directory")
+			} else {
+				fmt.Fprintln(os.Stderr, "mostserver: refusing to serve partial state; inspect wal.log / checkpoint.bin or move the directory aside to reseed")
+			}
 			os.Exit(1)
 		}
 		srv = durable

@@ -123,6 +123,9 @@ type Database struct {
 	// and explicit update inside the respective commit critical section, so
 	// WAL order equals commit order.  See wal.go.
 	wal atomic.Pointer[WAL]
+	// ckptSize is the size of the last checkpoint image, the capacity
+	// hint for the next one's buffer.
+	ckptSize atomic.Int64
 
 	// obsv holds the pre-resolved observability instruments (see obs.go);
 	// nil means uninstrumented.

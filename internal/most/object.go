@@ -2,6 +2,7 @@ package most
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/mostdb/most/internal/geom"
@@ -79,25 +80,51 @@ func (o *Object) WithStatic(name string, v Value) (*Object, error) {
 	if err := o.checkAttr(name, Static); err != nil {
 		return nil, err
 	}
+	if err := checkStatic(o.class, name, v); err != nil {
+		return nil, err
+	}
 	c := o.clone()
 	c.statics[name] = v
 	return c, nil
 }
 
-// WithDynamic returns a revision with the dynamic attribute replaced.
-// POSITION attributes must have piecewise-linear functions: the kinetic
-// polygon and distance solvers work on straight paths (non-positional
-// dynamic attributes may be quadratic).
+// WithDynamic returns a revision with the dynamic attribute replaced (see
+// checkDynamic for the values it accepts).
 func (o *Object) WithDynamic(name string, a motion.DynamicAttr) (*Object, error) {
 	if err := o.checkAttr(name, Dynamic); err != nil {
 		return nil, err
 	}
-	if isPositionAttr(name) && !a.Function.IsLinear() {
-		return nil, fmt.Errorf("most: %s.%s must be piecewise linear; approximate acceleration with linear pieces", o.class.Name(), name)
+	if err := checkDynamic(o.class, name, a); err != nil {
+		return nil, err
 	}
 	c := o.clone()
 	c.dynamics[name] = a
 	return c, nil
+}
+
+// checkStatic rejects a static value no snapshot can hold: a NaN or
+// infinite float, which JSON cannot express.
+func checkStatic(class *Class, name string, v Value) error {
+	if v.Kind == KindFloat && (math.IsNaN(v.F) || math.IsInf(v.F, 0)) {
+		return fmt.Errorf("most: %s.%s must be a finite number, not %v", class.Name(), name, v.F)
+	}
+	return nil
+}
+
+// checkDynamic enforces the rules for a stored dynamic attribute.  A.value
+// must be finite, like a static float.  POSITION attributes must have
+// piecewise-linear functions: the kinetic polygon and distance solvers
+// work on straight paths (non-positional dynamic attributes may be
+// quadratic).  Every path that stores a dynamic attribute, recovery
+// included, goes through here.
+func checkDynamic(class *Class, name string, a motion.DynamicAttr) error {
+	if math.IsNaN(a.Value) || math.IsInf(a.Value, 0) {
+		return fmt.Errorf("most: %s.%s.value must be a finite number, not %v", class.Name(), name, a.Value)
+	}
+	if isPositionAttr(name) && !a.Function.IsLinear() {
+		return fmt.Errorf("most: %s.%s must be piecewise linear; approximate acceleration with linear pieces", class.Name(), name)
+	}
+	return nil
 }
 
 // isPositionAttr reports whether name is one of the implicit POSITION
@@ -111,9 +138,10 @@ func (o *Object) WithPosition(p motion.Position) (*Object, error) {
 	if !o.class.Spatial() {
 		return nil, fmt.Errorf("most: class %s is not spatial", o.class.Name())
 	}
-	for _, a := range []motion.DynamicAttr{p.X, p.Y, p.Z} {
-		if !a.Function.IsLinear() {
-			return nil, fmt.Errorf("most: POSITION attributes of %s must be piecewise linear", o.class.Name())
+	names := [3]string{XPosition, YPosition, ZPosition}
+	for i, a := range [3]motion.DynamicAttr{p.X, p.Y, p.Z} {
+		if err := checkDynamic(o.class, names[i], a); err != nil {
+			return nil, err
 		}
 	}
 	c := o.clone()

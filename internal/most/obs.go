@@ -20,6 +20,7 @@ import (
 //	wal.appends / wal.append_ns   WAL record writes and their latency
 //	wal.flushes                   group-commit batch writes (syscalls)
 //	wal.syncs / wal.sync_ns       explicit fsyncs and their latency
+//	most.checkpoint_bytes   size of the latest checkpoint image written
 
 // dbObs is the database's pre-resolved instrument set.
 type dbObs struct {
@@ -28,6 +29,7 @@ type dbObs struct {
 	commitNs  *obs.Histogram
 	snapshots *obs.Counter
 	snapObjs  *obs.Counter
+	ckptBytes *obs.Gauge
 }
 
 // start returns the commit start time, or the zero time when disabled (so
@@ -57,6 +59,14 @@ func (o *dbObs) snapshotDone(n int) {
 	o.snapObjs.Add(int64(n))
 }
 
+// checkpointDone records the size of a checkpoint image just written.
+func (o *dbObs) checkpointDone(n int) {
+	if o == nil {
+		return
+	}
+	o.ckptBytes.Set(int64(n))
+}
+
 // Instrument attaches an observability registry to the database: commits,
 // snapshot copies, and (if a WAL is attached now or later) WAL append/fsync
 // timings are recorded into it.  Instrument(nil) detaches.  Safe to call
@@ -71,6 +81,7 @@ func (db *Database) Instrument(reg *obs.Registry) {
 			commitNs:  reg.Histogram("db.commit_ns"),
 			snapshots: reg.Counter("db.snapshots"),
 			snapObjs:  reg.Counter("db.snapshot_objects"),
+			ckptBytes: reg.Gauge("most.checkpoint_bytes"),
 		})
 	}
 	if w := db.wal.Load(); w != nil {

@@ -3,7 +3,6 @@ package most
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"github.com/mostdb/most/internal/motion"
 	"github.com/mostdb/most/internal/temporal"
@@ -16,6 +15,11 @@ import (
 // state, not the update log: a database restored from a snapshot can answer
 // instantaneous and continuous queries identically, while persistent
 // queries anchor to post-restore history.
+//
+// JSON is the human-readable export only (the S18 snapshot, SnapshotLoad
+// over the network, the wire's insert ops).  The durable path —
+// checkpoints, WAL records and recovery — uses the binary encoding in
+// codec.go.
 
 type snapshotDTO struct {
 	Now     temporal.Tick `json:"now"`
@@ -65,33 +69,14 @@ func (db *Database) SnapshotJSON() ([]byte, error) {
 }
 
 // snapshotDTOLocked builds the snapshot DTO.  Callers must hold the full
-// read lock (lockAllRead) plus metaMu; see SnapshotJSON and Checkpoint.
+// read lock (lockAllRead) plus metaMu; see SnapshotJSON.
 func (db *Database) snapshotDTOLocked() snapshotDTO {
 	dto := snapshotDTO{Now: db.now}
-
-	objects := map[ObjectID]*Object{}
-	for i := range db.shards {
-		for id, o := range db.shards[i].objects {
-			objects[id] = o
-		}
+	for _, c := range db.sortedClassesLocked() {
+		dto.Classes = append(dto.Classes, encodeClass(c))
 	}
-
-	classNames := make([]string, 0, len(db.classes))
-	for name := range db.classes {
-		classNames = append(classNames, name)
-	}
-	sort.Strings(classNames)
-	for _, name := range classNames {
-		dto.Classes = append(dto.Classes, encodeClass(db.classes[name]))
-	}
-
-	ids := make([]string, 0, len(objects))
-	for id := range objects {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		dto.Objects = append(dto.Objects, encodeObject(objects[ObjectID(id)]))
+	for _, o := range db.sortedObjectsLocked() {
+		dto.Objects = append(dto.Objects, encodeObject(o))
 	}
 	return dto
 }

@@ -1,15 +1,15 @@
 package most
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -25,21 +25,24 @@ import (
 //
 // # Log format
 //
-// One record per line:
+// A log is the magic header "MOSTWAL" + version byte 1, followed by
+// length-prefixed binary frames:
 //
-//	crc32hex<space>json\n
+//	u32 payload length · u32 IEEE CRC-32 of the payload · payload
 //
-// where crc32hex is the IEEE CRC-32 of the JSON payload in fixed-width
-// hex.  Records are of three kinds, mirroring the three ways database
-// state changes:
+// (little-endian).  The payload grammar is in codec.go: a kind byte, the
+// sequence number, an optional provenance stamp, then the kind's fields.
+// Records are of three state-changing kinds, mirroring the three ways
+// database state changes:
 //
-//   - "class"  — a DefineClass, carrying the class schema;
-//   - "clock"  — an Advance, carrying the absolute new tick;
-//   - "update" — one explicit update (§2.3), carrying the update kind,
-//     the object id, the attribute, and the full post-image of the object
-//     revision (nil for deletes).  Post-images make replay idempotent in
-//     value: installing the recorded revision reproduces the exact object
-//     state regardless of how the mutation computed it.
+//   - class  — a DefineClass, carrying the class schema;
+//   - clock  — an Advance, carrying the absolute new tick;
+//   - update — one explicit update (§2.3), carrying the update kind, the
+//     object id, the attribute, and the full post-image of the object
+//     revision (absent for deletes) in the checkpoint's object encoding.
+//     Post-images make replay idempotent in value: installing the
+//     recorded revision reproduces the exact object state regardless of
+//     how the mutation computed it.
 //
 // Records are written inside the database's commit critical sections
 // (appendLog under logMu, DefineClass under metaMu, Advance under the
@@ -52,40 +55,18 @@ import (
 // Replay verifies each record's CRC and stops at the first corrupt,
 // truncated, or inapplicable record, returning everything recovered up to
 // that point plus a RecoveryReport — a partially torn tail (the common
-// crash artifact) costs only the torn suffix, never a panic.  OpenWAL
-// truncates any torn tail before appending, so a log reopened after a
-// crash stays recoverable end to end.
+// crash artifact) costs only the torn suffix, never a panic.  Replay and
+// OpenWAL find the end of the log with the same walker (walkLog): a torn
+// frame (its length prefix runs past the end of the log), an empty frame
+// (a zero-filled tail) or a checksum failure ends it.  OpenWAL truncates
+// what lies beyond before appending, so a log reopened after a crash stays
+// recoverable end to end.  A log or checkpoint in the JSON format of
+// earlier versions is refused with a LegacyFormatError and left untouched.
 //
 // Appends buffer in the OS page cache; they survive a process crash as-is,
 // but power-loss durability requires explicit WAL.Sync calls.  Checkpoint
 // fsyncs its snapshot (and the containing directory) before truncating the
 // log, so a checkpoint never trades a durable log for a volatile snapshot.
-
-// walRecord is one WAL entry.  Beyond the original three kinds, "note" is
-// an opaque annotation that does not touch database state on replay (the
-// server logs executed-request receipts through it), and "reset" discards
-// everything recovered so far and restarts replay from an empty database
-// (written when the served database is wholesale replaced, so the log alone
-// reconstructs the post-replacement state even over a stale snapshot).
-type walRecord struct {
-	Seq    uint64         `json:"seq"`
-	Kind   string         `json:"kind"` // "class" | "clock" | "update" | "note" | "reset"
-	Now    *temporal.Tick `json:"now,omitempty"`
-	Class  *classDTO      `json:"class,omitempty"`
-	Update *walUpdate     `json:"update,omitempty"`
-	Prov   *Prov          `json:"prov,omitempty"`
-	Tag    string         `json:"tag,omitempty"`
-	Data   []byte         `json:"data,omitempty"`
-}
-
-// walUpdate serializes one explicit update with its post-image.
-type walUpdate struct {
-	Tick   temporal.Tick `json:"tick"`
-	Kind   UpdateKind    `json:"kind"`
-	Object string        `json:"object"`
-	Attr   string        `json:"attr,omitempty"`
-	After  *objectDTO    `json:"after,omitempty"`
-}
 
 // WAL is an append-only write-ahead log.  Attach one to a Database with
 // AttachWAL; every subsequent class definition, clock advance, and explicit
@@ -112,6 +93,9 @@ type WAL struct {
 	file *os.File // non-nil when opened by path; enables Checkpoint truncation
 	seq  uint64
 	err  error
+	// headed is true once the magic header is staged in front of the
+	// first record; an empty (new or truncated) log has none yet.
+	headed bool
 
 	// Group-commit state, all under mu.  staging accumulates serialized
 	// records for the batch identified by gen; spare is the double buffer
@@ -135,57 +119,55 @@ type WAL struct {
 }
 
 // NewWAL wraps an arbitrary writer (e.g. a bytes.Buffer in tests or an
-// already-open file).  If w implements interface{ Reset() } the WAL can be
+// already-open file) that holds no log yet: the first append writes the
+// log header.  If w implements interface{ Reset() } the WAL can be
 // checkpointed.
 func NewWAL(w io.Writer) *WAL { return &WAL{w: w} }
 
 // OpenWAL opens (creating if needed) a file-backed WAL for appending.  An
-// existing log is preserved, except that a torn tail — a half-written final
-// record with no trailing newline, the usual artifact of a crash mid-append —
-// is truncated away first.  Appending onto the fragment would otherwise merge
-// the new record into the same line, corrupting it too and cutting recovery
-// off at that point.  The torn record itself was never durably committed, so
-// dropping it is the correct outcome.
+// existing log is preserved up to the end replay would reach (walkLog): a
+// torn final frame — the usual artifact of a crash mid-append — and
+// whatever follows a zero-filled or checksum-failing frame are truncated
+// away first.  Appending behind such a tail would bury the new records
+// inside a torn frame's declared length, or behind a frame replay stops
+// at, and lose them at the next recovery.  The dropped records were never
+// durably committed, so dropping them is the correct outcome.  A file that
+// is not a log in this format is refused and left as it is: a
+// LegacyFormatError for a JSON-line log of earlier versions.
 func OpenWAL(path string) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("most: open wal: %w", err)
 	}
-	end, n, err := scanRecords(f)
+	w, err := openWAL(f)
 	if err != nil {
 		f.Close()
+		var legacy *LegacyFormatError
+		if errors.As(err, &legacy) {
+			legacy.Path = path
+			return nil, legacy
+		}
 		return nil, fmt.Errorf("most: open wal: %w", err)
 	}
-	if err := f.Truncate(end); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("most: open wal: %w", err)
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("most: open wal: %w", err)
-	}
-	return &WAL{w: f, file: f, seq: uint64(n)}, nil
+	return w, nil
 }
 
-// scanRecords finds the byte offset just past the last newline-terminated
-// record and the number of such records.  Anything beyond end is a torn
-// fragment.
-func scanRecords(f *os.File) (end int64, n int, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, err
+func openWAL(f *os.File) (*WAL, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	r := bufio.NewReader(f)
-	for {
-		line, err := r.ReadString('\n')
-		if err == io.EOF {
-			return end, n, nil
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		end += int64(len(line))
-		n++
+	walk, err := walkLog(f, st.Size(), nil)
+	if err != nil {
+		return nil, err
 	}
+	if err := f.Truncate(walk.end); err != nil {
+		return nil, err
+	}
+	if _, err := f.Seek(walk.end, io.SeekStart); err != nil {
+		return nil, err
+	}
+	return &WAL{w: f, file: f, seq: uint64(walk.records), headed: walk.end > 0}, nil
 }
 
 // Records returns the number of records appended through this handle (for
@@ -234,30 +216,54 @@ func (w *WAL) Close() error {
 // record joins the staging batch, and the call returns once the batch
 // holding it has been written (by this appender if it elected itself
 // leader, by the current leader otherwise).  Errors are sticky.
-func (w *WAL) append(rec walRecord) {
+func (w *WAL) append(rec *walRecord) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return
 	}
-	if w.flushed == nil {
-		w.flushed = sync.NewCond(&w.mu)
-	}
 	var t0 time.Time
 	if w.appendNs != nil {
 		t0 = time.Now()
 	}
-	w.seq++
-	rec.Seq = w.seq
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		w.err = fmt.Errorf("most: wal encode: %w", err)
+	w.stage(rec)
+	w.flushLocked()
+	if w.err != nil {
 		return
 	}
-	w.staging = append(w.staging, fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload))...)
-	w.staging = append(w.staging, ' ')
-	w.staging = append(w.staging, payload...)
-	w.staging = append(w.staging, '\n')
+	w.appends.Inc()
+	w.appendNs.Since(t0)
+}
+
+// stage encodes one record, framed, into the staging buffer (behind the
+// log header if the log has none yet).  Callers hold mu.
+func (w *WAL) stage(rec *walRecord) {
+	w.seq++
+	rec.seq = w.seq
+	if !w.headed {
+		w.staging = append(w.staging, walMagic...)
+		w.headed = true
+	}
+	h := len(w.staging)
+	w.staging = append(w.staging, make([]byte, frameHeader)...)
+	w.staging = appendRecord(w.staging, rec)
+	payload := w.staging[h+frameHeader:]
+	if uint64(len(payload)) > math.MaxUint32 {
+		w.staging = w.staging[:h]
+		w.err = fmt.Errorf("most: wal encode: %d-byte record exceeds the frame limit", len(payload))
+		return
+	}
+	binary.LittleEndian.PutUint32(w.staging[h:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.staging[h+4:], crc32.ChecksumIEEE(payload))
+}
+
+// flushLocked waits until everything staged so far has been written: as
+// the leader if no write is in flight, else behind the current leader.
+// Callers hold mu.
+func (w *WAL) flushLocked() {
+	if w.flushed == nil {
+		w.flushed = sync.NewCond(&w.mu)
+	}
 	myGen := w.gen
 	if w.flushing {
 		// A leader is writing: it will pick this record up when it swaps
@@ -265,34 +271,29 @@ func (w *WAL) append(rec walRecord) {
 		for w.flushedGen <= myGen && w.err == nil {
 			w.flushed.Wait()
 		}
-	} else {
-		// Become the leader: write batches until the staging buffer drains,
-		// releasing mu during each write so later appends coalesce behind us.
-		w.flushing = true
-		for len(w.staging) > 0 && w.err == nil {
-			batch := w.staging
-			batchGen := w.gen
-			w.staging = w.spare[:0]
-			w.spare = nil
-			w.gen++
-			w.mu.Unlock()
-			_, werr := w.w.Write(batch)
-			w.mu.Lock()
-			w.spare = batch[:0]
-			if werr != nil {
-				w.err = fmt.Errorf("most: wal append: %w", werr)
-			}
-			w.flushes.Inc()
-			w.flushedGen = batchGen + 1
-			w.flushed.Broadcast()
-		}
-		w.flushing = false
-	}
-	if w.err != nil {
 		return
 	}
-	w.appends.Inc()
-	w.appendNs.Since(t0)
+	// Become the leader: write batches until the staging buffer drains,
+	// releasing mu during each write so later appends coalesce behind us.
+	w.flushing = true
+	for len(w.staging) > 0 && w.err == nil {
+		batch := w.staging
+		batchGen := w.gen
+		w.staging = w.spare[:0]
+		w.spare = nil
+		w.gen++
+		w.mu.Unlock()
+		_, werr := w.w.Write(batch)
+		w.mu.Lock()
+		w.spare = batch[:0]
+		if werr != nil {
+			w.err = fmt.Errorf("most: wal append: %w", werr)
+		}
+		w.flushes.Inc()
+		w.flushedGen = batchGen + 1
+		w.flushed.Broadcast()
+	}
+	w.flushing = false
 }
 
 // reset truncates the log after a checkpoint.  Only file-backed WALs and
@@ -317,6 +318,7 @@ func (w *WAL) reset() error {
 	}
 	w.seq = 0
 	w.err = nil
+	w.headed = false
 	// A broken WAL may have left staged-but-unwritten records behind; a
 	// truncation starts from a clean slate.
 	w.staging = w.staging[:0]
@@ -324,21 +326,15 @@ func (w *WAL) reset() error {
 }
 
 func (w *WAL) appendClass(c *Class) {
-	cd := encodeClass(c)
-	w.append(walRecord{Kind: "class", Class: &cd})
+	w.append(&walRecord{kind: recClass, class: c})
 }
 
 func (w *WAL) appendClock(now temporal.Tick, p *Prov) {
-	w.append(walRecord{Kind: "clock", Now: &now, Prov: p})
+	w.append(&walRecord{kind: recClock, now: now, prov: p})
 }
 
 func (w *WAL) appendUpdate(u Update) {
-	wu := walUpdate{Tick: u.Tick, Kind: u.Kind, Object: string(u.Object), Attr: u.Attr}
-	if u.After != nil {
-		od := encodeObject(u.After)
-		wu.After = &od
-	}
-	w.append(walRecord{Kind: "update", Update: &wu, Prov: u.Prov})
+	w.append(&walRecord{kind: recUpdate, upd: u, prov: u.Prov})
 }
 
 // AppendNote logs an opaque annotation record.  Notes do not change
@@ -346,7 +342,7 @@ func (w *WAL) appendUpdate(u Update) {
 // The server uses notes to make its idempotence cache durable: one note
 // per executed mutating request, appended after the request's own records.
 func (w *WAL) AppendNote(tag string, data []byte) error {
-	w.append(walRecord{Kind: "note", Tag: tag, Data: data})
+	w.append(&walRecord{kind: recNote, tag: tag, data: data})
 	return w.Err()
 }
 
@@ -420,17 +416,31 @@ func (db *Database) AttachWALNoBase(w *WAL) error {
 }
 
 // appendBaseImageLocked re-logs the database's full current state (classes,
-// clock, one insert per live object).  Callers hold the full read quiesce.
+// clock, one insert per live object) as one group-commit batch.  Callers
+// hold the full read quiesce.
 func (db *Database) appendBaseImageLocked(w *WAL) {
-	dto := db.snapshotDTOLocked()
-	for i := range dto.Classes {
-		w.append(walRecord{Kind: "class", Class: &dto.Classes[i]})
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return
 	}
-	w.appendClock(dto.Now, nil)
-	for i := range dto.Objects {
-		w.append(walRecord{Kind: "update", Update: &walUpdate{
-			Tick: dto.Now, Kind: UpdateInsert, Object: dto.Objects[i].ID, After: &dto.Objects[i],
-		}})
+	n := 0
+	for _, c := range db.sortedClassesLocked() {
+		w.stage(&walRecord{kind: recClass, class: c})
+		n++
+	}
+	w.stage(&walRecord{kind: recClock, now: db.now})
+	n++
+	for _, o := range db.sortedObjectsLocked() {
+		w.stage(&walRecord{kind: recUpdate, upd: Update{Tick: db.now, Kind: UpdateInsert, Object: o.id, After: o}})
+		n++
+	}
+	w.flushLocked()
+	// The image went out as one batch; do not keep its buffer as the
+	// spare for the small batches that follow.
+	w.spare = nil
+	if w.err == nil {
+		w.appends.Add(int64(n))
 	}
 }
 
@@ -463,15 +473,16 @@ func (db *Database) RebaseWAL(w *WAL) error {
 	if o := db.obsv.Load(); o != nil {
 		w.Instrument(o.reg)
 	}
-	w.append(walRecord{Kind: "reset"})
+	w.append(&walRecord{kind: recReset})
 	db.appendBaseImageLocked(w)
 	return w.Err()
 }
 
 // Checkpoint writes a consistent snapshot of the current state to snapPath
-// (atomically, via a temp file and rename) and truncates the attached WAL:
-// recovery then needs only the snapshot plus the post-checkpoint log tail.
-// Commits are quiesced for the duration, exactly like SnapshotJSON.
+// in the binary checkpoint format (codec.go), atomically via
+// WriteFileAtomic, and truncates the attached WAL: recovery then needs
+// only the snapshot plus the post-checkpoint log tail.  Commits are
+// quiesced for the duration, exactly like SnapshotJSON.
 func (db *Database) Checkpoint(snapPath string) error {
 	w := db.wal.Load()
 	if w == nil {
@@ -481,44 +492,48 @@ func (db *Database) Checkpoint(snapPath string) error {
 	defer db.unlockAllRead()
 	db.metaMu.RLock()
 	defer db.metaMu.RUnlock()
-	data, err := json.MarshalIndent(db.snapshotDTOLocked(), "", "  ")
+	data := db.appendCheckpointLocked(make([]byte, 0, db.ckptSize.Load()))
+	db.ckptSize.Store(int64(len(data)))
+	// The WAL may only be truncated once the snapshot that replaces it is
+	// durable, which WriteFileAtomic guarantees on return.
+	if err := WriteFileAtomic(snapPath, data); err != nil {
+		return fmt.Errorf("most: checkpoint: %w", err)
+	}
+	db.obsv.Load().checkpointDone(len(data))
+	return w.reset()
+}
+
+// WriteFileAtomic replaces path with data so that a crash or power loss at
+// any point leaves either the old contents or the new, never a torn mix or
+// a missing file: it writes a temp file beside path, fsyncs it, renames it
+// over path, and fsyncs the directory.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	// The WAL may only be truncated once the snapshot that replaces it is
-	// durable: fsync the temp file before the rename, and fsync the
-	// directory after, so a power loss at any point leaves either the old
-	// (snapshot, log) pair or the new one — never a missing snapshot with
-	// an already-empty log.
-	tmp := snapPath + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
 	if err != nil {
-		return fmt.Errorf("most: checkpoint: %w", err)
+		return err
 	}
-	if _, err := tf.Write(data); err != nil {
-		tf.Close()
-		return fmt.Errorf("most: checkpoint: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fmt.Errorf("most: checkpoint: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("most: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, snapPath); err != nil {
-		return fmt.Errorf("most: checkpoint: %w", err)
-	}
-	if dir, err := os.Open(filepath.Dir(snapPath)); err == nil {
-		serr := dir.Sync()
-		dir.Close()
-		if serr != nil {
-			return fmt.Errorf("most: checkpoint: %w", serr)
-		}
-	} else {
-		return fmt.Errorf("most: checkpoint: %w", err)
-	}
-	return w.reset()
+	serr := dir.Sync()
+	dir.Close()
+	return serr
 }
 
 // RecoveryReport describes how a recovery went.
@@ -529,9 +544,9 @@ type RecoveryReport struct {
 	// the tail was corrupt, torn, or inapplicable.  The returned database
 	// holds everything up to the failure point.
 	Truncated bool
-	// BadLine is the 1-based line number of the first bad record (0 when
-	// !Truncated).
-	BadLine int
+	// BadRecord is the 1-based index of the first bad record in the log
+	// (0 when !Truncated).
+	BadRecord int
 	// Reason says why replay stopped (empty when !Truncated).
 	Reason string
 }
@@ -552,66 +567,66 @@ type WALObserver struct {
 // WAL.  A nil/empty snapshot means the log starts from an empty database.
 // Corrupt or truncated logs are not an error: replay keeps everything up
 // to the first bad record and reports the damage.  An unreadable snapshot
-// IS an error — there is no safe prefix to fall back to.
+// IS an error — there is no safe prefix to fall back to — and so is input
+// in the legacy JSON format (LegacyFormatError).
 func Recover(snapshot, wal []byte) (*Database, *RecoveryReport, error) {
 	return RecoverObserved(snapshot, wal, nil)
 }
 
 // RecoverObserved is Recover with a replay observer (see WALObserver).
 func RecoverObserved(snapshot, wal []byte, ob *WALObserver) (*Database, *RecoveryReport, error) {
+	return recoverLog(snapshot, bytes.NewReader(wal), int64(len(wal)), ob)
+}
+
+// recoverLog is RecoverObserved over a log of size bytes read from wal.
+func recoverLog(snapshot []byte, wal io.Reader, size int64, ob *WALObserver) (*Database, *RecoveryReport, error) {
 	var db *Database
 	if len(snapshot) > 0 {
 		var err error
-		db, err = LoadSnapshotJSON(snapshot)
-		if err != nil {
+		if db, err = loadCheckpoint(snapshot); err != nil {
 			return nil, nil, err
 		}
 	} else {
 		db = NewDatabase()
 	}
-	rep := &RecoveryReport{}
-	stop := func(line int, reason string) {
-		rep.Truncated = true
-		rep.BadLine = line
-		rep.Reason = reason
-	}
-	lines := bytes.Split(wal, []byte("\n"))
-	for i, line := range lines {
-		if len(line) == 0 {
-			if i == len(lines)-1 {
-				break // trailing newline
-			}
-			stop(i+1, "empty record")
-			break
-		}
-		rec, err := parseWALLine(line)
+	walk, err := walkLog(wal, size, func(payload []byte) error {
+		// Replay owns db until it returns: reading its class map without
+		// metaMu is safe.
+		rec, err := decodeRecord(payload, db.classes)
 		if err != nil {
-			stop(i+1, err.Error())
-			break
+			return fmt.Errorf("bad record: %w", err)
 		}
-		switch rec.Kind {
-		case "reset":
+		switch rec.kind {
+		case recReset:
 			// Wholesale state replacement: discard everything recovered so
 			// far (snapshot included) and rebuild from the records that
 			// follow — the base image the rebase logged.
 			db = NewDatabase()
-		case "note":
+		case recNote:
 			if ob != nil && ob.Note != nil {
-				ob.Note(rec.Tag, rec.Data)
+				ob.Note(rec.tag, rec.data)
 			}
 		default:
-			if err := db.applyWALRecord(rec); err != nil {
-				stop(i+1, err.Error())
-				break
+			if err := db.applyWALRecord(&rec); err != nil {
+				return err
 			}
-			if rec.Prov != nil && ob != nil && ob.Applied != nil {
-				ob.Applied(*rec.Prov, db.Now())
+			if rec.prov != nil && ob != nil && ob.Applied != nil {
+				ob.Applied(*rec.prov, db.Now())
 			}
 		}
-		if rep.Truncated {
-			break
-		}
-		rep.Records++
+		return nil
+	})
+	switch {
+	case errors.Is(err, errForeignLog):
+		walk.reason = "bad log header"
+	case err != nil:
+		return nil, nil, err
+	}
+	rep := &RecoveryReport{Records: walk.records}
+	if walk.reason != "" {
+		rep.Truncated = true
+		rep.BadRecord = walk.records + 1
+		rep.Reason = walk.reason
 	}
 	return db, rep, nil
 }
@@ -628,88 +643,68 @@ func RecoverFilesObserved(snapPath, walPath string, ob *WALObserver) (*Database,
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, err
 	}
-	wal, err := os.ReadFile(walPath)
-	if err != nil && !os.IsNotExist(err) {
+	// The log is streamed: recovery holds one record at a time, not the
+	// whole file.
+	var wal io.Reader = bytes.NewReader(nil)
+	var size int64
+	f, err := os.Open(walPath)
+	switch {
+	case err == nil:
+		defer f.Close()
+		st, err := f.Stat()
+		if err != nil {
+			return nil, nil, err
+		}
+		wal, size = f, st.Size()
+	case !os.IsNotExist(err):
 		return nil, nil, err
 	}
-	return RecoverObserved(snap, wal, ob)
+	db, rep, err := recoverLog(snap, wal, size, ob)
+	var legacy *LegacyFormatError
+	if errors.As(err, &legacy) {
+		legacy.Path = walPath
+		if legacy.Format == legacyCheckpoint {
+			legacy.Path = snapPath
+		}
+	}
+	return db, rep, err
 }
 
-func parseWALLine(line []byte) (walRecord, error) {
-	var rec walRecord
-	sp := bytes.IndexByte(line, ' ')
-	if sp != 8 {
-		return rec, fmt.Errorf("bad frame")
-	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return rec, fmt.Errorf("bad checksum field")
-	}
-	payload := line[9:]
-	if crc32.ChecksumIEEE(payload) != uint32(want) {
-		return rec, fmt.Errorf("checksum mismatch")
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("bad record json: %v", err)
-	}
-	return rec, nil
-}
-
-// applyWALRecord replays one record through the normal mutation paths.
-func (db *Database) applyWALRecord(rec walRecord) error {
-	switch rec.Kind {
-	case "class":
-		if rec.Class == nil {
-			return fmt.Errorf("class record without class")
+// applyWALRecord replays one state-changing record through the normal
+// mutation paths.
+func (db *Database) applyWALRecord(rec *walRecord) error {
+	switch rec.kind {
+	case recClass:
+		return db.DefineClass(rec.class)
+	case recClock:
+		if rec.now < db.Now() {
+			return fmt.Errorf("clock record runs backwards (%d < %d)", rec.now, db.Now())
 		}
-		c, err := decodeClass(*rec.Class)
-		if err != nil {
-			return err
-		}
-		return db.DefineClass(c)
-	case "clock":
-		if rec.Now == nil {
-			return fmt.Errorf("clock record without tick")
-		}
-		if *rec.Now < db.Now() {
-			return fmt.Errorf("clock record runs backwards (%d < %d)", *rec.Now, db.Now())
-		}
-		db.Advance(*rec.Now - db.Now())
+		db.Advance(rec.now - db.Now())
 		return nil
-	case "update":
-		u := rec.Update
-		if u == nil {
-			return fmt.Errorf("update record without update")
-		}
+	case recUpdate:
+		u := &rec.upd
 		switch u.Kind {
 		case UpdateInsert:
 			if u.After == nil {
 				return fmt.Errorf("insert of %s without post-image", u.Object)
 			}
-			o, err := decodeObject(db, *u.After)
-			if err != nil {
-				return err
-			}
-			return db.insert(o, rec.Prov)
+			return db.insert(u.After, rec.prov)
 		case UpdateDelete:
-			return db.delete(ObjectID(u.Object), rec.Prov)
+			return db.delete(u.Object, rec.prov)
 		case UpdateStatic, UpdateDynamic:
 			if u.After == nil {
 				return fmt.Errorf("update of %s without post-image", u.Object)
 			}
-			o, err := decodeObject(db, *u.After)
-			if err != nil {
-				return err
-			}
 			// Install the recorded post-image wholesale: replay reproduces
 			// the exact revision the original mutation computed.
-			return db.mutate(ObjectID(u.Object), u.Kind, u.Attr, rec.Prov, func(*Object, temporal.Tick) (*Object, error) {
-				return o, nil
+			return db.mutate(u.Object, u.Kind, u.Attr, rec.prov, func(*Object, temporal.Tick) (*Object, error) {
+				return u.After, nil
 			})
 		default:
 			return fmt.Errorf("unknown update kind %d", u.Kind)
 		}
 	default:
-		return fmt.Errorf("unknown record kind %q", rec.Kind)
+		return fmt.Errorf("unknown record kind %d", rec.kind)
 	}
 }

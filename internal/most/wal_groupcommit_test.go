@@ -1,7 +1,6 @@
 package most
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"sync"
@@ -65,7 +64,7 @@ func TestWALGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		w.mu.Lock()
-		staged := bytes.Count(w.staging, []byte("\n"))
+		staged := len(logFrames(t, w.staging))
 		w.mu.Unlock()
 		if staged == followers {
 			break
@@ -90,23 +89,23 @@ func TestWALGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 	if len(g.writes) != 2 {
 		t.Fatalf("got %d Write calls, want 2 (leader batch + coalesced batch)", len(g.writes))
 	}
-	if n := bytes.Count(g.writes[0], []byte("\n")); n != 1 {
+	if n := len(logFrames(t, g.writes[0])); n != 1 {
 		t.Fatalf("leader batch carries %d records, want 1", n)
 	}
-	if n := bytes.Count(g.writes[1], []byte("\n")); n != followers {
+	if n := len(logFrames(t, g.writes[1])); n != followers {
 		t.Fatalf("coalesced batch carries %d records, want %d", n, followers)
 	}
 	// Group commit must preserve commit order: records appear in seq order.
 	all := append(append([]byte(nil), g.writes[0]...), g.writes[1]...)
 	var wantSeq uint64
-	for _, line := range bytes.Split(bytes.TrimSuffix(all, []byte("\n")), []byte("\n")) {
-		rec, err := parseWALLine(line)
+	for _, frame := range logFrames(t, all) {
+		rec, err := decodeRecord(frame[frameHeader:], nil)
 		if err != nil {
-			t.Fatalf("bad record %q: %v", line, err)
+			t.Fatalf("bad record %x: %v", frame, err)
 		}
 		wantSeq++
-		if rec.Seq != wantSeq {
-			t.Fatalf("record out of order: seq %d at position %d", rec.Seq, wantSeq)
+		if rec.seq != wantSeq {
+			t.Fatalf("record out of order: seq %d at position %d", rec.seq, wantSeq)
 		}
 	}
 }
@@ -133,7 +132,7 @@ func TestWALGroupCommitWriteErrorWakesFollowers(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		w.mu.Lock()
-		staged := bytes.Count(w.staging, []byte("\n"))
+		staged := len(logFrames(t, w.staging))
 		w.mu.Unlock()
 		if staged == 1 {
 			break

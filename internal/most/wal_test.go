@@ -2,6 +2,7 @@ package most
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -187,6 +188,23 @@ func c2class(t *testing.T, db *Database) *Class {
 	return c
 }
 
+// logFrames splits a log into its raw frames (header stripped), failing
+// the test on a torn tail.
+func logFrames(t testing.TB, log []byte) [][]byte {
+	t.Helper()
+	log = bytes.TrimPrefix(log, walMagic)
+	var out [][]byte
+	for len(log) > 0 {
+		if len(log) < frameHeader || len(log)-frameHeader < int(binary.LittleEndian.Uint32(log)) {
+			t.Fatalf("torn frame after %d records", len(out))
+		}
+		size := frameHeader + int(binary.LittleEndian.Uint32(log))
+		out = append(out, log[:size])
+		log = log[size:]
+	}
+	return out
+}
+
 // A torn tail (half-written final record) costs only the torn suffix.
 func TestRecoverTornTail(t *testing.T) {
 	var buf bytes.Buffer
@@ -197,26 +215,25 @@ func TestRecoverTornTail(t *testing.T) {
 	buildScript(t, db, c)
 
 	whole := buf.Bytes()
-	lines := bytes.Split(bytes.TrimSuffix(whole, []byte("\n")), []byte("\n"))
-	if len(lines) < 3 {
-		t.Fatalf("script too short: %d records", len(lines))
+	frames := logFrames(t, whole)
+	if len(frames) < 3 {
+		t.Fatalf("script too short: %d records", len(frames))
 	}
 	// Cut the final record in half, as a crash mid-write would.
-	last := lines[len(lines)-1]
-	torn := bytes.Join(lines[:len(lines)-1], []byte("\n"))
-	torn = append(torn, '\n')
-	torn = append(torn, last[:len(last)/2]...)
+	last := frames[len(frames)-1]
+	intact := whole[:len(whole)-len(last)]
+	torn := append(bytes.Clone(intact), last[:len(last)/2]...)
 
 	db2, rep, err := Recover(nil, torn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Truncated || rep.Records != len(lines)-1 || rep.BadLine != len(lines) {
-		t.Fatalf("report = %+v, want truncation at line %d after %d records", rep, len(lines), len(lines)-1)
+	if !rep.Truncated || rep.Records != len(frames)-1 || rep.BadRecord != len(frames) {
+		t.Fatalf("report = %+v, want truncation at record %d after %d records", rep, len(frames), len(frames)-1)
 	}
 	// The recovered prefix must equal a database that stopped one update
 	// earlier — rebuild the reference by replaying the intact prefix.
-	ref, rep2, err := Recover(nil, append(bytes.Join(lines[:len(lines)-1], []byte("\n")), '\n'))
+	ref, rep2, err := Recover(nil, intact)
 	if err != nil || rep2.Truncated {
 		t.Fatalf("reference replay: err=%v rep=%+v", err, rep2)
 	}
@@ -225,78 +242,104 @@ func TestRecoverTornTail(t *testing.T) {
 	}
 }
 
-// Reopening a crash-torn WAL file must repair the tail before appending:
-// records written after the reopen land on their own lines and survive
-// recovery, instead of being merged into the torn fragment and lost.
+// Reopening a crash-damaged WAL file must repair the tail before
+// appending: records written after the reopen land in their own frames and
+// survive recovery, instead of being swallowed by a torn frame's declared
+// length, or left behind a frame replay stops at, and lost.  Power loss
+// with unsynced appends can leave a zero-filled tail; a frame of zeros has
+// a valid CRC (that of the empty payload), so it must be dropped as the
+// empty record no payload can be.
 func TestOpenWALRepairsTornTailBeforeAppending(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "most.wal")
+	for _, tc := range []struct {
+		name string
+		// damage rewrites the log, whose final frame is last; drop is the
+		// number of final frames that must not survive.
+		damage func(log, last []byte) []byte
+		drop   int
+	}{
+		{"torn", func(log, last []byte) []byte {
+			return append(bytes.Clone(log[:len(log)-len(last)]), last[:len(last)/2]...)
+		}, 1},
+		{"zero-filled", func(log, _ []byte) []byte {
+			return append(bytes.Clone(log), make([]byte, 16)...)
+		}, 0},
+		{"bad checksum", func(log, last []byte) []byte {
+			log = bytes.Clone(log)
+			log[len(log)-len(last)+4] ^= 1
+			return log
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			walPath := filepath.Join(dir, "most.wal")
 
-	w, err := OpenWAL(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, c := newTestDB(t)
-	if err := db.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	buildScript(t, db, c)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+			w, err := OpenWAL(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, c := newTestDB(t)
+			if err := db.AttachWAL(w); err != nil {
+				t.Fatal(err)
+			}
+			buildScript(t, db, c)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// "Crash" mid-append: chop the final record in half, leaving no
-	// trailing newline.
-	data, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
-	last := lines[len(lines)-1]
-	torn := append(bytes.Join(lines[:len(lines)-1], []byte("\n")), '\n')
-	torn = append(torn, last[:len(last)/2]...)
-	if err := os.WriteFile(walPath, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// "Crash": damage the tail of the log.
+			data, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := logFrames(t, data)
+			if err := os.WriteFile(walPath, tc.damage(data, frames[len(frames)-1]), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// Reopen: the torn fragment must be truncated away and the sequence
-	// counter resumed at the surviving record count.
-	w2, err := OpenWAL(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if got, want := w2.Records(), uint64(len(lines)-1); got != want {
-		t.Fatalf("reopened WAL resumed at seq %d, want %d", got, want)
-	}
+			// Reopen: the dead tail must be truncated away and the
+			// sequence counter resumed at the surviving record count.
+			w2, err := OpenWAL(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			if got, want := w2.Records(), uint64(len(frames)-tc.drop); got != want {
+				t.Fatalf("reopened WAL resumed at seq %d, want %d", got, want)
+			}
 
-	// Recover the surviving prefix and keep committing into the same log.
-	db2, rep, err := RecoverFiles(filepath.Join(dir, "none.snap"), walPath)
-	if err != nil || rep.Truncated {
-		t.Fatalf("post-repair recovery: err=%v rep=%+v", err, rep)
-	}
-	if err := db2.AttachWAL(w2); err != nil {
-		t.Fatal(err)
-	}
-	db2.Advance(7)
-	insertCar(t, db2, c2class(t, db2), "reborn", geom.Point{X: 3}, geom.Vector{Y: -2})
+			// Recover the surviving prefix and keep committing into the
+			// same log.
+			db2, rep, err := RecoverFiles(filepath.Join(dir, "none.snap"), walPath)
+			if err != nil || rep.Truncated || rep.Records != len(frames)-tc.drop {
+				t.Fatalf("post-repair recovery: err=%v rep=%+v", err, rep)
+			}
+			if err := db2.AttachWAL(w2); err != nil {
+				t.Fatal(err)
+			}
+			db2.Advance(7)
+			insertCar(t, db2, c2class(t, db2), "reborn", geom.Point{X: 3}, geom.Vector{Y: -2})
 
-	// The post-reopen records must recover too — nothing silently discarded.
-	db3, rep, err := RecoverFiles(filepath.Join(dir, "none.snap"), walPath)
-	if err != nil || rep.Truncated {
-		t.Fatalf("second recovery: err=%v rep=%+v", err, rep)
-	}
-	if !bytes.Equal(snap(t, db3), snap(t, db2)) {
-		t.Fatal("recovery after reopen-and-append differs from live state")
-	}
-	if db3.Now() != db2.Now() {
-		t.Fatalf("clock = %d, want %d", db3.Now(), db2.Now())
-	}
-	if _, ok := db3.Get("reborn"); !ok {
-		t.Fatal("post-reopen insert lost")
+			// The post-reopen records must recover too — nothing silently
+			// discarded.
+			db3, rep, err := RecoverFiles(filepath.Join(dir, "none.snap"), walPath)
+			if err != nil || rep.Truncated {
+				t.Fatalf("second recovery: err=%v rep=%+v", err, rep)
+			}
+			if !bytes.Equal(snap(t, db3), snap(t, db2)) {
+				t.Fatal("recovery after reopen-and-append differs from live state")
+			}
+			if db3.Now() != db2.Now() {
+				t.Fatalf("clock = %d, want %d", db3.Now(), db2.Now())
+			}
+			if _, ok := db3.Get("reborn"); !ok {
+				t.Fatal("post-reopen insert lost")
+			}
+		})
 	}
 }
 
+// A corrupted record in the middle of the log stops replay there: the
+// records before it are recovered, nothing after it is.
 func TestRecoverCorruptMiddleStopsThere(t *testing.T) {
 	var buf bytes.Buffer
 	db, c := newTestDB(t)
@@ -305,13 +348,26 @@ func TestRecoverCorruptMiddleStopsThere(t *testing.T) {
 	}
 	buildScript(t, db, c)
 
-	data := bytes.Replace(buf.Bytes(), []byte(`"kind":"update"`), []byte(`"kind":"upfate"`), 1)
+	data := bytes.Clone(buf.Bytes())
+	frames := logFrames(t, data)
+	bad := -1
+	for i := len(frames) / 2; i < len(frames); i++ {
+		if frames[i][frameHeader] == recUpdate {
+			bad = i
+			break
+		}
+	}
+	if bad < 0 {
+		t.Fatal("no update record in the second half of the log")
+	}
+	// Flip one payload byte of that update record in place.
+	frames[bad][frameHeader+2] ^= 0x40
 	db2, rep, err := Recover(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Truncated || !strings.Contains(rep.Reason, "checksum") {
-		t.Fatalf("report = %+v, want checksum failure", rep)
+	if !rep.Truncated || !strings.Contains(rep.Reason, "checksum") || rep.BadRecord != bad+1 || rep.Records != bad {
+		t.Fatalf("report = %+v, want checksum failure at record %d", rep, bad+1)
 	}
 	if db2 == nil {
 		t.Fatal("partial recovery must still return a database")
@@ -319,7 +375,7 @@ func TestRecoverCorruptMiddleStopsThere(t *testing.T) {
 }
 
 func TestRecoverRejectsBadSnapshot(t *testing.T) {
-	if _, _, err := Recover([]byte("not json"), nil); err == nil {
+	if _, _, err := Recover([]byte("not a checkpoint"), nil); err == nil {
 		t.Fatal("bad snapshot must be an error")
 	}
 }

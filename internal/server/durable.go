@@ -44,6 +44,13 @@ import (
 // (dedup.json), written atomically under the exclusive commit lock just
 // before the WAL is truncated.
 //
+// # Data directory
+//
+// wal.log and checkpoint.bin are the binary log and checkpoint of
+// internal/most; the receipts inside the log and the sidecar stay JSON.  A
+// directory written by earlier versions — a checkpoint.json or a JSON-line
+// wal.log — is refused with a *most.LegacyFormatError and left untouched.
+//
 // # Commit lock
 //
 // commitMu orders requests against checkpoints: every mutating request
@@ -53,11 +60,13 @@ import (
 // between a request's WAL records and its receipt, which is what makes the
 // sidecar's receipt set consistent with the snapshot.
 
-// Durable data-directory file names.
+// Durable data-directory file names.  legacySnapFile is the JSON
+// checkpoint of earlier versions, refused on sight.
 const (
-	walFile   = "wal.log"
-	snapFile  = "checkpoint.json"
-	dedupFile = "dedup.json"
+	walFile        = "wal.log"
+	snapFile       = "checkpoint.bin"
+	dedupFile      = "dedup.json"
+	legacySnapFile = "checkpoint.json"
 )
 
 // receiptRec is one completed mutating request: the WAL note payload and
@@ -113,7 +122,7 @@ type clientEpoch struct {
 }
 
 // NewDurable recovers (or seeds) a database from dir and returns a server
-// whose commit path is write-ahead logged: wal.log, checkpoint.json, and
+// whose commit path is write-ahead logged: wal.log, checkpoint.bin, and
 // dedup.json under dir.  On a fresh directory the seed callback (nil means
 // an empty database) provides the initial state, which is logged as the
 // WAL's base image.  cfg.CheckpointEvery > 0 checkpoints automatically
@@ -128,15 +137,11 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 	snapPath := filepath.Join(dir, snapFile)
 	walPath := filepath.Join(dir, walFile)
 	dedupPath := filepath.Join(dir, dedupFile)
+	if legacy := filepath.Join(dir, legacySnapFile); fileSize(legacy) >= 0 {
+		return nil, nil, &most.LegacyFormatError{Path: legacy, Format: "JSON checkpoint"}
+	}
 
-	snap, err := os.ReadFile(snapPath)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("server: read snapshot: %w", err)
-	}
-	walData, err := os.ReadFile(walPath)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("server: read wal: %w", err)
-	}
+	haveSnap := fileSize(snapPath) > 0
 	var side dedupSidecar
 	if data, err := os.ReadFile(dedupPath); err == nil {
 		if err := json.Unmarshal(data, &side); err != nil {
@@ -179,7 +184,7 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 
 	info := &RecoveryInfo{}
 	var db *most.Database
-	if len(snap) == 0 && len(walData) == 0 {
+	if !haveSnap && fileSize(walPath) <= 0 {
 		info.Fresh = true
 		if seed != nil {
 			db = seed()
@@ -215,7 +220,8 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 			},
 		}
 		var rep *most.RecoveryReport
-		db, rep, err = most.RecoverObserved(snap, walData, ob)
+		var err error
+		db, rep, err = most.RecoverFilesObserved(snapPath, walPath, ob)
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: recover: %w", err)
 		}
@@ -235,7 +241,7 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(snap) > 0 && w.Records() == 0 {
+	if haveSnap && w.Records() == 0 {
 		err = db.AttachWALNoBase(w)
 	} else {
 		err = db.AttachWAL(w)
@@ -282,6 +288,17 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 	info.Elapsed = time.Since(t0)
 	srv.m.recoveryMs.Set(info.Elapsed.Milliseconds())
 	return srv, info, nil
+}
+
+// fileSize returns the size of the file at path, or -1 when it cannot be
+// stat'ed (a missing file; any other failure resurfaces when the file is
+// read).
+func fileSize(path string) int64 {
+	st, err := os.Stat(path)
+	if err != nil {
+		return -1
+	}
+	return st.Size()
 }
 
 // noteTagReceipt tags completed-request receipt notes in the WAL.
@@ -336,7 +353,10 @@ func (srv *Server) wasRecovered(client string) bool {
 	return ok
 }
 
-// afterMutation drives the auto-checkpoint policy.
+// afterMutation drives the auto-checkpoint policy.  A failed checkpoint
+// costs nothing but log length (the WAL is truncated only after the
+// snapshot is durable) and is counted in server.checkpoint_errors; the
+// next period retries.
 func (srv *Server) afterMutation() {
 	if !srv.durable || srv.checkpointEvery <= 0 {
 		return
@@ -351,25 +371,34 @@ func (srv *Server) afterMutation() {
 // split across the cut.  Crash windows are safe in every order: the
 // sidecar lands before the snapshot (its receipts are a superset-consistent
 // view the WAL notes reproduce), and the snapshot lands durably before the
-// log is truncated (most.Database.Checkpoint's fsync discipline).
+// log is truncated (most.Database.Checkpoint's fsync discipline).  Every
+// call lands in server.checkpoints and server.checkpoint_ns, or in
+// server.checkpoint_errors when it fails.
 func (srv *Server) Checkpoint() error {
 	if !srv.durable {
 		return errors.New("server: not a durable server")
 	}
 	srv.commitMu.Lock()
 	defer srv.commitMu.Unlock()
+	t0 := time.Now()
+	if err := srv.checkpointLocked(); err != nil {
+		srv.m.checkpointErrors.Inc()
+		return err
+	}
+	srv.m.checkpoints.Inc()
+	srv.m.checkpointNs.Since(t0)
+	return nil
+}
+
+func (srv *Server) checkpointLocked() error {
 	data, err := json.MarshalIndent(srv.collectSidecar(), "", " ")
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(srv.dedupPath, data); err != nil {
-		return err
+	if err := most.WriteFileAtomic(srv.dedupPath, data); err != nil {
+		return fmt.Errorf("server: dedup sidecar: %w", err)
 	}
-	if err := srv.state().db.Checkpoint(srv.snapPath); err != nil {
-		return err
-	}
-	srv.m.checkpoints.Inc()
-	return nil
+	return srv.state().db.Checkpoint(srv.snapPath)
 }
 
 // collectSidecar serializes the live exactly-once state.  Under the
@@ -418,37 +447,6 @@ func (srv *Server) collectSidecar() *dedupSidecar {
 	return side
 }
 
-// writeFileAtomic is the tmp-fsync-rename-dirsync discipline: after it
-// returns, path holds either the old contents or the new, never a torn mix.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	serr := dir.Sync()
-	dir.Close()
-	return serr
-}
-
 // Abort kills the server without draining, checkpointing, or flushing: the
 // listener closes, every session dies mid-write, and the WAL is left
 // exactly as the page cache holds it.  This is the in-process equivalent
@@ -480,7 +478,9 @@ func (srv *Server) Abort() {
 
 // finishDurable runs at the end of Shutdown: a clean drain earns a final
 // checkpoint (the next start replays nothing), a timed-out one just closes
-// the log — everything acknowledged is already in it.
+// the log — everything acknowledged is already in it.  A failed final
+// checkpoint is counted in server.checkpoint_errors and leaves the log
+// intact, so the next start replays it.
 func (srv *Server) finishDurable(clean bool) {
 	if !srv.durable {
 		return

@@ -8,6 +8,9 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -454,10 +457,121 @@ func TestDurableRecoveryFailsOnCorruptCheckpoint(t *testing.T) {
 	}
 	srv.Abort()
 
-	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), []byte("{corrupt"), 0o644); err != nil {
+	path := filepath.Join(dir, snapFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := NewDurable(dir, Config{}, seedFleet); err == nil {
 		t.Fatal("recovery from a corrupt checkpoint must fail loudly")
+	}
+}
+
+// A checkpoint that cannot write its snapshot is counted in
+// server.checkpoint_errors — automatic and shutdown checkpoints alike —
+// while the server keeps serving, and it leaves the WAL untruncated, so
+// every acknowledged write survives a restart.
+func TestDurableCheckpointFailureIsCountedAndSafe(t *testing.T) {
+	dir := t.TempDir()
+	// A directory at the snapshot's temp-file path makes every snapshot
+	// write fail (the tests run as root, so permissions cannot).
+	if err := os.Mkdir(filepath.Join(dir, snapFile+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	srv, _ := startDurable(t, dir, "", Config{Reg: reg, CheckpointEvery: 1})
+	addr := srv.Addr().String()
+	errs := reg.Counter("server.checkpoint_errors")
+
+	r, _ := mustHello(t, addr, "alice", 1)
+	for i := 0; i < 3; i++ {
+		r.update(uint64(i+1), []wire.UpdateOp{motionOp(i, float64(i+1), 2)})
+	}
+	if got := errs.Value(); got != 3 {
+		t.Fatalf("checkpoint_errors = %d after 3 failed automatic checkpoints", got)
+	}
+	if err := srv.Checkpoint(); err == nil {
+		t.Fatal("explicit checkpoint reported success without a snapshot")
+	}
+	if got := reg.Counter("server.checkpoints").Value(); got != 0 {
+		t.Fatalf("checkpoints = %d, want 0", got)
+	}
+	probe := r.update(4, []wire.UpdateOp{motionOp(3, -1, 0)}) // still serving
+	before := r.snapshot()
+	r.c.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := errs.Value(); got != 6 {
+		t.Fatalf("checkpoint_errors = %d, want 6 (3 automatic, 1 explicit, 1 after the probe, 1 at shutdown)", got)
+	}
+
+	srv2, info := startDurable(t, dir, addr, Config{})
+	defer srv2.Abort()
+	if info.Fresh || info.Report == nil || info.Report.Truncated {
+		t.Fatalf("restart: %+v", info)
+	}
+	r2, _ := mustHello(t, addr, "alice", 2)
+	if after := r2.snapshot(); string(after) != string(before) {
+		t.Fatal("acknowledged writes lost across a failed checkpoint")
+	}
+	if replay := r2.update(4, []wire.UpdateOp{motionOp(3, -1, 0)}); replay.Version != probe.Version {
+		t.Fatalf("retry of the last request re-executed: version %d, want %d", replay.Version, probe.Version)
+	}
+}
+
+// A data directory written in the JSON on-disk format of earlier versions
+// is refused with a *most.LegacyFormatError naming the offending file, and
+// nothing in it changes: an old log is never read as a torn binary log.
+func TestDurableRefusesLegacyDirectory(t *testing.T) {
+	payload := `{"seq":1,"kind":"clock","now":3}`
+	oldLog := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE([]byte(payload)), payload)
+	for name, files := range map[string]map[string]string{
+		"checkpointed": {
+			walFile:        oldLog,
+			legacySnapFile: `{"now": 3, "classes": [], "objects": []}`,
+			dedupFile:      `{"receipts": []}`,
+		},
+		"log only": {walFile: oldLog},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for f, data := range files {
+				if err := os.WriteFile(filepath.Join(dir, f), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, err := NewDurable(dir, Config{}, seedFleet)
+			var legacy *most.LegacyFormatError
+			if !errors.As(err, &legacy) {
+				t.Fatalf("NewDurable = %v, want a legacy-format refusal", err)
+			}
+			want := walFile
+			if _, ok := files[legacySnapFile]; ok {
+				want = legacySnapFile
+			}
+			if filepath.Base(legacy.Path) != want {
+				t.Fatalf("refusal names %s, want %s: %v", legacy.Path, want, err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != len(files) {
+				t.Fatalf("directory gained files: %v", entries)
+			}
+			for f, data := range files {
+				if got, _ := os.ReadFile(filepath.Join(dir, f)); string(got) != data {
+					t.Fatalf("%s modified: %q", f, got)
+				}
+			}
+		})
 	}
 }

@@ -586,6 +586,8 @@ type metrics struct {
 	dedupHits          *obs.Counter
 	shedRequests       *obs.Counter
 	checkpoints        *obs.Counter
+	checkpointErrors   *obs.Counter
+	checkpointNs       *obs.Histogram
 	recoveryMs         *obs.Gauge
 	applyNs            *obs.Histogram
 
@@ -615,6 +617,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		dedupHits:          reg.Counter("server.dedup_hits"),
 		shedRequests:       reg.Counter("server.shed_requests"),
 		checkpoints:        reg.Counter("server.checkpoints"),
+		checkpointErrors:   reg.Counter("server.checkpoint_errors"),
+		checkpointNs:       reg.Histogram("server.checkpoint_ns"),
 		recoveryMs:         reg.Gauge("server.recovery_ms"),
 		applyNs:            reg.Histogram("server.apply_ns"),
 		opNs:               map[wire.Opcode]*obs.Histogram{},

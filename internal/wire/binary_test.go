@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/mostdb/most/internal/binfmt"
 	"github.com/mostdb/most/internal/temporal"
 )
 
@@ -107,7 +108,7 @@ func TestBinaryFloat64BitExact(t *testing.T) {
 	} {
 		in := Value{Kind: 2, Num: math.Float64frombits(bits)}
 		var out Value
-		r := binReader{data: in.appendBinary(nil)}
+		r := binReader{Reader: binfmt.Reader{Data: in.appendBinary(nil)}}
 		if err := out.decodeBinary(&r); err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestBinaryUnknownUpdateOpRejected(t *testing.T) {
 // A hostile element count far beyond the actual payload must be rejected
 // by the count-vs-remaining check, not trigger a huge allocation.
 func TestBinaryHostileCountRejected(t *testing.T) {
-	buf := appendU32(appendI64(nil, 0), 1<<31) // one billion ops declared, zero bytes present
+	buf := binfmt.AppendU32(binfmt.AppendI64(nil, 0), 1<<31) // one billion ops declared, zero bytes present
 	f := Frame{Op: OpUpdateBatch, ID: 1, Version: ProtocolV2, Payload: buf}
 	var out UpdateBatchReq
 	err := Unmarshal(f, &out)

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/mostdb/most/internal/binfmt"
 )
 
 var goldenNotify = &Notify{SubID: 7, Seq: 3, Answer: []AnswerRow{
@@ -89,15 +91,15 @@ func TestNotifyDeltaNeedsV3(t *testing.T) {
 // Hostile v3 NOTIFY payloads fail cleanly: an unknown form byte, a gone
 // count or row count beyond the payload, and every truncation.
 func TestNotifyV3Hostile(t *testing.T) {
-	head := appendU64(appendU64(nil, 1), 2)
+	head := binfmt.AppendU64(binfmt.AppendU64(nil, 1), 2)
 	cases := map[string][]byte{
-		"unknown form":    appendAnswerRows(appendU8(append([]byte(nil), head...), 7), nil),
-		"gone count":      appendU32(appendU64(appendU8(append([]byte(nil), head...), notifyDelta), 1), 1<<30),
-		"row count":       appendU32(appendU32(appendU64(appendU8(append([]byte(nil), head...), notifyDelta), 1), 0), 1<<30),
-		"full row count":  appendU32(appendU8(append([]byte(nil), head...), notifyFull), 1<<30),
+		"unknown form":    appendAnswerRows(binfmt.AppendU8(append([]byte(nil), head...), 7), nil),
+		"gone count":      binfmt.AppendU32(binfmt.AppendU64(binfmt.AppendU8(append([]byte(nil), head...), notifyDelta), 1), 1<<30),
+		"row count":       binfmt.AppendU32(binfmt.AppendU32(binfmt.AppendU64(binfmt.AppendU8(append([]byte(nil), head...), notifyDelta), 1), 0), 1<<30),
+		"full row count":  binfmt.AppendU32(binfmt.AppendU8(append([]byte(nil), head...), notifyFull), 1<<30),
 		"missing form":    append([]byte(nil), head...),
-		"trailing byte":   append(appendAnswerRows(appendU8(append([]byte(nil), head...), notifyFull), nil), 0),
-		"gone vals count": appendU32(appendU32(appendU64(appendU8(append([]byte(nil), head...), notifyDelta), 1), 1), 1<<30),
+		"trailing byte":   append(appendAnswerRows(binfmt.AppendU8(append([]byte(nil), head...), notifyFull), nil), 0),
+		"gone vals count": binfmt.AppendU32(binfmt.AppendU32(binfmt.AppendU64(binfmt.AppendU8(append([]byte(nil), head...), notifyDelta), 1), 1), 1<<30),
 	}
 	for name, payload := range cases {
 		var n Notify

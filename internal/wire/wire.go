@@ -47,6 +47,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"github.com/mostdb/most/internal/binfmt"
 )
 
 // Protocol versions.  V1 frames carry JSON payloads; V2 frames carry the
@@ -476,10 +478,10 @@ func UnmarshalInterned(f Frame, v any, in Interner) error {
 		// The reader is pooled: passing &r through the interface method
 		// would force a heap allocation per decode otherwise.
 		r := binReaderPool.Get().(*binReader)
-		*r = binReader{data: f.Payload, in: in, version: f.Version}
+		*r = binReader{Reader: binfmt.Reader{Data: f.Payload}, in: in, version: f.Version}
 		err := bd.decodeBinary(r)
-		off, n := r.off, len(r.data)
-		r.data = nil
+		off, n := r.Off, len(r.Data)
+		r.Data = nil
 		binReaderPool.Put(r)
 		if err != nil {
 			return fmt.Errorf("%w: %s payload: %v", ErrBadFrame, f.Op, err)

@@ -204,6 +204,13 @@ type WAL = most.WAL
 // applied cleanly and whether a torn or corrupted tail was truncated.
 type RecoveryReport = most.RecoveryReport
 
+// LegacyFormatError is the refusal of a checkpoint or log written in the
+// JSON on-disk format of earlier versions; such files are never read or
+// modified.  Migrate by exporting the state with the old version's
+// snapshot (SnapshotJSON, or SnapshotSave over the network) and loading it
+// into a fresh database or data directory.
+type LegacyFormatError = most.LegacyFormatError
+
 // NewWAL returns a write-ahead log that appends records to w.
 func NewWAL(w io.Writer) *WAL { return most.NewWAL(w) }
 
