@@ -155,8 +155,9 @@ racestream:
 perfbench-smoke:
 	cd perfbench && $(GO) test -count=1 .
 
-# Race-detector pass over the shared-plan registration/cancel/drain races:
-# the cheap always-on slice of `make race` that guards continuous-query
-# subscription lifecycle.
+# Race-detector pass over the shared-plan registration/cancel/drain races
+# and the snapshot guarantees (batch-atomic cuts, domains bound from the
+# evaluated version, update-log hold release): the cheap always-on slice
+# of `make race` that guards query lifecycle.
 racequery:
-	$(GO) test -race -count=1 -run 'TestSubscribeCancelRace|TestSubscribeAfterCancel|TestRegistrationWindow' ./internal/query/
+	$(GO) test -race -count=1 -run 'TestSubscribeCancelRace|TestSubscribeAfterCancel|TestRegistrationWindow|TestSnapshotAtomicBatch|TestSnapshotDomainsMatchObjects|TestPersistentHoldRelease' ./internal/query/

@@ -111,7 +111,7 @@ func TestClusterChaos(t *testing.T) {
 			Regions: cat.Regions,
 			Domains: map[string][]eval.Val{},
 		}
-		if err := ctx.BindDomains(q, eval.IDsOf(oracle)); err != nil {
+		if err := ctx.BindDomains(q); err != nil {
 			t.Fatalf("naive bind: %v", err)
 		}
 		rel, err := eval.EvalQuery(q, ctx)

@@ -39,7 +39,7 @@ func naiveCityEval(t *testing.T, db *most.Database, q *ftl.Query, regions map[st
 		Regions: regions,
 		Domains: map[string][]eval.Val{},
 	}
-	if err := ctx.BindDomains(q, eval.IDsOf(db)); err != nil {
+	if err := ctx.BindDomains(q); err != nil {
 		t.Fatalf("naive bind: %v", err)
 	}
 	rel, err := eval.EvalQuery(q, ctx)

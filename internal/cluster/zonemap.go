@@ -29,8 +29,7 @@ import (
 
 // ZoneMap is the cluster's ownership function: a set of disjoint
 // rectangles covering Bounds, each assigned to one node address.  The map
-// is static per epoch; NeedsSplit is the hook a future dynamic splitter
-// drives when a zone's population crosses its threshold.
+// is static per epoch.
 type ZoneMap struct {
 	Epoch      uint64
 	Bounds     geom.Rect
@@ -180,24 +179,6 @@ func (m *ZoneMap) ZonesOf(addr string) []wire.Zone {
 	for _, z := range m.Zones {
 		if z.Addr == addr {
 			out = append(out, z)
-		}
-	}
-	return out
-}
-
-// NeedsSplit is the dynamic-zone hook: given per-zone object counts it
-// returns the IDs of zones whose population exceeds threshold, in ID
-// order.  The static grid never splits today; a future rebalancer calls
-// this after each barrier and replaces the map (bumping Epoch) for the
-// zones it subdivides.
-func (m *ZoneMap) NeedsSplit(counts map[int]int, threshold int) []int {
-	if threshold <= 0 {
-		return nil
-	}
-	var out []int
-	for _, z := range m.Zones {
-		if counts[z.ID] > threshold {
-			out = append(out, z.ID)
 		}
 	}
 	return out

@@ -84,23 +84,6 @@ func TestZoneMapWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNeedsSplit(t *testing.T) {
-	m, err := NewGridMap(testBounds(), 2, 1, []string{"a:1"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[int]int{0: 10, 1: 31}
-	if got := m.NeedsSplit(counts, 30); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("NeedsSplit = %v, want [1]", got)
-	}
-	if got := m.NeedsSplit(counts, 0); got != nil {
-		t.Fatalf("threshold 0 must disable splitting, got %v", got)
-	}
-	if got := m.NeedsSplit(map[int]int{}, 5); got != nil {
-		t.Fatalf("empty counts must not split, got %v", got)
-	}
-}
-
 func TestGridMapRejectsDegenerate(t *testing.T) {
 	if _, err := NewGridMap(testBounds(), 0, 1, []string{"a:1"}, nil); err == nil {
 		t.Fatal("0-column grid accepted")

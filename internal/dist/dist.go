@@ -187,27 +187,25 @@ func Classify(q *ftl.Query, issuerBound bool) QueryClass {
 	}
 }
 
-// evalContext builds a context over an explicit object universe.
-func (s *Sim) evalContext(objects map[most.ObjectID]*most.Object, horizon temporal.Tick) *eval.Context {
-	return &eval.Context{
+// evalContext builds a context over an explicit object universe and binds
+// every FROM variable of q to all of it.
+func (s *Sim) evalContext(q *ftl.Query, objs []*most.Object, horizon temporal.Tick) *eval.Context {
+	dom := make([]eval.Val, len(objs))
+	for i, o := range objs {
+		dom[i] = eval.ObjVal(o.ID())
+	}
+	ctx := &eval.Context{
 		Now:     s.Now(),
 		Horizon: horizon,
-		Objects: objects,
+		Objects: most.NewSnapshot(s.Now(), objs...),
 		Regions: s.Regions,
 		Params:  map[string]eval.Val{},
 		Domains: map[string][]eval.Val{},
 	}
-}
-
-// bindOver binds every FROM variable of q to the given universe.
-func bindOver(ctx *eval.Context, q *ftl.Query, ids []most.ObjectID) {
-	dom := make([]eval.Val, len(ids))
-	for i, id := range ids {
-		dom[i] = eval.ObjVal(id)
-	}
 	for _, b := range q.Bindings {
 		ctx.Domains[b.Var] = dom
 	}
+	return ctx
 }
 
 // SelfQuery answers a self-referencing query at the issuing node with no
@@ -218,9 +216,7 @@ func (s *Sim) SelfQuery(issuer most.ObjectID, q *ftl.Query, horizon temporal.Tic
 	if !ok {
 		return nil, fmt.Errorf("dist: no node %s", issuer)
 	}
-	ctx := s.evalContext(map[most.ObjectID]*most.Object{issuer: n.Object}, horizon)
-	bindOver(ctx, q, []most.ObjectID{issuer})
-	return eval.EvalQuery(q, ctx)
+	return eval.EvalQuery(q, s.evalContext(q, []*most.Object{n.Object}, horizon))
 }
 
 // Strategy selects how an object query is processed (§5.3).
@@ -262,8 +258,7 @@ func (s *Sim) RunObjectQuery(issuer most.ObjectID, q *ftl.Query, horizon tempora
 	switch strat {
 	case ShipObjects:
 		// Request + every node ships its object to the issuer.
-		universe := map[most.ObjectID]*most.Object{}
-		var ids []most.ObjectID
+		var universe []*most.Object
 		for _, id := range s.order {
 			n := s.nodes[id]
 			if id != issuer {
@@ -276,12 +271,9 @@ func (s *Sim) RunObjectQuery(issuer most.ObjectID, q *ftl.Query, horizon tempora
 					continue
 				}
 			}
-			universe[id] = n.Object
-			ids = append(ids, id)
+			universe = append(universe, n.Object)
 		}
-		ctx := s.evalContext(universe, horizon)
-		bindOver(ctx, q, ids)
-		rel, err := eval.EvalQuery(q, ctx)
+		rel, err := eval.EvalQuery(q, s.evalContext(q, universe, horizon))
 		if err != nil {
 			return nil, err
 		}
@@ -297,9 +289,7 @@ func (s *Sim) RunObjectQuery(issuer most.ObjectID, q *ftl.Query, horizon tempora
 				}
 			}
 			// The node evaluates the predicate on its own object.
-			ctx := s.evalContext(map[most.ObjectID]*most.Object{id: n.Object}, horizon)
-			bindOver(ctx, q, []most.ObjectID{id})
-			rel, err := eval.EvalQuery(q, ctx)
+			rel, err := eval.EvalQuery(q, s.evalContext(q, []*most.Object{n.Object}, horizon))
 			if err != nil {
 				return nil, err
 			}
@@ -330,8 +320,7 @@ func (s *Sim) RunRelationshipQuery(issuer most.ObjectID, q *ftl.Query, horizon t
 		return nil, fmt.Errorf("dist: no node %s", issuer)
 	}
 	var traffic Counters
-	universe := map[most.ObjectID]*most.Object{}
-	var ids []most.ObjectID
+	var universe []*most.Object
 	for _, id := range s.order {
 		n := s.nodes[id]
 		if id != issuer {
@@ -342,12 +331,9 @@ func (s *Sim) RunRelationshipQuery(issuer most.ObjectID, q *ftl.Query, horizon t
 				continue
 			}
 		}
-		universe[id] = n.Object
-		ids = append(ids, id)
+		universe = append(universe, n.Object)
 	}
-	ctx := s.evalContext(universe, horizon)
-	bindOver(ctx, q, ids)
-	rel, err := eval.EvalQuery(q, ctx)
+	rel, err := eval.EvalQuery(q, s.evalContext(q, universe, horizon))
 	if err != nil {
 		return nil, err
 	}

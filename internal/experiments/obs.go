@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -154,14 +153,7 @@ func obsDemoSnapshot() obs.Snapshot {
 
 	ix := index.NewMotionIndex(0, 256)
 	ix.Instrument(reg)
-	snap := db.Snapshot()
-	ids := make([]string, 0, len(snap))
-	for id := range snap {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		o := snap[most.ObjectID(id)]
+	for _, o := range db.Objects("") {
 		pos, perr := o.Position()
 		if perr != nil {
 			continue
@@ -192,7 +184,7 @@ func obsDemoSnapshot() obs.Snapshot {
 	// update, then advance the clock so the persistent query replays a
 	// non-empty logged history.
 	db.Tick()
-	if err := db.SetMotion(most.ObjectID(ids[0]), geom.Vector{X: 2, Y: 1}); err != nil {
+	if err := db.SetMotion(db.Objects("")[0].ID(), geom.Vector{X: 2, Y: 1}); err != nil {
 		panic(err)
 	}
 	if _, err := cq.Current(db.Now()); err != nil {

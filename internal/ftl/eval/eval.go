@@ -2,12 +2,12 @@ package eval
 
 import (
 	"github.com/mostdb/most/internal/ftl"
-	"github.com/mostdb/most/internal/most"
 )
 
 // BindDomains populates the context's variable domains from a query's FROM
-// clause, using classOf to enumerate each class's objects.
-func (c *Context) BindDomains(q *ftl.Query, idsOf func(class string) []most.ObjectID) error {
+// clause: each variable ranges over its class's objects in c.Objects, the
+// same version the evaluation reads them from.
+func (c *Context) BindDomains(q *ftl.Query) error {
 	if c.Domains == nil {
 		c.Domains = map[string][]Val{}
 	}
@@ -15,10 +15,10 @@ func (c *Context) BindDomains(q *ftl.Query, idsOf func(class string) []most.Obje
 		if _, dup := c.Domains[b.Var]; dup {
 			return errf("variable %q bound twice", b.Var)
 		}
-		ids := idsOf(b.Class)
-		dom := make([]Val, len(ids))
-		for i, id := range ids {
-			dom[i] = ObjVal(id)
+		objs := c.Objects.Objects(b.Class)
+		dom := make([]Val, len(objs))
+		for i, o := range objs {
+			dom[i] = ObjVal(o.ID())
 		}
 		c.Domains[b.Var] = dom
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func newFixture(t *testing.T) *fixture {
 	ctx := &Context{
 		Now:     0,
 		Horizon: 100,
-		Objects: map[most.ObjectID]*most.Object{},
+		Objects: most.NewSnapshot(0),
 		Regions: map[string]geom.Polygon{
 			"P": geom.RectPolygon(10, -100, 20, 100),
 			"Q": geom.RectPolygon(40, -100, 50, 100),
@@ -40,6 +41,12 @@ func newFixture(t *testing.T) *fixture {
 		Domains: map[string][]Val{},
 	}
 	return &fixture{db: db, cls: cls, ctx: ctx}
+}
+
+// withObject returns s with o added, replacing any revision of its id.
+func withObject(s *most.Snapshot, o *most.Object) *most.Snapshot {
+	objs := slices.DeleteFunc(s.Objects(""), func(x *most.Object) bool { return x.ID() == o.ID() })
+	return most.NewSnapshot(s.Now(), append(objs, o)...)
 }
 
 // addCar inserts a car with the given price, start and velocity, at tick 0.
@@ -60,7 +67,7 @@ func (f *fixture) addCar(t *testing.T, id most.ObjectID, price float64, p geom.P
 	if err := f.db.Insert(o); err != nil {
 		t.Fatal(err)
 	}
-	f.ctx.Objects[id] = o
+	f.ctx.Objects = withObject(f.ctx.Objects, o)
 	f.ctx.Domains["o"] = append(f.ctx.Domains["o"], ObjVal(id))
 }
 
@@ -169,7 +176,7 @@ func TestQueryIIIEnterStayThenQ(t *testing.T) {
 	if err := f.db.Insert(o); err != nil {
 		t.Fatal(err)
 	}
-	f.ctx.Objects["stopper"] = o
+	f.ctx.Objects = withObject(f.ctx.Objects, o)
 	f.ctx.Domains["o"] = append(f.ctx.Domains["o"], ObjVal("stopper"))
 
 	rel := f.run(t, `
@@ -264,7 +271,7 @@ func TestAssignmentSpeedDoubling(t *testing.T) {
 	if err := f.db.Insert(o); err != nil {
 		t.Fatal(err)
 	}
-	f.ctx.Objects["accel"] = o
+	f.ctx.Objects = withObject(f.ctx.Objects, o)
 	f.ctx.Domains["o"] = append(f.ctx.Domains["o"], ObjVal("accel"))
 	// steady: constant speed 5 forever.
 	f.addCar(t, "steady", 0, geom.Point{X: 0}, geom.Vector{X: 5})

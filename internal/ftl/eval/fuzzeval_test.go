@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/mostdb/most/internal/ftl"
-	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/temporal"
 )
 
@@ -124,17 +123,7 @@ func fuzzFleet() *Context {
 // any (legitimate) rejection.
 func fuzzEval(q *ftl.Query) (*Relation, *Context) {
 	ctx := fuzzFleet()
-	ids := make([]most.ObjectID, 0, len(ctx.Objects))
-	for id := range ctx.Objects {
-		ids = append(ids, id)
-	}
-	idsOf := func(class string) []most.ObjectID {
-		if class == "V" {
-			return ids
-		}
-		return nil
-	}
-	if err := ctx.BindDomains(q, idsOf); err != nil {
+	if err := ctx.BindDomains(q); err != nil {
 		return nil, ctx
 	}
 	rel, err := EvalQuery(q, ctx)

@@ -22,7 +22,7 @@ func randomScenario(r *rand.Rand, nObjs int) *Context {
 	ctx := &Context{
 		Now:     temporal.Tick(r.Intn(5)),
 		Horizon: 25,
-		Objects: map[most.ObjectID]*most.Object{},
+		Objects: most.NewSnapshot(0),
 		Regions: map[string]geom.Polygon{
 			"P": geom.RectPolygon(5, -20, 15, 20),
 			"Q": geom.RectPolygon(-10, -20, 0, 20),
@@ -50,7 +50,7 @@ func randomScenario(r *rand.Rand, nObjs int) *Context {
 			}
 		}
 		o, _ = o.WithPosition(motion.Position{X: mk(), Y: mk(), Z: motion.LinearFrom(0, 0, 0)})
-		ctx.Objects[id] = o
+		ctx.Objects = withObject(ctx.Objects, o)
 		ctx.Domains["o"] = append(ctx.Domains["o"], ObjVal(id))
 		ctx.Domains["n"] = append(ctx.Domains["n"], ObjVal(id))
 	}
@@ -235,7 +235,7 @@ func TestGenericCompareBisection(t *testing.T) {
 			t.Fatal(err)
 		}
 		id := ctx.Domains["o"][0]
-		obj := ctx.Objects[id.Obj]
+		obj, _ := ctx.Objects.Get(id.Obj)
 		pos, _ := obj.Position()
 		w := ctx.Window()
 		set, _ := rel.Lookup([]Val{id})

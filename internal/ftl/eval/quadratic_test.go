@@ -19,7 +19,7 @@ func quadScenario(r *rand.Rand, n int) *Context {
 	ctx := &Context{
 		Now:     0,
 		Horizon: 30,
-		Objects: map[most.ObjectID]*most.Object{},
+		Objects: most.NewSnapshot(0),
 		Regions: map[string]geom.Polygon{},
 		Params:  map[string]Val{},
 		Domains: map[string][]Val{},
@@ -39,7 +39,7 @@ func quadScenario(r *rand.Rand, n int) *Context {
 		if err != nil {
 			panic(err)
 		}
-		ctx.Objects[id] = o
+		ctx.Objects = withObject(ctx.Objects, o)
 		ctx.Domains["o"] = append(ctx.Domains["o"], ObjVal(id))
 	}
 	return ctx
@@ -87,7 +87,7 @@ func TestQuadraticSpeedIsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx.Objects["jet"] = o
+	ctx.Objects = withObject(ctx.Objects, o)
 	ctx.Domains["o"] = []Val{ObjVal("jet")}
 	ctx.Horizon = 20
 

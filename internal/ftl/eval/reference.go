@@ -5,7 +5,6 @@ import (
 
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/geom"
-	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/temporal"
 )
 
@@ -338,16 +337,4 @@ func (c *Context) refInside(obj, region ftl.Expr, en env, t temporal.Tick) (bool
 		return false, err
 	}
 	return pg.Contains(pos.At(t)), nil
-}
-
-// IDsOf adapts a most.Database's class enumeration for BindDomains.
-func IDsOf(db *most.Database) func(class string) []most.ObjectID {
-	return func(class string) []most.ObjectID {
-		objs := db.Objects(class)
-		ids := make([]most.ObjectID, len(objs))
-		for i, o := range objs {
-			ids[i] = o.ID()
-		}
-		return ids
-	}
 }

@@ -21,11 +21,12 @@ type Context struct {
 	Now     temporal.Tick
 	Horizon temporal.Tick
 
-	// Objects maps every referencable object id to its revision.  For
-	// instantaneous and continuous queries this is the current database
-	// state; for persistent queries the query engine synthesizes revisions
-	// whose dynamic attributes encode the actual logged history.
-	Objects map[most.ObjectID]*most.Object
+	// Objects holds every referencable object's revision.  For
+	// instantaneous and continuous queries this is a database snapshot;
+	// for persistent queries the query engine synthesizes revisions whose
+	// dynamic attributes encode the actual logged history; a pinned
+	// evaluation may hold just the pinned object (most.NewSnapshot).
+	Objects *most.Snapshot
 
 	// Regions resolves polygon names used by INSIDE/OUTSIDE.
 	Regions map[string]geom.Polygon
@@ -93,7 +94,7 @@ func (c *Context) object(v Val) (*most.Object, error) {
 	if v.Kind != ValObj {
 		return nil, errf("value %s is not an object reference", v)
 	}
-	o, ok := c.Objects[v.Obj]
+	o, ok := c.Objects.Get(v.Obj)
 	if !ok {
 		return nil, errf("unknown object %s", v.Obj)
 	}

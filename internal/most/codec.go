@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/mostdb/most/internal/binfmt"
 	"github.com/mostdb/most/internal/motion"
@@ -365,48 +364,18 @@ func readFunc(r *binfmt.Reader) motion.Func {
 
 // ---- checkpoint ----
 
-// sortedClassesLocked returns the classes sorted by name.  Callers hold
-// metaMu.
-func (db *Database) sortedClassesLocked() []*Class {
-	out := make([]*Class, 0, len(db.classes))
-	for _, c := range db.classes {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// sortedObjectsLocked returns every current object sorted by id.  Callers
-// hold the full read quiesce (lockAllRead).
-func (db *Database) sortedObjectsLocked() []*Object {
-	n := 0
-	for i := range db.shards {
-		n += len(db.shards[i].objects)
-	}
-	out := make([]*Object, 0, n)
-	for i := range db.shards {
-		for _, o := range db.shards[i].objects {
-			out = append(out, o)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// appendCheckpointLocked appends the checkpoint image of the database.
-// Callers hold the full read quiesce plus metaMu.  The image is a pure
-// function of the database state: two checkpoints of the same state are
-// byte-identical.
-func (db *Database) appendCheckpointLocked(b []byte) []byte {
+// appendCheckpoint appends the checkpoint image of the snapshot.  The
+// image is a pure function of the state: two checkpoints of the same state
+// are byte-identical.
+func (s *Snapshot) appendCheckpoint(b []byte) []byte {
 	start := len(b)
 	b = append(b, ckptMagic...)
-	b = binfmt.AppendVarint(b, int64(db.now))
-	classes := db.sortedClassesLocked()
-	b = binfmt.AppendUvarint(b, uint64(len(classes)))
-	for _, c := range classes {
-		b = appendClass(b, c)
+	b = binfmt.AppendVarint(b, int64(s.now))
+	b = binfmt.AppendUvarint(b, uint64(len(s.classes)))
+	for _, c := range s.classes {
+		b = appendClass(b, c.class)
 	}
-	objects := db.sortedObjectsLocked()
+	objects := s.Objects("")
 	b = binfmt.AppendUvarint(b, uint64(len(objects)))
 	for _, o := range objects {
 		b = binfmt.AppendStr(b, string(o.id))
@@ -415,9 +384,8 @@ func (db *Database) appendCheckpointLocked(b []byte) []byte {
 	return binfmt.AppendU32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
-// loadCheckpoint rebuilds a database from a checkpoint image.  Like
-// LoadSnapshotJSON, the restored database starts a fresh history: its log
-// begins with the objects inserted at the checkpoint clock.
+// loadCheckpoint rebuilds a database from a checkpoint image, inserting
+// its objects at the checkpoint clock, like LoadSnapshotJSON.
 func loadCheckpoint(data []byte) (*Database, error) {
 	if !bytes.HasPrefix(data, ckptMagic) {
 		if isLegacyCheckpoint(data) {
@@ -468,7 +436,7 @@ func readCheckpoint(r *binfmt.Reader) *Database {
 		if r.Err == nil && i > 0 && id <= prev {
 			r.Fail("object %s out of id order", id)
 		}
-		if o := readObject(r, db.classes, id); o != nil {
+		if o := readObject(r, *db.byName.Load(), id); o != nil {
 			if err := db.Insert(o); err != nil {
 				r.Fail("%v", err)
 			}

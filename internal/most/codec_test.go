@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -227,9 +228,10 @@ func TestNonFiniteValuesRejected(t *testing.T) {
 	// Bypass the mutation API to forge the encodings.
 	forge := func(mut func(o *Object)) *Object {
 		o, _ := db.Get("car")
-		o = o.clone()
-		mut(o)
-		return o
+		c := *o
+		c.statics, c.dynamics = maps.Clone(o.statics), maps.Clone(o.dynamics)
+		mut(&c)
+		return &c
 	}
 	for name, o := range map[string]*Object{
 		"static": forge(func(o *Object) { o.statics["PRICE"] = Float(math.Inf(1)) }),
@@ -247,8 +249,8 @@ func TestNonFiniteValuesRejected(t *testing.T) {
 
 		var log bytes.Buffer
 		w := NewWAL(&log)
-		w.appendClass(c)
-		w.appendUpdate(Update{Kind: UpdateInsert, Object: o.id, After: o})
+		w.append(&walRecord{kind: recClass, class: c})
+		w.append(&walRecord{kind: recUpdate, upd: Update{Kind: UpdateInsert, Object: o.id, After: o}})
 		db2, rep, err := Recover(nil, log.Bytes())
 		if err != nil || !rep.Truncated || rep.BadRecord != 2 {
 			t.Fatalf("log with a non-finite %s: err=%v rep=%+v", name, err, rep)

@@ -2,6 +2,7 @@ package most
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 )
 
 // TestDatabaseConcurrentOps hammers one database with concurrent updaters,
-// readers, and a clock driver.  Run under -race this exercises the sharded
-// locking discipline; afterwards the structural invariants the sequential
-// code relies on must still hold.
+// readers, and a goroutine advancing the clock.  Run under -race this
+// exercises the commit lock and lock-free snapshots; afterwards the
+// structural invariants the sequential code relies on must still hold.
 func TestDatabaseConcurrentOps(t *testing.T) {
 	db := NewDatabase()
 	cls := MustClass("Cars", true, AttrDef{Name: "PRICE", Kind: Static})
@@ -35,6 +36,10 @@ func TestDatabaseConcurrentOps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+
+	v0 := db.Version()
+	_, release := db.HoldHistory()
+	defer release()
 
 	const updaters = 8
 	const rounds = 40
@@ -65,7 +70,7 @@ func TestDatabaseConcurrentOps(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < rounds; k++ {
-				if n := len(db.Snapshot()); n != nObjs {
+				if n := db.Snapshot().Len(); n != nObjs {
 					errCh <- fmt.Errorf("snapshot has %d objects, want %d", n, nObjs)
 					return
 				}
@@ -81,7 +86,7 @@ func TestDatabaseConcurrentOps(t *testing.T) {
 		}()
 	}
 
-	// Clock driver.
+	// Clock.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -96,21 +101,21 @@ func TestDatabaseConcurrentOps(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Invariants: log ticks non-decreasing (RevisionAt binary-searches it),
-	// version equals log length, all objects still present.
-	log := db.Log()
+	// Invariants: log ticks non-decreasing, the held log holds every
+	// update since the hold, all objects still present.
+	h := db.History()
+	log := h.Updates()
 	for i := 1; i < len(log); i++ {
 		if log[i].Tick < log[i-1].Tick {
 			t.Fatalf("log out of order at %d: tick %d after %d", i, log[i].Tick, log[i-1].Tick)
 		}
 	}
-	if got := db.Version(); got != uint64(len(log)) {
-		t.Fatalf("Version = %d, log length = %d", got, len(log))
+	if got := db.Version(); got != v0+uint64(len(log)) {
+		t.Fatalf("Version = %d, want %d + log length %d", got, v0, len(log))
 	}
 	if db.Count() != nObjs {
 		t.Fatalf("Count = %d, want %d", db.Count(), nObjs)
 	}
-	h := db.History()
 	for _, id := range ids {
 		if _, ok := h.RevisionAt(id, db.Now()); !ok {
 			t.Fatalf("history lost object %s", id)
@@ -119,7 +124,7 @@ func TestDatabaseConcurrentOps(t *testing.T) {
 }
 
 // TestDatabaseConcurrentInsertDelete interleaves inserts and deletes with
-// class scans; the byClass registry and shard maps must stay consistent.
+// class scans; scans and point lookups must stay consistent.
 func TestDatabaseConcurrentInsertDelete(t *testing.T) {
 	db := NewDatabase()
 	cls := MustClass("Fleet", true)
@@ -174,5 +179,52 @@ func TestDatabaseConcurrentInsertDelete(t *testing.T) {
 	want := workers * perWorker * 2 / 3
 	if got := db.Count(); got != want {
 		t.Fatalf("Count = %d, want %d", got, want)
+	}
+}
+
+// TestHeapFlatWithoutHistoryHold drives a million motion updates, with a
+// snapshot and a clock tick every thousand, through a database no
+// persistent query holds: nothing may accumulate per update, so the live
+// heap stays flat.
+func TestHeapFlatWithoutHistoryHold(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a million updates take too long under the race detector")
+	}
+	db, c := newTestDB(t)
+	const nObjs = 10000
+	for i := 0; i < nObjs; i++ {
+		insertCar(t, db, c, ObjectID(fmt.Sprintf("car-%05d", i)), geom.Point{X: float64(i % 100)}, geom.Vector{X: 1})
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const updates, every = 1_000_000, 100_000
+	var base uint64
+	for k := 0; k < updates; k++ {
+		if err := db.SetMotion(ObjectID(fmt.Sprintf("car-%05d", k%nObjs)), geom.Vector{X: float64(k%7) - 3}); err != nil {
+			t.Fatal(err)
+		}
+		if k%1000 == 999 {
+			db.Tick()
+			db.Snapshot()
+		}
+		if (k+1)%every != 0 {
+			continue
+		}
+		if k+1 == every {
+			base = live()
+			continue
+		}
+		// A few MB of slack for allocator and GC noise; a leak of 100
+		// bytes per update would exceed it at the next check.
+		if h := live(); h > base+8<<20 {
+			t.Fatalf("live heap grew from %d to %d bytes after %d updates", base, h, k+1)
+		}
+	}
+	if db.Version() != nObjs+updates {
+		t.Fatalf("Version = %d, want %d", db.Version(), nObjs+updates)
 	}
 }

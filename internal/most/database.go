@@ -1,14 +1,16 @@
 package most
 
 import (
+	"cmp"
 	"fmt"
-	"hash/maphash"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/mostdb/most/internal/geom"
 	"github.com/mostdb/most/internal/motion"
+	"github.com/mostdb/most/internal/pmap"
 	"github.com/mostdb/most/internal/temporal"
 )
 
@@ -53,75 +55,68 @@ type Prov struct {
 }
 
 // Listener observes explicit updates.  Listeners run synchronously on the
-// updater's goroutine, after every lock has been released.  When updates
-// are issued from a single goroutine, listeners observe them in commit
-// order; concurrent updaters may interleave their notifications (each
-// notification still carries a consistent Before/After pair).
+// committing goroutine after the commit lock is released, so the update
+// is already visible to Snapshot; a Batch notifies its updates in commit
+// order once the whole batch is visible.  Updates committed by different
+// goroutines may notify in either order.
 type Listener func(Update)
 
-// objShardCount is the number of object shards.  A fixed power of two keeps
-// shardFor branch-free; 16 shards suffice to spread update traffic across
-// many more cores than that, because each shard lock is held only for the
-// few instructions of one revision swap.
-const objShardCount = 16
-
-// objShard is one slice of the object map with its own lock, so updates to
-// objects in different shards never contend.
-type objShard struct {
-	mu      sync.RWMutex
-	objects map[ObjectID]*Object
-}
-
 // Database is a MOST database: a set of object classes and their current
-// objects, a global discrete clock, and a log of explicit updates.  The
-// paper's "database history" (§2.2) is implicit: the past is reconstructed
-// from the log, and the future from the dynamic attributes' functions.
+// objects, and a global discrete clock.  The paper's "database history"
+// (§2.2) is implicit: the future comes from the dynamic attributes'
+// functions, and the past is logged only while a persistent query holds
+// it (HoldHistory).
 //
 // The database is safe for concurrent use by any number of updaters and
 // readers.  We assume instantaneous updates: valid-time equals
 // transaction-time (§2.1).
 //
-// # Locking discipline
+// # Commit lock and published versions
 //
-// Objects live in objShardCount shards hashed by id, each under its own
-// RWMutex, so explicit updates to distinct objects proceed in parallel and
-// readers never block readers.  Four locks exist, and every code path that
-// holds more than one acquires them in this fixed order (releases may
-// happen in any order):
+// Every state change — an explicit update, a Batch, a clock advance, a
+// class definition, attaching a WAL, a checkpoint — runs under one commit
+// lock, so commits are serial and WAL order is commit order.  The objects
+// of each class live in a persistent B+tree (pmap), which the writer edits
+// through a long-lived pmap.Txn: nodes the Txn already owns change in
+// place, so a run of updates with no reader in between copies nothing.
 //
-//	clockMu (read)  <  shard.mu (ascending shard index)  <  metaMu  <  logMu
-//
-// clockMu guards the clock.  Every update holds it shared for the whole
-// operation so the clock cannot advance between the tick an update is
-// stamped with and the tick its revision is rebased at; Advance takes it
-// exclusively and therefore serializes against in-flight updates, which
-// keeps the log sorted by tick.  metaMu guards the class registry and the
-// per-class membership lists.  logMu guards the update log and the
-// listener registry; because an updater still holds its shard lock while
-// appending to the log, any reader holding all shard locks (History,
-// SnapshotJSON) observes object state and log atomically consistent.
-//
-// Object revisions themselves are immutable: reads taken under a shard
-// read-lock remain valid — and internally consistent — after the lock is
-// released (copy-on-read snapshot semantics).  Snapshot and History hand
-// out such stable views for query evaluation.
+// Readers see published versions (Snapshot).  Snapshot is one atomic load
+// when nothing has committed since the last publish; otherwise it takes
+// the commit lock, ends each written class's Txn (pmap.Txn.Map) and
+// publishes the resulting roots with the clock as a new immutable version.
+// A writer's next update under a published node copies that path once, so
+// the copying a reader causes is bounded by how often versions are
+// published, never by the number of updates.  Publishing under the commit
+// lock makes every snapshot a cut between whole commits: a Batch is seen
+// entirely or not at all.
 type Database struct {
-	clockMu sync.RWMutex
-	now     temporal.Tick
+	mu      sync.Mutex
+	now     temporal.Tick // under mu; clock mirrors it for Now
+	classes []*classTree  // under mu, sorted by class name
 
-	shards [objShardCount]objShard
+	// stale is set by every commit and cleared by a publish (both under
+	// mu); Snapshot reads it without the lock.
+	stale atomic.Bool
+	snap  atomic.Pointer[Snapshot]
+	clock atomic.Int64
+	// byName is the class registry, replaced wholesale on DefineClass so
+	// Class never takes the commit lock (Batch callbacks decode objects).
+	byName  atomic.Pointer[map[string]*Class]
+	version atomic.Uint64
 
-	metaMu  sync.RWMutex
-	classes map[string]*Class
-	byClass map[string][]ObjectID
+	listeners []Listener // under mu
+	tx        Tx         // the Batch handle, reused under mu
 
-	logMu     sync.Mutex
-	log       []Update
-	listeners []Listener
+	// The update log (see HoldHistory), all under mu: log[i] is the update
+	// numbered logFrom+i in commit order.  holds lists the update number
+	// each live hold keeps the log from; with none, nothing is logged.
+	holds   []uint64
+	logFrom uint64
+	log     []Update
 
 	// wal, when attached, receives every class definition, clock advance,
-	// and explicit update inside the respective commit critical section, so
-	// WAL order equals commit order.  See wal.go.
+	// and explicit update inside the commit critical section, so WAL order
+	// equals commit order.  See wal.go.
 	wal atomic.Pointer[WAL]
 	// ckptSize is the size of the last checkpoint image, the capacity
 	// hint for the next one's buffer.
@@ -132,40 +127,35 @@ type Database struct {
 	obsv atomic.Pointer[dbObs]
 }
 
-// shardSeed is the process-wide seed for the shard hash.
-var shardSeed = maphash.MakeSeed()
-
-func (db *Database) shardFor(id ObjectID) *objShard {
-	return &db.shards[maphash.String(shardSeed, string(id))&(objShardCount-1)]
+// classTree is the writer's side of one class: the open Txn over its
+// objects, keyed by id, and the root it last published.
+type classTree struct {
+	class *Class
+	txn   *pmap.Txn[*Object]
+	root  pmap.Map[*Object]
+	dirty bool // written since root was published
 }
 
 // NewDatabase returns an empty database with the clock at tick 0.
 func NewDatabase() *Database {
-	db := &Database{
-		classes: map[string]*Class{},
-		byClass: map[string][]ObjectID{},
-	}
-	for i := range db.shards {
-		db.shards[i].objects = map[ObjectID]*Object{}
-	}
+	db := &Database{}
+	db.tx.db = db
+	db.byName.Store(&map[string]*Class{})
+	db.snap.Store(&Snapshot{})
 	return db
 }
 
 // Now returns the current tick of the special "time" object.  Safe for
 // concurrent use.
-func (db *Database) Now() temporal.Tick {
-	db.clockMu.RLock()
-	defer db.clockMu.RUnlock()
-	return db.now
-}
+func (db *Database) Now() temporal.Tick { return temporal.Tick(db.clock.Load()) }
 
 // Tick advances the clock by one (its value "increases by one in each clock
 // tick", §2) and returns the new time.
 func (db *Database) Tick() temporal.Tick { return db.Advance(1) }
 
 // Advance moves the clock forward by d ticks and returns the new time.  It
-// waits for in-flight updates, so no update is ever stamped with a tick
-// other than the one its revisions were computed at.
+// is a commit: no update is ever stamped with a tick other than the one
+// its revision was computed at.
 func (db *Database) Advance(d temporal.Tick) temporal.Tick { return db.advance(d, nil) }
 
 // AdvanceProv is Advance stamped with request provenance (see Prov).
@@ -175,273 +165,263 @@ func (db *Database) advance(d temporal.Tick, p *Prov) temporal.Tick {
 	if d < 0 {
 		panic("most: the clock cannot run backwards")
 	}
-	db.clockMu.Lock()
-	defer db.clockMu.Unlock()
-	db.now = db.now.Add(d)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if d > 0 {
+		db.now = db.now.Add(d)
+		db.clock.Store(int64(db.now))
+		db.stale.Store(true)
+	}
 	if w := db.wal.Load(); w != nil {
-		w.appendClock(db.now, p)
+		w.append(&walRecord{kind: recClock, now: db.now, prov: p})
 	}
 	return db.now
 }
 
 // DefineClass registers an object class.
 func (db *Database) DefineClass(c *Class) error {
-	db.metaMu.Lock()
-	defer db.metaMu.Unlock()
-	if _, dup := db.classes[c.Name()]; dup {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	old := *db.byName.Load()
+	if _, dup := old[c.Name()]; dup {
 		return fmt.Errorf("most: class %s already defined", c.Name())
 	}
-	db.classes[c.Name()] = c
+	m := maps.Clone(old)
+	m[c.Name()] = c
+	db.byName.Store(&m)
+	i, _ := slices.BinarySearchFunc(db.classes, c.name, func(t *classTree, name string) int {
+		return cmp.Compare(t.class.name, name)
+	})
+	db.classes = slices.Insert(db.classes, i, &classTree{class: c, txn: pmap.Map[*Object]{}.Edit()})
+	db.stale.Store(true)
 	if w := db.wal.Load(); w != nil {
-		w.appendClass(c)
+		w.append(&walRecord{kind: recClass, class: c})
 	}
 	return nil
 }
 
-// Class looks up a class by name.
+// Class looks up a class by name.  It never waits for a commit, so a Batch
+// callback may call it.
 func (db *Database) Class(name string) (*Class, bool) {
-	db.metaMu.RLock()
-	defer db.metaMu.RUnlock()
-	c, ok := db.classes[name]
+	c, ok := (*db.byName.Load())[name]
 	return c, ok
 }
 
 // Subscribe registers a listener for explicit updates.
 func (db *Database) Subscribe(l Listener) {
-	db.logMu.Lock()
-	defer db.logMu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	db.listeners = append(db.listeners, l)
 }
 
-// appendLog stamps the update into the log and returns the listener list to
-// notify.  The caller must still hold the object's shard lock (so state and
-// log commit atomically with respect to History) and must notify only after
-// releasing every lock.
-func (db *Database) appendLog(u Update) []Listener {
-	db.logMu.Lock()
-	db.log = append(db.log, u)
-	ls := db.listeners
-	if w := db.wal.Load(); w != nil {
-		// Written before the shard lock is released, so the WAL sees
-		// updates in commit order.  The append only reaches the OS page
-		// cache: a process crash after this point loses nothing, but
-		// surviving a machine crash (power loss) additionally requires
-		// WAL.Sync — callers choose how often to pay for that.
-		w.appendUpdate(u)
+// findLocked returns the tree holding object id and its current revision.
+func (db *Database) findLocked(id ObjectID) (*classTree, *Object) {
+	for _, t := range db.classes {
+		if o, ok := t.txn.Get(string(id)); ok {
+			return t, o
+		}
 	}
-	db.logMu.Unlock()
-	return ls
+	return nil, nil
 }
 
-// Insert adds a new object.
-func (db *Database) Insert(o *Object) error { return db.insert(o, nil) }
+// Tx applies the updates of one Batch; it is valid only inside the Batch
+// callback.
+type Tx struct {
+	db  *Database
+	ups []Update
+}
 
-// InsertProv is Insert stamped with request provenance (see Prov).
-func (db *Database) InsertProv(o *Object, p *Prov) error { return db.insert(o, p) }
+// commit counts, logs (while history is held) and write-ahead-logs one
+// update applied to tree t.  The WAL append happens under the commit lock,
+// so the WAL sees updates in commit order.  It only reaches the OS page
+// cache: a process crash after this point loses nothing, but surviving a
+// machine crash (power loss) additionally requires WAL.Sync — callers
+// choose how often to pay for that.
+func (tx *Tx) commit(t *classTree, u Update) error {
+	db := tx.db
+	t.dirty = true
+	db.stale.Store(true)
+	db.version.Add(1)
+	if len(db.holds) > 0 {
+		db.log = append(db.log, u)
+	}
+	if w := db.wal.Load(); w != nil {
+		w.append(&walRecord{kind: recUpdate, upd: u, prov: u.Prov})
+	}
+	tx.ups = append(tx.ups, u)
+	return nil
+}
 
-func (db *Database) insert(o *Object, prov *Prov) error {
-	dob := db.obsv.Load()
-	t0 := dob.start()
-	db.clockMu.RLock()
-	s := db.shardFor(o.id)
-	s.mu.Lock()
-	if _, dup := s.objects[o.id]; dup {
-		s.mu.Unlock()
-		db.clockMu.RUnlock()
+// Insert adds a new object; p stamps request provenance (nil for none).
+func (tx *Tx) Insert(o *Object, p *Prov) error {
+	db := tx.db
+	if t, _ := db.findLocked(o.id); t != nil {
 		return fmt.Errorf("most: object %s already exists", o.id)
 	}
-	db.metaMu.Lock()
-	if db.classes[o.class.Name()] != o.class {
-		db.metaMu.Unlock()
-		s.mu.Unlock()
-		db.clockMu.RUnlock()
-		return fmt.Errorf("most: class %s of object %s is not defined in this database", o.class.Name(), o.id)
+	for _, t := range db.classes {
+		if t.class == o.class {
+			t.txn.Set(string(o.id), o)
+			return tx.commit(t, Update{Tick: db.now, Kind: UpdateInsert, Object: o.id, After: o, Prov: p})
+		}
 	}
-	db.byClass[o.class.Name()] = append(db.byClass[o.class.Name()], o.id)
-	db.metaMu.Unlock()
-	s.objects[o.id] = o
-	u := Update{Tick: db.now, Kind: UpdateInsert, Object: o.id, After: o, Prov: prov}
-	ls := db.appendLog(u)
-	s.mu.Unlock()
-	db.clockMu.RUnlock()
-	dob.commitDone(t0)
-	notify(ls, u)
-	return nil
+	return fmt.Errorf("most: class %s of object %s is not defined in this database", o.class.Name(), o.id)
 }
 
 // Delete removes an object.
-func (db *Database) Delete(id ObjectID) error { return db.delete(id, nil) }
-
-// DeleteProv is Delete stamped with request provenance (see Prov).
-func (db *Database) DeleteProv(id ObjectID, p *Prov) error { return db.delete(id, p) }
-
-func (db *Database) delete(id ObjectID, prov *Prov) error {
-	dob := db.obsv.Load()
-	t0 := dob.start()
-	db.clockMu.RLock()
-	s := db.shardFor(id)
-	s.mu.Lock()
-	o, ok := s.objects[id]
-	if !ok {
-		s.mu.Unlock()
-		db.clockMu.RUnlock()
+func (tx *Tx) Delete(id ObjectID, p *Prov) error {
+	t, o := tx.db.findLocked(id)
+	if t == nil {
 		return fmt.Errorf("most: object %s does not exist", id)
 	}
-	delete(s.objects, id)
-	db.metaMu.Lock()
-	ids := db.byClass[o.class.Name()]
-	for i, cand := range ids {
-		if cand == id {
-			db.byClass[o.class.Name()] = append(ids[:i], ids[i+1:]...)
-			break
+	t.txn.Delete(string(id))
+	return tx.commit(t, Update{Tick: tx.db.now, Kind: UpdateDelete, Object: id, Before: o, Prov: p})
+}
+
+// SetStatic updates a static attribute (see Database.SetStatic).
+func (tx *Tx) SetStatic(id ObjectID, attr string, v Value, p *Prov) error {
+	return tx.mutate(id, UpdateStatic, attr, p, func(o *Object, _ temporal.Tick) (*Object, error) {
+		return o.WithStatic(attr, v)
+	})
+}
+
+// SetMotion updates a spatial object's motion vector (see
+// Database.SetMotion).
+func (tx *Tx) SetMotion(id ObjectID, v geom.Vector, p *Prov) error {
+	return tx.mutate(id, UpdateDynamic, XPosition, p, func(o *Object, now temporal.Tick) (*Object, error) {
+		pos, err := o.Position()
+		if err != nil {
+			return nil, err
 		}
-	}
-	db.metaMu.Unlock()
-	u := Update{Tick: db.now, Kind: UpdateDelete, Object: id, Before: o, Prov: prov}
-	ls := db.appendLog(u)
-	s.mu.Unlock()
-	db.clockMu.RUnlock()
-	dob.commitDone(t0)
-	notify(ls, u)
-	return nil
+		return o.WithPosition(pos.Retarget(now, v))
+	})
 }
 
-func notify(ls []Listener, u Update) {
-	for _, l := range ls {
-		l(u)
-	}
-}
-
-// mutate applies fn to the object's current revision and commits the result
-// as an explicit update, under the locking discipline described on
-// Database.
-func (db *Database) mutate(id ObjectID, kind UpdateKind, attr string, prov *Prov, fn func(o *Object, now temporal.Tick) (*Object, error)) error {
-	dob := db.obsv.Load()
-	t0 := dob.start()
-	db.clockMu.RLock()
-	now := db.now
-	s := db.shardFor(id)
-	s.mu.Lock()
-	o, ok := s.objects[id]
-	if !ok {
-		s.mu.Unlock()
-		db.clockMu.RUnlock()
+// mutate applies fn to the object's current revision and commits the
+// result as an explicit update.
+func (tx *Tx) mutate(id ObjectID, kind UpdateKind, attr string, p *Prov, fn func(o *Object, now temporal.Tick) (*Object, error)) error {
+	t, o := tx.db.findLocked(id)
+	if t == nil {
 		return fmt.Errorf("most: object %s does not exist", id)
 	}
-	next, err := fn(o, now)
+	next, err := fn(o, tx.db.now)
 	if err != nil {
-		s.mu.Unlock()
-		db.clockMu.RUnlock()
 		return err
 	}
-	s.objects[id] = next
-	u := Update{Tick: now, Kind: kind, Object: id, Attr: attr, Before: o, After: next, Prov: prov}
-	ls := db.appendLog(u)
-	s.mu.Unlock()
-	db.clockMu.RUnlock()
-	dob.commitDone(t0)
-	notify(ls, u)
-	return nil
+	t.txn.Set(string(id), next)
+	return tx.commit(t, Update{Tick: tx.db.now, Kind: kind, Object: id, Attr: attr, Before: o, After: next, Prov: p})
+}
+
+// Batch runs fn under the commit lock and commits its updates as one unit:
+// no snapshot sees some of them without the others, and the listeners are
+// notified of them, in order, once all are visible.  An update that fails
+// does not undo the ones before it: Batch returns fn's error with those
+// committed.  fn must not call other methods of the database (Class
+// excepted); the Tx carries everything a batch needs.  Every single-update
+// method is a one-update Batch.
+func (db *Database) Batch(fn func(tx *Tx) error) error {
+	dob := db.obsv.Load()
+	t0 := dob.start()
+	db.mu.Lock()
+	tx := &db.tx
+	err := fn(tx)
+	n, ls := len(tx.ups), db.listeners
+	var ups []Update
+	if len(ls) > 0 {
+		ups = slices.Clone(tx.ups)
+	}
+	clear(tx.ups) // the buffer is reused; drop its revisions
+	tx.ups = tx.ups[:0]
+	db.mu.Unlock()
+	dob.commitDone(t0, n)
+	for _, u := range ups {
+		for _, l := range ls {
+			l(u)
+		}
+	}
+	return err
+}
+
+// Insert adds a new object.
+func (db *Database) Insert(o *Object) error { return db.InsertProv(o, nil) }
+
+// InsertProv is Insert stamped with request provenance (see Prov).
+func (db *Database) InsertProv(o *Object, p *Prov) error {
+	return db.Batch(func(tx *Tx) error { return tx.Insert(o, p) })
+}
+
+// Delete removes an object.
+func (db *Database) Delete(id ObjectID) error {
+	return db.Batch(func(tx *Tx) error { return tx.Delete(id, nil) })
 }
 
 // Get returns the current revision of the object.
 func (db *Database) Get(id ObjectID) (*Object, bool) {
-	s := db.shardFor(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	o, ok := s.objects[id]
-	return o, ok
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	_, o := db.findLocked(id)
+	return o, o != nil
 }
 
-// Objects returns the current revisions of all objects of a class, in
-// insertion order.  With class == "" it returns every object, sorted by id.
-func (db *Database) Objects(class string) []*Object {
-	if class != "" {
-		db.metaMu.RLock()
-		ids := make([]ObjectID, len(db.byClass[class]))
-		copy(ids, db.byClass[class])
-		db.metaMu.RUnlock()
-		out := make([]*Object, 0, len(ids))
-		for _, id := range ids {
-			// An object may be deleted between the membership copy and the
-			// shard read; skip it rather than return a nil revision.
-			if o, ok := db.Get(id); ok {
-				out = append(out, o)
-			}
-		}
-		return out
+// Objects returns the current revisions of all objects of a class, or of
+// every class with class == "", sorted by id.
+func (db *Database) Objects(class string) []*Object { return db.Snapshot().Objects(class) }
+
+// Snapshot returns the current published version of the database: an
+// immutable, internally consistent view that updaters never change.
+// Query evaluation runs against snapshots, which is what lets explicit
+// updates and query evaluation proceed simultaneously.  It costs one
+// atomic load, or a publish (see Database) when something committed since
+// the last one.
+func (db *Database) Snapshot() *Snapshot {
+	db.obsv.Load().snapshotDone()
+	if !db.stale.Load() {
+		return db.snap.Load()
 	}
-	var out []*Object
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.mu.RLock()
-		for _, o := range s.objects {
-			out = append(out, o)
-		}
-		s.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.publishLocked()
 }
 
-// Snapshot returns a copy-on-read view of every current object revision.
-// The returned map is owned by the caller; the *Object revisions in it are
-// immutable, so the view stays internally consistent while updaters keep
-// committing.  Query evaluation runs against such snapshots, which is what
-// lets explicit updates and query evaluation proceed simultaneously.
-func (db *Database) Snapshot() map[ObjectID]*Object {
-	out := make(map[ObjectID]*Object, db.Count())
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.mu.RLock()
-		for id, o := range s.objects {
-			out[id] = o
-		}
-		s.mu.RUnlock()
+// publishLocked publishes the writer's state as a new version if anything
+// committed since the last one, and returns the current version.
+func (db *Database) publishLocked() *Snapshot {
+	if !db.stale.Load() {
+		return db.snap.Load()
 	}
-	db.obsv.Load().snapshotDone(len(out))
-	return out
+	s := &Snapshot{now: db.now, version: db.version.Load(), classes: make([]classRoot, len(db.classes))}
+	for i, t := range db.classes {
+		if t.dirty {
+			t.root, t.dirty = t.txn.Map(), false
+		}
+		s.classes[i] = classRoot{class: t.class, objs: t.root}
+	}
+	db.snap.Store(s)
+	db.stale.Store(false)
+	db.obsv.Load().published()
+	return s
 }
 
 // Count returns the number of live objects (all classes).
-func (db *Database) Count() int {
-	n := 0
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.mu.RLock()
-		n += len(s.objects)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (db *Database) Count() int { return db.Snapshot().Len() }
 
 // Version returns the number of committed explicit updates.  It increases
 // monotonically; continuous/persistent maintenance uses it to discard stale
 // reevaluation results under concurrent updates.
-func (db *Database) Version() uint64 {
-	db.logMu.Lock()
-	defer db.logMu.Unlock()
-	return uint64(len(db.log))
-}
+func (db *Database) Version() uint64 { return db.version.Load() }
 
 // SetStatic explicitly updates a static attribute at the current time.
 func (db *Database) SetStatic(id ObjectID, attr string, v Value) error {
-	return db.SetStaticProv(id, attr, v, nil)
-}
-
-// SetStaticProv is SetStatic stamped with request provenance (see Prov).
-func (db *Database) SetStaticProv(id ObjectID, attr string, v Value, p *Prov) error {
-	return db.mutate(id, UpdateStatic, attr, p, func(o *Object, _ temporal.Tick) (*Object, error) {
-		return o.WithStatic(attr, v)
-	})
+	return db.Batch(func(tx *Tx) error { return tx.SetStatic(id, attr, v, nil) })
 }
 
 // SetDynamic explicitly updates a dynamic attribute's sub-attributes at the
 // current time ("an explicit update of a dynamic attribute may change its
 // value sub-attribute, or its function sub-attribute, or both", §2.1).
 func (db *Database) SetDynamic(id ObjectID, attr string, a motion.DynamicAttr) error {
-	return db.mutate(id, UpdateDynamic, attr, nil, func(o *Object, _ temporal.Tick) (*Object, error) {
-		return o.WithDynamic(attr, a)
+	return db.Batch(func(tx *Tx) error {
+		return tx.mutate(id, UpdateDynamic, attr, nil, func(o *Object, _ temporal.Tick) (*Object, error) {
+			return o.WithDynamic(attr, a)
+		})
 	})
 }
 
@@ -449,12 +429,14 @@ func (db *Database) SetDynamic(id ObjectID, attr string, a motion.DynamicAttr) e
 // installs a new function — the motion-vector update a vehicle's sensor
 // issues "when it senses a change in speed or direction" (§1).
 func (db *Database) UpdateFunction(id ObjectID, attr string, f motion.Func) error {
-	return db.mutate(id, UpdateDynamic, attr, nil, func(o *Object, now temporal.Tick) (*Object, error) {
-		cur, err := o.Dynamic(attr)
-		if err != nil {
-			return nil, err
-		}
-		return o.WithDynamic(attr, cur.Updated(now, f))
+	return db.Batch(func(tx *Tx) error {
+		return tx.mutate(id, UpdateDynamic, attr, nil, func(o *Object, now temporal.Tick) (*Object, error) {
+			cur, err := o.Dynamic(attr)
+			if err != nil {
+				return nil, err
+			}
+			return o.WithDynamic(attr, cur.Updated(now, f))
+		})
 	})
 }
 
@@ -466,50 +448,5 @@ func (db *Database) SetMotion(id ObjectID, v geom.Vector) error {
 
 // SetMotionProv is SetMotion stamped with request provenance (see Prov).
 func (db *Database) SetMotionProv(id ObjectID, v geom.Vector, p *Prov) error {
-	return db.mutate(id, UpdateDynamic, XPosition, p, func(o *Object, now temporal.Tick) (*Object, error) {
-		pos, err := o.Position()
-		if err != nil {
-			return nil, err
-		}
-		return o.WithPosition(pos.Retarget(now, v))
-	})
-}
-
-// Log returns a copy of the explicit-update log since the beginning of the
-// database's life; persistent queries replay it (§2.3: "the evaluation of
-// persistent queries requires saving of information about the way the
-// database is updated over time").
-func (db *Database) Log() []Update {
-	db.logMu.Lock()
-	defer db.logMu.Unlock()
-	out := make([]Update, len(db.log))
-	copy(out, db.log)
-	return out
-}
-
-// LogSince returns the log entries with Tick >= t.
-func (db *Database) LogSince(t temporal.Tick) []Update {
-	db.logMu.Lock()
-	defer db.logMu.Unlock()
-	i := sort.Search(len(db.log), func(i int) bool { return db.log[i].Tick >= t })
-	out := make([]Update, len(db.log)-i)
-	copy(out, db.log[i:])
-	return out
-}
-
-// lockAllRead acquires the clock and every shard in the documented order,
-// giving the caller a fully consistent read view; release with
-// unlockAllRead.  While held, no update can commit.
-func (db *Database) lockAllRead() {
-	db.clockMu.RLock()
-	for i := range db.shards {
-		db.shards[i].mu.RLock()
-	}
-}
-
-func (db *Database) unlockAllRead() {
-	for i := range db.shards {
-		db.shards[i].mu.RUnlock()
-	}
-	db.clockMu.RUnlock()
+	return db.Batch(func(tx *Tx) error { return tx.SetMotion(id, v, p) })
 }

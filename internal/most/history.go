@@ -1,113 +1,108 @@
 package most
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"github.com/mostdb/most/internal/temporal"
 )
 
 // History is a consistent view of the database's history: the actual past
-// (reconstructed from the explicit-update log) concatenated with the
+// (reconstructed from the retained update log) concatenated with the
 // implicit future of the current state (§2.2: "each state in the future
 // history is identical to the state at time t, except for the value of the
 // dynamic attributes").  It is a snapshot — updates committed after History
-// was taken do not affect it.
+// was taken do not affect it.  The past reaches back to the oldest live
+// HoldHistory; without one, the log is empty and every tick reads as the
+// current state.
 type History struct {
-	now     temporal.Tick
-	current map[ObjectID]*Object
-	log     []Update
+	cur *Snapshot
+	log []Update
 }
 
-// History captures the current history view.  It briefly quiesces commits
-// (taking the clock and every object shard in read mode, then the log) so
-// the object state and the log in the snapshot are mutually consistent even
-// under concurrent updaters.
-func (db *Database) History() History {
-	db.lockAllRead()
-	defer db.unlockAllRead()
-	cur := make(map[ObjectID]*Object)
-	for i := range db.shards {
-		for id, o := range db.shards[i].objects {
-			cur[id] = o
-		}
+// HoldHistory starts keeping the update log, for a persistent query
+// anchored now, and returns the anchor tick and the function that releases
+// the hold.  The anchor and the start of retention are taken under the
+// commit lock, so the log holds exactly the updates committed after the
+// anchor state.  While any hold is live, every update is kept from the
+// oldest live hold on; once the last one is released, the log is dropped
+// and nothing more is logged (§2.3: persistent queries "require saving of
+// information about the way the database is updated over time" — nothing
+// else does).
+func (db *Database) HoldHistory() (temporal.Tick, func()) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	from := db.version.Load()
+	if len(db.holds) == 0 {
+		db.logFrom = from
 	}
-	db.logMu.Lock()
-	logCopy := make([]Update, len(db.log))
-	copy(logCopy, db.log)
-	db.logMu.Unlock()
-	return History{now: db.now, current: cur, log: logCopy}
+	db.holds = append(db.holds, from)
+	return db.now, sync.OnceFunc(func() { db.release(from) })
+}
+
+// release drops a hold from update number from on, and the log entries no
+// remaining hold needs.
+func (db *Database) release(from uint64) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	i := slices.Index(db.holds, from)
+	db.holds = slices.Delete(db.holds, i, i+1)
+	if len(db.holds) == 0 {
+		db.log = nil
+	} else if oldest := slices.Min(db.holds); oldest > db.logFrom {
+		db.log = slices.Clone(db.log[oldest-db.logFrom:])
+		db.logFrom = oldest
+	}
+}
+
+// History captures the current history view: the current version and the
+// retained log, consistent with each other.  It copies nothing.
+func (db *Database) History() History {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return History{cur: db.publishLocked(), log: db.log[:len(db.log):len(db.log)]}
 }
 
 // Now returns the tick at which the view was taken.
-func (h History) Now() temporal.Tick { return h.now }
+func (h History) Now() temporal.Tick { return h.cur.now }
 
-// Updates returns the captured explicit-update log in commit order; the
-// slice must not be modified.
+// Updates returns the retained update log in commit order; the slice must
+// not be modified.
 func (h History) Updates() []Update { return h.log }
 
-// Current returns the object revisions as of the snapshot; the map must
-// not be modified.
-func (h History) Current() map[ObjectID]*Object { return h.current }
+// Current returns the current version.
+func (h History) Current() *Snapshot { return h.cur }
 
-// RevisionAt returns the object revision in effect at tick t, or false if
-// the object did not exist then.  For t >= the snapshot time it returns the
-// current revision (the future history repeats the current state).
+// RevisionAt returns the revision of object id in effect at tick t, or
+// false if the object did not exist then.  For t >= the snapshot time it
+// returns the current revision (the future history repeats the current
+// state).
 func (h History) RevisionAt(id ObjectID, t temporal.Tick) (*Object, bool) {
-	if t >= h.now {
-		o, ok := h.current[id]
-		return o, ok
-	}
-	// Find the last update to this object with Tick <= t.  The log is in
-	// commit order, hence sorted by tick.
-	hi := sort.Search(len(h.log), func(i int) bool { return h.log[i].Tick > t })
-	for i := hi - 1; i >= 0; i-- {
-		u := h.log[i]
-		if u.Object != id {
-			continue
-		}
-		if u.Kind == UpdateDelete {
-			return nil, false
-		}
-		return u.After, true
-	}
-	return nil, false
+	return h.RevisionIn(id, h.log, t)
 }
 
-// ValueAt returns the attribute value of the object in database state t:
-// the revision in effect at t, with dynamic attributes evaluated at t.
-func (h History) ValueAt(id ObjectID, attr string, t temporal.Tick) (Value, error) {
-	o, ok := h.RevisionAt(id, t)
-	if !ok {
-		return Value{}, fmt.Errorf("most: object %s does not exist at tick %d", id, t)
-	}
-	return o.ValueAt(attr, t)
-}
-
-// LiveIDs returns the ids of the objects alive in state t, sorted.
-func (h History) LiveIDs(t temporal.Tick) []ObjectID {
-	alive := map[ObjectID]bool{}
-	if t >= h.now {
-		for id := range h.current {
-			alive[id] = true
+// RevisionIn is RevisionAt over ups, a commit-ordered run of the retained
+// log holding every retained update of id (the whole log, or just the
+// object's own updates).  The revision is the After of the last update to
+// id at or before t; failing that, the Before of the first one after t (the log
+// starts after the anchor state, so that is the revision that held at t);
+// failing that — the object was not updated since — the current revision.
+func (h History) RevisionIn(id ObjectID, ups []Update, t temporal.Tick) (*Object, bool) {
+	if t < h.cur.now {
+		var after *Update
+		for i := len(ups) - 1; i >= 0; i-- {
+			u := &ups[i]
+			if u.Object != id {
+				continue
+			}
+			if u.Tick <= t {
+				return u.After, u.After != nil
+			}
+			after = u
 		}
-	} else {
-		for _, u := range h.log {
-			if u.Tick > t {
-				break
-			}
-			switch u.Kind {
-			case UpdateInsert:
-				alive[u.Object] = true
-			case UpdateDelete:
-				delete(alive, u.Object)
-			}
+		if after != nil {
+			return after.Before, after.Before != nil
 		}
 	}
-	out := make([]ObjectID, 0, len(alive))
-	for id := range alive {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return h.cur.Get(id)
 }

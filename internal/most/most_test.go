@@ -213,14 +213,15 @@ func TestDynamicAttributeQueryDependsOnTime(t *testing.T) {
 	insertCar(t, db, c, "car", geom.Point{}, geom.Vector{X: 5})
 	o, _ := db.Get("car")
 	v1, _ := o.ValueAt(XPosition, db.Now())
+	version := db.Version()
 	db.Advance(3)
 	o2, _ := db.Get("car")
 	v2, _ := o2.ValueAt(XPosition, db.Now())
 	if v1 != Float(0) || v2 != Float(15) {
 		t.Fatalf("v1=%v v2=%v", v1, v2)
 	}
-	if len(db.LogSince(1)) != 0 {
-		t.Fatal("no explicit updates should have been logged")
+	if db.Version() != version {
+		t.Fatal("no explicit updates should have been committed")
 	}
 }
 
@@ -292,6 +293,8 @@ func TestHistoryReconstruction(t *testing.T) {
 	// Reproduces the paper's §2.3 speed-doubling setup: function 5t at time
 	// 0, updated to 7t at time 1, to 10t at time 2.
 	db, c := newTestDB(t)
+	_, release := db.HoldHistory()
+	defer release()
 	insertCar(t, db, c, "o", geom.Point{}, geom.Vector{X: 5})
 	db.Advance(1)
 	if err := db.UpdateFunction("o", XPosition, motion.Linear(7)); err != nil {
@@ -319,7 +322,11 @@ func TestHistoryReconstruction(t *testing.T) {
 	}
 	// Values along the actual history: x(0)=0, x(1)=5, x(2)=12, x(3)=22.
 	for tick, want := range map[temporal.Tick]float64{0: 0, 1: 5, 2: 12, 3: 22} {
-		v, err := h.ValueAt("o", XPosition, tick)
+		o, ok := h.RevisionAt("o", tick)
+		if !ok {
+			t.Fatalf("no revision at %d", tick)
+		}
+		v, err := o.ValueAt(XPosition, tick)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,22 +336,24 @@ func TestHistoryReconstruction(t *testing.T) {
 	}
 	// Before the insert there is no revision.
 	db2, c2 := newTestDB(t)
+	_, release2 := db2.HoldHistory()
+	defer release2()
 	db2.Advance(5)
 	insertCar(t, db2, c2, "late", geom.Point{}, geom.Vector{})
+	db2.Advance(1)
 	h2 := db2.History()
 	if _, ok := h2.RevisionAt("late", 3); ok {
 		t.Error("object should not exist before insert")
 	}
-	if ids := h2.LiveIDs(3); len(ids) != 0 {
-		t.Errorf("LiveIDs(3) = %v", ids)
-	}
-	if ids := h2.LiveIDs(5); len(ids) != 1 || ids[0] != "late" {
-		t.Errorf("LiveIDs(5) = %v", ids)
+	if _, ok := h2.RevisionAt("late", 5); !ok {
+		t.Error("object should exist from its insert on")
 	}
 }
 
 func TestHistoryAfterDelete(t *testing.T) {
 	db, c := newTestDB(t)
+	_, release := db.HoldHistory()
+	defer release()
 	insertCar(t, db, c, "o", geom.Point{}, geom.Vector{})
 	db.Advance(2)
 	if err := db.Delete("o"); err != nil {
@@ -357,9 +366,6 @@ func TestHistoryAfterDelete(t *testing.T) {
 	}
 	if _, ok := h.RevisionAt("o", 2); ok {
 		t.Error("object should be deleted at tick 2")
-	}
-	if _, err := h.ValueAt("o", XPosition, 2); err == nil {
-		t.Error("ValueAt on deleted object should fail")
 	}
 }
 

@@ -2,6 +2,7 @@ package most
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -46,23 +47,6 @@ func (o *Object) ID() ObjectID { return o.id }
 // Class returns the object's class.
 func (o *Object) Class() *Class { return o.class }
 
-// clone returns a deep copy sharing nothing mutable with the receiver.
-func (o *Object) clone() *Object {
-	c := &Object{
-		id:       o.id,
-		class:    o.class,
-		statics:  make(map[string]Value, len(o.statics)),
-		dynamics: make(map[string]motion.DynamicAttr, len(o.dynamics)),
-	}
-	for k, v := range o.statics {
-		c.statics[k] = v
-	}
-	for k, v := range o.dynamics {
-		c.dynamics[k] = v
-	}
-	return c
-}
-
 // checkAttr validates that name exists on the class with the wanted kind.
 func (o *Object) checkAttr(name string, kind AttrKind) error {
 	def, ok := o.class.Attr(name)
@@ -83,9 +67,12 @@ func (o *Object) WithStatic(name string, v Value) (*Object, error) {
 	if err := checkStatic(o.class, name, v); err != nil {
 		return nil, err
 	}
-	c := o.clone()
+	// Revisions never change their maps: the new one copies the map it
+	// changes and shares the other.
+	c := *o
+	c.statics = maps.Clone(o.statics)
 	c.statics[name] = v
-	return c, nil
+	return &c, nil
 }
 
 // WithDynamic returns a revision with the dynamic attribute replaced (see
@@ -97,9 +84,10 @@ func (o *Object) WithDynamic(name string, a motion.DynamicAttr) (*Object, error)
 	if err := checkDynamic(o.class, name, a); err != nil {
 		return nil, err
 	}
-	c := o.clone()
+	c := *o
+	c.dynamics = maps.Clone(o.dynamics)
 	c.dynamics[name] = a
-	return c, nil
+	return &c, nil
 }
 
 // checkStatic rejects a static value no snapshot can hold: a NaN or
@@ -144,11 +132,12 @@ func (o *Object) WithPosition(p motion.Position) (*Object, error) {
 			return nil, err
 		}
 	}
-	c := o.clone()
+	c := *o
+	c.dynamics = maps.Clone(o.dynamics)
 	c.dynamics[XPosition] = p.X
 	c.dynamics[YPosition] = p.Y
 	c.dynamics[ZPosition] = p.Z
-	return c, nil
+	return &c, nil
 }
 
 // Static returns the static attribute's value (NULL if never set).

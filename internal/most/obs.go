@@ -14,9 +14,11 @@ import (
 // Metric names:
 //
 //	db.commits              explicit updates committed (inserts, deletes, mutations)
-//	db.commit_ns            commit latency: entry to log-append completion
-//	db.snapshots            copy-on-read Snapshot() calls
-//	db.snapshot_objects     object revisions copied across all snapshots
+//	db.commit_ns            commit latency (one single update or one Batch):
+//	                        entry to the release of the commit lock
+//	db.snapshots            Snapshot() calls
+//	db.publishes            versions published (Snapshot calls that found
+//	                        new commits; each may make later writes copy a path)
 //	wal.appends / wal.append_ns   WAL record writes and their latency
 //	wal.flushes                   group-commit batch writes (syscalls)
 //	wal.syncs / wal.sync_ns       explicit fsyncs and their latency
@@ -28,7 +30,7 @@ type dbObs struct {
 	commits   *obs.Counter
 	commitNs  *obs.Histogram
 	snapshots *obs.Counter
-	snapObjs  *obs.Counter
+	publishes *obs.Counter
 	ckptBytes *obs.Gauge
 }
 
@@ -41,22 +43,27 @@ func (o *dbObs) start() time.Time {
 	return time.Now()
 }
 
-// commitDone records one committed update and its latency.
-func (o *dbObs) commitDone(t0 time.Time) {
+// commitDone records a commit of n updates and its latency.
+func (o *dbObs) commitDone(t0 time.Time, n int) {
 	if o == nil {
 		return
 	}
-	o.commits.Inc()
+	o.commits.Add(int64(n))
 	o.commitNs.Since(t0)
 }
 
-// snapshotDone records one copy-on-read snapshot of n object revisions.
-func (o *dbObs) snapshotDone(n int) {
-	if o == nil {
-		return
+// snapshotDone records one Snapshot call.
+func (o *dbObs) snapshotDone() {
+	if o != nil {
+		o.snapshots.Inc()
 	}
-	o.snapshots.Inc()
-	o.snapObjs.Add(int64(n))
+}
+
+// published records one published version.
+func (o *dbObs) published() {
+	if o != nil {
+		o.publishes.Inc()
+	}
 }
 
 // checkpointDone records the size of a checkpoint image just written.
@@ -68,7 +75,7 @@ func (o *dbObs) checkpointDone(n int) {
 }
 
 // Instrument attaches an observability registry to the database: commits,
-// snapshot copies, and (if a WAL is attached now or later) WAL append/fsync
+// snapshots and published versions, and (if a WAL is attached now or later) WAL append/fsync
 // timings are recorded into it.  Instrument(nil) detaches.  Safe to call
 // concurrently with commits.
 func (db *Database) Instrument(reg *obs.Registry) {
@@ -80,7 +87,7 @@ func (db *Database) Instrument(reg *obs.Registry) {
 			commits:   reg.Counter("db.commits"),
 			commitNs:  reg.Histogram("db.commit_ns"),
 			snapshots: reg.Counter("db.snapshots"),
-			snapObjs:  reg.Counter("db.snapshot_objects"),
+			publishes: reg.Counter("db.publishes"),
 			ckptBytes: reg.Gauge("most.checkpoint_bytes"),
 		})
 	}

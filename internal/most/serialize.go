@@ -58,27 +58,18 @@ type dynDTO struct {
 	Function   string        `json:"function"`
 }
 
-// SnapshotJSON serializes the database's current state.  Like History, it
-// quiesces commits while copying so the serialized state is consistent.
+// SnapshotJSON serializes the database's current state: one published
+// version, so the serialized state is a cut between commits.
 func (db *Database) SnapshotJSON() ([]byte, error) {
-	db.lockAllRead()
-	defer db.unlockAllRead()
-	db.metaMu.RLock()
-	defer db.metaMu.RUnlock()
-	return json.MarshalIndent(db.snapshotDTOLocked(), "", "  ")
-}
-
-// snapshotDTOLocked builds the snapshot DTO.  Callers must hold the full
-// read lock (lockAllRead) plus metaMu; see SnapshotJSON.
-func (db *Database) snapshotDTOLocked() snapshotDTO {
-	dto := snapshotDTO{Now: db.now}
-	for _, c := range db.sortedClassesLocked() {
-		dto.Classes = append(dto.Classes, encodeClass(c))
+	s := db.Snapshot()
+	dto := snapshotDTO{Now: s.now}
+	for _, c := range s.classes {
+		dto.Classes = append(dto.Classes, encodeClass(c.class))
 	}
-	for _, o := range db.sortedObjectsLocked() {
+	for _, o := range s.Objects("") {
 		dto.Objects = append(dto.Objects, encodeObject(o))
 	}
-	return dto
+	return json.MarshalIndent(dto, "", "  ")
 }
 
 // encodeClass renders a class as its DTO (implicit POSITION attributes
@@ -218,9 +209,8 @@ func DecodeObjectJSON(db *Database, data []byte) (*Object, error) {
 	return decodeObject(db, od)
 }
 
-// LoadSnapshotJSON rebuilds a database from a snapshot.  The restored
-// database starts a fresh history: its log begins with the snapshot's
-// objects inserted at the snapshot clock.
+// LoadSnapshotJSON rebuilds a database from a snapshot, inserting its
+// objects at the snapshot clock.
 func LoadSnapshotJSON(data []byte) (*Database, error) {
 	var dto snapshotDTO
 	if err := json.Unmarshal(data, &dto); err != nil {

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/mostdb/most/internal/binfmt"
 	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/temporal"
 )
@@ -44,11 +45,12 @@ import (
 //     recorded revision reproduces the exact object state regardless of
 //     how the mutation computed it.
 //
-// Records are written inside the database's commit critical sections
-// (appendLog under logMu, DefineClass under metaMu, Advance under the
-// exclusive clock lock), so WAL order equals commit order; replaying the
-// records in sequence through the normal mutation paths therefore rebuilds
-// a byte-identical SnapshotJSON.
+// Records are written under the database's commit lock, so WAL order
+// equals commit order; replaying the records in sequence through the
+// normal mutation paths therefore rebuilds a byte-identical SnapshotJSON.
+// A checkpoint logs a note naming its snapshot before writing it, and
+// replay over that snapshot skips the records up to the note (see
+// Database.Checkpoint).
 //
 // # Failure safety
 //
@@ -325,18 +327,6 @@ func (w *WAL) reset() error {
 	return nil
 }
 
-func (w *WAL) appendClass(c *Class) {
-	w.append(&walRecord{kind: recClass, class: c})
-}
-
-func (w *WAL) appendClock(now temporal.Tick, p *Prov) {
-	w.append(&walRecord{kind: recClock, now: now, prov: p})
-}
-
-func (w *WAL) appendUpdate(u Update) {
-	w.append(&walRecord{kind: recUpdate, upd: u, prov: u.Prov})
-}
-
 // AppendNote logs an opaque annotation record.  Notes do not change
 // database state on replay; WALObserver surfaces them during recovery.
 // The server uses notes to make its idempotence cache durable: one note
@@ -346,11 +336,6 @@ func (w *WAL) AppendNote(tag string, data []byte) error {
 	return w.Err()
 }
 
-// Reset truncates the log (after an external checkpoint equivalent), like
-// the truncation Checkpoint performs.  Callers own the proof that the
-// state the log represented is durable elsewhere.
-func (w *WAL) Reset() error { return w.reset() }
-
 // AttachWAL starts logging the database to w.  If the database already
 // holds state and the log is empty, a base image (classes, clock, one
 // insert per live object) is written first so the log alone reconstructs
@@ -359,18 +344,27 @@ func (w *WAL) Reset() error { return w.reset() }
 // log (plus its checkpoint snapshot) already represents the state.
 //
 // Attach at most one WAL per database, before or between commits; the
-// attachment itself quiesces in-flight commits.
+// attachment holds the commit lock, so the base image and the attach point
+// are one atomic cut.
 func (db *Database) AttachWAL(w *WAL) error {
+	return db.attachWAL(w, func(s *Snapshot) bool { return w.Records() == 0 && (s.now != 0 || len(s.classes) > 0) })
+}
+
+// AttachWALNoBase attaches w without ever writing a base image, whatever
+// the database and log contents.  A durable server uses it when reopening
+// an empty post-checkpoint log next to a snapshot that already represents
+// the database: re-logging the state would make the snapshot and the log
+// redundantly overlap, breaking the next recovery's replay.
+func (db *Database) AttachWALNoBase(w *WAL) error { return db.attachWAL(w, nil) }
+
+// attachWAL attaches w, first logging a base image of the state if base
+// says so.
+func (db *Database) attachWAL(w *WAL, base func(*Snapshot) bool) error {
 	if w == nil {
 		return fmt.Errorf("most: nil WAL")
 	}
-	// Quiesce every commit path so the base image and the attach point are
-	// one atomic cut: clock + all shards block updates and Advance, metaMu
-	// blocks DefineClass.
-	db.lockAllRead()
-	defer db.unlockAllRead()
-	db.metaMu.RLock()
-	defer db.metaMu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if !db.wal.CompareAndSwap(nil, w) {
 		return fmt.Errorf("most: database already has a WAL attached")
 	}
@@ -379,60 +373,29 @@ func (db *Database) AttachWAL(w *WAL) error {
 	if o := db.obsv.Load(); o != nil {
 		w.Instrument(o.reg)
 	}
-	if w.Records() > 0 {
-		return w.Err()
-	}
-	empty := db.now == 0 && len(db.classes) == 0
-	for i := range db.shards {
-		empty = empty && len(db.shards[i].objects) == 0
-	}
-	if empty {
-		return w.Err()
-	}
-	db.appendBaseImageLocked(w)
-	return w.Err()
-}
-
-// AttachWALNoBase attaches w without ever writing a base image, whatever
-// the database and log contents.  A durable server uses it when reopening
-// an empty post-checkpoint log next to a snapshot that already represents
-// the database: re-logging the state would make the snapshot and the log
-// redundantly overlap, breaking the next recovery's replay.
-func (db *Database) AttachWALNoBase(w *WAL) error {
-	if w == nil {
-		return fmt.Errorf("most: nil WAL")
-	}
-	db.lockAllRead()
-	defer db.unlockAllRead()
-	db.metaMu.RLock()
-	defer db.metaMu.RUnlock()
-	if !db.wal.CompareAndSwap(nil, w) {
-		return fmt.Errorf("most: database already has a WAL attached")
-	}
-	if o := db.obsv.Load(); o != nil {
-		w.Instrument(o.reg)
+	if s := db.publishLocked(); base != nil && base(s) {
+		w.appendBaseImage(s)
 	}
 	return w.Err()
 }
 
-// appendBaseImageLocked re-logs the database's full current state (classes,
-// clock, one insert per live object) as one group-commit batch.  Callers
-// hold the full read quiesce.
-func (db *Database) appendBaseImageLocked(w *WAL) {
+// appendBaseImage logs the full state of s (classes, clock, one insert per
+// object) as one group-commit batch.
+func (w *WAL) appendBaseImage(s *Snapshot) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return
 	}
 	n := 0
-	for _, c := range db.sortedClassesLocked() {
-		w.stage(&walRecord{kind: recClass, class: c})
+	for _, c := range s.classes {
+		w.stage(&walRecord{kind: recClass, class: c.class})
 		n++
 	}
-	w.stage(&walRecord{kind: recClock, now: db.now})
+	w.stage(&walRecord{kind: recClock, now: s.now})
 	n++
-	for _, o := range db.sortedObjectsLocked() {
-		w.stage(&walRecord{kind: recUpdate, upd: Update{Tick: db.now, Kind: UpdateInsert, Object: o.id, After: o}})
+	for _, o := range s.Objects("") {
+		w.stage(&walRecord{kind: recUpdate, upd: Update{Tick: s.now, Kind: UpdateInsert, Object: o.id, After: o}})
 		n++
 	}
 	w.flushLocked()
@@ -463,37 +426,42 @@ func (db *Database) RebaseWAL(w *WAL) error {
 	if err := w.reset(); err != nil {
 		return err
 	}
-	db.lockAllRead()
-	defer db.unlockAllRead()
-	db.metaMu.RLock()
-	defer db.metaMu.RUnlock()
-	if !db.wal.CompareAndSwap(nil, w) {
-		return fmt.Errorf("most: database already has a WAL attached")
-	}
-	if o := db.obsv.Load(); o != nil {
-		w.Instrument(o.reg)
-	}
 	w.append(&walRecord{kind: recReset})
-	db.appendBaseImageLocked(w)
-	return w.Err()
+	return db.attachWAL(w, func(*Snapshot) bool { return true })
+}
+
+// ckptNoteTag tags the note Checkpoint logs ahead of its snapshot.
+const ckptNoteTag = "checkpoint"
+
+// checkpointNote identifies a checkpoint image: its length and CRC-32.
+func checkpointNote(image []byte) []byte {
+	return binfmt.AppendU32(binfmt.AppendUvarint(nil, uint64(len(image))), crc32.ChecksumIEEE(image))
 }
 
 // Checkpoint writes a consistent snapshot of the current state to snapPath
 // in the binary checkpoint format (codec.go), atomically via
 // WriteFileAtomic, and truncates the attached WAL: recovery then needs
-// only the snapshot plus the post-checkpoint log tail.  Commits are
-// quiesced for the duration, exactly like SnapshotJSON.
+// only the snapshot plus the post-checkpoint log tail.  Commits wait for
+// it.
+//
+// A crash after the snapshot lands but before the log is truncated leaves
+// the new snapshot beside a log whose records it already holds.  So the
+// log first gets a note naming the image (length and CRC), fsynced, and
+// recovery skips every record up to a note that names the snapshot it
+// loaded.
 func (db *Database) Checkpoint(snapPath string) error {
 	w := db.wal.Load()
 	if w == nil {
 		return fmt.Errorf("most: no WAL attached")
 	}
-	db.lockAllRead()
-	defer db.unlockAllRead()
-	db.metaMu.RLock()
-	defer db.metaMu.RUnlock()
-	data := db.appendCheckpointLocked(make([]byte, 0, db.ckptSize.Load()))
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	data := db.publishLocked().appendCheckpoint(make([]byte, 0, db.ckptSize.Load()))
 	db.ckptSize.Store(int64(len(data)))
+	w.append(&walRecord{kind: recNote, tag: ckptNoteTag, data: checkpointNote(data)})
+	if err := w.Sync(); err != nil {
+		return fmt.Errorf("most: checkpoint: %w", err)
+	}
 	// The WAL may only be truncated once the snapshot that replaces it is
 	// durable, which WriteFileAtomic guarantees on return.
 	if err := WriteFileAtomic(snapPath, data); err != nil {
@@ -549,6 +517,10 @@ type RecoveryReport struct {
 	BadRecord int
 	// Reason says why replay stopped (empty when !Truncated).
 	Reason string
+	// End is the byte length of the log prefix replay accepted.  A log
+	// reopened for appending after a truncated replay must be cut there:
+	// records appended behind a rejected one would never replay.
+	End int64
 }
 
 // WALObserver watches a recovery replay.  Both callbacks are optional.
@@ -570,29 +542,29 @@ type WALObserver struct {
 // IS an error — there is no safe prefix to fall back to — and so is input
 // in the legacy JSON format (LegacyFormatError).
 func Recover(snapshot, wal []byte) (*Database, *RecoveryReport, error) {
-	return RecoverObserved(snapshot, wal, nil)
+	return recoverLog(snapshot, bytes.NewReader(wal), int64(len(wal)), nil)
 }
 
-// RecoverObserved is Recover with a replay observer (see WALObserver).
-func RecoverObserved(snapshot, wal []byte, ob *WALObserver) (*Database, *RecoveryReport, error) {
-	return recoverLog(snapshot, bytes.NewReader(wal), int64(len(wal)), ob)
-}
-
-// recoverLog is RecoverObserved over a log of size bytes read from wal.
-func recoverLog(snapshot []byte, wal io.Reader, size int64, ob *WALObserver) (*Database, *RecoveryReport, error) {
-	var db *Database
+// recoverLog is Recover over a log of size bytes read from wal, with a
+// replay observer (see WALObserver).
+func recoverLog(snapshot []byte, wal io.ReadSeeker, size int64, ob *WALObserver) (*Database, *RecoveryReport, error) {
+	db := NewDatabase()
+	covered := 0
 	if len(snapshot) > 0 {
 		var err error
 		if db, err = loadCheckpoint(snapshot); err != nil {
 			return nil, nil, err
 		}
-	} else {
-		db = NewDatabase()
+		if covered, err = coveredRecords(wal, size, checkpointNote(snapshot)); err != nil {
+			return nil, nil, err
+		}
 	}
+	n := 0
 	walk, err := walkLog(wal, size, func(payload []byte) error {
-		// Replay owns db until it returns: reading its class map without
-		// metaMu is safe.
-		rec, err := decodeRecord(payload, db.classes)
+		if n++; n <= covered {
+			return nil // already in the snapshot
+		}
+		rec, err := decodeRecord(payload, *db.byName.Load())
 		if err != nil {
 			return fmt.Errorf("bad record: %w", err)
 		}
@@ -622,13 +594,32 @@ func recoverLog(snapshot []byte, wal io.Reader, size int64, ob *WALObserver) (*D
 	case err != nil:
 		return nil, nil, err
 	}
-	rep := &RecoveryReport{Records: walk.records}
+	rep := &RecoveryReport{Records: walk.records, End: walk.end}
 	if walk.reason != "" {
 		rep.Truncated = true
 		rep.BadRecord = walk.records + 1
 		rep.Reason = walk.reason
 	}
 	return db, rep, nil
+}
+
+// coveredRecords returns how many leading records of the log a snapshot
+// already holds: those up to the last checkpoint note naming it (note is
+// checkpointNote of the snapshot), or none.  It leaves wal rewound.
+func coveredRecords(wal io.ReadSeeker, size int64, note []byte) (int, error) {
+	n, covered := 0, 0
+	// Damage is the replay walk's to report; this walk just stops there.
+	walkLog(wal, size, func(payload []byte) error {
+		n++
+		if payload[0] == recNote {
+			if rec, err := decodeRecord(payload, nil); err == nil && rec.tag == ckptNoteTag && bytes.Equal(rec.data, note) {
+				covered = n
+			}
+		}
+		return nil
+	})
+	_, err := wal.Seek(0, io.SeekStart)
+	return covered, err
 }
 
 // RecoverFiles is Recover over a snapshot path (missing file = no
@@ -645,7 +636,7 @@ func RecoverFilesObserved(snapPath, walPath string, ob *WALObserver) (*Database,
 	}
 	// The log is streamed: recovery holds one record at a time, not the
 	// whole file.
-	var wal io.Reader = bytes.NewReader(nil)
+	var wal io.ReadSeeker = bytes.NewReader(nil)
 	var size int64
 	f, err := os.Open(walPath)
 	switch {
@@ -684,26 +675,24 @@ func (db *Database) applyWALRecord(rec *walRecord) error {
 		return nil
 	case recUpdate:
 		u := &rec.upd
-		switch u.Kind {
-		case UpdateInsert:
-			if u.After == nil {
-				return fmt.Errorf("insert of %s without post-image", u.Object)
-			}
-			return db.insert(u.After, rec.prov)
-		case UpdateDelete:
-			return db.delete(u.Object, rec.prov)
-		case UpdateStatic, UpdateDynamic:
-			if u.After == nil {
+		return db.Batch(func(tx *Tx) error {
+			switch {
+			case u.Kind == UpdateDelete:
+				return tx.Delete(u.Object, rec.prov)
+			case u.After == nil:
 				return fmt.Errorf("update of %s without post-image", u.Object)
+			case u.Kind == UpdateInsert:
+				return tx.Insert(u.After, rec.prov)
+			case u.Kind == UpdateStatic || u.Kind == UpdateDynamic:
+				// Install the recorded post-image wholesale: replay
+				// reproduces the exact revision the original mutation
+				// computed.
+				return tx.mutate(u.Object, u.Kind, u.Attr, rec.prov, func(*Object, temporal.Tick) (*Object, error) {
+					return u.After, nil
+				})
 			}
-			// Install the recorded post-image wholesale: replay reproduces
-			// the exact revision the original mutation computed.
-			return db.mutate(u.Object, u.Kind, u.Attr, rec.prov, func(*Object, temporal.Tick) (*Object, error) {
-				return u.After, nil
-			})
-		default:
 			return fmt.Errorf("unknown update kind %d", u.Kind)
-		}
+		})
 	default:
 		return fmt.Errorf("unknown record kind %d", rec.kind)
 	}

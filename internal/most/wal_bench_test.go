@@ -151,7 +151,7 @@ func BenchmarkWALAppendUpdate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				o := objs[i%len(objs)]
 				prov.Op = i % 64
-				w.appendUpdate(Update{Tick: 10, Kind: UpdateDynamic, Object: o.ID(), Attr: XPosition, Before: o, After: o, Prov: prov})
+				w.append(&walRecord{kind: recUpdate, upd: Update{Tick: 10, Kind: UpdateDynamic, Object: o.ID(), Attr: XPosition, Before: o, After: o, Prov: prov}, prov: prov})
 			}
 			b.StopTimer()
 			if err := w.Err(); err != nil {

@@ -102,18 +102,14 @@ func checkReplay(t *testing.T, data []byte) {
 		t.Fatalf("recovered database cannot snapshot: %v", err)
 	}
 	db2, rep2, _ := Recover(nil, data)
-	if *rep1 != *rep2 || db1.Now() != db2.Now() || !bytes.Equal(logImage(db1), logImage(db2)) {
+	if *rep1 != *rep2 || db1.Now() != db2.Now() || db1.Version() != db2.Version() || !bytes.Equal(checkpointImage(db1), checkpointImage(db2)) {
 		t.Fatal("replay is not deterministic")
 	}
 }
 
 // checkpointImage returns the database's checkpoint bytes.
 func checkpointImage(db *Database) []byte {
-	db.lockAllRead()
-	defer db.unlockAllRead()
-	db.metaMu.RLock()
-	defer db.metaMu.RUnlock()
-	return db.appendCheckpointLocked(nil)
+	return db.Snapshot().appendCheckpoint(nil)
 }
 
 // withCRC appends the checkpoint trailer to an image body.
@@ -170,28 +166,10 @@ func checkLoad(t *testing.T, data []byte) {
 	if err1 != nil {
 		return
 	}
-	if db1.Now() != db2.Now() || !bytes.Equal(logImage(db1), logImage(db2)) {
+	if db1.Now() != db2.Now() || db1.Version() != db2.Version() || !bytes.Equal(checkpointImage(db1), checkpointImage(db2)) {
 		t.Fatal("load is not deterministic")
 	}
 	if _, err := db1.SnapshotJSON(); err != nil {
 		t.Fatalf("loaded database cannot snapshot: %v", err)
 	}
-}
-
-// logImage encodes a recovered database's history — every replayed
-// update with its post-image and the post-image's class, in commit order.
-// Unlike checkpointImage it does not sort map contents, whose
-// input-order-dependent comparisons would make the fuzzer's coverage
-// signal flaky.
-func logImage(db *Database) []byte {
-	var b []byte
-	for _, u := range db.Log() {
-		b = append(b, uint8(u.Kind))
-		b = binfmt.AppendStr(b, string(u.Object))
-		if u.After != nil {
-			b = appendClass(b, u.After.class)
-			b = appendObject(b, u.After)
-		}
-	}
-	return b
 }

@@ -47,7 +47,7 @@ func TestWALGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 
 	leaderDone := make(chan struct{})
 	go func() {
-		w.appendClock(1, nil)
+		w.append(&walRecord{kind: recClock, now: 1})
 		close(leaderDone)
 	}()
 	<-g.entered // leader is inside Write with the first record
@@ -57,7 +57,7 @@ func TestWALGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.appendClock(1, nil)
+			w.append(&walRecord{kind: recClock, now: 1})
 		}()
 	}
 	// Wait until every follower has staged its record behind the leader.
@@ -119,14 +119,14 @@ func TestWALGroupCommitWriteErrorWakesFollowers(t *testing.T) {
 
 	leaderDone := make(chan struct{})
 	go func() {
-		w.appendClock(1, nil)
+		w.append(&walRecord{kind: recClock, now: 1})
 		close(leaderDone)
 	}()
 	<-g.entered
 
 	followerDone := make(chan struct{})
 	go func() {
-		w.appendClock(1, nil)
+		w.append(&walRecord{kind: recClock, now: 1})
 		close(followerDone)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -158,14 +158,14 @@ func TestWALGroupCommitWriteErrorWakesFollowers(t *testing.T) {
 		t.Fatal("write error not sticky")
 	}
 	// Subsequent appends are dropped, not deadlocked.
-	w.appendClock(2, nil)
+	w.append(&walRecord{kind: recClock, now: 2})
 }
 
 func BenchmarkWALAppendSerial(b *testing.B) {
 	w := NewWAL(io.Discard)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.appendClock(temporal.Tick(1), nil)
+		w.append(&walRecord{kind: recClock, now: temporal.Tick(1)})
 	}
 }
 
@@ -177,7 +177,7 @@ func BenchmarkWALAppendParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			w.appendClock(temporal.Tick(1), nil)
+			w.append(&walRecord{kind: recClock, now: temporal.Tick(1)})
 		}
 	})
 }

@@ -30,7 +30,7 @@ func TestWALNotesReplayOpaque(t *testing.T) {
 	}
 
 	var notes []string
-	got, rep, err := RecoverObserved(nil, buf.Bytes(), &WALObserver{
+	got, rep, err := recoverLog(nil, bytes.NewReader(buf.Bytes()), int64(buf.Len()), &WALObserver{
 		Note: func(tag string, data []byte) {
 			notes = append(notes, tag+":"+string(data))
 		},
@@ -57,16 +57,19 @@ func TestWALProvSurfacedPerMutationAtReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	insertCar(t, db, c, "car1", geom.Point{X: 1}, geom.Vector{X: 1})
-	if err := db.SetMotionProv("car1", geom.Vector{X: 2}, &Prov{Client: "alice", Req: 5, Op: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetStaticProv("car1", "PRICE", Float(42), &Prov{Client: "alice", Req: 5, Op: 1}); err != nil {
+	// One request, two ops, committed as one batch (as the server does).
+	if err := db.Batch(func(tx *Tx) error {
+		if err := tx.SetMotion("car1", geom.Vector{X: 2}, &Prov{Client: "alice", Req: 5, Op: 0}); err != nil {
+			return err
+		}
+		return tx.SetStatic("car1", "PRICE", Float(42), &Prov{Client: "alice", Req: 5, Op: 1})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	db.AdvanceProv(3, &Prov{Client: "bob", Req: 1, Op: 0})
 
 	var seen []string
-	got, _, err := RecoverObserved(nil, buf.Bytes(), &WALObserver{
+	got, _, err := recoverLog(nil, bytes.NewReader(buf.Bytes()), int64(buf.Len()), &WALObserver{
 		Applied: func(p Prov, now temporal.Tick) {
 			seen = append(seen, fmt.Sprintf("%s/%d/%d@%d", p.Client, p.Req, p.Op, now))
 		},

@@ -10,7 +10,8 @@
 // Maintained continuous-query answers use it so that an install touching a
 // handful of instantiations copies a handful of nodes instead of the whole
 // relation, while every earlier install stays intact for the readers that
-// still hold it.
+// still hold it; the database keeps each class's objects in one, so a
+// snapshot is a root, not a copy.
 package pmap
 
 import "sort"
@@ -37,6 +38,10 @@ type node[V any] struct {
 	keys []string
 	vals []V        // leaf entries (nil for internal nodes)
 	kids []*node[V] // children (nil for leaves)
+	// shared marks keys as still those of the node this one was copied
+	// from: most writes replace a value, so a copy borrows the keys and
+	// takes its own (ownKeys) only before changing them.
+	shared bool
 }
 
 func (n *node[V]) leaf() bool { return n.kids == nil }
@@ -156,6 +161,9 @@ func (m Map[V]) Edit() *Txn[V] {
 	return &Txn[V]{own: &owner{}, root: m.root, n: m.n}
 }
 
+// Get returns the value stored under k in the batch's current state.
+func (t *Txn[V]) Get(k string) (V, bool) { return Map[V]{root: t.root}.Get(k) }
+
 // Map ends the batch and returns its result.  The Txn may keep editing
 // afterwards; its next write copies again, so the returned Map is never
 // changed.
@@ -170,13 +178,21 @@ func (t *Txn[V]) writable(n *node[V]) *node[V] {
 	if n.own == t.own {
 		return n
 	}
-	c := &node[V]{own: t.own, keys: append(make([]string, 0, len(n.keys)+1), n.keys...)}
+	c := &node[V]{own: t.own, keys: n.keys, shared: true}
 	if n.leaf() {
 		c.vals = append(make([]V, 0, len(n.vals)+1), n.vals...)
 	} else {
 		c.kids = append(make([]*node[V], 0, len(n.kids)+1), n.kids...)
 	}
 	return c
+}
+
+// ownKeys gives the writable node w its own keys before they change.
+func ownKeys[V any](w *node[V]) {
+	if w.shared {
+		w.keys = append(make([]string, 0, len(w.keys)+1), w.keys...)
+		w.shared = false
+	}
 }
 
 // Set stores v under k, replacing any previous value.
@@ -207,6 +223,7 @@ func (t *Txn[V]) set(n *node[V], k string, v V) (*node[V], *node[V], bool) {
 			return w, nil, false
 		}
 		w := t.writable(n)
+		ownKeys(w)
 		w.keys = insertAt(w.keys, i, k)
 		w.vals = insertAt(w.vals, i, v)
 		return w, t.split(w), true
@@ -216,9 +233,11 @@ func (t *Txn[V]) set(n *node[V], k string, v V) (*node[V], *node[V], bool) {
 	w := t.writable(n)
 	w.kids[i] = c
 	if k < w.keys[i] {
+		ownKeys(w)
 		w.keys[i] = k
 	}
 	if right != nil {
+		ownKeys(w)
 		w.keys = insertAt(w.keys, i+1, right.keys[0])
 		w.kids = insertAt(w.kids, i+1, right)
 	}
@@ -230,6 +249,7 @@ func (t *Txn[V]) split(w *node[V]) *node[V] {
 	if w.size() <= maxEntries {
 		return nil
 	}
+	ownKeys(w)
 	h := w.size() / 2
 	r := &node[V]{own: t.own, keys: append(make([]string, 0, maxEntries), w.keys[h:]...)}
 	clear(w.keys[h:])
@@ -275,6 +295,7 @@ func (t *Txn[V]) del(n *node[V], k string) (*node[V], bool) {
 			return n, false
 		}
 		w := t.writable(n)
+		ownKeys(w)
 		w.keys = removeAt(w.keys, i)
 		w.vals = removeAt(w.vals, i)
 		return w, true
@@ -296,6 +317,7 @@ func (t *Txn[V]) del(n *node[V], k string) (*node[V], bool) {
 // an empty child is dropped, otherwise it merges with a neighbour when the
 // two fit in one node and takes entries from it when they do not.
 func (t *Txn[V]) rebalance(w *node[V], i int) {
+	ownKeys(w)
 	c := w.kids[i]
 	if c.size() == 0 {
 		w.keys = removeAt(w.keys, i)
@@ -310,6 +332,8 @@ func (t *Txn[V]) rebalance(w *node[V], i int) {
 		l = 0
 	}
 	a, b := t.writable(w.kids[l]), t.writable(w.kids[l+1])
+	ownKeys(a)
+	ownKeys(b)
 	w.kids[l], w.kids[l+1] = a, b
 	if a.size()+b.size() <= maxEntries {
 		a.keys = append(a.keys, b.keys...)

@@ -76,9 +76,9 @@ func (e *Engine) Continuous(q *ftl.Query, opts Options) (*Continuous, error) {
 		// holding the maintenance loop (evaluating=true), so an update
 		// committed between the initial snapshot and the map insertion is
 		// queued and applied by the drain below instead of being lost: the
-		// update's log append either precedes the Version read (and is in
-		// the evaluated snapshot) or follows the map insertion (and its
-		// onUpdate finds the plan).
+		// update either commits before the evaluated snapshot is published
+		// (and is in it) or after the map insertion (and its onUpdate, which
+		// runs after its commit, finds the plan).
 		p := newSharedPlan(e, key, q, opts)
 		p.evaluating = true
 		p.subs = []*Continuous{h}
@@ -90,8 +90,7 @@ func (e *Engine) Continuous(q *ftl.Query, opts Options) (*Continuous, error) {
 		e.mu.Unlock()
 		e.reg().Counter("query.continuous.shared_plans").Inc()
 
-		v := e.db.Version()
-		rel, now, err := p.evaluate()
+		rel, now, v, err := p.evaluate()
 		if err != nil {
 			e.mu.Lock()
 			if e.plans[key] == p {

@@ -5,7 +5,6 @@ import (
 
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/ftl/eval"
-	"github.com/mostdb/most/internal/geom"
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/temporal"
@@ -76,27 +75,11 @@ func updateClass(u most.Update) string {
 
 // pinnedContext builds the minimal evaluation context for a one-variable
 // query pinned to a single object: the variable's domain is the object
-// itself, so the context carries only that object's revision — no database
-// snapshot, no all-ids domain bind.  Mirrors Engine.context otherwise.
+// itself, so the context carries only that object's revision — no
+// database snapshot, no all-ids domain bind.
 func (e *Engine) pinnedContext(opts Options, now temporal.Tick, sp *obs.Span, pin string, id most.ObjectID, o *most.Object) *eval.Context {
-	ctx := &eval.Context{
-		Now:             now,
-		Horizon:         opts.horizon(),
-		Objects:         map[most.ObjectID]*most.Object{id: o},
-		Regions:         opts.Regions,
-		Params:          opts.Params,
-		Domains:         map[string][]eval.Val{pin: {eval.ObjVal(id)}},
-		MaxAssignStates: opts.MaxAssignStates,
-		BisectSamples:   opts.BisectSamples,
-		Parallelism:     opts.Parallelism,
-		Obs:             e.reg(),
-		Span:            sp,
-	}
-	if ix := opts.MotionIndex; ix != nil {
-		ctx.InsideCandidates = func(pg geom.Polygon, w temporal.Interval) []most.ObjectID {
-			return ix.CandidatesInRect(pg.Bounds(), float64(w.Start), float64(w.End))
-		}
-	}
+	ctx := e.newContext(opts, most.NewSnapshot(now, o), now, sp)
+	ctx.Domains[pin] = []eval.Val{eval.ObjVal(id)}
 	return ctx
 }
 
@@ -134,10 +117,10 @@ func (p *sharedPlan) runDelta(batch []most.Update) bool {
 	}
 	clear(p.seen)
 
-	// Version before the snapshot, as in runFull, so the install stamp is
-	// conservative.
-	v := e.db.Version()
-	now := e.db.Now()
+	// One version supplies the install stamp, the clock and the touched
+	// objects' current revisions.
+	snap := e.db.Snapshot()
+	v, now := snap.Version(), snap.Now()
 	nq := &p.plan.query
 	// Single-binding fast path: a pinned evaluation of a one-variable query
 	// touches only the pinned object, so the context can carry just that
@@ -149,7 +132,7 @@ func (p *sharedPlan) runDelta(batch []most.Update) bool {
 	}
 	var ctx *eval.Context
 	if single == "" {
-		full, err := e.context(nq, p.opts, now, sp)
+		full, err := e.boundContext(nq, p.opts, snap, now, sp)
 		if err != nil {
 			reg.Counter("query.continuous.fallback").Inc()
 			return false
@@ -158,7 +141,7 @@ func (p *sharedPlan) runDelta(batch []most.Update) bool {
 	}
 	var replacements []*eval.Relation
 	for _, id := range ids {
-		o, ok := e.db.Get(id)
+		o, ok := snap.Get(id)
 		if !ok {
 			// Object deleted: removal only.
 			continue

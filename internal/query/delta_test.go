@@ -160,22 +160,18 @@ func TestContinuousDeltaReanchor(t *testing.T) {
 }
 
 // TestContinuousDeltaFallbacks pins the structural fallback conditions:
-// unbounded operators, bindings projected away by answer assembly,
-// assignment-coupled bindings, and the DisableDelta knob all must route
-// maintenance through full reevaluation — with answers still equal to
-// naive.
+// unbounded operators, bindings projected away by answer assembly, and
+// assignment-coupled bindings all must route maintenance through full
+// reevaluation — with answers still equal to naive.
 func TestContinuousDeltaFallbacks(t *testing.T) {
 	cases := []struct {
-		name         string
-		src          string
-		disable      bool
-		wantFallback bool // counted as fallback (vs. deliberate DisableDelta)
+		name string
+		src  string
 	}{
-		{"unbounded-eventually", `RETRIEVE o FROM Vehicles o WHERE EVENTUALLY INSIDE(o, P)`, false, true},
-		{"non-target-binding", `RETRIEVE o FROM Vehicles o, Vehicles n WHERE EVENTUALLY WITHIN 5 DIST(o, n) <= 3`, false, true},
+		{"unbounded-eventually", `RETRIEVE o FROM Vehicles o WHERE EVENTUALLY INSIDE(o, P)`},
+		{"non-target-binding", `RETRIEVE o FROM Vehicles o, Vehicles n WHERE EVENTUALLY WITHIN 5 DIST(o, n) <= 3`},
 		{"assign-coupled", `RETRIEVE o, n FROM Vehicles o, Vehicles n
-			WHERE [x <- SPEED(o.X.POSITION)] EVENTUALLY WITHIN 5 SPEED(n.X.POSITION) >= x + 1`, false, true},
-		{"disable-delta", `RETRIEVE o FROM Vehicles o WHERE INSIDE(o, P)`, true, false},
+			WHERE [x <- SPEED(o.X.POSITION)] EVENTUALLY WITHIN 5 SPEED(n.X.POSITION) >= x + 1`},
 	}
 	for _, c := range cases {
 		c := c
@@ -190,7 +186,7 @@ func TestContinuousDeltaFallbacks(t *testing.T) {
 			horizon := temporal.Tick(100)
 
 			q := ftl.MustParse(c.src)
-			cq, err := e.Continuous(q, Options{Horizon: horizon, Regions: regions, DisableDelta: c.disable})
+			cq, err := e.Continuous(q, Options{Horizon: horizon, Regions: regions})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,9 +210,8 @@ func TestContinuousDeltaFallbacks(t *testing.T) {
 			if snap.Counters["query.continuous.full"] != 3 {
 				t.Errorf("full counter = %d, want 3", snap.Counters["query.continuous.full"])
 			}
-			gotFallback := snap.Counters["query.continuous.fallback"] > 0
-			if gotFallback != c.wantFallback {
-				t.Errorf("fallback counter = %d, want >0=%v", snap.Counters["query.continuous.fallback"], c.wantFallback)
+			if snap.Counters["query.continuous.fallback"] == 0 {
+				t.Errorf("fallback counter = 0, want > 0")
 			}
 		})
 	}

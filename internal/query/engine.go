@@ -56,11 +56,6 @@ type Options struct {
 	// identical at every setting (results merge in deterministic
 	// instantiation order); only the wall-clock time changes.
 	Parallelism int
-	// DisableDelta forces continuous queries registered with these options
-	// to maintain their answer by full reevaluation only, never per-object
-	// patches.  A measurement/debugging knob (mostbench -delta uses it as
-	// the baseline); the answers are identical either way.
-	DisableDelta bool
 }
 
 // DefaultHorizon is the query expiry used when Options.Horizon is zero.
@@ -177,15 +172,9 @@ func (e *Engine) countEval() {
 	e.mu.Unlock()
 }
 
-// context builds an eval context over the current database state, hanging
-// stage spans (snapshot, bind) off sp when tracing is enabled.
-func (e *Engine) context(q *ftl.Query, opts Options, now temporal.Tick, sp *obs.Span) (*eval.Context, error) {
-	// Snapshot is a copy-on-read view: the evaluator works off immutable
-	// object revisions, so updaters keep committing while the query runs.
-	snap := sp.Child("snapshot")
-	objects := e.db.Snapshot()
-	snap.Annotate("objects", int64(len(objects)))
-	snap.End()
+// newContext builds an evaluation context at now over objects, with no
+// domains bound.
+func (e *Engine) newContext(opts Options, objects *most.Snapshot, now temporal.Tick, sp *obs.Span) *eval.Context {
 	ctx := &eval.Context{
 		Now:             now,
 		Horizon:         opts.horizon(),
@@ -204,23 +193,38 @@ func (e *Engine) context(q *ftl.Query, opts Options, now temporal.Tick, sp *obs.
 			return ix.CandidatesInRect(pg.Bounds(), float64(w.Start), float64(w.End))
 		}
 	}
+	return ctx
+}
+
+// boundContext is newContext with the domains of q bound from objects, as
+// the bind stage of sp.
+func (e *Engine) boundContext(q *ftl.Query, opts Options, objects *most.Snapshot, now temporal.Tick, sp *obs.Span) (*eval.Context, error) {
+	ctx := e.newContext(opts, objects, now, sp)
 	bind := sp.Child("bind")
-	err := ctx.BindDomains(q, eval.IDsOf(e.db))
+	err := ctx.BindDomains(q)
 	bind.End()
-	if err != nil {
-		return nil, err
-	}
-	return ctx, nil
+	return ctx, err
+}
+
+// snapshot takes the database version an evaluation reads, as the
+// snapshot stage of sp.
+func (e *Engine) snapshot(sp *obs.Span) *most.Snapshot {
+	st := sp.Child("snapshot")
+	s := e.db.Snapshot()
+	st.Annotate("objects", int64(s.Len()))
+	st.End()
+	return s
 }
 
 // evalRelation is the shared evaluation path behind all three query types:
-// rewrite (ftl.Normalize), context construction, and the FTL evaluation
-// itself, all recorded as child stages of sp.
-func (e *Engine) evalRelation(q *ftl.Query, opts Options, now temporal.Tick, sp *obs.Span) (*eval.Relation, error) {
+// rewrite (ftl.Normalize), context construction over objects at now with
+// the domains bound from the same objects, and the FTL evaluation itself,
+// all recorded as child stages of sp.
+func (e *Engine) evalRelation(q *ftl.Query, opts Options, objects *most.Snapshot, now temporal.Tick, sp *obs.Span) (*eval.Relation, error) {
 	rw := sp.Child("rewrite")
 	nq := ftl.NormalizeQuery(*q)
 	rw.End()
-	ctx, err := e.context(&nq, opts, now, sp)
+	ctx, err := e.boundContext(&nq, opts, objects, now, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -235,20 +239,24 @@ func (e *Engine) evalRelation(q *ftl.Query, opts Options, now temporal.Tick, sp 
 // Row is one presented answer instantiation.
 type Row []eval.Val
 
+// rowsAt presents the instantiations of rel satisfied at tick t.
+func rowsAt(rel *eval.Relation, t temporal.Tick) []Row {
+	var rows []Row
+	for _, vals := range rel.At(t) {
+		rows = append(rows, Row(vals))
+	}
+	return rows
+}
+
 // Instantaneous evaluates q at the current time and returns the
 // instantiations satisfying it now, i.e. whose answer interval contains the
 // entry tick (§2.3, §3.5).
 func (e *Engine) Instantaneous(q *ftl.Query, opts Options) ([]Row, error) {
-	now := e.db.Now()
-	rel, err := e.InstantaneousRelation(q, opts)
+	rel, now, err := e.instantaneous(q, opts)
 	if err != nil {
 		return nil, err
 	}
-	var rows []Row
-	for _, vals := range rel.At(now) {
-		rows = append(rows, Row(vals))
-	}
-	return rows, nil
+	return rowsAt(rel, now), nil
 }
 
 // Query parses, normalizes, and evaluates src as an instantaneous query.
@@ -268,28 +276,33 @@ func (e *Engine) Query(src string, opts Options) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	now := e.db.Now()
-	rel, err := e.evalRelation(q, opts, now, sp)
+	s := e.snapshot(sp)
+	rel, err := e.evalRelation(q, opts, s, s.Now(), sp)
 	if err != nil {
 		return nil, err
 	}
-	var rows []Row
-	for _, vals := range rel.At(now) {
-		rows = append(rows, Row(vals))
-	}
-	return rows, nil
+	return rowsAt(rel, s.Now()), nil
 }
 
 // InstantaneousRelation evaluates q at the current time and returns the
 // full Answer relation (every instantiation with its interval set).
 func (e *Engine) InstantaneousRelation(q *ftl.Query, opts Options) (*eval.Relation, error) {
+	rel, _, err := e.instantaneous(q, opts)
+	return rel, err
+}
+
+// instantaneous evaluates q over one snapshot, returning the relation and
+// the tick it is anchored at.
+func (e *Engine) instantaneous(q *ftl.Query, opts Options) (*eval.Relation, temporal.Tick, error) {
 	reg := e.reg()
 	reg.Counter("query.instantaneous").Inc()
 	sp := reg.StartSpan("query.instantaneous")
 	defer sp.End()
 	t0 := reg.Start()
 	defer reg.Histogram("query.instantaneous_ns").Since(t0)
-	return e.evalRelation(q, opts, e.db.Now(), sp)
+	s := e.snapshot(sp)
+	rel, err := e.evalRelation(q, opts, s, s.Now(), sp)
+	return rel, s.Now(), err
 }
 
 // onUpdate maintains registered queries after an explicit update (§2.3:

@@ -275,7 +275,7 @@ func TestLoopbackCityOracle(t *testing.T) {
 			Regions: cat.Regions,
 			Domains: map[string][]eval.Val{},
 		}
-		if err := ctx.BindDomains(q, eval.IDsOf(localDB)); err != nil {
+		if err := ctx.BindDomains(q); err != nil {
 			t.Fatalf("naive bind: %v", err)
 		}
 		rel, err := eval.EvalQuery(q, ctx)

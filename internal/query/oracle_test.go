@@ -42,7 +42,7 @@ func naiveEval(t *testing.T, db *most.Database, q *ftl.Query, regions map[string
 		Regions: regions,
 		Domains: map[string][]eval.Val{},
 	}
-	if err := ctx.BindDomains(q, eval.IDsOf(db)); err != nil {
+	if err := ctx.BindDomains(q); err != nil {
 		t.Fatalf("naive bind: %v", err)
 	}
 	rel, err := eval.EvalQuery(q, ctx)
@@ -66,7 +66,7 @@ func naivePersistent(t *testing.T, db *most.Database, q *ftl.Query, regions map[
 		Regions: regions,
 		Domains: map[string][]eval.Val{},
 	}
-	if err := ctx.BindDomains(q, eval.IDsOf(db)); err != nil {
+	if err := ctx.BindDomains(q); err != nil {
 		t.Fatalf("naive persistent bind: %v", err)
 	}
 	rel, err := eval.EvalQuery(q, ctx)
@@ -185,12 +185,12 @@ func runOracle(t *testing.T, seed int64, ticks temporal.Tick) {
 
 	// Index first, engine second: see maintainIndex.
 	ix := index.NewMotionIndex(0, ticks+horizon+1)
-	for id, o := range db.Snapshot() {
+	for _, o := range db.Objects("") {
 		pos, perr := o.Position()
 		if perr != nil {
 			continue
 		}
-		if ierr := ix.Insert(id, pos); ierr != nil {
+		if ierr := ix.Insert(o.ID(), pos); ierr != nil {
 			t.Fatal(ierr)
 		}
 	}
@@ -292,7 +292,7 @@ func runOracle(t *testing.T, seed int64, ticks temporal.Tick) {
 					Regions: region,
 					Domains: map[string][]eval.Val{},
 				}
-				if err := ctx.BindDomains(c.q, eval.IDsOf(db)); err != nil {
+				if err := ctx.BindDomains(c.q); err != nil {
 					t.Fatal(err)
 				}
 				ref, err := eval.ReferenceEval(c.q, ctx)

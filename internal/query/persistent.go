@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"github.com/mostdb/most/internal/ftl"
-	"github.com/mostdb/most/internal/ftl/eval"
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/motion"
 	"github.com/mostdb/most/internal/temporal"
@@ -29,6 +28,8 @@ type Persistent struct {
 	query  *ftl.Query
 	opts   Options
 	anchor temporal.Tick
+	// release ends the query's hold on the database's update log.
+	release func()
 
 	mu        sync.Mutex
 	answer    []Row
@@ -47,8 +48,11 @@ type Persistent struct {
 }
 
 // Persistent registers a persistent query anchored at the current time.
+// The query holds the database's update log from its anchor on until it
+// is cancelled (most.Database.HoldHistory).
 func (e *Engine) Persistent(q *ftl.Query, opts Options) (*Persistent, error) {
-	pq := &Persistent{engine: e, query: q, opts: opts, anchor: e.db.Now(), classes: map[string]bool{}}
+	anchor, release := e.db.HoldHistory()
+	pq := &Persistent{engine: e, query: q, opts: opts, anchor: anchor, release: release, classes: map[string]bool{}}
 	for _, b := range q.Bindings {
 		pq.classes[b.Class] = true
 	}
@@ -68,6 +72,7 @@ func (e *Engine) Persistent(q *ftl.Query, opts Options) (*Persistent, error) {
 		delete(e.persistent, pq.id)
 		e.rebuildSnapshot()
 		e.mu.Unlock()
+		release()
 		return nil, err
 	}
 	pq.drainPending()
@@ -101,12 +106,13 @@ func (pq *Persistent) Subscribe(fn func([]Row)) error {
 	return nil
 }
 
-// Cancel unregisters the query.
+// Cancel unregisters the query and releases its hold on the update log.
 func (pq *Persistent) Cancel() {
 	pq.engine.mu.Lock()
 	delete(pq.engine.persistent, pq.id)
 	pq.engine.rebuildSnapshot()
 	pq.engine.mu.Unlock()
+	pq.release()
 	pq.mu.Lock()
 	pq.cancelled = true
 	pq.mu.Unlock()
@@ -168,47 +174,22 @@ func (pq *Persistent) evalOnce() error {
 	t0 := reg.Start()
 	defer reg.Histogram("query.persistent_ns").Since(t0)
 
-	// Version before History: the replayed log is at least as new as v.
-	v := e.db.Version()
 	hist := sp.Child("synthesize_history")
 	h := e.db.History()
-	horizonEnd := pq.anchor.Add(pq.opts.horizon())
-	objects := synthesizeHistory(h, pq.anchor, horizonEnd)
-	hist.Annotate("objects", int64(len(objects)))
+	v := h.Current().Version()
+	objects := synthesizeHistory(h, pq.anchor, pq.anchor.Add(pq.opts.horizon()))
+	hist.Annotate("objects", int64(objects.Len()))
 	hist.End()
 
-	rw := sp.Child("rewrite")
-	nq := ftl.NormalizeQuery(*pq.query)
-	rw.End()
-
-	ctx := &eval.Context{
-		Now:             pq.anchor,
-		Horizon:         pq.opts.horizon(),
-		Objects:         objects,
-		Regions:         pq.opts.Regions,
-		Params:          pq.opts.Params,
-		Domains:         map[string][]eval.Val{},
-		MaxAssignStates: pq.opts.MaxAssignStates,
-		BisectSamples:   pq.opts.BisectSamples,
-		Parallelism:     pq.opts.Parallelism,
-		Obs:             reg,
-		Span:            sp,
-	}
-	bind := sp.Child("bind")
-	err := ctx.BindDomains(&nq, eval.IDsOf(e.db))
-	bind.End()
+	// The motion index covers current trajectories, not the synthesized
+	// history.
+	opts := pq.opts
+	opts.MotionIndex = nil
+	rel, err := e.evalRelation(pq.query, opts, objects, pq.anchor, sp)
 	if err != nil {
 		return err
 	}
-	rel, err := eval.EvalQuery(&nq, ctx)
-	if err != nil {
-		return err
-	}
-	e.countEval()
-	var rows []Row
-	for _, vals := range rel.At(pq.anchor) {
-		rows = append(rows, Row(vals))
-	}
+	rows := rowsAt(rel, pq.anchor)
 	pq.mu.Lock()
 	if pq.cancelled {
 		pq.mu.Unlock()
@@ -233,21 +214,28 @@ func (pq *Persistent) evalOnce() error {
 // implicit future up to horizonEnd.  Static attributes take their current
 // values (a static attribute has a single value per revision; queries over
 // past static values should bind them with the assignment quantifier at
-// entry time instead).
-func synthesizeHistory(h most.History, t0, horizonEnd temporal.Tick) map[most.ObjectID]*most.Object {
-	out := make(map[most.ObjectID]*most.Object, len(h.Current()))
-	for id, cur := range h.Current() {
+// entry time instead).  It makes one pass over the retained log.
+func synthesizeHistory(h most.History, t0, horizonEnd temporal.Tick) *most.Snapshot {
+	byObj := map[most.ObjectID][]most.Update{}
+	for _, u := range h.Updates() {
+		byObj[u.Object] = append(byObj[u.Object], u)
+	}
+	current := h.Current().Objects("")
+	out := make([]*most.Object, 0, len(current))
+	for _, cur := range current {
+		id := cur.ID()
+		ups := byObj[id]
 		// Collect this object's revision changepoints in [t0, now].
 		type rev struct {
 			tick temporal.Tick
 			obj  *most.Object
 		}
 		revs := []rev{}
-		if o, ok := h.RevisionAt(id, t0); ok {
+		if o, ok := h.RevisionIn(id, ups, t0); ok {
 			revs = append(revs, rev{tick: t0, obj: o})
 		}
-		for _, u := range h.Updates() {
-			if u.Object != id || u.Tick <= t0 || u.After == nil {
+		for _, u := range ups {
+			if u.Tick <= t0 || u.After == nil {
 				continue
 			}
 			if u.Tick > h.Now() {
@@ -289,9 +277,9 @@ func synthesizeHistory(h most.History, t0, horizonEnd temporal.Tick) map[most.Ob
 				synth = next
 			}
 		}
-		out[id] = synth
+		out = append(out, synth)
 	}
-	return out
+	return most.NewSnapshot(h.Now(), out...)
 }
 
 // segsToDynamicAttr folds absolute-time segments into a single DynamicAttr

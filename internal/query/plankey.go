@@ -52,9 +52,6 @@ func planKey(q *ftl.Query, opts Options) string {
 	w.b.WriteString(strconv.Itoa(opts.MaxAssignStates))
 	w.b.WriteString(";bs=")
 	w.b.WriteString(strconv.Itoa(opts.BisectSamples))
-	if opts.DisableDelta {
-		w.b.WriteString(";nodelta")
-	}
 	w.b.WriteString(";params=")
 	for _, p := range w.params {
 		w.b.WriteString(p)

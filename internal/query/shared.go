@@ -93,8 +93,9 @@ func (p *sharedPlan) canSkip(class string, tick temporal.Tick, env rect2) bool {
 }
 
 // evaluate runs one full evaluation of the plan's query under its own root
-// span and metrics, returning the relation and the tick it was anchored at.
-func (p *sharedPlan) evaluate() (*eval.Relation, temporal.Tick, error) {
+// span and metrics, returning the relation and the tick and database
+// version of the snapshot it read.
+func (p *sharedPlan) evaluate() (*eval.Relation, temporal.Tick, uint64, error) {
 	e := p.engine
 	reg := e.reg()
 	reg.Counter("query.continuous").Inc()
@@ -102,9 +103,9 @@ func (p *sharedPlan) evaluate() (*eval.Relation, temporal.Tick, error) {
 	defer sp.End()
 	t0 := reg.Start()
 	defer reg.Histogram("query.continuous_ns").Since(t0)
-	now := e.db.Now()
-	rel, err := e.evalRelation(p.query, p.opts, now, sp)
-	return rel, now, err
+	s := e.snapshot(sp)
+	rel, err := e.evalRelation(p.query, p.opts, s, s.Now(), sp)
+	return rel, s.Now(), s.Version(), err
 }
 
 // storeValidity records the installed answer's presentability window end.
@@ -127,7 +128,7 @@ func (p *sharedPlan) maintain(u most.Update) {
 	// including ones arriving while a full reevaluation was already
 	// pending (those used to be swallowed unclassified).
 	deltable := p.deltable(u)
-	if !deltable && !p.opts.DisableDelta {
+	if !deltable {
 		p.engine.reg().Counter("query.continuous.fallback").Inc()
 	}
 	switch {
@@ -151,9 +152,6 @@ func (p *sharedPlan) maintain(u most.Update) {
 // deltable reports whether u can be applied as a per-object patch.  Callers
 // hold p.mu.
 func (p *sharedPlan) deltable(u most.Update) bool {
-	if p.opts.DisableDelta {
-		return false
-	}
 	return p.plan.deltable(u, p.opts.horizon())
 }
 
@@ -212,10 +210,7 @@ func (p *sharedPlan) runFull() {
 	reg := e.reg()
 	reg.Counter("query.continuous.reevals").Inc()
 	reg.Counter("query.continuous.full").Inc()
-	// The version is read before the snapshot, so the evaluated state is
-	// at least as new as v and the install guard stays conservative.
-	v := e.db.Version()
-	rel, now, err := p.evaluate()
+	rel, now, v, err := p.evaluate()
 	p.mu.Lock()
 	if p.removed {
 		p.mu.Unlock()

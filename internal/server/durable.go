@@ -97,9 +97,9 @@ type dedupSidecar struct {
 // RecoveryInfo reports what NewDurable rebuilt.
 type RecoveryInfo struct {
 	// Report is the WAL replay report; nil on a fresh start (no snapshot,
-	// no log).  Report.Truncated with a correct database is expected after
-	// a crash between checkpoint snapshot and WAL truncation: replay stops
-	// at the first record the snapshot already contains.
+	// no log).  A crash between a checkpoint's snapshot and its WAL
+	// truncation is not damage: replay skips the records the snapshot
+	// already holds (most.Database.Checkpoint).
 	Report *most.RecoveryReport
 	// Fresh is true when the data directory held no state and the seed
 	// database was used.
@@ -230,6 +230,15 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 	for c, m := range partials {
 		if len(m) == 0 {
 			delete(partials, c)
+		}
+	}
+
+	// Cut the log where replay stopped.  OpenWAL trims only torn and
+	// checksum-failing frames; behind a whole record replay rejected, new
+	// appends would never replay.
+	if rep := info.Report; rep != nil && rep.Truncated && rep.End > 0 {
+		if err := os.Truncate(walPath, rep.End); err != nil {
+			return nil, nil, fmt.Errorf("server: cut wal: %w", err)
 		}
 	}
 

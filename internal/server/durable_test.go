@@ -7,7 +7,9 @@ package server
 // lifecycle.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -574,4 +576,139 @@ func TestDurableRefusesLegacyDirectory(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reopenLogUntruncatable recovers the database a clean checkpoint left in
+// dir (snapshot, empty log) and attaches it to that log through a plain
+// writer, which a checkpoint cannot truncate: the checkpoint then writes
+// its snapshot and fails, leaving exactly what a crash between its
+// snapshot and its log truncation leaves.  The caller closes the file.
+func reopenLogUntruncatable(t *testing.T, dir string) (*most.Database, *os.File) {
+	t.Helper()
+	db, _, err := most.RecoverFiles(filepath.Join(dir, snapFile), filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AttachWALNoBase(most.NewWAL(f)); err != nil {
+		t.Fatal(err)
+	}
+	return db, f
+}
+
+func compactJSON(t *testing.T, data []byte) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.Compact(&b, data); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+func snapshotJSON(t *testing.T, db *most.Database) string {
+	t.Helper()
+	data, err := db.SnapshotJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compactJSON(t, data)
+}
+
+func setMotion(t *testing.T, db *most.Database, car int, v geom.Vector) {
+	t.Helper()
+	if err := db.SetMotion(most.ObjectID(vid(car)), v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ingestAcrossCrash restarts the server from dir, checks it holds want's
+// state, acknowledges a few writes (applied to want as well), kills it,
+// restarts again and checks that every acknowledged write survived.
+func ingestAcrossCrash(t *testing.T, dir string, want *most.Database) {
+	t.Helper()
+	srv, _ := startDurable(t, dir, "", Config{})
+	r, _ := mustHello(t, srv.Addr().String(), "ingest", 1)
+	if got, wantJSON := compactJSON(t, r.snapshot()), snapshotJSON(t, want); got != wantJSON {
+		srv.Abort()
+		t.Fatalf("recovered state differs from the state before the crash:\n%s\nwant:\n%s", got, wantJSON)
+	}
+	r.update(1, []wire.UpdateOp{motionOp(1, 3, 4)})
+	r.call(wire.OpAdvance, 2, &wire.AdvanceReq{D: 1})
+	r.update(3, []wire.UpdateOp{motionOp(2, -1, 0), motionOp(0, 0, 2)})
+	setMotion(t, want, 1, geom.Vector{X: 3, Y: 4})
+	want.Advance(1)
+	setMotion(t, want, 2, geom.Vector{X: -1})
+	setMotion(t, want, 0, geom.Vector{Y: 2})
+	r.c.Close()
+	srv.Abort()
+
+	srv, _ = startDurable(t, dir, "", Config{})
+	defer srv.Abort()
+	r, _ = mustHello(t, srv.Addr().String(), "ingest", 2)
+	if got, wantJSON := compactJSON(t, r.snapshot()), snapshotJSON(t, want); got != wantJSON {
+		t.Fatalf("acknowledged writes lost across the restart:\n%s\nwant:\n%s", got, wantJSON)
+	}
+}
+
+// A crash between a checkpoint's snapshot and its log truncation leaves
+// the new snapshot beside a log it already holds.  Recovery must not
+// replay those records over it (they would roll the state back), and
+// writes acknowledged after the restart must survive the next one.
+func TestDurableCheckpointWindowCrash(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := startDurable(t, dir, "", Config{})
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Abort()
+
+	db, f := reopenLogUntruncatable(t, dir)
+	setMotion(t, db, 0, geom.Vector{X: 5})
+	db.Advance(1)
+	setMotion(t, db, 0, geom.Vector{X: 9})
+	db.Advance(1)
+	if err := db.Checkpoint(filepath.Join(dir, snapFile)); err == nil {
+		t.Fatal("checkpoint truncated a log it cannot truncate")
+	}
+	f.Close()
+	ingestAcrossCrash(t, dir, db)
+}
+
+// A record that passes its checksum but cannot be applied ends replay;
+// the restarted server must cut the log there, or everything it appends
+// behind the record is lost at the next recovery.
+func TestDurableCutsLogAtRejectedRecord(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := startDurable(t, dir, "", Config{})
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Abort()
+
+	want, _, err := most.RecoverFiles(filepath.Join(dir, snapFile), filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Log an update of an object the snapshot does not hold.
+	db, f := reopenLogUntruncatable(t, dir)
+	cls, _ := db.Class("Vehicles")
+	ghost, err := most.NewObject("ghost", cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.DetachWAL()
+	if err := db.Insert(ghost); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AttachWALNoBase(most.NewWAL(f)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SetStatic("ghost", "PRICE", most.Float(1)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	ingestAcrossCrash(t, dir, want)
 }

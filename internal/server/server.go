@@ -83,9 +83,11 @@ type Config struct {
 	// wire.DefaultMaxPayload).
 	MaxPayload int
 	// MaxProtocol caps the protocol version the server negotiates in the
-	// Hello handshake: 1 forces JSON payloads for every session, 2 (the
-	// default) lets v2 clients use the binary codec while v1 clients keep
-	// working.  Values outside [1, wire.MaxProtocolVersion] are clamped.
+	// Hello handshake: 1 forces JSON payloads for every session, 2 allows
+	// the binary codec with full NOTIFYs, and 3 (wire.MaxProtocolVersion,
+	// the default) adds delta NOTIFYs; older clients keep working at their
+	// own maximum.  Values outside [1, wire.MaxProtocolVersion] select the
+	// default.
 	MaxProtocol int
 	// OutQueue is the per-session outbound frame queue length (default 256).
 	OutQueue int

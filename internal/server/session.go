@@ -611,24 +611,28 @@ func (s *session) handleUpdateBatch(f wire.Frame) wire.Frame {
 	t0 := s.srv.m.reg.Start()
 	applied := 0
 	var failure error
-	for i := range req.Ops {
-		if i < skip {
+	// The batch commits as one unit: no query sees part of it.
+	st.db.Batch(func(tx *most.Tx) error {
+		for i := range req.Ops {
+			if i < skip {
+				applied++
+				continue
+			}
+			var p *most.Prov
+			if durable && clientID != "" {
+				p = &most.Prov{Client: clientID, Req: f.ID, Op: i}
+			}
+			if err := applyOp(st, tx, &req.Ops[i], p); err != nil {
+				failure = fmt.Errorf("op %d (%s %s): %w", applied, req.Ops[i].Op, req.Ops[i].ID, err)
+				return failure
+			}
+			if hooks != nil && req.Ops[i].ID != "" {
+				s.touched = append(s.touched, req.Ops[i].ID)
+			}
 			applied++
-			continue
 		}
-		var p *most.Prov
-		if durable && clientID != "" {
-			p = &most.Prov{Client: clientID, Req: f.ID, Op: i}
-		}
-		if err := applyOp(st, &req.Ops[i], p); err != nil {
-			failure = fmt.Errorf("op %d (%s %s): %w", applied, req.Ops[i].Op, req.Ops[i].ID, err)
-			break
-		}
-		if hooks != nil && req.Ops[i].ID != "" {
-			s.touched = append(s.touched, req.Ops[i].ID)
-		}
-		applied++
-	}
+		return nil
+	})
 	s.srv.m.applyNs.Since(t0)
 	if failure != nil {
 		return s.errFrame(f.ID, failure)
@@ -637,14 +641,14 @@ func (s *session) handleUpdateBatch(f wire.Frame) wire.Frame {
 	return s.enc(wire.OpResult, f.ID, &resp)
 }
 
-// applyOp applies one explicit update.  Continuous-query maintenance runs
-// synchronously inside the database call (the engine subscribes to
-// updates), so when the batch response goes out every registered query
-// already reflects it.
-func applyOp(st *state, op *wire.UpdateOp, p *most.Prov) error {
+// applyOp applies one explicit update of a batch.  Continuous-query
+// maintenance runs synchronously when the batch commits (the engine
+// subscribes to updates), so when the batch response goes out every
+// registered query already reflects it.
+func applyOp(st *state, tx *most.Tx, op *wire.UpdateOp, p *most.Prov) error {
 	switch op.Op {
 	case wire.OpSetMotion:
-		return st.db.SetMotionProv(most.ObjectID(op.ID), geom.Vector{X: op.VX, Y: op.VY}, p)
+		return tx.SetMotion(most.ObjectID(op.ID), geom.Vector{X: op.VX, Y: op.VY}, p)
 	case wire.OpSetStatic:
 		if op.Value == nil {
 			return errors.New("set_static without value")
@@ -653,15 +657,15 @@ func applyOp(st *state, op *wire.UpdateOp, p *most.Prov) error {
 		if err != nil {
 			return err
 		}
-		return st.db.SetStaticProv(most.ObjectID(op.ID), op.Attr, v, p)
+		return tx.SetStatic(most.ObjectID(op.ID), op.Attr, v, p)
 	case wire.OpDelete:
-		return st.db.DeleteProv(most.ObjectID(op.ID), p)
+		return tx.Delete(most.ObjectID(op.ID), p)
 	case wire.OpInsert:
 		o, err := most.DecodeObjectJSON(st.db, op.Object)
 		if err != nil {
 			return err
 		}
-		return st.db.InsertProv(o, p)
+		return tx.Insert(o, p)
 	default:
 		return fmt.Errorf("unknown update op %q", op.Op)
 	}
@@ -721,9 +725,9 @@ func (s *session) handleObjects(f wire.Frame) wire.Frame {
 	if err := wire.Unmarshal(f, &req); err != nil {
 		return s.errFrame(f.ID, err)
 	}
-	st := s.srv.state()
-	now := st.db.Now()
-	objs := st.db.Objects(req.Class)
+	snap := s.srv.state().db.Snapshot()
+	now := snap.Now()
+	objs := snap.Objects(req.Class)
 	resp := wire.ObjectsResp{Now: now, Objects: make([]wire.ObjectInfo, 0, len(objs))}
 	for _, o := range objs {
 		info := wire.ObjectInfo{ID: string(o.ID()), Class: o.Class().Name()}

@@ -187,11 +187,6 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds payload bound")
 )
 
-// ErrTooLarge is the former name of ErrFrameTooLarge.
-//
-// Deprecated: use ErrFrameTooLarge.
-var ErrTooLarge = ErrFrameTooLarge
-
 // NegotiateVersion computes the session protocol version from the client's
 // advertised maximum (HelloReq.MaxVersion; values < 1 mean a pre-v2 client
 // that did not send the field) and the server's configured maximum.  The

@@ -134,8 +134,8 @@ func TestDecoderPayloadBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDecoder(bytes.NewReader(buf), 1024)
-	if _, err := d.Next(); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("got %v, want ErrTooLarge", err)
+	if _, err := d.Next(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("got %v, want ErrFrameTooLarge", err)
 	}
 }
 

@@ -70,8 +70,8 @@ func TestUpdateStreamAndApply(t *testing.T) {
 	if db.Now() == 0 {
 		t.Fatal("clock should have advanced")
 	}
-	if got := len(db.Log()); got < len(events) {
-		t.Fatalf("log has %d entries, want >= %d", got, len(events))
+	if got := db.Version(); got < uint64(len(events)) {
+		t.Fatalf("%d updates committed, want >= %d", got, len(events))
 	}
 }
 

@@ -151,10 +151,11 @@ func PositionAt(p Point, t0 Tick) Position { return motion.PositionAt(p, t0) }
 
 // ---- the MOST data model ----
 
-// Database is a MOST database (§2.1): classes, objects, a clock, an update
-// log.  Safe for concurrent use by any number of updaters and readers; see
-// ARCHITECTURE.md for the sharded locking discipline.  Snapshot-based
-// reads mean queries never block explicit updates.
+// Database is a MOST database (§2.1): classes, objects, a clock, and an
+// update log kept while a persistent query holds it.  Safe for concurrent
+// use by any number of updaters and readers; see ARCHITECTURE.md for the
+// commit lock and published versions.  Queries read immutable published
+// versions, so they never block explicit updates.
 type Database = most.Database
 
 // Class is an object class (§2.1); spatial classes carry the POSITION
@@ -173,8 +174,8 @@ const (
 )
 
 // Object is one immutable object revision; mutations through the Database
-// produce new revisions (the basis of the copy-on-read snapshots).  Safe
-// to share across goroutines.
+// produce new revisions, which is what lets a published version share
+// them.  Safe to share across goroutines.
 type Object = most.Object
 
 // ObjectID identifies an object.  Immutable value; safe to share.
@@ -290,7 +291,7 @@ type Val = eval.Val
 
 // Engine evaluates instantaneous, continuous and persistent queries
 // (§2.3) against one Database.  Safe for concurrent use: evaluations run
-// on copy-on-read snapshots, and maintenance of registered queries
+// on immutable database snapshots, and maintenance of registered queries
 // coalesces under concurrent updates.
 type Engine = query.Engine
 
