@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench parallel delta faults chaos chaosbench fuzzwal fuzzckpt fuzzftl fuzzwire cover obs server benchcmp city cityquick citycheck racequery racestream cluster clusterquick perfbench-smoke
+.PHONY: check fmt vet build test race bench parallel delta faults chaos chaosbench fuzzwal fuzzckpt fuzzftl fuzzwire cover obs server city cityquick citycheck racequery racestream cluster clusterquick perfbench-smoke
 
 # Checked-in coverage floor for `make cover`: total statement coverage under
 # the race detector must not fall below this.
@@ -82,13 +82,6 @@ fuzzwire:
 # loopback TCP); writes BENCH_server.json.
 server:
 	$(GO) run ./cmd/mostbench -server -quick
-
-# Full protocol comparison: runs the network-service sweep at both wire
-# protocol versions (v1 JSON and v2 binary) across all connection counts
-# and batch sizes, and writes the side-by-side v2/v1 deltas (speedup, p99)
-# into BENCH_server.json under "deltas".
-benchcmp:
-	$(GO) run ./cmd/mostbench -server
 
 # Race-mode coverage with a checked-in floor: fails if total statement
 # coverage drops below COVER_FLOOR.

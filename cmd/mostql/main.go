@@ -6,7 +6,7 @@
 //
 //	mostql [-n 100] [-seed 1] [-horizon 500]
 //	mostql -connect host:7654        # drive a remote mostserver instead
-//	mostql -connect host:7654 -proto 1   # force the v1 JSON wire encoding
+//	mostql -connect host:7654 -proto 2   # force full-answer NOTIFYs (no deltas)
 //
 // Commands:
 //
@@ -46,7 +46,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	horizon := flag.Int64("horizon", 500, "query expiry horizon (ticks)")
 	connect := flag.String("connect", "", "address of a mostserver to drive instead of an in-process database")
-	proto := flag.Int("proto", 0, "with -connect: highest wire protocol version to offer (1 = JSON only, 0 = newest)")
+	proto := flag.Int("proto", 0, "with -connect: highest wire protocol version to offer (2 = full NOTIFYs only, 0 = newest)")
 	flag.Parse()
 
 	if *connect != "" {

@@ -24,10 +24,9 @@
 // shard keeps its objects and quarantines any that were mid-handoff.
 //
 // -proto caps the wire protocol version the server offers during the Hello
-// handshake (PROTOCOL.md): 1 forces JSON payloads for every session, 2
-// the binary payloads with full-answer NOTIFYs, and the default offers the
-// newest implemented version (currently 3: binary, with delta NOTIFYs)
-// and lets each client negotiate down.
+// handshake (PROTOCOL.md): 2 forces full-answer NOTIFYs for every
+// session, and the default offers the newest implemented version
+// (currently 3, with delta NOTIFYs) and lets each client negotiate down.
 //
 // With -wal set the server is durable: every committed mutation is
 // write-ahead logged under DIR before its response is sent, and on startup
@@ -70,7 +69,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	horizon := flag.Int64("horizon", 500, "default query horizon (ticks)")
 	httpAddr := flag.String("http", "", "serve /obs, /debug/pprof, /healthz, /readyz on this address (e.g. :6060)")
-	proto := flag.Int("proto", 0, "highest wire protocol version to offer (1 = JSON only, 0 = newest)")
+	proto := flag.Int("proto", 0, "highest wire protocol version to offer (2 = full NOTIFYs only, 0 = newest)")
 	walDir := flag.String("wal", "", "durable mode: write-ahead log and checkpoints under this directory")
 	checkpointEvery := flag.Int("checkpoint-every", 256, "checkpoint after every N mutating requests (0 = only on clean shutdown; needs -wal)")
 	maxInflight := flag.Int("max-inflight", 0, "shed requests beyond this concurrency (0 = unbounded)")

@@ -1,8 +1,8 @@
 // Package binfmt holds the binary encoding primitives shared by every
-// binary format in the repository: the version-2 wire payloads
-// (internal/wire) and the on-disk checkpoint and write-ahead log
-// (internal/most).  Each format defines its own grammar on top of the same
-// building blocks:
+// binary format in the repository: the wire payloads (internal/wire), the
+// on-disk checkpoint and write-ahead log (internal/most) and the server's
+// receipts (internal/server).  Each format defines its own grammar on top
+// of the same building blocks:
 //
 //	u8/u32/u64  fixed-width little-endian unsigned integers
 //	i64         fixed-width little-endian two's complement
@@ -12,6 +12,9 @@
 //	varint      zigzag LEB128 (encoding/binary's Varint)
 //	str/bytes   uvarint byte length followed by the raw bytes
 //
+// A sealed file is a magic (identifying bytes plus a version byte), a
+// body, and a u32 IEEE CRC-32 of the magic and body (Seal, Unseal).
+//
 // Encoders are append-style ([]byte in, []byte out) so callers own buffer
 // reuse.  Reader decodes with a sticky error and bounds every length and
 // element count by the bytes remaining, so hostile input can neither panic
@@ -19,8 +22,11 @@
 package binfmt
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 )
 
@@ -67,6 +73,28 @@ func AppendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
+// Seal appends the CRC that closes a sealed file whose image, magic
+// first, starts at b[start].
+func Seal(b []byte, start int) []byte {
+	return AppendU32(b, crc32.ChecksumIEEE(b[start:]))
+}
+
+// Unseal checks a sealed file's magic and CRC and returns a Reader over
+// its body.
+func Unseal(data, magic []byte) (*Reader, error) {
+	switch {
+	case !bytes.HasPrefix(data, magic):
+		return nil, errors.New("bad header")
+	case len(data) < len(magic)+4:
+		return nil, errors.New("truncated")
+	}
+	body := data[:len(data)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return nil, errors.New("checksum mismatch")
+	}
+	return &Reader{Data: body, Off: len(magic)}, nil
+}
+
 // Reader decodes the primitives with a sticky error: after the first
 // violation every subsequent read returns zero values and Err keeps the
 // first failure.  All bounds are checked against the remaining input
@@ -87,6 +115,15 @@ func (r *Reader) Fail(format string, args ...any) {
 
 // Remaining returns the number of undecoded bytes.
 func (r *Reader) Remaining() int { return len(r.Data) - r.Off }
+
+// End closes a decode that must consume all of Data: it fails the reader
+// if bytes remain and returns the reader's error.
+func (r *Reader) End() error {
+	if r.Err == nil && r.Remaining() != 0 {
+		r.Fail("%d trailing bytes", r.Remaining())
+	}
+	return r.Err
+}
 
 // Take returns the next n bytes (aliasing Data), or nil on error.
 func (r *Reader) Take(n int) []byte {

@@ -103,7 +103,7 @@ func (g *Gate) Heal() {
 // Config parameterizes a harness run.  The zero value is not usable; see
 // DefaultConfig.
 type Config struct {
-	Dir               string // durable data directory (wal.log, checkpoint.bin, dedup.json)
+	Dir               string // durable data directory (wal.log, checkpoint.bin, dedup.bin)
 	Seed              int64  // workload + jitter seed; same seed, same schedule
 	Clients           int    // live clients, each owning a disjoint vehicle range
 	VehiclesPerClient int

@@ -16,14 +16,14 @@
 //
 // # Protocol versions
 //
-// The client speaks protocol version 1 (JSON payloads) and version 2 (the
-// compact binary codec, see PROTOCOL.md).  Each connection's Hello
-// handshake — always spoken at version 1 — advertises the client's
-// maximum (WithProtocol, default wire.MaxProtocolVersion) and adopts the
-// server's negotiated answer, so a v2 client downgrades gracefully
-// against a v1-only server and a v1 client is unaffected by a v2 server.
-// Negotiation is per-connection: a reconnect renegotiates, and requests
-// are encoded per attempt at that connection's version.
+// The client speaks protocol version 2 (the compact binary codec, see
+// PROTOCOL.md) and version 3 (version 2 plus delta NOTIFYs).  Each
+// connection's Hello handshake — always spoken at version 2 — advertises
+// the client's maximum (WithProtocol, default wire.MaxProtocolVersion)
+// and adopts the server's negotiated answer, so a v3 client downgrades
+// gracefully against a server capped at v2.  Negotiation is
+// per-connection: a reconnect renegotiates, and each attempt of a request
+// carries that connection's version.
 //
 // # Self-healing
 //
@@ -133,8 +133,9 @@ func WithDialer(dial func(addr string) (net.Conn, error)) Option {
 
 // WithProtocol caps the protocol version the client offers in the Hello
 // handshake (default wire.MaxProtocolVersion).  The negotiated version is
-// min(v, server max); 1 forces JSON payloads.  Values outside
-// [1, wire.MaxProtocolVersion] are clamped.
+// min(v, server max); 2 forces full NOTIFYs.  Values below
+// wire.MinProtocolVersion select it; values <= 0 or above
+// wire.MaxProtocolVersion select the maximum.
 func WithProtocol(v int) Option { return func(c *Client) { c.wantProto = v } }
 
 // WithBackoff sets the retry/reconnect backoff schedule: delays double
@@ -250,9 +251,10 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	for _, o := range opts {
 		o(c)
 	}
-	if c.wantProto < wire.ProtocolV1 || c.wantProto > wire.MaxProtocolVersion {
+	if c.wantProto <= 0 || c.wantProto > wire.MaxProtocolVersion {
 		c.wantProto = wire.MaxProtocolVersion
 	}
+	c.wantProto = max(c.wantProto, wire.MinProtocolVersion)
 	if c.maxBackoff < c.backoff {
 		c.maxBackoff = c.backoff
 	}
@@ -307,10 +309,10 @@ func (c *Client) connectLocked() error {
 	// any lingering predecessor session of this client, and rejects this
 	// Hello (CodeStaleEpoch) if an even newer session has taken over.
 	c.epoch++
-	// Hello is always version 1, whatever we hope to negotiate: a v1-only
-	// server must be able to read it (and will ignore the max_version
-	// field, answering Version 1 — the graceful downgrade).
-	f, err := wire.Encode(wire.OpHello, id, wire.HelloReq{ClientID: c.id, MaxVersion: c.wantProto, Epoch: c.epoch, Peer: c.peer})
+	// Hello is always the lowest version, whatever we hope to negotiate,
+	// so every server can read it.
+	f, err := wire.EncodeFrame(wire.MinProtocolVersion, wire.OpHello, id,
+		&wire.HelloReq{ClientID: c.id, MaxVersion: c.wantProto, Epoch: c.epoch, Peer: c.peer})
 	if err != nil {
 		conn.Close()
 		return err
@@ -338,11 +340,7 @@ func (c *Client) connectLocked() error {
 		conn.Close()
 		return err
 	}
-	if hello.Version == 0 {
-		// Pre-negotiation servers omit the field; they speak version 1.
-		hello.Version = wire.ProtocolV1
-	}
-	if hello.Version < wire.ProtocolV1 || hello.Version > c.wantProto {
+	if hello.Version < wire.MinProtocolVersion || hello.Version > c.wantProto {
 		conn.Close()
 		return fmt.Errorf("client: server negotiated protocol %d, offered at most %d", hello.Version, c.wantProto)
 	}
@@ -721,8 +719,10 @@ func (c *Client) resync(sub *Subscription) {
 
 // call executes one request, retransmitting on transport errors under the
 // same request ID so the server's idempotence cache can suppress double
-// application.  Payloads are encoded per attempt: a retry may land on a
-// fresh connection with a different negotiated protocol version.
+// application.  The request is encoded once: requests encode
+// byte-identically at every protocol version, so an attempt on a fresh
+// connection with another negotiated version only restamps the frame's
+// version byte.
 func (c *Client) call(op wire.Opcode, payload, out any) error {
 	c.mu.Lock()
 	if c.closed {
@@ -731,13 +731,17 @@ func (c *Client) call(op wire.Opcode, payload, out any) error {
 	}
 	id := c.reserveIDLocked()
 	c.mu.Unlock()
+	req, err := wire.EncodeFrame(wire.MinProtocolVersion, op, id, payload)
+	if err != nil {
+		return err
+	}
 
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.backoffDelay(attempt))
 		}
-		resp, err := c.roundTrip(op, id, payload)
+		resp, err := c.roundTrip(req)
 		if err == nil {
 			if resp.Op == wire.OpError {
 				var e wire.ErrorResp
@@ -765,9 +769,9 @@ func (c *Client) call(op wire.Opcode, payload, out any) error {
 	return fmt.Errorf("client: %s failed after %d attempts: %w", op, c.retries+1, lastErr)
 }
 
-// roundTrip encodes one request at the current connection's negotiated
+// roundTrip sends one request at the current connection's negotiated
 // protocol version (dialing if needed) and waits for its response.
-func (c *Client) roundTrip(op wire.Opcode, id uint64, payload any) (wire.Frame, error) {
+func (c *Client) roundTrip(req wire.Frame) (wire.Frame, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -779,18 +783,12 @@ func (c *Client) roundTrip(op wire.Opcode, id uint64, payload any) (wire.Frame, 
 			return wire.Frame{}, err
 		}
 	}
-	conn, proto := c.conn, c.proto
+	conn, id := c.conn, req.ID
+	req.Version = c.proto
 	ch := make(chan wire.Frame, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	req, err := wire.EncodeFrame(proto, op, id, payload)
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return wire.Frame{}, err
-	}
 	if err := c.writeFrame(conn, req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)

@@ -252,11 +252,7 @@ func parkedInsert(t *testing.T, id string, x, y float64) wire.UpdateOp {
 	if o, err = o.WithPosition(motion.MovingFrom(geom.Point{X: x, Y: y}, geom.Vector{}, 0)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := most.EncodeObjectJSON(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wire.UpdateOp{Op: wire.OpInsert, ID: id, Object: data}
+	return wire.UpdateOp{Op: wire.OpInsert, ID: id, Object: most.EncodeObject(o)}
 }
 
 func TestClientSubscriptionLifecycle(t *testing.T) {

@@ -40,7 +40,7 @@ func fakeOrphanServer(t *testing.T, version uint8, n int, a0, a1, a2 []wire.Answ
 		if err != nil {
 			return
 		}
-		resp, _ := wire.Encode(wire.OpResult, hello.ID, wire.HelloResp{Server: "fake", Version: int(version)})
+		resp, _ := wire.EncodeFrame(wire.MinProtocolVersion, wire.OpResult, hello.ID, &wire.HelloResp{Server: "fake", Version: int(version)})
 		wire.WriteFrame(conn, resp)
 		dec.SetVersion(version)
 		var ids []uint64

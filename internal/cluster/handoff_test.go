@@ -43,12 +43,7 @@ func TestHandoffBatchAcks(t *testing.T) {
 	if len(cars) < 2 {
 		t.Fatalf("node 0 holds %d cars, want at least 2", len(cars))
 	}
-	docs := make([][]byte, 2)
-	for i := range docs {
-		if docs[i], err = most.EncodeObjectJSON(cars[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	docs := [][]byte{most.EncodeObject(cars[0]), most.EncodeObject(cars[1])}
 	a, b := string(cars[0].ID()), string(cars[1].ID())
 
 	peer, err := client.Dial(c.addrs[1], client.WithClientID("peer:test"), client.WithPeer())

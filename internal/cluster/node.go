@@ -219,7 +219,7 @@ func (n *Node) RouteOp(op *wire.UpdateOp) (string, bool, bool) {
 	}
 	if op.Op == wire.OpInsert {
 		// A fresh insert routes by the position encoded in the object.
-		if o, err := most.DecodeObjectJSON(n.srv.DB(), op.Object); err == nil {
+		if o, err := most.DecodeObject(n.srv.DB(), op.Object); err == nil {
 			if zm.IsReplicated(o.Class().Name()) {
 				return "", true, false
 			}
@@ -311,7 +311,7 @@ func (n *Node) accept(req *wire.HandoffObject, prov *most.Prov) (bool, error) {
 		}
 	}()
 
-	o, err := most.DecodeObjectJSON(n.srv.DB(), req.Object)
+	o, err := most.DecodeObject(n.srv.DB(), req.Object)
 	if err != nil {
 		n.mu.Lock()
 		if req.Version > fence && n.fences[req.ID] == req.Version {
@@ -444,14 +444,7 @@ func (n *Node) handoff(objs []*most.Object, dest string) {
 		ver := n.fences[id] + 1
 		n.mu.Unlock()
 
-		doc, err := most.EncodeObjectJSON(o)
-		if err != nil {
-			n.mu.Lock()
-			delete(n.frozen, id)
-			n.mu.Unlock()
-			continue
-		}
-		xs = append(xs, pendXfer{id: id, ver: ver, doc: doc, dest: dest})
+		xs = append(xs, pendXfer{id: id, ver: ver, doc: most.EncodeObject(o), dest: dest})
 	}
 	for len(xs) > 0 {
 		batch := xs[:min(len(xs), maxHandoffBatch)]
@@ -546,15 +539,11 @@ func (n *Node) Quarantine() (int, error) {
 		if dest == "" || dest == n.name {
 			continue
 		}
-		doc, err := most.EncodeObjectJSON(o)
-		if err != nil {
-			continue
-		}
 		id := string(o.ID())
 		n.mu.Lock()
 		if !n.frozen[id] {
 			n.frozen[id] = true
-			n.pend[id] = pendXfer{id: id, ver: n.fences[id] + 1, doc: doc, dest: dest}
+			n.pend[id] = pendXfer{id: id, ver: n.fences[id] + 1, doc: most.EncodeObject(o), dest: dest}
 			count++
 		}
 		n.mu.Unlock()

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"github.com/mostdb/most/internal/client"
+	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/temporal"
 	"github.com/mostdb/most/internal/wire"
 )
@@ -269,10 +269,7 @@ func (r *Router) UpdateBatch(ops []wire.UpdateOp) (wire.UpdateBatchResp, error) 
 func (r *Router) routeColdLocked(op *wire.UpdateOp, fallback string) string {
 	if op.Op == wire.OpInsert && len(op.Object) > 0 {
 		if zm := r.zm.Load(); zm != nil {
-			var probe struct {
-				Class string `json:"class"`
-			}
-			if json.Unmarshal(op.Object, &probe) == nil && zm.IsReplicated(probe.Class) {
+			if class, err := most.ObjectClass(op.Object); err == nil && zm.IsReplicated(class) {
 				// Newly inserted replicated objects are rare enough to
 				// learn lazily: send to fallback, remember the class.
 				r.repl[op.ID] = true

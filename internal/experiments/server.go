@@ -15,11 +15,10 @@ import (
 )
 
 // ServerResult is one row of the network-service benchmark: n concurrent
-// clients at one protocol version, each pipelining batched motion updates
-// through a loopback TCP server, with client-observed round-trip latency
-// percentiles and the aggregate committed-update throughput.
+// clients, each pipelining batched motion updates through a loopback TCP
+// server, with client-observed round-trip latency percentiles and the
+// aggregate committed-update throughput.
 type ServerResult struct {
-	Proto         int     `json:"proto"`
 	Conns         int     `json:"conns"`
 	BatchSize     int     `json:"batch_size"`
 	Batches       int     `json:"batches"`
@@ -28,34 +27,20 @@ type ServerResult struct {
 	P99Ns         int64   `json:"p99_ns"`
 }
 
-// ServerDelta is the side-by-side v1-vs-v2 comparison for one
-// (conns, batch size) configuration, the `make benchcmp` payload.
-type ServerDelta struct {
-	Conns     int     `json:"conns"`
-	BatchSize int     `json:"batch_size"`
-	V1        float64 `json:"v1_updates_per_sec"`
-	V2        float64 `json:"v2_updates_per_sec"`
-	Speedup   float64 `json:"speedup"`
-	V1P99Ns   int64   `json:"v1_p99_ns"`
-	V2P99Ns   int64   `json:"v2_p99_ns"`
-}
-
 // ServerReport is the payload mostbench -server writes to
-// BENCH_server.json: per-version result rows plus the v2/v1 deltas.
+// BENCH_server.json: one result row per configuration.
 type ServerReport struct {
 	Vehicles int            `json:"vehicles"`
 	Results  []ServerResult `json:"results"`
-	Deltas   []ServerDelta  `json:"deltas,omitempty"`
 }
 
-// ServerBench sweeps protocol versions and connection counts (and, in the
-// full run, batch sizes) against one loopback server and measures what a
-// client sees: per-batch round-trip latency (p50/p99) and total committed
-// updates per second.  Every batch is a real mutation — the server applies
-// it to the database and runs continuous-query maintenance inline — so the
-// numbers include the full commit path, not just framing.  Each
-// (batch, conns) configuration runs once per protocol version and the
-// report carries the v2-over-v1 deltas side by side.
+// ServerBench sweeps connection counts (and, in the full run, batch sizes)
+// against one loopback server and measures what a client sees: per-batch
+// round-trip latency (p50/p99) and total committed updates per second.
+// Every batch is a real mutation — the server applies it to the database
+// and runs continuous-query maintenance inline — so the numbers include
+// the full commit path, not just framing.  Clients negotiate the newest
+// protocol version; update batches encode identically at every version.
 func ServerBench(quick bool) *ServerReport {
 	const nVehicles = 200
 	conns := []int{1, 4, 16}
@@ -70,30 +55,13 @@ func ServerBench(quick bool) *ServerReport {
 	rep := &ServerReport{Vehicles: nVehicles}
 	for _, bs := range batchSizes {
 		for _, nc := range conns {
-			var byProto [3]ServerResult
-			for _, proto := range []int{1, 2} {
-				res := runServerBench(nVehicles, proto, nc, bs, batchesPerConn)
-				rep.Results = append(rep.Results, res)
-				byProto[proto] = res
-			}
-			d := ServerDelta{
-				Conns:     nc,
-				BatchSize: bs,
-				V1:        byProto[1].UpdatesPerSec,
-				V2:        byProto[2].UpdatesPerSec,
-				V1P99Ns:   byProto[1].P99Ns,
-				V2P99Ns:   byProto[2].P99Ns,
-			}
-			if d.V1 > 0 {
-				d.Speedup = d.V2 / d.V1
-			}
-			rep.Deltas = append(rep.Deltas, d)
+			rep.Results = append(rep.Results, runServerBench(nVehicles, nc, bs, batchesPerConn))
 		}
 	}
 	return rep
 }
 
-func runServerBench(nVehicles, proto, conns, batchSize, batches int) ServerResult {
+func runServerBench(nVehicles, conns, batchSize, batches int) ServerResult {
 	db, err := workload.Fleet(workload.FleetSpec{
 		N:        nVehicles,
 		Region:   geom.Rect{Max: geom.Point{X: 1000, Y: 1000}},
@@ -127,9 +95,7 @@ func runServerBench(nVehicles, proto, conns, batchSize, batches int) ServerResul
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := client.Dial(addr,
-				client.WithClientID(fmt.Sprintf("bench-%d", w)),
-				client.WithProtocol(proto))
+			c, err := client.Dial(addr, client.WithClientID(fmt.Sprintf("bench-%d", w)))
 			if err != nil {
 				panic(err)
 			}
@@ -170,7 +136,6 @@ func runServerBench(nVehicles, proto, conns, batchSize, batches int) ServerResul
 	}
 	totalUpdates := conns * batches * batchSize
 	return ServerResult{
-		Proto:         proto,
 		Conns:         conns,
 		BatchSize:     batchSize,
 		Batches:       conns * batches,
@@ -180,35 +145,23 @@ func runServerBench(nVehicles, proto, conns, batchSize, batches int) ServerResul
 	}
 }
 
-// Table renders the report for the terminal, one row per (proto, conns,
-// batch) configuration plus the v2-over-v1 speedup column.
+// Table renders the report for the terminal, one row per (conns, batch)
+// configuration.
 func (r *ServerReport) Table() *Table {
 	t := &Table{
 		ID:      "SRV",
 		Title:   "network service throughput (pipelined update batches over loopback TCP)",
-		Claim:   "the v2 binary codec with the zero-alloc ingest path sustains a multiple of v1 JSON throughput at bounded tail latency",
-		Columns: []string{"proto", "conns", "batch", "batches", "updates/s", "p50", "p99"},
+		Claim:   "the binary codec with the zero-alloc ingest path sustains pipelined update throughput at bounded tail latency",
+		Columns: []string{"conns", "batch", "batches", "updates/s", "p50", "p99"},
 	}
 	for _, res := range r.Results {
 		t.AddRow(
-			fmt.Sprintf("v%d", res.Proto),
 			itoa(res.Conns),
 			itoa(res.BatchSize),
 			itoa(res.Batches),
 			fmt.Sprintf("%.0f", res.UpdatesPerSec),
 			ns(time.Duration(res.P50Ns)),
 			ns(time.Duration(res.P99Ns)),
-		)
-	}
-	for _, d := range r.Deltas {
-		t.AddRow(
-			"v2/v1",
-			itoa(d.Conns),
-			itoa(d.BatchSize),
-			"-",
-			fmt.Sprintf("%.2fx", d.Speedup),
-			"-",
-			fmt.Sprintf("%s vs %s", ns(time.Duration(d.V2P99Ns)), ns(time.Duration(d.V1P99Ns))),
 		)
 	}
 	return t

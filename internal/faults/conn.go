@@ -26,7 +26,9 @@ type ConnScript struct {
 	// that many bytes have been written through it.  Zero means never.
 	// The write that crosses the threshold still goes out — the peer sees
 	// a request followed by a dead connection, the worst case for
-	// exactly-once semantics.
+	// exactly-once semantics — and nothing is read after it: the
+	// connection dies with that write, so a reply the peer manages to send
+	// before the close lands is never delivered.
 	CloseAfterWrites int64
 	// CloseAfterReads kills the connection after that many bytes have been
 	// read through it.  Zero means never.
@@ -70,6 +72,10 @@ func (c *FaultyConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 {
 		c.mu.Lock()
+		if c.killed {
+			c.mu.Unlock()
+			return 0, net.ErrClosed
+		}
 		c.read += int64(n)
 		if c.script.CorruptRate > 0 && c.rng.Float64() < c.script.CorruptRate {
 			i := c.rng.Intn(n)
@@ -93,19 +99,21 @@ func (c *FaultyConn) Write(p []byte) (int, error) {
 	if c.script.WriteDelay > 0 {
 		time.Sleep(c.script.WriteDelay)
 	}
+	// The kill is decided before the write goes out, so no reply to it can
+	// be read in the window between the write and the close.
+	c.mu.Lock()
+	kill := c.script.CloseAfterWrites > 0 && c.written+int64(len(p)) >= c.script.CloseAfterWrites && !c.killed
+	if kill {
+		c.killed = true
+		c.Kills++
+	}
+	c.mu.Unlock()
 	n, err := c.Conn.Write(p)
-	if n > 0 {
-		c.mu.Lock()
-		c.written += int64(n)
-		kill := c.script.CloseAfterWrites > 0 && c.written >= c.script.CloseAfterWrites && !c.killed
-		if kill {
-			c.killed = true
-			c.Kills++
-		}
-		c.mu.Unlock()
-		if kill {
-			c.Conn.Close()
-		}
+	c.mu.Lock()
+	c.written += int64(n)
+	c.mu.Unlock()
+	if kill {
+		c.Conn.Close()
 	}
 	return n, err
 }

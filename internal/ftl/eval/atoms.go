@@ -360,7 +360,7 @@ func (c *Context) objPosition(e ftl.Expr, en env) (motion.Position, error) {
 	if !ok {
 		return motion.Position{}, errf("unbound variable %q", v.Name)
 	}
-	obj, err := c.object(val)
+	obj, err := c.object(v.Name, val)
 	if err != nil {
 		return motion.Position{}, err
 	}

@@ -11,10 +11,14 @@ func (c *Context) BindDomains(q *ftl.Query) error {
 	if c.Domains == nil {
 		c.Domains = map[string][]Val{}
 	}
+	if c.classOf == nil {
+		c.classOf = make(map[string]string, len(q.Bindings))
+	}
 	for _, b := range q.Bindings {
 		if _, dup := c.Domains[b.Var]; dup {
 			return errf("variable %q bound twice", b.Var)
 		}
+		c.classOf[b.Var] = b.Class
 		objs := c.Objects.Objects(b.Class)
 		dom := make([]Val, len(objs))
 		for i, o := range objs {

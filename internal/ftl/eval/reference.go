@@ -294,7 +294,7 @@ func (c *Context) refTermAt(e ftl.Expr, en env, t temporal.Tick) (Val, error) {
 		if !ok {
 			return Val{}, errf("unbound variable %q", v.Name)
 		}
-		obj, err := c.object(base)
+		obj, err := c.object(v.Name, base)
 		if err != nil {
 			return Val{}, err
 		}

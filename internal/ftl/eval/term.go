@@ -69,6 +69,10 @@ type Context struct {
 	// sub-spans (index_probe, ...) off.  Annotations and children may be
 	// added from the evaluator's worker goroutines.
 	Span *obs.Span
+
+	// classOf maps each variable BindDomains bound to its FROM class, so
+	// an object lookup through the variable probes that class first.
+	classOf map[string]string
 }
 
 // Window returns the evaluation window [Now, Now+Horizon].
@@ -90,11 +94,12 @@ func (c *Context) bisectSamples() int {
 	return c.BisectSamples
 }
 
-func (c *Context) object(v Val) (*most.Object, error) {
+// object resolves v, the value of variable name, to its object revision.
+func (c *Context) object(name string, v Val) (*most.Object, error) {
 	if v.Kind != ValObj {
 		return nil, errf("value %s is not an object reference", v)
 	}
-	o, ok := c.Objects.Get(v.Obj)
+	o, ok := c.Objects.GetIn(c.classOf[name], v.Obj)
 	if !ok {
 		return nil, errf("unknown object %s", v.Obj)
 	}
@@ -203,7 +208,7 @@ func (c *Context) evalAttrRef(ref ftl.AttrRef, en env) (termVal, error) {
 	if !ok {
 		return termVal{}, errf("unbound variable %q", v.Name)
 	}
-	obj, err := c.object(base)
+	obj, err := c.object(v.Name, base)
 	if err != nil {
 		return termVal{}, err
 	}
@@ -284,7 +289,7 @@ func (c *Context) evalSpeed(n ftl.SpeedOf, en env) (termVal, error) {
 	if !ok {
 		return termVal{}, errf("unbound variable %q", v.Name)
 	}
-	obj, err := c.object(base)
+	obj, err := c.object(v.Name, base)
 	if err != nil {
 		return termVal{}, err
 	}
@@ -306,7 +311,7 @@ func (c *Context) evalDist(n ftl.DistOf, en env) (termVal, error) {
 		if !ok {
 			return motion.Position{}, errf("unbound variable %q", v.Name)
 		}
-		obj, err := c.object(base)
+		obj, err := c.object(v.Name, base)
 		if err != nil {
 			return motion.Position{}, err
 		}

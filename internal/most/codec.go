@@ -16,8 +16,9 @@ import (
 	"github.com/mostdb/most/internal/temporal"
 )
 
-// This file is the binary encoding of the durable path: the checkpoint
-// file and the write-ahead log records (wal.go) share one class and one
+// This file is the binary encoding of the durable path and of object
+// transfer: the checkpoint file, the write-ahead log records (wal.go) and
+// the objects the wire carries (EncodeObject) share one class and one
 // object encoding, built from the internal/binfmt primitives.  JSON
 // remains only as the human-readable export (serialize.go).
 //
@@ -46,6 +47,19 @@ import (
 // A piece field is stored exactly when its bits are nonzero, so the common
 // linear piece {0, slope, 0} costs 9 bytes and -0.0 survives.  Pieces are
 // rebuilt through motion.NewFunc, which rejects invalid ones.
+//
+// # Transferred object
+//
+//	id str · schema u32 · object body
+//
+// The wire's insert ops and handoffs carry one object this way.  schema is
+// the IEEE CRC-32 of the class's checkpoint encoding (name, spatial flag,
+// attribute names and kinds in declaration order).  The receiver decodes
+// the body against its own class of that name and refuses the object when
+// the digests differ, so a class declared with the same attributes in
+// another order never has values land on the wrong attribute.  The class
+// name is the first field of the body, so a router reads it without
+// decoding the object (ObjectClass).
 //
 // # Log record payload
 //
@@ -87,13 +101,14 @@ const (
 	pieceAccel
 )
 
-// LegacyFormatError reports a data file written in the JSON on-disk format
-// that preceded the binary checkpoint and log.  Such files are never read
-// or modified: the state must be exported with the old server's snapshot
-// and loaded into a fresh data directory with SnapshotLoad.
+// LegacyFormatError reports a data file written in a JSON on-disk format
+// that preceded the binary ones: a checkpoint or log here, a dedup sidecar
+// or a log with receipt notes in internal/server.  Such files are never
+// read or modified: the state must be exported with the old server's
+// snapshot and loaded into a fresh data directory with SnapshotLoad.
 type LegacyFormatError struct {
 	Path   string // the offending file, when known
-	Format string // "JSON checkpoint" or "JSON-line WAL"
+	Format string // e.g. "JSON checkpoint" or "JSON-line WAL"
 }
 
 func (e *LegacyFormatError) Error() string {
@@ -278,6 +293,49 @@ func readObject(r *binfmt.Reader, classes map[string]*Class, id ObjectID) *Objec
 	return o
 }
 
+// EncodeObject returns the transfer encoding of one object revision: its
+// id, its class's schema digest and its object body.
+func EncodeObject(o *Object) []byte {
+	b := binfmt.AppendStr(nil, string(o.id))
+	b = binfmt.AppendU32(b, schemaSum(o.class))
+	return appendObject(b, o)
+}
+
+// DecodeObject rebuilds an object from EncodeObject output, resolving its
+// class in db.  It refuses an object whose class schema differs from db's
+// class of that name.
+func DecodeObject(db *Database, data []byte) (*Object, error) {
+	r := binfmt.Reader{Data: data}
+	id := ObjectID(r.Str())
+	sum := r.U32()
+	classes := *db.byName.Load()
+	peek := r
+	if c, ok := classes[string(peek.StrBytes())]; ok && peek.Err == nil && schemaSum(c) != sum {
+		return nil, fmt.Errorf("most: object %s: class %s schema differs from the sender's", id, c.name)
+	}
+	o := readObject(&r, classes, id)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("most: bad object encoding: %w", err)
+	}
+	return o, nil
+}
+
+// ObjectClass returns the class name of an EncodeObject encoding without
+// decoding the object.
+func ObjectClass(data []byte) (string, error) {
+	r := binfmt.Reader{Data: data}
+	r.StrBytes()
+	r.U32()
+	class := r.Str()
+	if r.Err != nil {
+		return "", fmt.Errorf("most: bad object encoding: %w", r.Err)
+	}
+	return class, nil
+}
+
+// schemaSum is the digest of c's schema that a transferred object carries.
+func schemaSum(c *Class) uint32 { return crc32.ChecksumIEEE(appendClass(nil, c)) }
+
 func appendStatic(b []byte, v Value) []byte {
 	b = append(b, uint8(v.Kind))
 	switch v.Kind {
@@ -381,32 +439,22 @@ func (s *Snapshot) appendCheckpoint(b []byte) []byte {
 		b = binfmt.AppendStr(b, string(o.id))
 		b = appendObject(b, o)
 	}
-	return binfmt.AppendU32(b, crc32.ChecksumIEEE(b[start:]))
+	return binfmt.Seal(b, start)
 }
 
 // loadCheckpoint rebuilds a database from a checkpoint image, inserting
 // its objects at the checkpoint clock, like LoadSnapshotJSON.
 func loadCheckpoint(data []byte) (*Database, error) {
-	if !bytes.HasPrefix(data, ckptMagic) {
-		if isLegacyCheckpoint(data) {
-			return nil, &LegacyFormatError{Format: legacyCheckpoint}
-		}
-		return nil, fmt.Errorf("most: bad checkpoint: not a checkpoint file (bad header)")
+	if !bytes.HasPrefix(data, ckptMagic) && isLegacyCheckpoint(data) {
+		return nil, &LegacyFormatError{Format: legacyCheckpoint}
 	}
-	if len(data) < len(ckptMagic)+4 {
-		return nil, fmt.Errorf("most: bad checkpoint: truncated")
+	r, err := binfmt.Unseal(data, ckptMagic)
+	if err != nil {
+		return nil, fmt.Errorf("most: bad checkpoint: %w", err)
 	}
-	body := data[:len(data)-4]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(body):]) {
-		return nil, fmt.Errorf("most: bad checkpoint: checksum mismatch")
-	}
-	r := binfmt.Reader{Data: body, Off: len(ckptMagic)}
-	db := readCheckpoint(&r)
-	if r.Err == nil && r.Remaining() != 0 {
-		r.Fail("%d trailing bytes", r.Remaining())
-	}
-	if r.Err != nil {
-		return nil, fmt.Errorf("most: bad checkpoint: %w", r.Err)
+	db := readCheckpoint(r)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("most: bad checkpoint: %w", err)
 	}
 	return db, nil
 }
@@ -530,10 +578,7 @@ func decodeRecord(payload []byte, classes map[string]*Class) (walRecord, error) 
 	default:
 		r.Fail("unknown record kind %d", rec.kind)
 	}
-	if r.Err == nil && r.Remaining() != 0 {
-		r.Fail("%d trailing bytes", r.Remaining())
-	}
-	return rec, r.Err
+	return rec, r.End()
 }
 
 // Frames: every record is u32 payload length · u32 IEEE CRC-32 of the

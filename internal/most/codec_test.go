@@ -353,3 +353,44 @@ func TestOpenWALHeaderChecks(t *testing.T) {
 		t.Fatalf("after torn-header repair: err=%v rep=%+v now=%d", err, rep, got.Now())
 	}
 }
+
+// An object's transfer encoding round-trips, names its class without a
+// decode, and is refused by a receiver whose class of that name lists the
+// same attributes in another order.
+func TestTransferObjectChecksSchema(t *testing.T) {
+	a, b := AttrDef{Name: "A", Kind: Static}, AttrDef{Name: "B", Kind: Static}
+	declared, swapped := MustClass("Tags", false, a, b), MustClass("Tags", false, b, a)
+	build := func(c *Class) *Object {
+		o, err := NewObject("t1", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o, err = o.WithStatic("A", Float(1)); err != nil {
+			t.Fatal(err)
+		}
+		if o, err = o.WithStatic("B", Float(2)); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	db := NewDatabase()
+	if err := db.DefineClass(declared); err != nil {
+		t.Fatal(err)
+	}
+
+	data := EncodeObject(build(declared))
+	if class, err := ObjectClass(data); err != nil || class != "Tags" {
+		t.Fatalf("ObjectClass = %q, %v; want Tags", class, err)
+	}
+	o, err := DecodeObject(db, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := o.Static("A"); v.F != 1 {
+		t.Fatalf("A = %v, want 1", v)
+	}
+
+	if _, err := DecodeObject(db, EncodeObject(build(swapped))); err == nil {
+		t.Fatal("object of a reordered class decoded")
+	}
+}

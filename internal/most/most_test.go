@@ -414,3 +414,29 @@ func TestSpatialMethods(t *testing.T) {
 		t.Error("WithinASphere with non-spatial object should fail")
 	}
 }
+
+// GetIn answers as Get does whichever class it is told to probe first.
+func TestSnapshotGetIn(t *testing.T) {
+	var objs []*Object
+	for _, name := range []string{"Buses", "Cars", "Motels"} {
+		cls := MustClass(name, false)
+		for _, n := range []string{"1", "2"} {
+			o, err := NewObject(ObjectID(name+"-"+n), cls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			objs = append(objs, o)
+		}
+	}
+	snap := NewSnapshot(0, objs...)
+	for _, want := range objs {
+		for _, class := range []string{"Buses", "Cars", "Motels", "Trams", ""} {
+			if got, ok := snap.GetIn(class, want.ID()); !ok || got != want {
+				t.Fatalf("GetIn(%q, %s) = %v, %v", class, want.ID(), got, ok)
+			}
+		}
+	}
+	if _, ok := snap.GetIn("Cars", "Trams-1"); ok {
+		t.Fatal("GetIn found an id no class holds")
+	}
+}

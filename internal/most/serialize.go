@@ -16,10 +16,10 @@ import (
 // instantaneous and continuous queries identically, while persistent
 // queries anchor to post-restore history.
 //
-// JSON is the human-readable export only (the S18 snapshot, SnapshotLoad
-// over the network, the wire's insert ops).  The durable path —
-// checkpoints, WAL records and recovery — uses the binary encoding in
-// codec.go.
+// JSON is the human-readable export only (the S18 snapshot and
+// SnapshotLoad over the network).  The durable path — checkpoints, WAL
+// records and recovery — and object transfer on the wire use the binary
+// encoding in codec.go.
 
 type snapshotDTO struct {
 	Now     temporal.Tick `json:"now"`
@@ -191,22 +191,6 @@ func decodeValue(d valueDTO) (Value, error) {
 	default:
 		return Value{}, fmt.Errorf("most: unknown value kind %q", d.Kind)
 	}
-}
-
-// EncodeObjectJSON serializes one object revision in the snapshot's object
-// encoding; the network layer ships inserts this way.
-func EncodeObjectJSON(o *Object) ([]byte, error) {
-	return json.Marshal(encodeObject(o))
-}
-
-// DecodeObjectJSON rebuilds an object from EncodeObjectJSON output,
-// resolving its class in db.
-func DecodeObjectJSON(db *Database, data []byte) (*Object, error) {
-	var od objectDTO
-	if err := json.Unmarshal(data, &od); err != nil {
-		return nil, fmt.Errorf("most: bad object encoding: %w", err)
-	}
-	return decodeObject(db, od)
 }
 
 // LoadSnapshotJSON rebuilds a database from a snapshot, inserting its

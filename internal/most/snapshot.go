@@ -62,6 +62,22 @@ func (s *Snapshot) Get(id ObjectID) (*Object, bool) {
 	return nil, false
 }
 
+// GetIn is Get for an object the caller expects to be of class: it probes
+// that class's objects first, so the lookup costs one tree probe when the
+// expectation holds.  Ids are unique across classes, so the answer is
+// always Get's.
+func (s *Snapshot) GetIn(class string, id ObjectID) (*Object, bool) {
+	for _, c := range s.classes {
+		if c.class.name == class {
+			if o, ok := c.objs.Get(string(id)); ok {
+				return o, true
+			}
+			break
+		}
+	}
+	return s.Get(id)
+}
+
 // Len returns the number of objects.
 func (s *Snapshot) Len() int {
 	n := 0

@@ -525,13 +525,15 @@ type RecoveryReport struct {
 
 // WALObserver watches a recovery replay.  Both callbacks are optional.
 // Note fires for every "note" record (which never touches database state);
+// an error from it fails the whole recovery, naming the record, because a
+// note the observer cannot read is lost state, not a damaged tail.
 // Applied fires after every successfully replayed provenance-stamped record
 // with the database clock as of that record.  Together they let a durable
 // server rebuild its exactly-once state: notes carry completed-request
 // receipts, and Applied reveals how far a request that crashed mid-flight
 // got, so its retry can roll forward instead of re-applying.
 type WALObserver struct {
-	Note    func(tag string, data []byte)
+	Note    func(tag string, data []byte) error
 	Applied func(p Prov, now temporal.Tick)
 }
 
@@ -560,6 +562,7 @@ func recoverLog(snapshot []byte, wal io.ReadSeeker, size int64, ob *WALObserver)
 		}
 	}
 	n := 0
+	var noteErr error
 	walk, err := walkLog(wal, size, func(payload []byte) error {
 		if n++; n <= covered {
 			return nil // already in the snapshot
@@ -576,7 +579,9 @@ func recoverLog(snapshot []byte, wal io.ReadSeeker, size int64, ob *WALObserver)
 			db = NewDatabase()
 		case recNote:
 			if ob != nil && ob.Note != nil {
-				ob.Note(rec.tag, rec.data)
+				if noteErr = ob.Note(rec.tag, rec.data); noteErr != nil {
+					return noteErr
+				}
 			}
 		default:
 			if err := db.applyWALRecord(&rec); err != nil {
@@ -589,6 +594,8 @@ func recoverLog(snapshot []byte, wal io.ReadSeeker, size int64, ob *WALObserver)
 		return nil
 	})
 	switch {
+	case noteErr != nil:
+		return nil, nil, fmt.Errorf("most: log record %d: %w", n, noteErr)
 	case errors.Is(err, errForeignLog):
 		walk.reason = "bad log header"
 	case err != nil:

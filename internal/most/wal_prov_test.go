@@ -31,8 +31,9 @@ func TestWALNotesReplayOpaque(t *testing.T) {
 
 	var notes []string
 	got, rep, err := recoverLog(nil, bytes.NewReader(buf.Bytes()), int64(buf.Len()), &WALObserver{
-		Note: func(tag string, data []byte) {
+		Note: func(tag string, data []byte) error {
 			notes = append(notes, tag+":"+string(data))
+			return nil
 		},
 	})
 	if err != nil {

@@ -61,10 +61,10 @@ func TestLoopbackOracle(t *testing.T) {
 		seeds = []int64{1}
 		ticks = 30
 	}
-	// The oracle runs at every protocol version: the v2 binary codec, and
-	// v3's delta NOTIFYs applied client-side, must stay bit-identical to
-	// in-process evaluation exactly like v1 JSON.
-	for _, proto := range []int{1, 2, 3} {
+	// The oracle runs at every protocol version: v2's full NOTIFYs and
+	// v3's delta NOTIFYs applied client-side must both stay bit-identical
+	// to in-process evaluation.
+	for _, proto := range []int{2, 3} {
 		for _, seed := range seeds {
 			proto, seed := proto, seed
 			t.Run(fmt.Sprintf("proto=%d/seed=%d", proto, seed), func(t *testing.T) {

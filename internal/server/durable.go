@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/mostdb/most/internal/binfmt"
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/query"
@@ -31,8 +31,8 @@ import (
 //     mutating request produces, revealing on replay how far a request that
 //     crashed mid-flight got; and
 //   - one "note" WAL record per completed mutating request — a receipt
-//     carrying the client, request id, and the version-1 encoding of the
-//     response — appended after the request's own records.
+//     carrying the client, request id, and the response as executed —
+//     appended after the request's own records.
 //
 // Because a request's records are appended in order by one goroutine and
 // torn tails truncate from the end, a partial request's records are always
@@ -41,15 +41,27 @@ import (
 // retry"; provenance without a receipt means "partial — the retry must roll
 // forward, skipping the operations already applied, instead of re-applying
 // them".  Both classifications survive checkpoints via the dedup sidecar
-// (dedup.json), written atomically under the exclusive commit lock just
-// before the WAL is truncated.
+// (dedup.bin), written atomically under the exclusive commit lock just
+// before the WAL is truncated.  A receipt note or sidecar that does not
+// decode fails recovery: exactly-once state is never dropped silently.
 //
 // # Data directory
 //
 // wal.log and checkpoint.bin are the binary log and checkpoint of
-// internal/most; the receipts inside the log and the sidecar stay JSON.  A
-// directory written by earlier versions — a checkpoint.json or a JSON-line
-// wal.log — is refused with a *most.LegacyFormatError and left untouched.
+// internal/most; the receipt notes inside the log and dedup.bin use the
+// binary receipt encoding below.  A directory written by earlier versions —
+// a checkpoint.json, a JSON-line wal.log, a JSON dedup sidecar or JSON
+// receipt notes — is refused with a *most.LegacyFormatError and left
+// untouched.
+//
+// A receipt is
+//
+//	client str · req uvarint · opcode u8 · response payload bytes
+//
+// and dedup.bin is a sealed file (binfmt.Seal) with the magic "MOSTDDP" +
+// version byte 1 and a body of a uvarint count of receipts, then a uvarint
+// count of partials (each client str · req uvarint · highest applied op
+// varint).
 //
 // # Commit lock
 //
@@ -60,38 +72,73 @@ import (
 // between a request's WAL records and its receipt, which is what makes the
 // sidecar's receipt set consistent with the snapshot.
 
-// Durable data-directory file names.  legacySnapFile is the JSON
-// checkpoint of earlier versions, refused on sight.
+// Durable data-directory file names.  The legacy names are the JSON files
+// of earlier versions, refused on sight.
 const (
-	walFile        = "wal.log"
-	snapFile       = "checkpoint.bin"
-	dedupFile      = "dedup.json"
-	legacySnapFile = "checkpoint.json"
+	walFile         = "wal.log"
+	snapFile        = "checkpoint.bin"
+	dedupFile       = "dedup.bin"
+	legacySnapFile  = "checkpoint.json"
+	legacyDedupFile = "dedup.json"
 )
 
 // receiptRec is one completed mutating request: the WAL note payload and
-// the sidecar entry are the same shape.  Frame is the version-1 encoding of
-// the response payload; Op is its frame opcode (OpResult or OpError).
+// the sidecar entry are the same encoding.  Frame is the response payload
+// as executed; Op is its frame opcode (OpResult or OpError).
 type receiptRec struct {
-	Client string `json:"c"`
-	Req    uint64 `json:"r"`
-	Op     uint8  `json:"op"`
-	Frame  []byte `json:"f,omitempty"`
+	Client string
+	Req    uint64
+	Op     wire.Opcode
+	Frame  []byte
 }
 
-// partialRec is one request known to have applied operations 0..MaxOp but
-// never completed — its retry rolls forward from MaxOp+1.
-type partialRec struct {
-	Client string `json:"c"`
-	Req    uint64 `json:"r"`
-	MaxOp  int    `json:"max_op"`
+// dedupMagic identifies dedup.bin: seven bytes plus a format version byte.
+var dedupMagic = []byte("MOSTDDP\x01")
+
+// Minimum encoded sizes, used to bound hostile element counts.
+const (
+	minReceiptSize = 4 // client str, req, opcode, payload length
+	minPartialSize = 3 // client str, req, op
+)
+
+func appendReceipt(b []byte, rec *receiptRec) []byte {
+	b = binfmt.AppendStr(b, rec.Client)
+	b = binfmt.AppendUvarint(b, rec.Req)
+	b = binfmt.AppendU8(b, uint8(rec.Op))
+	return binfmt.AppendBytes(b, rec.Frame)
 }
 
-// dedupSidecar is the durable form of the idempotence state, written at
-// every checkpoint (the WAL truncation would otherwise forget it).
-type dedupSidecar struct {
-	Receipts []receiptRec `json:"receipts,omitempty"`
-	Partials []partialRec `json:"partials,omitempty"`
+func readReceipt(r *binfmt.Reader) receiptRec {
+	rec := receiptRec{Client: r.Str(), Req: r.Uvarint(), Op: wire.Opcode(r.U8()), Frame: r.StrBytes()}
+	switch {
+	case r.Err != nil:
+	case rec.Client == "":
+		r.Fail("receipt without a client")
+	case rec.Op != wire.OpResult && rec.Op != wire.OpError:
+		r.Fail("receipt opcode %d is not a response", rec.Op)
+	}
+	return rec
+}
+
+// readSidecar decodes dedup.bin, handing each receipt and each partial (a
+// request known to have applied operations 0..p.Op but never completed)
+// to the callbacks.
+func readSidecar(data []byte, receipt func(receiptRec), partial func(p most.Prov)) error {
+	r, err := binfmt.Unseal(data, dedupMagic)
+	if err != nil {
+		return err
+	}
+	for i, n := 0, r.VarCount(minReceiptSize); i < n && r.Err == nil; i++ {
+		if rec := readReceipt(r); r.Err == nil {
+			receipt(rec)
+		}
+	}
+	for i, n := 0, r.VarCount(minPartialSize); i < n && r.Err == nil; i++ {
+		if p := (most.Prov{Client: r.Str(), Req: r.Uvarint(), Op: int(r.Varint())}); r.Err == nil {
+			partial(p)
+		}
+	}
+	return r.End()
 }
 
 // RecoveryInfo reports what NewDurable rebuilt.
@@ -123,7 +170,7 @@ type clientEpoch struct {
 
 // NewDurable recovers (or seeds) a database from dir and returns a server
 // whose commit path is write-ahead logged: wal.log, checkpoint.bin, and
-// dedup.json under dir.  On a fresh directory the seed callback (nil means
+// dedup.bin under dir.  On a fresh directory the seed callback (nil means
 // an empty database) provides the initial state, which is logged as the
 // WAL's base image.  cfg.CheckpointEvery > 0 checkpoints automatically
 // every N mutating requests; Checkpoint may also be called explicitly, and
@@ -137,21 +184,15 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 	snapPath := filepath.Join(dir, snapFile)
 	walPath := filepath.Join(dir, walFile)
 	dedupPath := filepath.Join(dir, dedupFile)
-	if legacy := filepath.Join(dir, legacySnapFile); fileSize(legacy) >= 0 {
-		return nil, nil, &most.LegacyFormatError{Path: legacy, Format: "JSON checkpoint"}
+	for _, l := range [][2]string{{legacySnapFile, "JSON checkpoint"}, {legacyDedupFile, "JSON dedup sidecar"}} {
+		if legacy := filepath.Join(dir, l[0]); fileSize(legacy) >= 0 {
+			return nil, nil, &most.LegacyFormatError{Path: legacy, Format: l[1]}
+		}
 	}
 
 	haveSnap := fileSize(snapPath) > 0
-	var side dedupSidecar
-	if data, err := os.ReadFile(dedupPath); err == nil {
-		if err := json.Unmarshal(data, &side); err != nil {
-			return nil, nil, fmt.Errorf("server: dedup sidecar: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("server: read dedup sidecar: %w", err)
-	}
 
-	// Rebuild the exactly-once state: sidecar receipts first (they predate
+	// Rebuild the exactly-once state: the sidecar first (it predates
 	// everything in the log), then the log's notes and provenance stamps.
 	type rkey struct {
 		c string
@@ -170,16 +211,25 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 			delete(m, rec.Req)
 		}
 	}
-	for _, rec := range side.Receipts {
-		addReceipt(rec)
-	}
-	for _, p := range side.Partials {
+	addPartial := func(p most.Prov) {
+		if _, done := recMap[rkey{p.Client, p.Req}]; done || p.Client == "" {
+			return
+		}
 		m := partials[p.Client]
 		if m == nil {
 			m = map[uint64]int{}
 			partials[p.Client] = m
 		}
-		m[p.Req] = p.MaxOp
+		if op, ok := m[p.Req]; !ok || p.Op > op {
+			m[p.Req] = p.Op
+		}
+	}
+	if data, err := os.ReadFile(dedupPath); err == nil {
+		if err := readSidecar(data, addReceipt, addPartial); err != nil {
+			return nil, nil, fmt.Errorf("server: dedup sidecar %s: %w", dedupPath, err)
+		}
+	} else if !os.IsNotExist(err) {
+		return nil, nil, fmt.Errorf("server: read dedup sidecar: %w", err)
 	}
 
 	info := &RecoveryInfo{}
@@ -193,31 +243,21 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 		}
 	} else {
 		ob := &most.WALObserver{
-			Note: func(tag string, data []byte) {
-				if tag != noteTagReceipt {
-					return
-				}
-				var rec receiptRec
-				if json.Unmarshal(data, &rec) == nil && rec.Client != "" {
+			Note: func(tag string, data []byte) error {
+				switch tag {
+				case noteTagReceipt:
+					r := binfmt.Reader{Data: data}
+					rec := readReceipt(&r)
+					if err := r.End(); err != nil {
+						return fmt.Errorf("server: receipt note: %w", err)
+					}
 					addReceipt(rec)
+				case legacyNoteTagReceipt:
+					return &most.LegacyFormatError{Format: "WAL with JSON receipt notes"}
 				}
+				return nil
 			},
-			Applied: func(p most.Prov, _ temporal.Tick) {
-				if p.Client == "" {
-					return
-				}
-				if _, done := recMap[rkey{p.Client, p.Req}]; done {
-					return
-				}
-				m := partials[p.Client]
-				if m == nil {
-					m = map[uint64]int{}
-					partials[p.Client] = m
-				}
-				if op, ok := m[p.Req]; !ok || p.Op > op {
-					m[p.Req] = p.Op
-				}
-			},
+			Applied: func(p most.Prov, _ temporal.Tick) { addPartial(p) },
 		}
 		var rep *most.RecoveryReport
 		var err error
@@ -280,10 +320,7 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 		cache := srv.dedupFor(rec.Client)
 		e, replay := cache.begin(rec.Req)
 		if !replay {
-			e.finish(wire.Frame{
-				Op: wire.Opcode(rec.Op), ID: rec.Req,
-				Version: wire.ProtocolV1, Payload: rec.Frame,
-			})
+			e.finish(wire.Frame{Op: rec.Op, ID: rec.Req, Version: wire.MinProtocolVersion, Payload: rec.Frame})
 		}
 	}
 	for c := range partials {
@@ -310,21 +347,20 @@ func fileSize(path string) int64 {
 	return st.Size()
 }
 
-// noteTagReceipt tags completed-request receipt notes in the WAL.
-const noteTagReceipt = "req"
+// Tags of completed-request receipt notes in the WAL: the binary receipt,
+// and the JSON receipt of earlier versions, refused on sight.
+const (
+	noteTagReceipt       = "receipt"
+	legacyNoteTagReceipt = "req"
+)
 
-// logReceipt appends a completed request's receipt note; f must be the
-// version-1 response frame.  Called with commitMu held (shared or
-// exclusive), after the request's own records.
+// logReceipt appends a completed request's receipt note.  Called with
+// commitMu held (shared or exclusive), after the request's own records.
 func (srv *Server) logReceipt(client string, req uint64, f wire.Frame) {
 	if client == "" || srv.wal == nil {
 		return
 	}
-	data, err := json.Marshal(receiptRec{Client: client, Req: req, Op: uint8(f.Op), Frame: f.Payload})
-	if err != nil {
-		return
-	}
-	srv.wal.AppendNote(noteTagReceipt, data)
+	srv.wal.AppendNote(noteTagReceipt, appendReceipt(nil, &receiptRec{Client: client, Req: req, Op: f.Op, Frame: f.Payload}))
 }
 
 // takePartial consumes the recovered roll-forward state for one request:
@@ -400,22 +436,19 @@ func (srv *Server) Checkpoint() error {
 }
 
 func (srv *Server) checkpointLocked() error {
-	data, err := json.MarshalIndent(srv.collectSidecar(), "", " ")
-	if err != nil {
-		return err
-	}
-	if err := most.WriteFileAtomic(srv.dedupPath, data); err != nil {
+	if err := most.WriteFileAtomic(srv.dedupPath, srv.encodeSidecar()); err != nil {
 		return fmt.Errorf("server: dedup sidecar: %w", err)
 	}
 	return srv.state().db.Checkpoint(srv.snapPath)
 }
 
-// collectSidecar serializes the live exactly-once state.  Under the
-// exclusive commit lock every begun-and-executing request has finished, so
-// the rare unfinished entry (reserved but still waiting on the commit lock)
-// is safely skipped: its records will land in the post-checkpoint WAL.
-func (srv *Server) collectSidecar() *dedupSidecar {
-	side := &dedupSidecar{}
+// encodeSidecar serializes the live exactly-once state as dedup.bin.
+// Under the exclusive commit lock every begun-and-executing request has
+// finished, so the rare unfinished entry (reserved but still waiting on the
+// commit lock) is safely skipped: its records will land in the
+// post-checkpoint WAL.
+func (srv *Server) encodeSidecar() []byte {
+	var recs []receiptRec
 	srv.dedupMu.Lock()
 	clients := make([]string, 0, len(srv.dedup))
 	for c := range srv.dedup {
@@ -432,28 +465,35 @@ func (srv *Server) collectSidecar() *dedupSidecar {
 			}
 			select {
 			case <-e.done:
+				recs = append(recs, receiptRec{Client: c, Req: id, Op: e.frame.Op, Frame: e.frame.Payload})
 			default:
-				continue
 			}
-			side.Receipts = append(side.Receipts, receiptRec{
-				Client: c, Req: id, Op: uint8(e.frame.Op), Frame: e.frame.Payload,
-			})
 		}
 		cache.mu.Unlock()
 	}
 	srv.dedupMu.Unlock()
+	var parts []most.Prov
 	srv.partialMu.Lock()
 	for c, m := range srv.partial {
 		for r, op := range m {
-			side.Partials = append(side.Partials, partialRec{Client: c, Req: r, MaxOp: op})
+			parts = append(parts, most.Prov{Client: c, Req: r, Op: op})
 		}
 	}
 	srv.partialMu.Unlock()
-	sort.Slice(side.Partials, func(i, j int) bool {
-		a, b := side.Partials[i], side.Partials[j]
+	sort.Slice(parts, func(i, j int) bool {
+		a, b := parts[i], parts[j]
 		return a.Client < b.Client || (a.Client == b.Client && a.Req < b.Req)
 	})
-	return side
+
+	b := binfmt.AppendUvarint(append([]byte(nil), dedupMagic...), uint64(len(recs)))
+	for i := range recs {
+		b = appendReceipt(b, &recs[i])
+	}
+	b = binfmt.AppendUvarint(b, uint64(len(parts)))
+	for _, p := range parts {
+		b = binfmt.AppendVarint(binfmt.AppendUvarint(binfmt.AppendStr(b, p.Client), p.Req), int64(p.Op))
+	}
+	return binfmt.Seal(b, 0)
 }
 
 // Abort kills the server without draining, checkpointing, or flushing: the

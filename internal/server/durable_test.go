@@ -18,6 +18,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,7 +62,7 @@ func startDurable(t *testing.T, dir, addr string, cfg Config) (*Server, *Recover
 	return srv, info
 }
 
-// rawConn is a hand-driven protocol-v1 connection with explicit control
+// rawConn is a hand-driven protocol-v2 connection with explicit control
 // over ClientID, request IDs and epochs — the knobs the crash tests need.
 type rawConn struct {
 	t   *testing.T
@@ -76,7 +79,7 @@ func rawDial(t *testing.T, addr, clientID string, epoch uint64) (*rawConn, wire.
 		t.Fatal(err)
 	}
 	r := &rawConn{t: t, c: c, dec: wire.NewDecoder(c, wire.DefaultMaxPayload)}
-	f, err := wire.Encode(wire.OpHello, 1, wire.HelloReq{ClientID: clientID, MaxVersion: 1, Epoch: epoch})
+	f, err := wire.EncodeFrame(wire.ProtocolV2, wire.OpHello, 1, &wire.HelloReq{ClientID: clientID, MaxVersion: wire.ProtocolV2, Epoch: epoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func mustHello(t *testing.T, addr, clientID string, epoch uint64) (*rawConn, wir
 
 func (r *rawConn) call(op wire.Opcode, id uint64, payload any) wire.Frame {
 	r.t.Helper()
-	f, err := wire.Encode(op, id, payload)
+	f, err := wire.EncodeFrame(wire.ProtocolV2, op, id, payload)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -529,53 +532,136 @@ func TestDurableCheckpointFailureIsCountedAndSafe(t *testing.T) {
 	}
 }
 
-// A data directory written in the JSON on-disk format of earlier versions
-// is refused with a *most.LegacyFormatError naming the offending file, and
-// nothing in it changes: an old log is never read as a torn binary log.
+// A data directory written in a JSON on-disk format of earlier versions is
+// refused with a *most.LegacyFormatError naming the offending file, and
+// nothing in it changes: an old log is never read as a torn binary log, and
+// JSON receipts are never dropped as undecodable.  The last two cases are
+// what the release before this one wrote: a binary log and checkpoint
+// beside JSON receipt notes or a JSON dedup sidecar.
 func TestDurableRefusesLegacyDirectory(t *testing.T) {
 	payload := `{"seq":1,"kind":"clock","now":3}`
 	oldLog := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE([]byte(payload)), payload)
-	for name, files := range map[string]map[string]string{
-		"checkpointed": {
-			walFile:        oldLog,
-			legacySnapFile: `{"now": 3, "classes": [], "objects": []}`,
-			dedupFile:      `{"receipts": []}`,
-		},
-		"log only": {walFile: oldLog},
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			for f, data := range files {
-				if err := os.WriteFile(filepath.Join(dir, f), []byte(data), 0o644); err != nil {
-					t.Fatal(err)
-				}
+	jsonReceipt := []byte(`{"c":"alice","r":1,"op":32,"f":"AQAAAA=="}`)
+	write := func(t *testing.T, dir, name string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T, dir string)
+		want  string // the file the refusal names
+	}{
+		{"checkpointed", func(t *testing.T, dir string) {
+			write(t, dir, walFile, []byte(oldLog))
+			write(t, dir, legacySnapFile, []byte(`{"now": 3, "classes": [], "objects": []}`))
+			write(t, dir, legacyDedupFile, []byte(`{"receipts": []}`))
+		}, legacySnapFile},
+		{"log only", func(t *testing.T, dir string) {
+			write(t, dir, walFile, []byte(oldLog))
+		}, walFile},
+		{"json receipt notes", func(t *testing.T, dir string) {
+			forgeNote(t, dir, legacyNoteTagReceipt, jsonReceipt)
+		}, walFile},
+		{"json dedup sidecar", func(t *testing.T, dir string) {
+			srv, _ := startDurable(t, dir, "", Config{})
+			r, _ := mustHello(t, srv.Addr().String(), "alice", 1)
+			r.update(1, []wire.UpdateOp{motionOp(0, 1, 1)})
+			r.c.Close()
+			if err := srv.Checkpoint(); err != nil {
+				t.Fatal(err)
 			}
+			srv.Abort()
+			if err := os.Remove(filepath.Join(dir, dedupFile)); err != nil {
+				t.Fatal(err)
+			}
+			write(t, dir, legacyDedupFile, []byte(`{"receipts": [`+string(jsonReceipt)+`]}`))
+		}, legacyDedupFile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.build(t, dir)
+			before := dirBytes(t, dir)
 			_, _, err := NewDurable(dir, Config{}, seedFleet)
 			var legacy *most.LegacyFormatError
 			if !errors.As(err, &legacy) {
 				t.Fatalf("NewDurable = %v, want a legacy-format refusal", err)
 			}
-			want := walFile
-			if _, ok := files[legacySnapFile]; ok {
-				want = legacySnapFile
+			if filepath.Base(legacy.Path) != tc.want {
+				t.Fatalf("refusal names %s, want %s: %v", legacy.Path, tc.want, err)
 			}
-			if filepath.Base(legacy.Path) != want {
-				t.Fatalf("refusal names %s, want %s: %v", legacy.Path, want, err)
-			}
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(entries) != len(files) {
-				t.Fatalf("directory gained files: %v", entries)
-			}
-			for f, data := range files {
-				if got, _ := os.ReadFile(filepath.Join(dir, f)); string(got) != data {
-					t.Fatalf("%s modified: %q", f, got)
-				}
+			if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("refused directory changed:\n before: %v\n after:  %v", keys(before), keys(after))
 			}
 		})
 	}
+}
+
+// A receipt note that does not decode is exactly-once state recovery
+// cannot rebuild: NewDurable must fail, naming the record, rather than
+// serve without it (a retry of that request would apply twice).
+func TestDurableRefusesUndecodableReceipt(t *testing.T) {
+	dir := t.TempDir()
+	rec := forgeNote(t, dir, noteTagReceipt, []byte("\x05alice\x01\x20")) // no payload length
+	before := dirBytes(t, dir)
+	_, _, err := NewDurable(dir, Config{}, seedFleet)
+	if err == nil {
+		t.Fatal("recovered past an undecodable receipt note")
+	}
+	if want := fmt.Sprintf("log record %d", rec); !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "receipt") {
+		t.Fatalf("error %q does not name the receipt at %s", err, want)
+	}
+	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("failed recovery changed the directory")
+	}
+}
+
+// forgeNote writes a durable directory's log by hand, as a server over a
+// fresh directory would: the seed fleet's base image, then one note
+// record.  It returns the note's 1-based record number.
+func forgeNote(t *testing.T, dir, tag string, data []byte) uint64 {
+	t.Helper()
+	f, err := os.Create(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w := most.NewWAL(f)
+	if err := seedFleet().AttachWAL(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendNote(tag, data); err != nil {
+		t.Fatal(err)
+	}
+	return w.Records()
+}
+
+// dirBytes reads every file in dir.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+func keys(m map[string]string) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // reopenLogUntruncatable recovers the database a clean checkpoint left in

@@ -81,7 +81,7 @@ func TestServerBackpressureE2E(t *testing.T) {
 	dec := wire.NewDecoder(raw, wire.DefaultMaxPayload)
 	mustCall := func(op wire.Opcode, id uint64, payload any) wire.Frame {
 		t.Helper()
-		f, err := wire.Encode(op, id, payload)
+		f, err := wire.EncodeFrame(wire.ProtocolV2, op, id, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,8 +94,8 @@ func TestServerBackpressureE2E(t *testing.T) {
 		}
 		return resp
 	}
-	mustCall(wire.OpHello, 1, wire.HelloReq{ClientID: "stalled"})
-	mustCall(wire.OpSubscribe, 2, wire.SubscribeReq{Src: subSrc, Horizon: 50})
+	mustCall(wire.OpHello, 1, &wire.HelloReq{ClientID: "stalled", MaxVersion: wire.ProtocolV2})
+	mustCall(wire.OpSubscribe, 2, &wire.SubscribeReq{Src: subSrc, Horizon: 50})
 	stallStart := time.Now()
 
 	// Pipelining writers: each client fires batched motion updates as fast

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -11,17 +12,18 @@ import (
 )
 
 // The version-negotiation matrix: every (client max, server max) pairing
-// must land on min(client, server), and the session must work end to end
-// at that version.
+// must land on min(client, server) — a cap of 1, the retired JSON version,
+// acting as 2 — and the session must work end to end at that version.
 func TestVersionNegotiationMatrix(t *testing.T) {
 	cases := []struct {
 		name                 string
 		clientMax, serverMax int
 		want                 int
 	}{
-		{"v1 client, v2 server", 1, 2, 1},
-		{"v2 client, v1 server (graceful downgrade)", 2, 1, 1},
+		{"v1 client, v2 server", 1, 2, 2},
+		{"v3 client, v2 server (downgrade)", 3, 2, 2},
 		{"v2 client, v2 server", 2, 2, 2},
+		{"v2 client, v3 server", 2, 3, 2},
 		{"default client, default server", 0, 0, wire.MaxProtocolVersion},
 	}
 	for _, tc := range cases {
@@ -53,10 +55,13 @@ func TestVersionNegotiationMatrix(t *testing.T) {
 	}
 }
 
-// A pre-negotiation (PR 5 era) client never sends MaxVersion; the server
-// must answer Version 1 and keep the whole session in JSON.
+// A legacy client speaks version 1 (JSON payloads), which is retired: its
+// Hello is a protocol violation.  The server counts it, answers with an
+// error frame at the lowest version it speaks, and disconnects without
+// ever negotiating.
 func TestVersionNegotiationLegacyClientSpeaksV1(t *testing.T) {
-	_, addr := startTestServer(t, 2, Config{})
+	reg := obs.New()
+	_, addr := startTestServer(t, 2, Config{Reg: reg})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -64,34 +69,47 @@ func TestVersionNegotiationLegacyClientSpeaksV1(t *testing.T) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 
-	// Hand-rolled v1 hello with no max_version field, like an old client.
-	hello := wire.Frame{Op: wire.OpHello, ID: 1, Payload: []byte(`{"client_id":"legacy"}`)}
-	if err := wire.WriteFrame(conn, hello); err != nil {
-		t.Fatal(err)
-	}
-	dec := wire.NewDecoder(conn, 1<<20)
-	resp, err := dec.Next()
+	// Hand-rolled v1 hello, as an old client sent it: version byte 1 and a
+	// JSON payload.  No encoder in this tree produces one.
+	payload := []byte(`{"client_id":"legacy","max_version":1}`)
+	hello, err := wire.AppendFrame(nil, wire.Frame{Op: wire.OpHello, ID: 1, Version: wire.ProtocolV2, Payload: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hr wire.HelloResp
-	if err := wire.Unmarshal(resp, &hr); err != nil {
+	hello[2] = 1
+	if _, err := conn.Write(hello); err != nil {
 		t.Fatal(err)
 	}
-	if hr.Version != 1 {
-		t.Fatalf("legacy hello negotiated version %d, want 1", hr.Version)
+	dec := wire.NewDecoder(conn, 1<<20)
+	sawError := false
+	for {
+		f, err := dec.Next()
+		if err != nil {
+			break // disconnected
+		}
+		if f.Op != wire.OpError || f.Version != wire.MinProtocolVersion {
+			t.Fatalf("v1 hello answered with %v at version %d, want an error frame at %d", f.Op, f.Version, wire.MinProtocolVersion)
+		}
+		sawError = true
 	}
-	if resp.Version != wire.ProtocolV1 {
-		t.Fatalf("hello response framed at version %d, want 1", resp.Version)
+	if !sawError {
+		t.Log("connection closed without an error frame (best-effort push raced the close)")
 	}
+	waitCounter(t, reg, "server.protocol_violations")
+	if n := reg.Snapshot().Counters["server.frames_in"]; n != 0 {
+		t.Fatalf("server handled %d frames of a v1 session, want 0", n)
+	}
+}
 
-	// The session keeps working in plain v1 JSON.
-	ping := wire.Frame{Op: wire.OpPing, ID: 2}
-	if err := wire.WriteFrame(conn, ping); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err = dec.Next(); err != nil || resp.Op != wire.OpResult || resp.ID != 2 {
-		t.Fatalf("v1 ping after legacy hello: frame %v/%d, err %v", resp.Op, resp.ID, err)
+// waitCounter waits for a registry counter to become nonzero.
+func waitCounter(t *testing.T, reg *obs.Registry, name string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Snapshot().Counters[name] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s not counted", name)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -107,7 +125,7 @@ func TestMidSessionProtocolViolationDisconnects(t *testing.T) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 
-	hello, err := wire.Encode(wire.OpHello, 1, wire.HelloReq{MaxVersion: 2})
+	hello, err := wire.EncodeFrame(wire.MinProtocolVersion, wire.OpHello, 1, &wire.HelloReq{MaxVersion: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +145,8 @@ func TestMidSessionProtocolViolationDisconnects(t *testing.T) {
 		t.Fatalf("negotiated %d, want 2", hr.Version)
 	}
 
-	// Violate the negotiation: send a v1 frame on the now-v2 session.
-	violation := wire.Frame{Op: wire.OpPing, ID: 9, Version: wire.ProtocolV1}
+	// Violate the negotiation: send a v3 frame on the now-v2 session.
+	violation := wire.Frame{Op: wire.OpPing, ID: 9, Version: wire.ProtocolV3}
 	if err := wire.WriteFrame(conn, violation); err != nil {
 		t.Fatal(err)
 	}
@@ -147,21 +165,15 @@ func TestMidSessionProtocolViolationDisconnects(t *testing.T) {
 	if !sawError {
 		t.Log("connection closed without an error frame (best-effort push raced the close)")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counters["server.protocol_violations"] == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("protocol violation not counted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitCounter(t, reg, "server.protocol_violations")
 }
 
 // Idempotent retries must survive a mid-call reconnect at both protocol
-// versions: the replayed request ID answers from the dedup cache in the
-// encoding of the retried connection.
+// versions: the replayed request ID answers from the dedup cache at the
+// version of the retried connection.
 func TestDedupReplayAcrossReconnectBothVersions(t *testing.T) {
-	for _, proto := range []int{1, 2} {
-		t.Run(map[int]string{1: "v1", 2: "v2"}[proto], func(t *testing.T) {
+	for _, proto := range []int{2, 3} {
+		t.Run(map[int]string{2: "v2", 3: "v3"}[proto], func(t *testing.T) {
 			_, addr := startTestServer(t, 4, Config{})
 			c, err := client.Dial(addr, client.WithProtocol(proto), client.WithClientID("dedup-test"))
 			if err != nil {
@@ -179,13 +191,18 @@ func TestDedupReplayAcrossReconnectBothVersions(t *testing.T) {
 	}
 }
 
-// A replayed response must arrive in the encoding of the retrying
+// A replayed response must arrive at the version of the retrying
 // connection, not the connection that executed the original (PROTOCOL.md
-// §5): execute at v2, reconnect the same client identity at v1, retry the
-// same request ID, and demand a v1 frame carrying the original answer —
-// without the update applying twice.
-func TestDedupReplayTranscodesAcrossVersions(t *testing.T) {
-	_, addr := startTestServer(t, 4, Config{})
+// §5): responses to mutating requests encode identically at v2 and v3, so
+// the replay is the original payload restamped.  Execute at one version,
+// reconnect the same client identity at the other, retry the same request
+// ID, and demand the original answer framed at the new version — without
+// the update applying twice.  The last round replays from a receipt the
+// server recovered from its log after a crash.
+func TestDedupReplayRestampsAcrossVersions(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := startDurable(t, dir, "", Config{})
+	addr := srv.Addr().String()
 
 	// dial performs a raw handshake at maxVersion and returns the decoder
 	// pinned to the negotiated version.
@@ -197,7 +214,8 @@ func TestDedupReplayTranscodesAcrossVersions(t *testing.T) {
 		}
 		t.Cleanup(func() { conn.Close() })
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		hello, err := wire.Encode(wire.OpHello, 1, wire.HelloReq{ClientID: "transcode-test", MaxVersion: maxVersion})
+		hello, err := wire.EncodeFrame(wire.MinProtocolVersion, wire.OpHello, 1,
+			&wire.HelloReq{ClientID: "restamp-test", MaxVersion: maxVersion})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,10 +238,10 @@ func TestDedupReplayTranscodesAcrossVersions(t *testing.T) {
 		return conn, dec
 	}
 
-	roundTrip := func(conn net.Conn, dec *wire.Decoder, version uint8, id uint64) wire.UpdateBatchResp {
+	roundTrip := func(conn net.Conn, dec *wire.Decoder, version uint8, id uint64) wire.Frame {
 		t.Helper()
 		req, err := wire.EncodeFrame(version, wire.OpUpdateBatch, id, &wire.UpdateBatchReq{
-			Ops: []wire.UpdateOp{{Op: wire.OpSetMotion, ID: vid(0), VX: 2, VY: 2}},
+			Ops: []wire.UpdateOp{{Op: wire.OpSetMotion, ID: vid(0), VX: 2, VY: float64(id)}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -241,28 +259,55 @@ func TestDedupReplayTranscodesAcrossVersions(t *testing.T) {
 		if resp.Version != version {
 			t.Fatalf("response framed at version %d, want %d", resp.Version, version)
 		}
+		return resp
+	}
+	version := func(f wire.Frame) uint64 {
+		t.Helper()
 		var ub wire.UpdateBatchResp
-		if err := wire.Unmarshal(resp, &ub); err != nil {
+		if err := wire.Unmarshal(f, &ub); err != nil {
 			t.Fatal(err)
 		}
-		return ub
+		return ub.Version
 	}
 
-	const reqID = 42
-	conn2, dec2 := dial(2)
-	orig := roundTrip(conn2, dec2, wire.ProtocolV2, reqID)
-	conn2.Close()
+	for i, vs := range [][2]uint8{{wire.ProtocolV3, wire.ProtocolV2}, {wire.ProtocolV2, wire.ProtocolV3}} {
+		reqID := uint64(40 + 2*i)
+		connA, decA := dial(int(vs[0]))
+		orig := roundTrip(connA, decA, vs[0], reqID)
+		connA.Close()
 
-	conn1, dec1 := dial(1)
-	replay := roundTrip(conn1, dec1, wire.ProtocolV1, reqID)
-	if replay != orig {
-		t.Fatalf("replayed response %+v differs from original %+v", replay, orig)
+		connB, decB := dial(int(vs[1]))
+		replay := roundTrip(connB, decB, vs[1], reqID)
+		if !bytes.Equal(replay.Payload, orig.Payload) {
+			t.Fatalf("v%d replay of a v%d response: payload %x, want %x", vs[1], vs[0], replay.Payload, orig.Payload)
+		}
+		// The replay must not have applied again: the database version a
+		// fresh request observes is exactly one past the original's.
+		if fresh := roundTrip(connB, decB, vs[1], reqID+1); version(fresh) != version(orig)+1 {
+			t.Fatalf("db version %d after replay+1 update, want %d (replay must not re-apply)",
+				version(fresh), version(orig)+1)
+		}
+		connB.Close()
 	}
-	// The replay must not have applied again: the database version a fresh
-	// request observes is exactly one past the original's.
-	fresh := roundTrip(conn1, dec1, wire.ProtocolV1, reqID+1)
-	if fresh.Version != orig.Version+1 {
-		t.Fatalf("db version %d after replay+1 update, want %d (replay must not re-apply)",
-			fresh.Version, orig.Version+1)
+
+	// Crash and recover: the receipt comes back from the log, and a retry
+	// at the other version replays it restamped.
+	const reqID = 50
+	connA, decA := dial(wire.ProtocolV2)
+	orig := roundTrip(connA, decA, wire.ProtocolV2, reqID)
+	connA.Close()
+	srv.Abort()
+	srv2, info := startDurable(t, dir, addr, Config{})
+	defer srv2.Abort()
+	if info.Receipts == 0 {
+		t.Fatal("no receipts recovered")
+	}
+	connB, decB := dial(wire.ProtocolV3)
+	replay := roundTrip(connB, decB, wire.ProtocolV3, reqID)
+	if !bytes.Equal(replay.Payload, orig.Payload) {
+		t.Fatalf("v3 replay of a recovered v2 receipt: payload %x, want %x", replay.Payload, orig.Payload)
+	}
+	if fresh := roundTrip(connB, decB, wire.ProtocolV3, reqID+1); version(fresh) != version(orig)+1 {
+		t.Fatalf("db version %d after recovered replay+1 update, want %d", version(fresh), version(orig)+1)
 	}
 }

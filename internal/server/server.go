@@ -6,10 +6,9 @@
 //
 // # Protocol versions
 //
-// The server speaks every wire encoding: protocol version 1 (JSON
-// payloads), version 2 (the compact binary codec, see PROTOCOL.md) and
-// version 3 (version 2 plus delta NOTIFYs).
-// Every session starts at version 1; the Hello handshake negotiates
+// The server speaks protocol version 2 (the compact binary codec, see
+// PROTOCOL.md) and version 3 (version 2 plus delta NOTIFYs).  Every
+// session starts at version 2; the Hello handshake negotiates
 // min(client max, Config.MaxProtocol) and the session switches to the
 // negotiated version for all subsequent frames.  A frame carrying any
 // other version after negotiation is a protocol violation: the server
@@ -83,11 +82,10 @@ type Config struct {
 	// wire.DefaultMaxPayload).
 	MaxPayload int
 	// MaxProtocol caps the protocol version the server negotiates in the
-	// Hello handshake: 1 forces JSON payloads for every session, 2 allows
-	// the binary codec with full NOTIFYs, and 3 (wire.MaxProtocolVersion,
-	// the default) adds delta NOTIFYs; older clients keep working at their
-	// own maximum.  Values outside [1, wire.MaxProtocolVersion] select the
-	// default.
+	// Hello handshake: 2 forces full NOTIFYs for every session, and 3
+	// (wire.MaxProtocolVersion, the default) allows delta NOTIFYs; clients
+	// capped at 2 keep working at their own maximum.  Values <= 0 or above
+	// wire.MaxProtocolVersion select the default, and 1 acts as 2.
 	MaxProtocol int
 	// OutQueue is the per-session outbound frame queue length (default 256).
 	OutQueue int

@@ -144,11 +144,7 @@ func parkedInsert(t *testing.T, id string, x, y float64) wire.UpdateOp {
 	if o, err = o.WithPosition(motion.MovingFrom(geom.Point{X: x, Y: y}, geom.Vector{}, 0)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := most.EncodeObjectJSON(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wire.UpdateOp{Op: wire.OpInsert, ID: id, Object: data}
+	return wire.UpdateOp{Op: wire.OpInsert, ID: id, Object: most.EncodeObject(o)}
 }
 
 func TestServerSubscription(t *testing.T) {
@@ -258,6 +254,48 @@ func TestServerSnapshotSaveLoad(t *testing.T) {
 	// Queries keep working against the swapped state.
 	if _, _, err := c.Query(`RETRIEVE o FROM Vehicles o WHERE Eventually INSIDE(o, P)`, 50); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An insert whose class lists the server's attributes in another order is
+// refused, not decoded onto the wrong attributes.
+func TestServerRefusesReorderedClassInsert(t *testing.T) {
+	_, addr := startTestServer(t, 1, Config{})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	a, b := most.AttrDef{Name: "A", Kind: most.Static}, most.AttrDef{Name: "B", Kind: most.Static}
+	declared, swapped := most.MustClass("Tags", false, a, b), most.MustClass("Tags", false, b, a)
+	db := most.NewDatabase()
+	if err := db.DefineClass(declared); err != nil {
+		t.Fatal(err)
+	}
+	data, err := db.SnapshotJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SnapshotLoad(data); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(id string, class *most.Class) error {
+		o, err := most.NewObject(most.ObjectID(id), class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o, err = o.WithStatic("A", most.Float(1)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.UpdateBatch([]wire.UpdateOp{{Op: wire.OpInsert, ID: id, Object: most.EncodeObject(o)}})
+		return err
+	}
+	if err := insert("swapped", swapped); err == nil {
+		t.Fatal("insert of a reordered-class object succeeded")
+	}
+	if err := insert("declared", declared); err != nil {
+		t.Fatalf("insert of a declared-class object: %v", err)
 	}
 }
 

@@ -37,8 +37,9 @@ type session struct {
 	srv  *Server
 	conn net.Conn
 
-	// proto is the session's negotiated protocol version: ProtocolV1 until
-	// a Hello negotiates higher.  Read by the reader, writer, and pumps.
+	// proto is the session's negotiated protocol version:
+	// MinProtocolVersion until a Hello negotiates higher.  Read by the
+	// reader, writer, and pumps.
 	proto atomic.Uint32
 
 	out        chan wire.Frame // all outbound frames
@@ -97,15 +98,15 @@ func newSession(srv *Server, conn net.Conn) *session {
 		subs:       map[uint64]*serverSub{},
 		intern:     wire.Interner{},
 	}
-	s.proto.Store(wire.ProtocolV1)
+	s.proto.Store(wire.MinProtocolVersion)
 	return s
 }
 
 // run is the session main loop; it returns when the connection is done.
 //
 // The decoder is pinned to the session's protocol version at every frame:
-// before negotiation only version-1 frames are legal (Hello is always
-// spoken at v1), afterwards only the negotiated version — a frame carrying
+// before negotiation only MinProtocolVersion frames are legal (Hello is
+// always spoken at it), afterwards only the negotiated version — a frame carrying
 // any other version is a protocol violation that disconnects the session
 // after a best-effort error push.
 func (s *session) run() {
@@ -356,9 +357,7 @@ func (s *session) dispatch(f wire.Frame) wire.Frame {
 		}
 		e, replay := cache.begin(f.ID)
 		if replay {
-			s.srv.m.dedupHits.Inc()
-			<-e.done
-			return s.transcode(e.frame, f.Op)
+			return s.replay(e)
 		}
 		s.lastCode = ""
 		resp := s.execute(f)
@@ -381,17 +380,14 @@ func (s *session) dispatch(f wire.Frame) wire.Frame {
 // append the receipt note under the commit lock (shared — exclusive for
 // SnapshotLoad, which rebases the WAL), so a checkpoint can never separate
 // a request's WAL records from its receipt.  The cache and the WAL both
-// store the version-1 encoding of the response; transcode re-frames
-// replays for whatever version the retrying connection negotiated.
+// store the response as executed; replay restamps its version.
 func (s *session) dispatchDurable(f wire.Frame, clientID string, cache *dedupCache) wire.Frame {
 	var e *dedupEntry
 	if cache != nil {
 		var replay bool
 		e, replay = cache.begin(f.ID)
 		if replay {
-			s.srv.m.dedupHits.Inc()
-			<-e.done
-			return s.transcode(e.frame, f.Op)
+			return s.replay(e)
 		}
 	}
 	exclusive := f.Op == wire.OpSnapshotLoad
@@ -409,13 +405,13 @@ func (s *session) dispatchDurable(f wire.Frame, clientID string, cache *dedupCac
 	s.lastCode = ""
 	resp := s.execute(f)
 	s.rollForward = 0
-	var v1 wire.Frame
+	var kept wire.Frame
 	if e != nil {
-		v1 = s.transcodeTo(wire.ProtocolV1, resp, f.Op).Detach()
+		kept = resp.Detach()
 		if s.lastCode != "" {
 			cache.remove(f.ID)
 		} else {
-			s.srv.logReceipt(clientID, f.ID, v1)
+			s.srv.logReceipt(clientID, f.ID, kept)
 		}
 	}
 	if exclusive {
@@ -424,53 +420,23 @@ func (s *session) dispatchDurable(f wire.Frame, clientID string, cache *dedupCac
 		s.srv.commitMu.RUnlock()
 	}
 	if e != nil {
-		e.finish(v1)
+		e.finish(kept)
 	}
 	s.srv.afterMutation()
 	return resp
 }
 
-// transcode re-frames a cached response at this session's negotiated
-// protocol version.  The dedup cache stores responses as encoded for the
-// session that executed them; a retry arriving on a reconnect that
-// negotiated a different version must still receive a frame its pinned
-// decoder accepts (PROTOCOL.md §5: replay encoding follows the retrying
-// connection).  reqOp selects the payload type of an OpResult frame.
-func (s *session) transcode(f wire.Frame, reqOp wire.Opcode) wire.Frame {
-	return s.transcodeTo(uint8(s.proto.Load()), f, reqOp)
-}
-
-// transcodeTo re-frames f at protocol version v (see transcode; the
-// durable commit path also uses it to pin cached responses to version 1
-// regardless of the executing session's negotiated version).
-func (s *session) transcodeTo(v uint8, f wire.Frame, reqOp wire.Opcode) wire.Frame {
-	if f.Version == v || (f.Version == 0 && v == wire.ProtocolV1) {
-		return f
-	}
-	var payload any
-	switch {
-	case f.Op == wire.OpError:
-		payload = &wire.ErrorResp{}
-	case reqOp == wire.OpUpdateBatch:
-		payload = &wire.UpdateBatchResp{}
-	case reqOp == wire.OpAdvance:
-		payload = &wire.AdvanceResp{}
-	case reqOp == wire.OpSnapshotLoad:
-		payload = &wire.SnapshotLoadResp{}
-	case reqOp == wire.OpHandoff:
-		payload = &wire.HandoffResp{}
-	default:
-		return f
-	}
-	if err := wire.Unmarshal(f, payload); err != nil {
-		return s.errFrame(f.ID, err)
-	}
-	out, err := wire.EncodeFrame(v, f.Op, f.ID, payload)
-	if err != nil {
-		// Re-encoding our own payload types cannot fail.
-		panic(err)
-	}
-	return out
+// replay answers a retried request from its dedup entry, once the
+// original has finished.  Responses to mutating requests encode
+// byte-identically at every protocol version, so the cached payload serves
+// a retry on any connection; only the frame's version byte follows the
+// retrying session's negotiated version (PROTOCOL.md §5).
+func (s *session) replay(e *dedupEntry) wire.Frame {
+	s.srv.m.dedupHits.Inc()
+	<-e.done
+	f := e.frame
+	f.Version = uint8(s.proto.Load())
+	return f
 }
 
 func (s *session) execute(f wire.Frame) wire.Frame {
@@ -507,8 +473,8 @@ func (s *session) execute(f wire.Frame) wire.Frame {
 }
 
 // handleHello binds the client identity and negotiates the session
-// protocol version.  The response is always encoded at version 1 — the
-// client only switches encodings after reading it — and the session's
+// protocol version.  The response is always encoded at MinProtocolVersion
+// — the client only switches versions after reading it — and the session's
 // version changes just before the response is enqueued, so the next frame
 // the reader decodes is already held to the negotiated version.
 func (s *session) handleHello(f wire.Frame) wire.Frame {
@@ -518,7 +484,7 @@ func (s *session) handleHello(f wire.Frame) wire.Frame {
 	}
 	resumed, zombie, ok := s.srv.fenceEpoch(req.ClientID, req.Epoch, s)
 	if !ok {
-		resp, err := wire.EncodeFrame(wire.ProtocolV1, wire.OpError, f.ID, &wire.ErrorResp{
+		resp, err := wire.EncodeFrame(wire.MinProtocolVersion, wire.OpError, f.ID, &wire.ErrorResp{
 			Msg:  fmt.Sprintf("epoch %d superseded by a newer session of %q", req.Epoch, req.ClientID),
 			Code: wire.CodeStaleEpoch,
 		})
@@ -539,7 +505,7 @@ func (s *session) handleHello(f wire.Frame) wire.Frame {
 	s.mu.Unlock()
 	s.peer = req.Peer
 	v := wire.NegotiateVersion(req.MaxVersion, s.srv.cfg.MaxProtocol)
-	resp, err := wire.EncodeFrame(wire.ProtocolV1, wire.OpResult, f.ID,
+	resp, err := wire.EncodeFrame(wire.MinProtocolVersion, wire.OpResult, f.ID,
 		&wire.HelloResp{Server: s.srv.cfg.Name, Version: int(v), Resumed: resumed})
 	if err != nil {
 		panic(err)
@@ -576,18 +542,12 @@ func (s *session) handleQuery(f wire.Frame) wire.Frame {
 // session's reused struct (slice capacity and interned object IDs carry
 // over between batches), is applied op by op, and the small fixed-size
 // acknowledgement encodes into a pooled buffer — zero steady-state
-// allocations end to end on the v2 decode path (TestIngestZeroAlloc).
+// allocations end to end (TestIngestZeroAlloc).
 func (s *session) handleUpdateBatch(f wire.Frame) wire.Frame {
 	req := &s.reqUB
-	// Zero the recycled op slots before decoding into them: v1 JSON omits
-	// zero-valued fields (omitempty), so a stale element would otherwise
-	// leak the previous batch's values into ops that legitimately carry
-	// zeros (e.g. a stop — SetMotion with a zero vector).  DeadlineMS is
-	// omitempty too: without the reset, one deadline-bearing request would
-	// impose its budget on every later batch on the session.
-	clear(req.Ops[:cap(req.Ops)])
-	req.Ops = req.Ops[:0]
-	req.DeadlineMS = 0
+	// The decoder overwrites every field it reads, but an empty payload
+	// reads none: start from an empty batch, not the previous one.
+	req.Ops, req.DeadlineMS = req.Ops[:0], 0
 	if err := wire.UnmarshalInterned(f, req, s.intern); err != nil {
 		return s.errFrame(f.ID, err)
 	}
@@ -661,7 +621,7 @@ func applyOp(st *state, tx *most.Tx, op *wire.UpdateOp, p *most.Prov) error {
 	case wire.OpDelete:
 		return tx.Delete(most.ObjectID(op.ID), p)
 	case wire.OpInsert:
-		o, err := most.DecodeObjectJSON(st.db, op.Object)
+		o, err := most.DecodeObject(st.db, op.Object)
 		if err != nil {
 			return err
 		}

@@ -1,16 +1,14 @@
 package wire
 
 import (
-	"encoding/json"
 	"sync"
 
 	"github.com/mostdb/most/internal/binfmt"
 	"github.com/mostdb/most/internal/temporal"
 )
 
-// This file is the protocol-version-2 payload codec: a compact binary
-// encoding of every request, response, and push payload, replacing the
-// version-1 JSON bodies on the hot path.  The grammar (specified byte by
+// This file is the payload codec: a compact binary encoding of every
+// request, response, and push payload.  The grammar (specified byte by
 // byte in PROTOCOL.md) uses four of the internal/binfmt primitives:
 //
 //	u8/u32/u64  fixed-width little-endian unsigned integers
@@ -30,7 +28,7 @@ import (
 // adding the two methods and a PROTOCOL.md grammar entry.
 
 // binaryPayload is implemented (on pointer receivers) by every payload
-// type that has a version-2 binary form.
+// type.
 type binaryPayload interface {
 	appendBinary(buf []byte) []byte
 	decodeBinary(r *binReader) error
@@ -194,6 +192,21 @@ func decodeAnswerRows(r *binReader, dst []AnswerRow) []AnswerRow {
 
 // ---- request payloads ----
 
+func (h *HelloReq) appendBinary(b []byte) []byte {
+	b = binfmt.AppendStr(b, h.ClientID)
+	b = binfmt.AppendU32(b, uint32(h.MaxVersion))
+	b = binfmt.AppendU64(b, h.Epoch)
+	return binfmt.AppendBool(b, h.Peer)
+}
+
+func (h *HelloReq) decodeBinary(r *binReader) error {
+	h.ClientID = r.Str()
+	h.MaxVersion = int(r.U32())
+	h.Epoch = r.U64()
+	h.Peer = r.Bool()
+	return r.Err
+}
+
 func (q *QueryReq) appendBinary(b []byte) []byte {
 	b = binfmt.AppendStr(b, q.Src)
 	b = appendTick(b, q.Horizon)
@@ -269,7 +282,7 @@ func (op *UpdateOp) decodeBinary(r *binReader) error {
 		}
 	case binOpInsert:
 		op.Op = OpInsert
-		op.Object = json.RawMessage(r.StrBytes())
+		op.Object = r.StrBytes()
 	case binOpDelete:
 		op.Op = OpDelete
 	default:
@@ -316,7 +329,7 @@ func (o *ObjectsReq) decodeBinary(r *binReader) error {
 
 func (s *SnapshotLoadReq) appendBinary(b []byte) []byte { return binfmt.AppendBytes(b, s.Data) }
 func (s *SnapshotLoadReq) decodeBinary(r *binReader) error {
-	s.Data = json.RawMessage(r.StrBytes())
+	s.Data = r.StrBytes()
 	return r.Err
 }
 
@@ -338,6 +351,19 @@ func (u *UnsubscribeReq) decodeBinary(r *binReader) error {
 }
 
 // ---- response and push payloads ----
+
+func (h *HelloResp) appendBinary(b []byte) []byte {
+	b = binfmt.AppendStr(b, h.Server)
+	b = binfmt.AppendU32(b, uint32(h.Version))
+	return binfmt.AppendBool(b, h.Resumed)
+}
+
+func (h *HelloResp) decodeBinary(r *binReader) error {
+	h.Server = r.Str()
+	h.Version = int(r.U32())
+	h.Resumed = r.Bool()
+	return r.Err
+}
 
 func (q *QueryResp) appendBinary(b []byte) []byte {
 	b = appendTick(b, q.Now)
@@ -437,7 +463,7 @@ func (o *ObjectsResp) decodeBinary(r *binReader) error {
 
 func (s *SnapshotResp) appendBinary(b []byte) []byte { return binfmt.AppendBytes(b, s.Data) }
 func (s *SnapshotResp) decodeBinary(r *binReader) error {
-	s.Data = json.RawMessage(r.StrBytes())
+	s.Data = r.StrBytes()
 	return r.Err
 }
 
@@ -641,7 +667,7 @@ func (h *HandoffReq) decodeBinary(r *binReader) error {
 		o := &h.Objects[i]
 		o.ID = r.internedStr()
 		o.Version = r.U64()
-		o.Object = json.RawMessage(r.StrBytes())
+		o.Object = r.StrBytes()
 	}
 	return r.Err
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -38,21 +37,23 @@ func roundTrip[T any](t *testing.T, v uint8, op Opcode, in *T) *T {
 	return out
 }
 
-// bothVersions asserts the payload decodes to the same struct through the
-// v1 JSON and v2 binary encodings.
+// bothVersions asserts the payload round-trips unchanged at versions 2 and
+// 3, and — NOTIFY aside — encodes to the same bytes at both.
 func bothVersions[T any](t *testing.T, op Opcode, in *T) {
 	t.Helper()
-	v1 := roundTrip(t, ProtocolV1, op, in)
-	v2 := roundTrip(t, ProtocolV2, op, in)
-	if !reflect.DeepEqual(v1, v2) {
-		t.Fatalf("encodings disagree for %T:\n v1: %#v\n v2: %#v", in, v1, v2)
+	for _, v := range []uint8{ProtocolV2, ProtocolV3} {
+		if out := roundTrip(t, v, op, in); !reflect.DeepEqual(out, in) {
+			t.Fatalf("v%d round trip changed %T:\n in:  %#v\n out: %#v", v, in, in, out)
+		}
 	}
-	if !reflect.DeepEqual(v2, in) {
-		t.Fatalf("v2 round trip changed %T:\n in:  %#v\n out: %#v", in, in, v2)
+	f2, _ := EncodeFrame(ProtocolV2, op, 7, in)
+	f3, _ := EncodeFrame(ProtocolV3, op, 7, in)
+	if _, notify := any(in).(*Notify); !notify && !bytes.Equal(f2.Payload, f3.Payload) {
+		t.Fatalf("%T encodes differently at v2 and v3", in)
 	}
 }
 
-func TestBinaryPayloadsMatchJSONPayloads(t *testing.T) {
+func TestBinaryPayloadsRoundTrip(t *testing.T) {
 	vals := []Value{
 		{Kind: 1, Obj: "car-00017"},
 		{Kind: 2, Num: -math.MaxFloat64},
@@ -67,6 +68,8 @@ func TestBinaryPayloadsMatchJSONPayloads(t *testing.T) {
 	}
 	val := Value{Kind: 2, Num: 99}
 
+	bothVersions(t, OpHello, &HelloReq{ClientID: "c-1", MaxVersion: 3, Epoch: 9, Peer: true})
+	bothVersions(t, OpResult, &HelloResp{Server: "mostserver", Version: 2, Resumed: true})
 	bothVersions(t, OpQuery, &QueryReq{Src: "RETRIEVE o FROM Vehicles o WHERE TRUE", Horizon: 50})
 	bothVersions(t, OpQuery, &QueryReq{Src: "RETRIEVE o FROM Vehicles o WHERE TRUE", Horizon: 50, DeadlineMS: 1500})
 	bothVersions(t, OpResult, &QueryResp{Now: 12, Rows: [][]Value{vals, {vals[0]}}})
@@ -74,7 +77,7 @@ func TestBinaryPayloadsMatchJSONPayloads(t *testing.T) {
 		{Op: OpSetMotion, ID: "car-1", VX: 1.5, VY: -2.25},
 		{Op: OpSetStatic, ID: "car-2", Attr: "PRICE", Value: &val},
 		{Op: OpSetStatic, ID: "car-2", Attr: "FLAG"},
-		{Op: OpInsert, ID: "car-3", Object: json.RawMessage(`{"id":"car-3"}`)},
+		{Op: OpInsert, ID: "car-3", Object: []byte("\x05car-3\x04Cars\x00")},
 		{Op: OpDelete, ID: "car-1"},
 	}})
 	bothVersions(t, OpResult, &UpdateBatchResp{Applied: 5, Now: 9, Version: 1 << 40})
@@ -85,9 +88,9 @@ func TestBinaryPayloadsMatchJSONPayloads(t *testing.T) {
 		{ID: "a", Class: "Vehicles", HasPos: true, X: 1.25, Y: -9},
 		{ID: "b", Class: "Motels"},
 	}})
-	bothVersions(t, OpSnapshotLoad, &SnapshotLoadReq{Data: json.RawMessage(`{"now":4}`)})
+	bothVersions(t, OpSnapshotLoad, &SnapshotLoadReq{Data: []byte(`{"now":4}`)})
 	bothVersions(t, OpResult, &SnapshotLoadResp{Now: 4, Objects: 7})
-	bothVersions(t, OpResult, &SnapshotResp{Data: json.RawMessage(`{"now":4}`)})
+	bothVersions(t, OpResult, &SnapshotResp{Data: []byte(`{"now":4}`)})
 	bothVersions(t, OpSubscribe, &SubscribeReq{Src: "RETRIEVE o FROM Vehicles o WHERE TRUE", Horizon: 9})
 	bothVersions(t, OpResult, &SubscribeResp{SubID: 3, Now: 2, Answer: rows})
 	bothVersions(t, OpUnsubscribe, &UnsubscribeReq{SubID: 3})
@@ -182,16 +185,15 @@ func TestNegotiateVersion(t *testing.T) {
 		clientMax, serverMax int
 		want                 uint8
 	}{
-		{0, 2, 1},   // pre-v2 client omits the field
-		{1, 2, 1},   // v1 client against v2 server
-		{2, 1, 1},   // v2 client against v1-capped server: graceful downgrade
 		{2, 2, 2},   // both speak v2
 		{3, 2, 2},   // v3 client against v2 server: full notifies only
 		{2, 3, 2},   // v2 client against v3 server
 		{3, 3, 3},   // both speak v3: delta notifies
 		{99, 99, 3}, // futures clamp to what we implement
-		{-5, 2, 1},  // nonsense clamps up to v1
-		{2, 0, 1},   // unconfigured server max means v1
+		{1, 3, 2},   // version 1 is retired: clamps up to v2
+		{3, 1, 2},
+		{0, 3, 2},
+		{-5, 2, 2}, // nonsense clamps up to v2
 	}
 	for _, tc := range cases {
 		if got := NegotiateVersion(tc.clientMax, tc.serverMax); got != tc.want {

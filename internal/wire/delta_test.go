@@ -14,12 +14,11 @@ var goldenNotify = &Notify{SubID: 7, Seq: 3, Answer: []AnswerRow{
 	{Vals: []Value{{Kind: 1, Obj: "car-00005"}, {Kind: 2, Num: 2.5}}, Start: -1, End: 1 << 40},
 }}
 
-// TestNotifyFullFormGolden pins the full-form NOTIFY frames of versions 1
-// and 2 byte for byte to their encoding before version 3 existed: the
-// delta form must not change what older sessions receive.
+// TestNotifyFullFormGolden pins the full-form NOTIFY frame of version 2
+// byte for byte to its encoding before version 3 existed: the delta form
+// must not change what version-2 sessions receive.
 func TestNotifyFullFormGolden(t *testing.T) {
 	golden := map[uint8]string{
-		ProtocolV1: "4d5701220000000000000000000000a77b227375625f6964223a372c22736571223a332c22616e73776572223a5b7b2276616c73223a5b7b226b223a312c226f223a226361722d3030303032227d5d2c227374617274223a342c22656e64223a31397d2c7b2276616c73223a5b7b226b223a312c226f223a226361722d3030303035227d2c7b226b223a322c226e223a322e357d5d2c227374617274223a2d312c22656e64223a313039393531313632373737367d5d7d",
 		ProtocolV2: "4d57022200000000000000000000007207000000000000000300000000000000020000000100000001096361722d303030303200000000000000000000040000000000000013000000000000000200000001096361722d303030303500000000000000000000020000000000000004400000ffffffffffffffff0000000000010000",
 	}
 	for v, want := range golden {
@@ -78,7 +77,7 @@ func TestNotifyV3Forms(t *testing.T) {
 // The delta form cannot be encoded for a session below version 3.
 func TestNotifyDeltaNeedsV3(t *testing.T) {
 	d := &Notify{SubID: 1, Seq: 2, Delta: true, Base: 1}
-	for _, v := range []uint8{ProtocolV1, ProtocolV2} {
+	for _, v := range []uint8{ProtocolV2} {
 		if _, err := EncodeFrame(v, OpNotify, 0, d); err == nil {
 			t.Errorf("delta NOTIFY encoded at version %d", v)
 		}

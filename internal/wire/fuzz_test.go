@@ -7,25 +7,25 @@ import (
 )
 
 // FuzzWireDecode feeds arbitrary byte streams to the frame decoder and the
-// payload unmarshalers of both protocol versions.  The invariants: the
+// payload unmarshalers of every protocol version.  The invariants: the
 // decoder never panics, never allocates more than its configured payload
 // bound per frame, consumes the stream frame by frame until an error or
 // EOF, every frame it accepts re-encodes to bytes that decode to an
-// identical frame, and every v2 or v3 payload that decodes re-encodes to
+// identical frame, and every payload that decodes re-encodes to
 // a canonical byte string (decode∘encode is idempotent) — including both
 // forms of the v3 NOTIFY, whose gone and row counts are bounded by the
 // payload length before anything is allocated.  Hello payloads
 // additionally drive the negotiation state machine: whatever MaxVersion a
 // hostile client declares, the negotiated version stays in
-// [ProtocolV1, MaxProtocolVersion].
+// [MinProtocolVersion, MaxProtocolVersion].
 func FuzzWireDecode(f *testing.F) {
-	// Seed corpus: valid frames of each shape in both encodings, then
+	// Seed corpus: valid frames of each shape at both versions, then
 	// classic hostile inputs.
-	ping, _ := AppendFrame(nil, Frame{Op: OpPing, ID: 1})
-	qf, _ := Encode(OpQuery, 2, QueryReq{Src: "RETRIEVE o FROM Vehicles o WHERE TRUE", Horizon: 50})
+	ping, _ := AppendFrame(nil, Frame{Op: OpPing, ID: 1, Version: ProtocolV2})
+	qf, _ := EncodeFrame(ProtocolV3, OpQuery, 2, &QueryReq{Src: "RETRIEVE o FROM Vehicles o WHERE TRUE", Horizon: 50, DeadlineMS: 30})
 	query, _ := AppendFrame(nil, qf)
-	nf, _ := Encode(OpNotify, 0, Notify{SubID: 3, Seq: 9, Answer: []AnswerRow{{Vals: []Value{{Kind: 1, Obj: "car-1"}}, Start: 0, End: 7}}})
-	notify, _ := AppendFrame(nil, nf)
+	sf, _ := EncodeFrame(ProtocolV3, OpSubClosed, 0, &SubClosed{SubID: 3, Reason: "database replaced"})
+	subClosed, _ := AppendFrame(nil, sf)
 	two := append(append([]byte(nil), ping...), query...)
 
 	qf2, _ := EncodeFrame(ProtocolV2, OpQuery, 2, &QueryReq{Src: "RETRIEVE o FROM Vehicles o WHERE TRUE", Horizon: 50})
@@ -52,8 +52,8 @@ func FuzzWireDecode(f *testing.F) {
 	}, Replicated: []string{"POIs"}})
 	zonemap2, _ := AppendFrame(nil, zf2)
 	hf2, _ := EncodeFrame(ProtocolV2, OpHandoff, 6, &HandoffReq{From: "127.0.0.1:1", Objects: []HandoffObject{
-		{ID: "car-1", Version: 3, Object: []byte(`{"id":"car-1"}`)},
-		{ID: "car-2", Version: 1, Object: []byte(`{"id":"car-2"}`)},
+		{ID: "car-1", Version: 3, Object: []byte("\x05car-1\x04Cars\x00")},
+		{ID: "car-2", Version: 1, Object: []byte("\x05car-2\x04Cars\x00")},
 	}})
 	handoff2, _ := AppendFrame(nil, hf2)
 	// from str ("127.0.0.1:1": 1 + 11 bytes), then a hostile object count.
@@ -64,14 +64,14 @@ func FuzzWireDecode(f *testing.F) {
 	}})
 	forward2, _ := AppendFrame(nil, ff2)
 
-	hello, _ := Encode(OpHello, 1, HelloReq{ClientID: "fuzz", MaxVersion: 2})
+	hello, _ := EncodeFrame(MinProtocolVersion, OpHello, 1, &HelloReq{ClientID: "fuzz", MaxVersion: 2})
 	helloFrame, _ := AppendFrame(nil, hello)
-	helloHostile, _ := Encode(OpHello, 1, HelloReq{ClientID: "fuzz", MaxVersion: 999})
+	helloHostile, _ := EncodeFrame(MinProtocolVersion, OpHello, 1, &HelloReq{ClientID: "fuzz", MaxVersion: 999})
 	helloHostileFrame, _ := AppendFrame(nil, helloHostile)
 
 	f.Add(ping)
 	f.Add(query)
-	f.Add(notify)
+	f.Add(subClosed)
 	f.Add(two)
 	f.Add(query2)
 	f.Add(update2)
@@ -123,18 +123,18 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatal("re-encoded frame differs")
 			}
 			// Payload unmarshaling must not panic, whatever the bytes and
-			// whichever encoding the version byte selects.
+			// whichever grammar the version byte selects.
 			switch fr.Op {
 			case OpHello:
 				var h HelloReq
-				if Unmarshal(fr, &h) == nil {
+				if checkPayload(t, fr, &h, &HelloReq{}) {
 					// Negotiation must map any advertised maximum into the
 					// implemented window.
 					for _, serverMax := range []int{-1, 0, 1, 2, 1000} {
 						v := NegotiateVersion(h.MaxVersion, serverMax)
-						if v < ProtocolV1 || v > MaxProtocolVersion {
-							t.Fatalf("NegotiateVersion(%d, %d) = %d, outside [1, %d]",
-								h.MaxVersion, serverMax, v, MaxProtocolVersion)
+						if v < MinProtocolVersion || v > MaxProtocolVersion {
+							t.Fatalf("NegotiateVersion(%d, %d) = %d, outside [%d, %d]",
+								h.MaxVersion, serverMax, v, MinProtocolVersion, MaxProtocolVersion)
 						}
 					}
 				}
@@ -168,25 +168,26 @@ func binaryBigEndianLength(frame []byte) {
 	frame[12], frame[13], frame[14], frame[15] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
 }
 
-// checkPayload unmarshals a fuzzed frame into a; if the payload is
-// accepted and the frame is binary (v2 or v3), it checks decode∘encode idempotence: the
-// re-encoded bytes b1 must decode (into b) and re-encode to exactly b1.
-// This holds bit-for-bit even for NaN floats, since v2 carries IEEE-754
-// bits verbatim.
-func checkPayload(t *testing.T, fr Frame, a, b binaryPayload) {
+// checkPayload unmarshals a fuzzed frame into a and reports whether the
+// payload was accepted; if it was, it checks decode∘encode idempotence:
+// the re-encoded bytes b1 must decode (into b) and re-encode to exactly
+// b1.  This holds bit-for-bit even for NaN floats, since the encoding
+// carries IEEE-754 bits verbatim.
+func checkPayload(t *testing.T, fr Frame, a, b binaryPayload) bool {
 	t.Helper()
-	if err := Unmarshal(fr, a); err != nil || fr.Version < ProtocolV2 {
-		return
+	if err := Unmarshal(fr, a); err != nil {
+		return false
 	}
 	b1 := appendPayload(nil, a, fr.Version)
 	if err := Unmarshal(Frame{Op: fr.Op, Version: fr.Version, Payload: b1}, b); err != nil {
 		if len(b1) > 0 {
 			t.Fatalf("canonical re-encode of accepted %s payload does not decode: %v", fr.Op, err)
 		}
-		return
+		return true
 	}
 	b2 := appendPayload(nil, b, fr.Version)
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("%s payload not canonical after one decode/encode cycle:\n b1: %x\n b2: %x", fr.Op, b1, b2)
 	}
+	return true
 }

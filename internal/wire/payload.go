@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"slices"
 	"sort"
 	"strconv"
@@ -13,38 +12,34 @@ import (
 )
 
 // This file defines the typed frame payloads and the conversions between
-// wire values and the evaluator's eval.Val.  Each payload has two
-// encodings selected by the frame's protocol version: version 1 is JSON
-// (zero-dependency, unknown fields tolerated), version 2 is the compact
-// binary grammar of binary.go.  Both round-trip every value exactly
-// (float64 via IEEE-754 bits in v2 and strconv's shortest round-trippable
-// form in v1, ticks as int64), which is what lets the loopback oracle
-// demand bit-identical answers at either version.
+// wire values and the evaluator's eval.Val.  Every payload has one
+// encoding, the binary grammar of binary.go, which round-trips every value
+// exactly (float64 via IEEE-754 bits, ticks as int64) — what lets the
+// loopback oracle demand bit-identical answers across the wire.
 
 // HelloReq introduces a client.  ClientID keys the server's idempotence
 // cache: a request retried on a new connection under the same ClientID and
 // request ID is not applied twice (the PR-2 reliable-delivery semantics on
 // a real socket).  Empty disables retry deduplication.
 //
-// MaxVersion is the highest protocol version the client speaks; 0 (the
-// field absent — every pre-v2 client) means 1.  Hello frames themselves
-// are always version 1, so negotiation works against any peer.
+// MaxVersion is the highest protocol version the client speaks.  Hello
+// frames themselves are always MinProtocolVersion, so negotiation works
+// against any peer.
 //
 // Epoch stamps the client's session generation: a self-healing client
 // increments it on every reconnect attempt, so the server can tell a
 // resumed client from a new one and fence a zombie predecessor session
-// carrying a lower epoch.  0 (the field absent — every pre-resume client)
-// opts out of epoch tracking entirely.
+// carrying a lower epoch.  0 opts out of epoch tracking entirely.
 // Peer marks the connection as cluster-internal (another node's router or
 // handoff client).  Peer sessions may carry bulk frames (object state
 // transfers) larger than the client-facing payload cap, so the server
 // raises the decoder bound for them (Config.PeerMaxPayload) after the
 // handshake; ordinary connections keep the hostile-input limit.
 type HelloReq struct {
-	ClientID   string `json:"client_id,omitempty"`
-	MaxVersion int    `json:"max_version,omitempty"`
-	Epoch      uint64 `json:"epoch,omitempty"`
-	Peer       bool   `json:"peer,omitempty"`
+	ClientID   string
+	MaxVersion int
+	Epoch      uint64
+	Peer       bool
 }
 
 // HelloResp reports the server identity and the negotiated session
@@ -56,9 +51,9 @@ type HelloReq struct {
 // re-registered subscriptions should reconcile rather than assume a fresh
 // server.
 type HelloResp struct {
-	Server  string `json:"server"`
-	Version int    `json:"version"`
-	Resumed bool   `json:"resumed,omitempty"`
+	Server  string
+	Version int
+	Resumed bool
 }
 
 // QueryReq is an instantaneous FTL query.  Horizon <= 0 selects the
@@ -67,15 +62,15 @@ type HelloResp struct {
 // "deadline_exceeded") work whose budget expired while it queued for
 // admission, instead of computing an answer nobody is waiting for.
 type QueryReq struct {
-	Src        string        `json:"src"`
-	Horizon    temporal.Tick `json:"horizon,omitempty"`
-	DeadlineMS int64         `json:"deadline_ms,omitempty"`
+	Src        string
+	Horizon    temporal.Tick
+	DeadlineMS int64
 }
 
 // QueryResp carries the instantiations satisfied at evaluation time.
 type QueryResp struct {
-	Now  temporal.Tick `json:"now"`
-	Rows [][]Value     `json:"rows,omitempty"`
+	Now  temporal.Tick
+	Rows [][]Value
 }
 
 // Update op kinds for UpdateOp.Op.
@@ -88,98 +83,99 @@ const (
 
 // UpdateOp is one explicit update in a batch.
 type UpdateOp struct {
-	Op string `json:"op"`
-	ID string `json:"id"`
+	Op string
+	ID string
 	// set_motion
-	VX float64 `json:"vx,omitempty"`
-	VY float64 `json:"vy,omitempty"`
+	VX float64
+	VY float64
 	// set_static
-	Attr  string `json:"attr,omitempty"`
-	Value *Value `json:"value,omitempty"`
-	// insert: an object in the snapshot encoding (most.EncodeObjectJSON)
-	Object json.RawMessage `json:"object,omitempty"`
+	Attr  string
+	Value *Value
+	// insert: the object in its transfer encoding (most.EncodeObject)
+	Object []byte
 }
 
 // UpdateBatchReq applies explicit updates in order.  Application stops at
 // the first failing op; the response reports how many were applied.
 // DeadlineMS is the per-attempt budget, as on QueryReq.
 type UpdateBatchReq struct {
-	Ops        []UpdateOp `json:"ops"`
-	DeadlineMS int64      `json:"deadline_ms,omitempty"`
+	Ops        []UpdateOp
+	DeadlineMS int64
 }
 
 // UpdateBatchResp acknowledges a batch.
 type UpdateBatchResp struct {
-	Applied int           `json:"applied"`
-	Now     temporal.Tick `json:"now"`
-	Version uint64        `json:"version"`
+	Applied int
+	Now     temporal.Tick
+	Version uint64
 }
 
 // AdvanceReq moves the clock forward by D ticks.
 type AdvanceReq struct {
-	D temporal.Tick `json:"d"`
+	D temporal.Tick
 }
 
 // AdvanceResp reports the clock after the advance.
 type AdvanceResp struct {
-	Now temporal.Tick `json:"now"`
+	Now temporal.Tick
 }
 
 // ObjectsReq lists objects; Class == "" lists every object.
 type ObjectsReq struct {
-	Class string `json:"class,omitempty"`
+	Class string
 }
 
 // ObjectInfo is one object row with its position at the server's current
 // tick (X/Y meaningless when HasPos is false, e.g. non-spatial classes).
 type ObjectInfo struct {
-	ID     string  `json:"id"`
-	Class  string  `json:"class"`
-	HasPos bool    `json:"has_pos"`
-	X      float64 `json:"x,omitempty"`
-	Y      float64 `json:"y,omitempty"`
+	ID     string
+	Class  string
+	HasPos bool
+	X      float64
+	Y      float64
 }
 
 // ObjectsResp carries the object listing.
 type ObjectsResp struct {
-	Now     temporal.Tick `json:"now"`
-	Objects []ObjectInfo  `json:"objects,omitempty"`
+	Now     temporal.Tick
+	Objects []ObjectInfo
 }
 
-// SnapshotResp carries a database snapshot (most.SnapshotJSON encoding).
+// SnapshotResp carries a database snapshot: most.SnapshotJSON bytes, the
+// human-readable export, carried opaquely.
 type SnapshotResp struct {
-	Data json.RawMessage `json:"data"`
+	Data []byte
 }
 
 // SnapshotLoadReq replaces the server's database with the snapshot.  Every
 // active subscription (all sessions) is closed with an OpSubClosed push.
 type SnapshotLoadReq struct {
-	Data json.RawMessage `json:"data"`
+	Data []byte
 }
 
 // SnapshotLoadResp acknowledges the swap.
 type SnapshotLoadResp struct {
-	Now     temporal.Tick `json:"now"`
-	Objects int           `json:"objects"`
+	Now     temporal.Tick
+	Objects int
 }
 
 // SubscribeReq registers a continuous query on the session's connection.
 type SubscribeReq struct {
-	Src     string        `json:"src"`
-	Horizon temporal.Tick `json:"horizon,omitempty"`
+	Src     string
+	Horizon temporal.Tick
 }
 
 // SubscribeResp acknowledges a subscription with the initial materialized
 // Answer(CQ).
 type SubscribeResp struct {
-	SubID  uint64        `json:"sub_id"`
-	Now    temporal.Tick `json:"now"`
-	Answer []AnswerRow   `json:"answer,omitempty"`
+	SubID  uint64
+	Now    temporal.Tick
+	Answer []AnswerRow
 }
 
 // UnsubscribeReq cancels a subscription.
 type UnsubscribeReq struct {
-	SubID uint64 `json:"sub_id"`
+	SubID uint64
 }
 
 // Notify is the server push after a maintenance round.  Seq increases by
@@ -187,7 +183,7 @@ type UnsubscribeReq struct {
 // while the connection was backed up (the latest answer always supersedes
 // skipped ones).
 //
-// In the full form (the only form of protocol versions 1 and 2) Answer is
+// In the full form (the only form of protocol version 2) Answer is
 // the whole new Answer(CQ).  In the delta form (Delta set; version 3
 // only) the push is relative to the answer the client holds at sequence
 // number Base: Gone lists the instantiations that left it, and Answer
@@ -195,19 +191,19 @@ type UnsubscribeReq struct {
 // replace that instantiation's rows.  Instantiations named in neither keep
 // their rows.
 type Notify struct {
-	SubID  uint64      `json:"sub_id"`
-	Seq    uint64      `json:"seq"`
-	Answer []AnswerRow `json:"answer,omitempty"`
-	Delta  bool        `json:"delta,omitempty"`
-	Base   uint64      `json:"base,omitempty"`
-	Gone   [][]Value   `json:"gone,omitempty"`
+	SubID  uint64
+	Seq    uint64
+	Answer []AnswerRow
+	Delta  bool
+	Base   uint64
+	Gone   [][]Value
 }
 
 // SubClosed is the server push ending a subscription (database replaced,
 // server drain, or query error); no further notifies follow.
 type SubClosed struct {
-	SubID  uint64 `json:"sub_id"`
-	Reason string `json:"reason,omitempty"`
+	SubID  uint64
+	Reason string
 }
 
 // Machine-readable error codes for ErrorResp.Code.  Plain request failures
@@ -237,15 +233,15 @@ const (
 // rejected object ("" when unknown — the caller should refresh the zone
 // map and retry by position).
 type ErrorResp struct {
-	Msg  string `json:"msg"`
-	Code string `json:"code,omitempty"`
-	Addr string `json:"addr,omitempty"`
+	Msg  string
+	Code string
+	Addr string
 	// Redirects accompanies a CodeWrongZone refusal of a mixed batch:
 	// element i names the node that owns the batch's op i ("" when the
 	// refusing node owns it, or when the owner is unknown).  It lets a
 	// router regroup a stale batch in one step instead of probing
 	// ownership op by op.
-	Redirects []string `json:"redirects,omitempty"`
+	Redirects []string
 }
 
 // ---- cluster payloads (PROTOCOL.md §7) ----
@@ -253,12 +249,12 @@ type ErrorResp struct {
 // Zone is one rectangular region of the partitioned plane and the address
 // of the node that owns the moving objects inside it.
 type Zone struct {
-	ID   int     `json:"id"`
-	MinX float64 `json:"min_x"`
-	MinY float64 `json:"min_y"`
-	MaxX float64 `json:"max_x"`
-	MaxY float64 `json:"max_y"`
-	Addr string  `json:"addr"`
+	ID   int
+	MinX float64
+	MinY float64
+	MaxX float64
+	MaxY float64
+	Addr string
 }
 
 // ZoneMapResp answers OpZoneMap (the request carries no payload): the full
@@ -268,9 +264,9 @@ type Zone struct {
 // bus fleets — that joins may reference); updates to those classes are
 // broadcast rather than routed.
 type ZoneMapResp struct {
-	Epoch      uint64   `json:"epoch"`
-	Zones      []Zone   `json:"zones"`
-	Replicated []string `json:"replicated,omitempty"`
+	Epoch      uint64
+	Zones      []Zone
+	Replicated []string
 }
 
 // HandoffReq transfers ownership of moving objects between nodes when
@@ -279,12 +275,12 @@ type ZoneMapResp struct {
 // barrier costs one round trip and one commit per destination, not one
 // per object.
 type HandoffReq struct {
-	From    string          `json:"from,omitempty"`
-	Objects []HandoffObject `json:"objects"`
+	From    string
+	Objects []HandoffObject
 }
 
 // HandoffObject is one transferred object.  Object is the full motion
-// record in the snapshot encoding (most.EncodeObjectJSON), which is all
+// record in its transfer encoding (most.EncodeObject), which is all
 // the state a deterministic CQ engine needs to rebuild the object's
 // in-flight continuous-query contributions on the receiver.
 //
@@ -293,9 +289,9 @@ type HandoffReq struct {
 // transfer at or below it, so retried and reordered handoffs (crash
 // during handoff, duplicate delivery) apply exactly once.
 type HandoffObject struct {
-	ID      string          `json:"id"`
-	Version uint64          `json:"version"`
-	Object  json.RawMessage `json:"object"`
+	ID      string
+	Version uint64
+	Object  []byte
 }
 
 // HandoffResp acknowledges a transfer, one entry per object in request
@@ -303,8 +299,8 @@ type HandoffObject struct {
 // that object (a duplicate); either way the sender may release it — the
 // receiver durably owns it.
 type HandoffResp struct {
-	Accepted []bool        `json:"accepted"`
-	Now      temporal.Tick `json:"now"`
+	Accepted []bool
+	Now      temporal.Tick
 }
 
 // ForwardReq relays an update batch to the owning node on behalf of the
@@ -314,20 +310,20 @@ type HandoffResp struct {
 // still applies at most once cluster-wide.  The response is a plain
 // UpdateBatchResp (or ErrorResp).
 type ForwardReq struct {
-	Origin string     `json:"origin"`
-	ReqID  uint64     `json:"req_id"`
-	Ops    []UpdateOp `json:"ops"`
+	Origin string
+	ReqID  uint64
+	Ops    []UpdateOp
 }
 
 // ---- values ----
 
 // Value is the wire form of eval.Val.
 type Value struct {
-	Kind uint8   `json:"k"`
-	Obj  string  `json:"o,omitempty"`
-	Num  float64 `json:"n,omitempty"`
-	Str  string  `json:"s,omitempty"`
-	Bool bool    `json:"b,omitempty"`
+	Kind uint8
+	Obj  string
+	Num  float64
+	Str  string
+	Bool bool
 }
 
 // FromVal converts an evaluator value.
@@ -358,9 +354,9 @@ func FromRows(rows [][]eval.Val) [][]Value {
 
 // AnswerRow is one (instantiation, maximal interval) answer tuple.
 type AnswerRow struct {
-	Vals  []Value       `json:"vals"`
-	Start temporal.Tick `json:"start"`
-	End   temporal.Tick `json:"end"`
+	Vals  []Value
+	Start temporal.Tick
+	End   temporal.Tick
 }
 
 // FromRelation flattens a materialized relation into answer rows in the

@@ -2,29 +2,29 @@
 // versioned frame codec carrying typed payloads.  One frame is
 //
 //	magic   2 bytes  'M' 'W'
-//	version 1 byte   protocol version of the payload encoding (1, 2 or 3)
+//	version 1 byte   protocol version of the payload encoding (2 or 3)
 //	opcode  1 byte   Opcode
 //	id      8 bytes  big-endian request ID (0 on unsolicited pushes)
 //	length  4 bytes  big-endian payload length
 //	payload length bytes
 //
-// The 16-byte header is identical in every protocol version; the version
-// byte selects the payload encoding.  Version 1 payloads are JSON; version
-// 2 payloads are the compact binary encoding of binary.go (fixed-width
-// little-endian numbers, varint-prefixed strings, IEEE-754 float64 bits).
-// Version 3 is version 2 plus the delta form of NOTIFY: a push that
-// carries only the instantiations an install changed, relative to the
-// answer the client already holds.
-// Both encodings round-trip every value exactly, which is what lets the
-// loopback oracle demand bit-identical answers across the wire.
+// The 16-byte header is identical in every protocol version.  Payloads
+// are the compact binary encoding of binary.go (fixed-width little-endian
+// numbers, varint-prefixed strings, IEEE-754 float64 bits), which
+// round-trips every value exactly — what lets the loopback oracle demand
+// bit-identical answers across the wire.  Version 3 is version 2 plus the
+// delta form of NOTIFY: a push that carries only the instantiations an
+// install changed, relative to the answer the client already holds.  Every
+// other payload encodes byte-identically at both versions.  (Version 1,
+// JSON payloads, is retired: a version-1 frame is a protocol violation.)
 //
 // Sessions negotiate the version in the Hello handshake: Hello frames are
-// always version 1, the client advertises the highest version it speaks
-// (HelloReq.MaxVersion), and the server answers with the session version
-// (HelloResp.Version = min of the two) — every subsequent frame in either
-// direction carries exactly that version.  See PROTOCOL.md for the formal
-// specification: header layout, opcode table, payload grammars byte by
-// byte, and the negotiation state machine.
+// always version 2 (MinProtocolVersion), the client advertises the highest
+// version it speaks (HelloReq.MaxVersion), and the server answers with the
+// session version (HelloResp.Version = min of the two) — every subsequent
+// frame in either direction carries exactly that version.  See PROTOCOL.md
+// for the formal specification: header layout, opcode table, payload
+// grammars byte by byte, and the negotiation state machine.
 //
 // Requests carry a per-connection-unique ID; every response echoes the ID
 // of the request it answers, so a client may pipeline any number of
@@ -42,7 +42,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -51,17 +50,18 @@ import (
 	"github.com/mostdb/most/internal/binfmt"
 )
 
-// Protocol versions.  V1 frames carry JSON payloads; V2 frames carry the
-// compact binary encoding; V3 frames carry the V2 encoding except that a
-// NOTIFY may take the delta form (Notify.Delta).  The Hello handshake
-// (always spoken at V1) negotiates the session version.
+// Protocol versions.  V2 frames carry the compact binary encoding; V3
+// frames carry the V2 encoding except that a NOTIFY may take the delta form
+// (Notify.Delta).  The Hello handshake (always spoken at
+// MinProtocolVersion) negotiates the session version.
 const (
-	// ProtocolV1 is the original JSON payload encoding.
-	ProtocolV1 = 1
 	// ProtocolV2 is the compact binary payload encoding.
 	ProtocolV2 = 2
 	// ProtocolV3 is ProtocolV2 plus delta-form NOTIFY pushes.
 	ProtocolV3 = 3
+	// MinProtocolVersion is the lowest version this package implements:
+	// the version of every Hello and of any error sent before one.
+	MinProtocolVersion = ProtocolV2
 	// MaxProtocolVersion is the highest version this package implements.
 	MaxProtocolVersion = ProtocolV3
 )
@@ -77,8 +77,8 @@ const DefaultMaxPayload = 64 << 20
 // magic identifies a MOST wire frame.
 var magic = [2]byte{'M', 'W'}
 
-// Opcode discriminates frame payloads.  The opcode space is shared by both
-// protocol versions; only the payload encoding differs.
+// Opcode discriminates frame payloads.  The opcode space is shared by every
+// protocol version.
 type Opcode uint8
 
 // Request opcodes (client to server).
@@ -157,9 +157,8 @@ func (o Opcode) valid() bool {
 	return (o >= OpHello && o <= OpForward) || (o >= OpResult && o <= OpSubClosed)
 }
 
-// Frame is one decoded protocol frame.  Version is the payload encoding
-// (ProtocolV1, ProtocolV2 or ProtocolV3); the zero value encodes as ProtocolV1 so
-// pre-negotiation code paths stay valid.
+// Frame is one decoded protocol frame.  Version is the protocol version
+// (ProtocolV2 or ProtocolV3); a frame must carry one to be encoded.
 type Frame struct {
 	Op      Opcode
 	ID      uint64
@@ -188,39 +187,25 @@ var (
 )
 
 // NegotiateVersion computes the session protocol version from the client's
-// advertised maximum (HelloReq.MaxVersion; values < 1 mean a pre-v2 client
-// that did not send the field) and the server's configured maximum.  The
-// result is always a version both sides speak: min of the two maxima,
-// clamped to [ProtocolV1, MaxProtocolVersion].
+// advertised maximum (HelloReq.MaxVersion) and the server's configured
+// maximum: min of the two, clamped to [MinProtocolVersion,
+// MaxProtocolVersion], so the result is always a version both sides speak.
 func NegotiateVersion(clientMax, serverMax int) uint8 {
-	if clientMax < ProtocolV1 {
-		clientMax = ProtocolV1
-	}
-	if serverMax < ProtocolV1 {
-		serverMax = ProtocolV1
-	}
-	v := clientMax
-	if serverMax < v {
-		v = serverMax
-	}
-	if v > MaxProtocolVersion {
-		v = MaxProtocolVersion
-	}
-	return uint8(v)
+	return uint8(max(MinProtocolVersion, min(clientMax, serverMax, MaxProtocolVersion)))
 }
 
+// speaks reports whether v is a protocol version this package implements.
+func speaks(v uint8) bool { return v >= MinProtocolVersion && v <= MaxProtocolVersion }
+
 // AppendFrame serializes the frame onto buf and returns the extended
-// slice.  A zero Frame.Version encodes as ProtocolV1.  It refuses payloads
-// beyond the uint32 range and versions this package does not speak.
+// slice.  It refuses payloads beyond the uint32 range and versions this
+// package does not speak.
 func AppendFrame(buf []byte, f Frame) ([]byte, error) {
 	if len(f.Payload) > int(^uint32(0)) {
 		return nil, fmt.Errorf("%w: %d byte payload", ErrFrameTooLarge, len(f.Payload))
 	}
 	v := f.Version
-	if v == 0 {
-		v = ProtocolV1
-	}
-	if v > MaxProtocolVersion {
+	if !speaks(v) {
 		return nil, fmt.Errorf("%w: cannot encode version %d", ErrBadFrame, v)
 	}
 	var hdr [HeaderSize]byte
@@ -244,73 +229,54 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
-// Encode marshals payload into a version-1 (JSON) frame.  A nil payload
-// produces an empty frame body.  For version-aware encoding use
-// EncodeFrame.
-func Encode(op Opcode, id uint64, payload any) (Frame, error) {
-	return EncodeFrame(ProtocolV1, op, id, payload)
-}
-
-// EncodeFrame marshals payload at the given protocol version.  Version 1
-// marshals JSON; versions 2 and 3 require payload to be a pointer to one
-// of this package's payload types (or nil) and append its binary form.
+// EncodeFrame encodes payload at the given protocol version.  payload must
+// be nil (an empty frame body) or a pointer to one of this package's
+// payload types.
 func EncodeFrame(version uint8, op Opcode, id uint64, payload any) (Frame, error) {
-	f := Frame{Op: op, ID: id, Version: version}
-	if payload == nil {
-		return f, nil
-	}
-	if err := checkForm(version, op, payload); err != nil {
+	ba, err := binaryForm(version, op, payload)
+	if err != nil {
 		return Frame{}, err
 	}
-	switch version {
-	case 0, ProtocolV1:
-		f.Version = ProtocolV1
-		data, err := json.Marshal(payload)
-		if err != nil {
-			return Frame{}, fmt.Errorf("wire: encode %s: %w", op, err)
-		}
-		f.Payload = data
-	case ProtocolV2, ProtocolV3:
-		ba, ok := payload.(binaryPayload)
-		if !ok {
-			return Frame{}, fmt.Errorf("wire: encode %s: %T has no v2 binary form (pass a pointer to a wire payload type)", op, payload)
-		}
+	f := Frame{Op: op, ID: id, Version: version}
+	if ba != nil {
 		f.Payload = appendPayload(nil, ba, version)
-	default:
-		return Frame{}, fmt.Errorf("%w: cannot encode version %d", ErrBadFrame, version)
 	}
 	return f, nil
 }
 
-// checkForm refuses a delta-form NOTIFY below version 3: the older
-// encodings have no way to mark it, and a client would take its rows for
-// the whole answer.
-func checkForm(version uint8, op Opcode, payload any) error {
-	if n, ok := payload.(*Notify); ok && n.Delta && version < ProtocolV3 {
-		return fmt.Errorf("wire: encode %s: delta form needs protocol version %d, session speaks %d", op, ProtocolV3, version)
+// binaryForm validates an encode request and returns payload's binary
+// form (nil for a nil payload).  It refuses versions this package does not
+// speak, and a delta-form NOTIFY below version 3: version 2 has no way to
+// mark it, and a client would take its rows for the whole answer.
+func binaryForm(version uint8, op Opcode, payload any) (binaryPayload, error) {
+	if !speaks(version) {
+		return nil, fmt.Errorf("%w: cannot encode version %d", ErrBadFrame, version)
 	}
-	return nil
+	if payload == nil {
+		return nil, nil
+	}
+	ba, ok := payload.(binaryPayload)
+	if !ok {
+		return nil, fmt.Errorf("wire: encode %s: %T is not a wire payload (pass a pointer to a payload type)", op, payload)
+	}
+	if n, ok := payload.(*Notify); ok && n.Delta && version < ProtocolV3 {
+		return nil, fmt.Errorf("wire: encode %s: delta form needs protocol version %d, session speaks %d", op, ProtocolV3, version)
+	}
+	return ba, nil
 }
 
 // encBufPool recycles payload buffers between EncodePooled and Recycle so
 // the steady-state encode path performs no allocation.
 var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// EncodePooled is EncodeFrame drawing the version-2 payload buffer from an
-// internal pool.  The returned frame must be handed to Recycle after its
-// last use (typically: after the socket write), or detached with
-// Frame.Detach if it is retained.  Version-1 frames are encoded normally
-// and Recycle is a no-op on them.
+// EncodePooled is EncodeFrame drawing the payload buffer from an internal
+// pool.  The returned frame must be handed to Recycle after its last use
+// (typically: after the socket write), or detached with Frame.Detach if it
+// is retained.
 func EncodePooled(version uint8, op Opcode, id uint64, payload any) (Frame, error) {
-	if (version != ProtocolV2 && version != ProtocolV3) || payload == nil {
+	ba, err := binaryForm(version, op, payload)
+	if err != nil || ba == nil {
 		return EncodeFrame(version, op, id, payload)
-	}
-	ba, ok := payload.(binaryPayload)
-	if !ok {
-		return Frame{}, fmt.Errorf("wire: encode %s: %T has no v2 binary form (pass a pointer to a wire payload type)", op, payload)
-	}
-	if err := checkForm(version, op, payload); err != nil {
-		return Frame{}, err
 	}
 	bp := encBufPool.Get().(*[]byte)
 	*bp = appendPayload((*bp)[:0], ba, version)
@@ -357,13 +323,13 @@ func NewDecoder(r io.Reader, maxPayload int) *Decoder {
 	if maxPayload > 0 && maxPayload <= int(^uint32(0)) {
 		max = uint32(maxPayload)
 	}
-	return &Decoder{r: r, max: max, vmin: ProtocolV1, vmax: MaxProtocolVersion}
+	return &Decoder{r: r, max: max, vmin: MinProtocolVersion, vmax: MaxProtocolVersion}
 }
 
 // SetVersion pins the decoder to exactly one accepted protocol version.
-// Sessions call it with ProtocolV1 before the handshake and with the
-// negotiated version after; any frame carrying another version is then a
-// protocol violation (ErrBadFrame) and the session disconnects.
+// Sessions call it with MinProtocolVersion before the handshake and with
+// the negotiated version after; any frame carrying another version is then
+// a protocol violation (ErrBadFrame) and the session disconnects.
 func (d *Decoder) SetVersion(v uint8) { d.vmin, d.vmax = v, v }
 
 // SetMax renegotiates the decoder's per-frame payload bound mid-stream.
@@ -449,44 +415,38 @@ func (d *Decoder) next(reuse bool) (Frame, error) {
 	return f, nil
 }
 
-// Unmarshal decodes a frame payload into v according to the frame's
-// protocol version: JSON for version 1 (unknown fields tolerated, for
-// forward compatibility within the version) and the binary grammar for
-// versions 2 and 3 (v must be a pointer to the matching payload type).
+// Unmarshal decodes a frame payload into v, which must be a pointer to the
+// matching payload type, according to the frame's protocol version.
 func Unmarshal(f Frame, v any) error {
 	return UnmarshalInterned(f, v, nil)
 }
 
-// UnmarshalInterned is Unmarshal with a string interner for the version-2
-// hot path: recurring strings (object IDs, attribute names) resolve to
-// previously allocated instances, so a steady-state update stream decodes
-// with zero allocations.  A nil Interner disables interning.
+// UnmarshalInterned is Unmarshal with a string interner for the hot path:
+// recurring strings (object IDs, attribute names) resolve to previously
+// allocated instances, so a steady-state update stream decodes with zero
+// allocations.  A nil Interner disables interning.
 func UnmarshalInterned(f Frame, v any, in Interner) error {
 	if len(f.Payload) == 0 {
 		return nil
 	}
-	if f.Version == ProtocolV2 || f.Version == ProtocolV3 {
-		bd, ok := v.(binaryPayload)
-		if !ok {
-			return fmt.Errorf("%w: %s payload: %T has no v2 binary form", ErrBadFrame, f.Op, v)
-		}
-		// The reader is pooled: passing &r through the interface method
-		// would force a heap allocation per decode otherwise.
-		r := binReaderPool.Get().(*binReader)
-		*r = binReader{Reader: binfmt.Reader{Data: f.Payload}, in: in, version: f.Version}
-		err := bd.decodeBinary(r)
-		off, n := r.Off, len(r.Data)
-		r.Data = nil
-		binReaderPool.Put(r)
-		if err != nil {
-			return fmt.Errorf("%w: %s payload: %v", ErrBadFrame, f.Op, err)
-		}
-		if off != n {
-			return fmt.Errorf("%w: %s payload: %d trailing bytes", ErrBadFrame, f.Op, n-off)
-		}
-		return nil
+	if !speaks(f.Version) {
+		return fmt.Errorf("%w: %s payload at unsupported version %d", ErrBadFrame, f.Op, f.Version)
 	}
-	if err := json.Unmarshal(f.Payload, v); err != nil {
+	bd, ok := v.(binaryPayload)
+	if !ok {
+		return fmt.Errorf("%w: %s payload: %T is not a wire payload", ErrBadFrame, f.Op, v)
+	}
+	// The reader is pooled: passing &r through the interface method would
+	// force a heap allocation per decode otherwise.
+	r := binReaderPool.Get().(*binReader)
+	*r = binReader{Reader: binfmt.Reader{Data: f.Payload}, in: in, version: f.Version}
+	err := bd.decodeBinary(r)
+	if err == nil {
+		err = r.End()
+	}
+	r.Data = nil
+	binReaderPool.Put(r)
+	if err != nil {
 		return fmt.Errorf("%w: %s payload: %v", ErrBadFrame, f.Op, err)
 	}
 	return nil

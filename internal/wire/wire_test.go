@@ -13,9 +13,9 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
-		{Op: OpPing, ID: 1},
-		{Op: OpQuery, ID: 42, Payload: []byte(`{"src":"RETRIEVE o FROM Vehicles o WHERE TRUE"}`)},
-		{Op: OpNotify, ID: 0, Payload: bytes.Repeat([]byte("x"), 100000)},
+		{Op: OpPing, ID: 1, Version: ProtocolV2},
+		{Op: OpQuery, ID: 42, Version: ProtocolV3, Payload: []byte("RETRIEVE o FROM Vehicles o WHERE TRUE")},
+		{Op: OpNotify, ID: 0, Version: ProtocolV2, Payload: bytes.Repeat([]byte("x"), 100000)},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
@@ -29,7 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got.Op != want.Op || got.ID != want.ID || !bytes.Equal(got.Payload, want.Payload) {
+		if got.Op != want.Op || got.ID != want.ID || got.Version != want.Version || !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("frame %d: got %v/%d/%d bytes, want %v/%d/%d bytes",
 				i, got.Op, got.ID, len(got.Payload), want.Op, want.ID, len(want.Payload))
 		}
@@ -40,7 +40,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestDecoderRejectsMalformed(t *testing.T) {
-	valid, err := AppendFrame(nil, Frame{Op: OpPing, ID: 7, Payload: []byte("{}")})
+	valid, err := AppendFrame(nil, Frame{Op: OpPing, ID: 7, Version: ProtocolV2, Payload: []byte{0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +59,7 @@ func TestDecoderRejectsMalformed(t *testing.T) {
 	}{
 		{"bad magic", corrupt(0, 'X'), ErrBadFrame},
 		{"bad version", corrupt(2, 99), ErrBadFrame},
+		{"retired version 1", corrupt(2, 1), ErrBadFrame},
 		{"bad opcode", corrupt(3, 200), ErrBadFrame},
 		{"oversized", oversized, ErrFrameTooLarge},
 		{"truncated header", valid[:5], io.ErrUnexpectedEOF},
@@ -78,21 +79,31 @@ func TestDecoderRejectsMalformed(t *testing.T) {
 // A decoder pinned to a negotiated version must reject frames carrying any
 // other version — the mid-session protocol-violation disconnect.
 func TestDecoderPinnedVersionRejectsOthers(t *testing.T) {
-	v1, err := AppendFrame(nil, Frame{Op: OpPing, ID: 1, Version: ProtocolV1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	v2, err := AppendFrame(nil, Frame{Op: OpPing, ID: 2, Version: ProtocolV2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecoder(bytes.NewReader(append(append([]byte(nil), v2...), v1...)), 0)
+	v3, err := AppendFrame(nil, Frame{Op: OpPing, ID: 3, Version: ProtocolV3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDecoder(bytes.NewReader(append(append([]byte(nil), v2...), v3...)), 0)
 	d.SetVersion(ProtocolV2)
 	if _, err := d.Next(); err != nil {
 		t.Fatalf("pinned version rejected its own version: %v", err)
 	}
 	if _, err := d.Next(); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("v1 frame on a v2-pinned decoder: got %v, want ErrBadFrame", err)
+		t.Fatalf("v3 frame on a v2-pinned decoder: got %v, want ErrBadFrame", err)
+	}
+	// Version 1 is retired: no frame can be encoded at it (nor at the
+	// zero value), and no decoder accepts one.
+	for _, v := range []uint8{0, 1} {
+		if _, err := AppendFrame(nil, Frame{Op: OpPing, ID: 1, Version: v}); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("encoding a version-%d frame: got %v, want ErrBadFrame", v, err)
+		}
+		if _, err := EncodeFrame(v, OpPing, 1, nil); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("EncodeFrame at version %d: got %v, want ErrBadFrame", v, err)
+		}
 	}
 }
 
@@ -114,7 +125,7 @@ func (r *tattletaleReader) Read(p []byte) (int, error) {
 // payload beyond the negotiated max must be rejected on the header alone —
 // no payload byte read, no payload byte allocated.
 func TestDecoderRejectsOversizedBeforeReadingPayload(t *testing.T) {
-	valid, err := AppendFrame(nil, Frame{Op: OpPing, ID: 7})
+	valid, err := AppendFrame(nil, Frame{Op: OpPing, ID: 7, Version: ProtocolV2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +139,7 @@ func TestDecoderRejectsOversizedBeforeReadingPayload(t *testing.T) {
 }
 
 func TestDecoderPayloadBound(t *testing.T) {
-	f := Frame{Op: OpQuery, ID: 1, Payload: bytes.Repeat([]byte("a"), 2048)}
+	f := Frame{Op: OpQuery, ID: 1, Version: ProtocolV2, Payload: bytes.Repeat([]byte("a"), 2048)}
 	buf, err := AppendFrame(nil, f)
 	if err != nil {
 		t.Fatal(err)

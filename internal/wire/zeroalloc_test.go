@@ -79,11 +79,6 @@ func BenchmarkIngestV2(b *testing.B) {
 	benchmarkIngest(b, ProtocolV2)
 }
 
-// BenchmarkIngestV1 is the JSON baseline for the same cycle.
-func BenchmarkIngestV1(b *testing.B) {
-	benchmarkIngest(b, ProtocolV1)
-}
-
 func benchmarkIngest(b *testing.B, version uint8) {
 	var req UpdateBatchReq
 	for i := 0; i < 16; i++ {

@@ -205,9 +205,9 @@ type WAL = most.WAL
 // applied cleanly and whether a torn or corrupted tail was truncated.
 type RecoveryReport = most.RecoveryReport
 
-// LegacyFormatError is the refusal of a checkpoint or log written in the
-// JSON on-disk format of earlier versions; such files are never read or
-// modified.  Migrate by exporting the state with the old version's
+// LegacyFormatError is the refusal of a checkpoint, log, receipt note or
+// dedup sidecar written in the JSON on-disk format of earlier versions;
+// such files are never read or modified.  Migrate by exporting the state with the old version's
 // snapshot (SnapshotJSON, or SnapshotSave over the network) and loading it
 // into a fresh database or data directory.
 type LegacyFormatError = most.LegacyFormatError
@@ -469,7 +469,10 @@ type ServerRecoveryInfo = server.RecoveryInfo
 // startup it recovers the database — and the idempotence receipts that
 // make client retries exactly-once across a crash — from the checkpoint
 // and log; a fresh directory starts from seed() (nil seed = empty
-// database).  Stop it with Shutdown, which checkpoints before closing.
+// database).  A receipt that does not decode fails recovery, and a
+// directory in an earlier JSON format is refused untouched with a
+// *LegacyFormatError.  Stop it with Shutdown, which checkpoints before
+// closing.
 func NewDurableServer(dir string, cfg ServerConfig, seed func() *Database) (*Server, *ServerRecoveryInfo, error) {
 	return server.NewDurable(dir, cfg, seed)
 }
@@ -500,10 +503,9 @@ func WithRetries(n int) ClientOption { return client.WithRetries(n) }
 func WithClientID(id string) ClientOption { return client.WithClientID(id) }
 
 // WithProtocol caps the wire protocol version the client offers during the
-// Hello handshake (1 = JSON payloads, 2 = binary, 3 = binary with delta
-// NOTIFYs).  The session runs at
-// min(client, server); by default clients offer the newest version they
-// implement.  See PROTOCOL.md for the negotiation rules.
+// Hello handshake (2 = full-answer NOTIFYs, 3 = delta NOTIFYs).  The
+// session runs at min(client, server); by default clients offer the newest
+// version they implement.  See PROTOCOL.md for the negotiation rules.
 func WithProtocol(v int) ClientOption { return client.WithProtocol(v) }
 
 // WithBackoff sets the client's retry/reconnect backoff schedule: delays
