@@ -153,4 +153,4 @@ perfbench-smoke:
 # evaluated version, update-log hold release): the cheap always-on slice
 # of `make race` that guards query lifecycle.
 racequery:
-	$(GO) test -race -count=1 -run 'TestSubscribeCancelRace|TestSubscribeAfterCancel|TestRegistrationWindow|TestSnapshotAtomicBatch|TestSnapshotDomainsMatchObjects|TestPersistentHoldRelease' ./internal/query/
+	$(GO) test -race -count=1 -run 'TestSubscribeCancelRace|TestSubscribeAfterCancel|TestRegistrationWindow|TestSnapshotAtomicBatch|TestSnapshotDomainsMatchObjects|TestPersistentHoldRelease|TestPersistentPlan' ./internal/query/

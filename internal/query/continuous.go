@@ -5,6 +5,8 @@ import (
 
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/ftl/eval"
+	"github.com/mostdb/most/internal/most"
+	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/temporal"
 )
 
@@ -71,50 +73,21 @@ func (e *Engine) Continuous(q *ftl.Query, opts Options) (*Continuous, error) {
 			e.reg().Counter("query.continuous.shared_hits").Inc()
 			return h, nil
 		}
-
-		// Create the plan, registering it before the initial evaluation and
-		// holding the maintenance loop (evaluating=true), so an update
-		// committed between the initial snapshot and the map insertion is
-		// queued and applied by the drain below instead of being lost: the
-		// update either commits before the evaluated snapshot is published
-		// (and is in it) or after the map insertion (and its onUpdate, which
-		// runs after its commit, finds the plan).
-		p := newSharedPlan(e, key, q, opts)
-		p.evaluating = true
-		p.subs = []*Continuous{h}
-		h.sp = p
-		e.nextPlanID++
-		p.planID = e.nextPlanID
-		e.plans[key] = p
-		e.rebuildSnapshot()
-		e.mu.Unlock()
-		e.reg().Counter("query.continuous.shared_plans").Inc()
-
-		rel, now, v, err := p.evaluate()
-		if err != nil {
-			e.mu.Lock()
-			if e.plans[key] == p {
-				delete(e.plans, key)
-				e.rebuildSnapshot()
-			}
-			e.mu.Unlock()
-			e.reg().Counter("query.continuous.shared_plans").Add(-1)
-			p.mu.Lock()
-			p.removed = true
-			p.initErr = err
-			p.mu.Unlock()
-			close(p.ready)
+		p := newPlan(e, key, q, opts, continuousMetrics, e.currentState)
+		p.plan = newDeltaPlan(q)
+		p.roi = newROIPlan(q, opts, p.plan.analysis)
+		if err := e.start(p, h); err != nil {
 			return nil, err
 		}
-		p.mu.Lock()
-		p.answer, p.version, p.anchor, p.gen = rel.Freeze(), v, now, 1
-		p.reindex(p.answer, nil)
-		p.storeValidity(now)
-		p.mu.Unlock()
-		close(p.ready)
-		p.drain()
 		return h, nil
 	}
+}
+
+// currentState is a continuous plan's source: the current database
+// version, anchored at its own time.
+func (e *Engine) currentState(sp *obs.Span) (*most.Snapshot, temporal.Tick, uint64) {
+	s := e.snapshot(sp)
+	return s, s.Now(), s.Version()
 }
 
 // PlanID identifies the shared plan this handle is attached to: handles
@@ -154,11 +127,7 @@ func (cq *Continuous) Current(t temporal.Tick) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []Row
-	for _, vals := range rel.At(t) {
-		rows = append(rows, Row(vals))
-	}
-	return rows, nil
+	return rowsAt(rel, t), nil
 }
 
 // Subscribe registers a listener invoked with the new Answer(CQ) after
@@ -200,16 +169,11 @@ func (cq *Continuous) Cancel() {
 		}
 	}
 	last := len(p.subs) == 0 && e.plans[p.key] == p
-	if last {
-		delete(e.plans, p.key)
-		p.removed = true
-		e.rebuildSnapshot()
-	}
 	p.mu.Unlock()
-	e.mu.Unlock()
 	if last {
-		e.reg().Counter("query.continuous.shared_plans").Add(-1)
+		e.removeLocked(p)
 	}
+	e.mu.Unlock()
 	cq.mu.Lock()
 	cq.cancelled = true
 	cq.mu.Unlock()

@@ -74,10 +74,8 @@ type Engine struct {
 	db *most.Database
 
 	mu         sync.Mutex
-	nextID     int
 	nextPlanID uint64
 	plans      map[string]*sharedPlan
-	persistent map[int]*Persistent
 
 	// snap is the pre-sorted registration snapshot onUpdate dispatches
 	// from, rebuilt under mu on every (un)registration: the per-update
@@ -96,11 +94,11 @@ type Engine struct {
 
 // regSnapshot is the immutable dispatch view of the registered queries.
 type regSnapshot struct {
-	plans      []*sharedPlan // sorted by planID
-	persistent []*Persistent // sorted by id
-	// maxHorizon is the widest horizon across plans: ROI motion envelopes
-	// are computed once per update over [tick, tick+maxHorizon], which is
-	// conservative (a wider envelope can only keep more plans relevant).
+	plans []*sharedPlan // sorted by planID
+	// maxHorizon is the widest horizon across plans that can skip: ROI
+	// motion envelopes are computed once per update over
+	// [tick, tick+maxHorizon], which is conservative (a wider envelope can
+	// only keep more plans relevant).
 	maxHorizon temporal.Tick
 	// roi is true when at least one plan can skip spatially irrelevant
 	// updates, so envelope computation is worth paying for at all.
@@ -114,21 +112,12 @@ func (e *Engine) rebuildSnapshot() {
 		s.plans = make([]*sharedPlan, 0, len(e.plans))
 		for _, p := range e.plans {
 			s.plans = append(s.plans, p)
-			if h := p.opts.horizon(); h > s.maxHorizon {
-				s.maxHorizon = h
-			}
 			if p.roi.any() {
 				s.roi = true
+				s.maxHorizon = max(s.maxHorizon, p.opts.horizon())
 			}
 		}
 		sort.Slice(s.plans, func(i, j int) bool { return s.plans[i].planID < s.plans[j].planID })
-	}
-	if len(e.persistent) > 0 {
-		s.persistent = make([]*Persistent, 0, len(e.persistent))
-		for _, pq := range e.persistent {
-			s.persistent = append(s.persistent, pq)
-		}
-		sort.Slice(s.persistent, func(i, j int) bool { return s.persistent[i].id < s.persistent[j].id })
 	}
 	e.snap.Store(s)
 }
@@ -136,9 +125,8 @@ func (e *Engine) rebuildSnapshot() {
 // NewEngine returns an engine bound to db, subscribed to its updates.
 func NewEngine(db *most.Database) *Engine {
 	e := &Engine{
-		db:         db,
-		plans:      map[string]*sharedPlan{},
-		persistent: map[int]*Persistent{},
+		db:    db,
+		plans: map[string]*sharedPlan{},
 	}
 	e.snap.Store(&regSnapshot{})
 	db.Subscribe(e.onUpdate)
@@ -252,7 +240,7 @@ func rowsAt(rel *eval.Relation, t temporal.Tick) []Row {
 // instantiations satisfying it now, i.e. whose answer interval contains the
 // entry tick (§2.3, §3.5).
 func (e *Engine) Instantaneous(q *ftl.Query, opts Options) ([]Row, error) {
-	rel, now, err := e.instantaneous(q, opts)
+	rel, now, err := e.instantaneous(q, "", opts)
 	if err != nil {
 		return nil, err
 	}
@@ -263,43 +251,39 @@ func (e *Engine) Instantaneous(q *ftl.Query, opts Options) ([]Row, error) {
 // This is the text entry point; the parse is recorded as the first stage of
 // the query's span tree.
 func (e *Engine) Query(src string, opts Options) ([]Row, error) {
-	reg := e.reg()
-	reg.Counter("query.instantaneous").Inc()
-	sp := reg.StartSpan("query.instantaneous")
-	defer sp.End()
-	t0 := reg.Start()
-	defer reg.Histogram("query.instantaneous_ns").Since(t0)
-
-	ps := sp.Child("parse")
-	q, err := ftl.Parse(src)
-	ps.End()
+	rel, now, err := e.instantaneous(nil, src, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := e.snapshot(sp)
-	rel, err := e.evalRelation(q, opts, s, s.Now(), sp)
-	if err != nil {
-		return nil, err
-	}
-	return rowsAt(rel, s.Now()), nil
+	return rowsAt(rel, now), nil
 }
 
 // InstantaneousRelation evaluates q at the current time and returns the
 // full Answer relation (every instantiation with its interval set).
 func (e *Engine) InstantaneousRelation(q *ftl.Query, opts Options) (*eval.Relation, error) {
-	rel, _, err := e.instantaneous(q, opts)
+	rel, _, err := e.instantaneous(q, "", opts)
 	return rel, err
 }
 
-// instantaneous evaluates q over one snapshot, returning the relation and
-// the tick it is anchored at.
-func (e *Engine) instantaneous(q *ftl.Query, opts Options) (*eval.Relation, temporal.Tick, error) {
+// instantaneous evaluates q — or, when q is nil, src parsed as the parse
+// stage — over one snapshot, returning the relation and the tick it is
+// anchored at.
+func (e *Engine) instantaneous(q *ftl.Query, src string, opts Options) (*eval.Relation, temporal.Tick, error) {
 	reg := e.reg()
 	reg.Counter("query.instantaneous").Inc()
 	sp := reg.StartSpan("query.instantaneous")
 	defer sp.End()
 	t0 := reg.Start()
 	defer reg.Histogram("query.instantaneous_ns").Since(t0)
+	if q == nil {
+		ps := sp.Child("parse")
+		var err error
+		q, err = ftl.Parse(src)
+		ps.End()
+		if err != nil {
+			return nil, 0, err
+		}
+	}
 	s := e.snapshot(sp)
 	rel, err := e.evalRelation(q, opts, s, s.Now(), sp)
 	return rel, s.Now(), err
@@ -321,7 +305,7 @@ func (e *Engine) instantaneous(q *ftl.Query, opts Options) (*eval.Relation, temp
 // sharedPlan.maintain/drain).
 func (e *Engine) onUpdate(u most.Update) {
 	s := e.snap.Load()
-	if len(s.plans) == 0 && len(s.persistent) == 0 {
+	if len(s.plans) == 0 {
 		return
 	}
 	class := updateClass(u)
@@ -330,13 +314,6 @@ func (e *Engine) onUpdate(u most.Update) {
 	for _, p := range s.plans {
 		if class == "" || p.classes[class] {
 			plans = append(plans, p)
-		}
-	}
-	var qbuf [8]*Persistent
-	pqs := qbuf[:0]
-	for _, pq := range s.persistent {
-		if class == "" || pq.classes[class] {
-			pqs = append(pqs, pq)
 		}
 	}
 	if len(plans) > 0 && s.roi && class != "" {
@@ -356,24 +333,16 @@ func (e *Engine) onUpdate(u most.Update) {
 			}
 		}
 	}
-	switch len(plans) + len(pqs) {
+	switch len(plans) {
 	case 0:
 		return
 	case 1:
-		if len(plans) == 1 {
-			plans[0].maintain(u)
-		} else {
-			pqs[0].reevaluate()
-		}
+		plans[0].maintain(u)
 		return
 	}
-	work := make([]func(), 0, len(plans)+len(pqs))
+	work := make([]func(), 0, len(plans))
 	for _, p := range plans {
-		p := p
 		work = append(work, func() { p.maintain(u) })
-	}
-	for _, pq := range pqs {
-		work = append(work, pq.reevaluate)
 	}
 	runBounded(work)
 }

@@ -1,11 +1,12 @@
 package query
 
 import (
-	"sync"
+	"fmt"
 
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/motion"
+	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/temporal"
 )
 
@@ -22,29 +23,13 @@ import (
 // instantaneous or continuous query (the future history has constant
 // speed), but as a persistent query it fires once the logged history shows
 // the doubling.
+//
+// It runs on the continuous queries' scheduler as a plan of its own that
+// is never shared, patched or skipped spatially: every update to a class
+// it ranges over replays the history once.
 type Persistent struct {
-	id     int
-	engine *Engine
-	query  *ftl.Query
-	opts   Options
+	cq     *Continuous
 	anchor temporal.Tick
-	// release ends the query's hold on the database's update log.
-	release func()
-
-	mu        sync.Mutex
-	answer    []Row
-	err       error
-	listeners []func([]Row)
-	cancelled bool
-
-	// version/evaluating/pending implement the same monotonic-install and
-	// coalescing scheme as Continuous: see the comment there.
-	version    uint64
-	evaluating bool
-	pending    bool
-
-	// classes the query ranges over: used to skip irrelevant updates.
-	classes map[string]bool
 }
 
 // Persistent registers a persistent query anchored at the current time.
@@ -52,161 +37,46 @@ type Persistent struct {
 // is cancelled (most.Database.HoldHistory).
 func (e *Engine) Persistent(q *ftl.Query, opts Options) (*Persistent, error) {
 	anchor, release := e.db.HoldHistory()
-	pq := &Persistent{engine: e, query: q, opts: opts, anchor: anchor, release: release, classes: map[string]bool{}}
-	for _, b := range q.Bindings {
-		pq.classes[b.Class] = true
+	// The motion index covers current trajectories, not the synthesized
+	// history.
+	opts.MotionIndex = nil
+	replay := func(sp *obs.Span) (*most.Snapshot, temporal.Tick, uint64) {
+		hist := sp.Child("synthesize_history")
+		h := e.db.History()
+		objects := synthesizeHistory(h, anchor, anchor.Add(opts.horizon()))
+		hist.Annotate("objects", int64(objects.Len()))
+		hist.End()
+		return objects, anchor, h.Current().Version()
 	}
-	// Register before the initial evaluation, holding the coalescing loop
-	// (evaluating=true), so an update committed between the initial replay
-	// and the map insertion marks the handle pending and is replayed by the
-	// drain below instead of being lost.
-	pq.evaluating = true
+	h := &Continuous{}
+	p := newPlan(e, fmt.Sprintf("persistent %p", h), q, opts, persistentMetrics, replay) // never shared
+	p.release = release
 	e.mu.Lock()
-	e.nextID++
-	pq.id = e.nextID
-	e.persistent[pq.id] = pq
-	e.rebuildSnapshot()
-	e.mu.Unlock()
-	if err := pq.evalOnce(); err != nil {
-		e.mu.Lock()
-		delete(e.persistent, pq.id)
-		e.rebuildSnapshot()
-		e.mu.Unlock()
-		release()
+	if err := e.start(p, h); err != nil {
 		return nil, err
 	}
-	pq.drainPending()
-	return pq, nil
+	return &Persistent{cq: h, anchor: anchor}, nil
 }
 
 // Anchor returns the time t0 the query is anchored at.
 func (pq *Persistent) Anchor() temporal.Tick { return pq.anchor }
 
 // Current returns the instantiations satisfying the query at the anchor
-// state, as known from the history logged so far.
-func (pq *Persistent) Current() ([]Row, error) {
-	pq.mu.Lock()
-	defer pq.mu.Unlock()
-	if pq.cancelled {
-		return nil, errUnregistered
-	}
-	return pq.answer, pq.err
-}
+// state, as known from the history logged so far.  After a failed
+// reevaluation it returns that round's error until a later round
+// succeeds.
+func (pq *Persistent) Current() ([]Row, error) { return pq.cq.Current(pq.anchor) }
 
 // Subscribe registers a listener invoked with the new answer after each
-// reevaluation.  On a cancelled handle it reports errUnregistered,
-// consistent with Current, and the listener is dropped.
+// reevaluation that changes the answer relation.  On a cancelled handle
+// it reports errUnregistered, consistent with Current, and the listener
+// is dropped.
 func (pq *Persistent) Subscribe(fn func([]Row)) error {
-	pq.mu.Lock()
-	defer pq.mu.Unlock()
-	if pq.cancelled {
-		return errUnregistered
-	}
-	pq.listeners = append(pq.listeners, fn)
-	return nil
+	return pq.cq.SubscribeInstalls(func(in Install) { fn(rowsAt(in.Rel, pq.anchor)) })
 }
 
 // Cancel unregisters the query and releases its hold on the update log.
-func (pq *Persistent) Cancel() {
-	pq.engine.mu.Lock()
-	delete(pq.engine.persistent, pq.id)
-	pq.engine.rebuildSnapshot()
-	pq.engine.mu.Unlock()
-	pq.release()
-	pq.mu.Lock()
-	pq.cancelled = true
-	pq.mu.Unlock()
-}
-
-// relevant reports whether an update may change the answer.  The logged
-// history of a class the query does not range over cannot.
-func (pq *Persistent) relevant(u most.Update) bool {
-	class := updateClass(u)
-	if class == "" {
-		return true
-	}
-	return pq.classes[class]
-}
-
-// reevaluate replays the query against the updated history.  Concurrent
-// calls coalesce exactly as in Continuous: one goroutine evaluates at a
-// time and re-runs while updates keep arriving.
-func (pq *Persistent) reevaluate() {
-	pq.mu.Lock()
-	pq.pending = true
-	if pq.evaluating {
-		pq.mu.Unlock()
-		return
-	}
-	pq.evaluating = true
-	pq.mu.Unlock()
-	pq.drainPending()
-}
-
-// drainPending runs reevaluation rounds while the handle is marked pending.
-// The caller must have won the evaluating flag.
-func (pq *Persistent) drainPending() {
-	for {
-		pq.mu.Lock()
-		again := pq.pending && !pq.cancelled
-		pq.pending = false
-		if !again {
-			pq.evaluating = false
-			pq.mu.Unlock()
-			return
-		}
-		pq.mu.Unlock()
-		pq.engine.reg().Counter("query.persistent.reevals").Inc()
-		if err := pq.evalOnce(); err != nil {
-			pq.mu.Lock()
-			pq.err = err
-			pq.mu.Unlock()
-		}
-	}
-}
-
-func (pq *Persistent) evalOnce() error {
-	e := pq.engine
-	reg := e.reg()
-	reg.Counter("query.persistent").Inc()
-	sp := reg.StartSpan("query.persistent")
-	defer sp.End()
-	t0 := reg.Start()
-	defer reg.Histogram("query.persistent_ns").Since(t0)
-
-	hist := sp.Child("synthesize_history")
-	h := e.db.History()
-	v := h.Current().Version()
-	objects := synthesizeHistory(h, pq.anchor, pq.anchor.Add(pq.opts.horizon()))
-	hist.Annotate("objects", int64(objects.Len()))
-	hist.End()
-
-	// The motion index covers current trajectories, not the synthesized
-	// history.
-	opts := pq.opts
-	opts.MotionIndex = nil
-	rel, err := e.evalRelation(pq.query, opts, objects, pq.anchor, sp)
-	if err != nil {
-		return err
-	}
-	rows := rowsAt(rel, pq.anchor)
-	pq.mu.Lock()
-	if pq.cancelled {
-		pq.mu.Unlock()
-		return nil
-	}
-	var ls []func([]Row)
-	if v >= pq.version {
-		pq.version = v
-		pq.answer, pq.err = rows, nil
-		ls = append([]func([]Row){}, pq.listeners...)
-	}
-	pq.mu.Unlock()
-	for _, fn := range ls {
-		fn(rows)
-	}
-	return nil
-}
+func (pq *Persistent) Cancel() { pq.cq.Cancel() }
 
 // synthesizeHistory builds, for every object currently in the database, a
 // synthetic revision whose dynamic attributes trace the object's *actual*

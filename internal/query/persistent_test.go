@@ -1,0 +1,180 @@
+package query
+
+import (
+	"strings"
+	"testing"
+
+	"github.com/mostdb/most/internal/ftl"
+	"github.com/mostdb/most/internal/geom"
+	"github.com/mostdb/most/internal/most"
+	"github.com/mostdb/most/internal/obs"
+)
+
+// TestPersistentPlanListenerFiresOnChange pins the listener contract a
+// persistent query shares with continuous ones: a listener fires once per
+// reevaluation that changes the answer relation, and not for an update
+// that leaves it unchanged.
+func TestPersistentPlanListenerFiresOnChange(t *testing.T) {
+	db, cls := testDB(t)
+	e := NewEngine(db)
+	addCar(t, db, cls, "v", geom.Point{X: 0}, geom.Vector{})
+	addCar(t, db, cls, "far", geom.Point{X: 500}, geom.Vector{})
+	q := ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE EVENTUALLY INSIDE(o, P)`)
+	pq, err := e.Persistent(q, Options{Horizon: 50, Regions: regionP()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pq.Cancel()
+	var fired [][]Row
+	if err := pq.Subscribe(func(rows []Row) { fired = append(fired, rows) }); err != nil {
+		t.Fatal(err)
+	}
+
+	// "far" drives further away from P: the replayed history changes, the
+	// answer relation does not.
+	db.Advance(1)
+	base := e.Evaluations()
+	if err := db.SetMotion("far", geom.Vector{X: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if e.Evaluations() != base+1 {
+		t.Fatalf("update cost %d evaluations, want 1", e.Evaluations()-base)
+	}
+	if len(fired) != 0 {
+		t.Fatalf("listener fired %d times for an unchanged answer: %v", len(fired), fired)
+	}
+
+	// "v" drives into P: one changed answer, one notification.
+	db.Advance(1)
+	if err := db.SetMotion("v", geom.Vector{X: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 1 {
+		t.Fatalf("listener fired %d times for one changed answer, want 1", len(fired))
+	}
+	if got := ids(fired[0]); len(got) != 1 || got[0] != "v" {
+		t.Fatalf("notified answer = %v, want [v]", got)
+	}
+	rows, err := pq.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(rows); len(got) != 1 || got[0] != "v" {
+		t.Fatalf("Current = %v, want [v]", got)
+	}
+}
+
+// TestPersistentPlanReevalError checks that a failed reevaluation is
+// reported by Current as Continuous reports it: the round's error and no
+// rows, not the answer of an earlier round.
+func TestPersistentPlanReevalError(t *testing.T) {
+	db, cls := testDB(t)
+	e := NewEngine(db)
+	addCar(t, db, cls, "v", geom.Point{X: 15}, geom.Vector{})
+	// The assignment term is piecewise constant while v is parked; once v
+	// moves it varies continuously over more states than allowed.
+	q := ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE [x <- o.X.POSITION] o.X.POSITION >= x`)
+	pq, err := e.Persistent(q, Options{Horizon: 50, MaxAssignStates: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pq.Cancel()
+	if rows, err := pq.Current(); err != nil || len(rows) != 1 {
+		t.Fatalf("initial Current = %v, %v; want [v]", ids(rows), err)
+	}
+	db.Advance(1)
+	if err := db.SetMotion("v", geom.Vector{X: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := pq.Current()
+	if err == nil || !strings.Contains(err.Error(), "MaxAssignStates") {
+		t.Fatalf("Current after a failed reevaluation: err = %v, want the round's error", err)
+	}
+	if rows != nil {
+		t.Errorf("Current after a failed reevaluation returned rows %v beside the error", ids(rows))
+	}
+}
+
+// TestPersistentPlanFailedRegistrationReleasesHold checks that a
+// persistent registration whose first evaluation fails leaves no hold on
+// the update log behind.
+func TestPersistentPlanFailedRegistrationReleasesHold(t *testing.T) {
+	db, cls := testDB(t)
+	e := NewEngine(db)
+	addCar(t, db, cls, "v", geom.Point{X: 15}, geom.Vector{})
+	q := ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE INSIDE(o, Nowhere)`)
+	if _, err := e.Persistent(q, Options{Horizon: 50, Regions: regionP()}); err == nil {
+		t.Fatal("registration over an undefined region succeeded")
+	}
+	db.Advance(1)
+	if err := db.SetMotion("v", geom.Vector{X: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(db.History().Updates()); n != 0 {
+		t.Fatalf("update log holds %d updates after a failed registration", n)
+	}
+}
+
+// TestPersistentPlanNeverSkips registers a persistent and a continuous
+// query of one ROI-bounded, deltable shape.  The continuous plan patches
+// relevant updates and skips spatially irrelevant ones; the persistent
+// plan replays the history once for every update to its class, and its
+// rounds move only the query.persistent counters.
+func TestPersistentPlanNeverSkips(t *testing.T) {
+	db, cls := testDB(t)
+	reg := obs.New()
+	e := NewEngine(db)
+	e.Instrument(reg)
+	addCar(t, db, cls, "near", geom.Point{X: 5}, geom.Vector{})
+	addCar(t, db, cls, "far", geom.Point{X: 500, Y: 500}, geom.Vector{})
+	q := ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE EVENTUALLY WITHIN 20 INSIDE(o, P)`)
+	opts := Options{Horizon: 50, Regions: regionP()}
+
+	pq, err := e.Persistent(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pq.Cancel()
+	counters := func() map[string]int64 { return reg.Snapshot().Counters }
+	for name, n := range counters() {
+		if strings.HasPrefix(name, "query.continuous") && n != 0 {
+			t.Errorf("persistent registration moved %s to %d", name, n)
+		}
+	}
+	cq, err := e.Continuous(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cq.Cancel()
+
+	for _, u := range []struct {
+		id   string
+		v    geom.Vector
+		skip bool
+	}{
+		{"far", geom.Vector{X: 1}, true},
+		{"near", geom.Vector{X: 1}, false},
+		{"far", geom.Vector{Y: 1}, true},
+	} {
+		before := counters()
+		evals := e.Evaluations()
+		db.Advance(1)
+		if err := db.SetMotion(most.ObjectID(u.id), u.v); err != nil {
+			t.Fatal(err)
+		}
+		after := counters()
+		moved := func(name string) int64 { return after[name] - before[name] }
+		if got := e.Evaluations() - evals; u.skip && got != 1 {
+			t.Errorf("%s: %d evaluations, want the persistent replay only", u.id, got)
+		}
+		if got := moved("query.persistent.reevals"); got != 1 {
+			t.Errorf("%s: query.persistent.reevals moved %d, want 1", u.id, got)
+		}
+		if got := moved("query.continuous.skipped_irrelevant"); (got == 1) != u.skip {
+			t.Errorf("%s: skipped_irrelevant moved %d, want skip=%v", u.id, got, u.skip)
+		}
+		if got := moved("query.continuous.full"); got != 0 {
+			t.Errorf("%s: query.continuous.full moved %d, want 0 (the continuous plan patches)", u.id, got)
+		}
+	}
+}

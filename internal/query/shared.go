@@ -8,16 +8,21 @@ import (
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/ftl/eval"
 	"github.com/mostdb/most/internal/most"
+	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/temporal"
 )
 
-// sharedPlan is one maintained continuous-query plan shared by every
-// subscriber handle whose registration canonicalizes to the same planKey.
-// The paper's evaluate-once-then-maintain discipline (§3.5) is applied per
-// *distinct* plan, not per registration: an update pays one delta patch or
-// one reevaluation here and the installed relation fans out to all
-// attached handles, making per-update maintenance cost proportional to the
-// number of distinct query shapes rather than the subscriber count.
+// sharedPlan is one maintained registered-query plan.  A continuous plan
+// is shared by every subscriber handle whose registration canonicalizes
+// to the same planKey: the paper's evaluate-once-then-maintain discipline
+// (§3.5) is applied per *distinct* plan, not per registration, so an
+// update pays one delta patch or one reevaluation here and the installed
+// relation fans out to all attached handles, making per-update maintenance
+// cost proportional to the number of distinct query shapes rather than the
+// subscriber count.  A persistent plan (see Engine.Persistent) runs on the
+// same scheduler; only the data set at registration differ: what an
+// evaluation reads (source), which counters it moves (metrics), and what
+// its removal gives back (release).
 type sharedPlan struct {
 	key     string
 	planID  uint64
@@ -27,6 +32,15 @@ type sharedPlan struct {
 	plan    deltaPlan
 	roi     roiPlan
 	classes map[string]bool
+	metrics planMetrics
+
+	// source takes the objects one evaluation reads, as a stage of sp,
+	// with the tick the evaluation is anchored at and the database
+	// version it reflects.
+	source func(sp *obs.Span) (*most.Snapshot, temporal.Tick, uint64)
+	// release gives back what the plan's creation took; it runs once,
+	// when the plan is removed from the engine.
+	release func()
 
 	// ready is closed once the creator's initial evaluation has installed
 	// (or failed with initErr, after removing the plan from the engine);
@@ -59,21 +73,103 @@ type sharedPlan struct {
 	validUntil atomic.Int64
 }
 
-func newSharedPlan(e *Engine, key string, q *ftl.Query, opts Options) *sharedPlan {
+// planMetrics names the counters a plan's rounds move.  An empty name is
+// a counter the plan's kind does not keep.
+type planMetrics struct {
+	root, latency, reevals               string
+	full, fallback, suppressed, patchLen string
+	plans                                string // live-plan gauge
+}
+
+var (
+	continuousMetrics = planMetrics{
+		root: "query.continuous", latency: "query.continuous_ns", reevals: "query.continuous.reevals",
+		full: "query.continuous.full", fallback: "query.continuous.fallback",
+		suppressed: "query.continuous.suppressed", patchLen: "query.continuous.patch_tuples",
+		plans: "query.continuous.shared_plans",
+	}
+	persistentMetrics = planMetrics{
+		root: "query.persistent", latency: "query.persistent_ns", reevals: "query.persistent.reevals",
+	}
+)
+
+// newPlan returns an unregistered plan for q that reads the objects of
+// source and never applies deltas or skips updates spatially.
+func newPlan(e *Engine, key string, q *ftl.Query, opts Options, m planMetrics, source func(*obs.Span) (*most.Snapshot, temporal.Tick, uint64)) *sharedPlan {
 	p := &sharedPlan{
 		key:     key,
 		engine:  e,
 		query:   q,
 		opts:    opts,
-		plan:    newDeltaPlan(q),
 		classes: map[string]bool{},
+		metrics: m,
+		source:  source,
+		release: func() {},
 		ready:   make(chan struct{}),
 	}
 	for _, b := range q.Bindings {
 		p.classes[b.Class] = true
 	}
-	p.roi = newROIPlan(q, opts, p.plan.analysis)
 	return p
+}
+
+// count adds n to the plan's counter name (see planMetrics).
+func (p *sharedPlan) count(name string, n int64) {
+	if name != "" {
+		p.engine.reg().Counter(name).Add(n)
+	}
+}
+
+// start registers the new plan p with h as its first handle and runs its
+// initial evaluation.  Callers hold e.mu; start releases it.  The plan is
+// registered before the initial evaluation, holding the maintenance loop
+// (evaluating=true), so an update committed between the initial read and
+// the registration is queued and applied by the drain below instead of
+// being lost: the update either commits before the evaluated version is
+// published (and is in it) or after the registration (and its onUpdate,
+// which runs after its commit, finds the plan).  A failed initial
+// evaluation removes the plan again and is returned.
+func (e *Engine) start(p *sharedPlan, h *Continuous) error {
+	p.evaluating = true
+	p.subs = []*Continuous{h}
+	h.sp = p
+	e.nextPlanID++
+	p.planID = e.nextPlanID
+	e.plans[p.key] = p
+	e.rebuildSnapshot()
+	e.mu.Unlock()
+	p.count(p.metrics.plans, 1)
+
+	rel, now, v, err := p.evaluate()
+	if err != nil {
+		e.mu.Lock()
+		e.removeLocked(p)
+		e.mu.Unlock()
+		p.initErr = err
+		close(p.ready)
+		return err
+	}
+	p.mu.Lock()
+	p.answer, p.version, p.anchor, p.gen = rel.Freeze(), v, now, 1
+	p.reindex(p.answer, nil)
+	p.storeValidity(now)
+	p.mu.Unlock()
+	close(p.ready)
+	p.drain()
+	return nil
+}
+
+// removeLocked takes p out of the engine: no update reaches it any more,
+// and a round in flight installs nothing.  Callers hold e.mu and call it
+// once per plan.
+func (e *Engine) removeLocked(p *sharedPlan) {
+	delete(e.plans, p.key)
+	e.rebuildSnapshot()
+	p.mu.Lock()
+	p.removed = true
+	p.mu.Unlock()
+	p.count(p.metrics.plans, -1)
+	p.release()
 }
 
 // canSkip reports whether an update to class with the given motion
@@ -94,18 +190,18 @@ func (p *sharedPlan) canSkip(class string, tick temporal.Tick, env rect2) bool {
 
 // evaluate runs one full evaluation of the plan's query under its own root
 // span and metrics, returning the relation and the tick and database
-// version of the snapshot it read.
+// version of the objects it read.
 func (p *sharedPlan) evaluate() (*eval.Relation, temporal.Tick, uint64, error) {
 	e := p.engine
 	reg := e.reg()
-	reg.Counter("query.continuous").Inc()
-	sp := reg.StartSpan("query.continuous")
+	reg.Counter(p.metrics.root).Inc()
+	sp := reg.StartSpan(p.metrics.root)
 	defer sp.End()
 	t0 := reg.Start()
-	defer reg.Histogram("query.continuous_ns").Since(t0)
-	s := e.snapshot(sp)
-	rel, err := e.evalRelation(p.query, p.opts, s, s.Now(), sp)
-	return rel, s.Now(), s.Version(), err
+	defer reg.Histogram(p.metrics.latency).Since(t0)
+	objects, now, v := p.source(sp)
+	rel, err := e.evalRelation(p.query, p.opts, objects, now, sp)
+	return rel, now, v, err
 }
 
 // storeValidity records the installed answer's presentability window end.
@@ -129,7 +225,7 @@ func (p *sharedPlan) maintain(u most.Update) {
 	// pending (those used to be swallowed unclassified).
 	deltable := p.deltable(u)
 	if !deltable {
-		p.engine.reg().Counter("query.continuous.fallback").Inc()
+		p.count(p.metrics.fallback, 1)
 	}
 	switch {
 	case p.needFull:
@@ -206,10 +302,8 @@ func (p *sharedPlan) drain() {
 // version/anchor/validity but does not fan out: same-class no-op updates
 // stop producing spurious pushes to every subscriber.
 func (p *sharedPlan) runFull() {
-	e := p.engine
-	reg := e.reg()
-	reg.Counter("query.continuous.reevals").Inc()
-	reg.Counter("query.continuous.full").Inc()
+	p.count(p.metrics.reevals, 1)
+	p.count(p.metrics.full, 1)
 	rel, now, v, err := p.evaluate()
 	p.mu.Lock()
 	if p.removed {
@@ -227,7 +321,7 @@ func (p *sharedPlan) runFull() {
 		case p.err == nil && p.answer != nil && slices.Equal(p.answer.Cols, rel.Cols):
 			p.storeValidity(now)
 			if d := eval.Diff(p.answer, rel); d.Empty() {
-				reg.Counter("query.continuous.suppressed").Inc()
+				p.count(p.metrics.suppressed, 1)
 			} else {
 				subs, in = p.installLocked(p.answer.Patch(d), &d)
 			}
@@ -251,9 +345,9 @@ func (p *sharedPlan) installLocked(next *eval.Relation, d *eval.Delta) ([]*Conti
 	p.gen++
 	p.reindex(next, d)
 	if d != nil {
-		p.engine.reg().Counter("query.continuous.patch_tuples").Add(int64(d.Len()))
+		p.count(p.metrics.patchLen, int64(d.Len()))
 	} else {
-		p.engine.reg().Counter("query.continuous.patch_tuples").Add(int64(next.Len()))
+		p.count(p.metrics.patchLen, int64(next.Len()))
 	}
 	return append([]*Continuous(nil), p.subs...), Install{Rel: next, Gen: p.gen, Patch: d}
 }

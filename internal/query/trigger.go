@@ -49,7 +49,7 @@ func (tr *Trigger) Poll(t temporal.Tick) {
 	next := map[string]bool{}
 	var fresh []Row
 	for _, r := range rows {
-		key := rowKey(r)
+		key := eval.Key(r)
 		next[key] = true
 		if !tr.armed[key] {
 			fresh = append(fresh, r)
@@ -65,14 +65,6 @@ func (tr *Trigger) Poll(t temporal.Tick) {
 
 // Cancel disables the trigger and its underlying continuous query.
 func (tr *Trigger) Cancel() { tr.cq.Cancel() }
-
-func rowKey(r Row) string {
-	s := ""
-	for _, v := range r {
-		s += v.String() + "\x00"
-	}
-	return s
-}
 
 // Parse parses a query string; re-exported so callers of this package need
 // not import ftl directly.

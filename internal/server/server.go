@@ -385,6 +385,13 @@ func (srv *Server) startSession(conn net.Conn) bool {
 }
 
 func (srv *Server) dropSession(s *session) {
+	// The client's epoch stays for fencing; the ended session must not.
+	id := s.reqClientID()
+	srv.epochMu.Lock()
+	if ce := srv.epochs[id]; ce != nil && ce.sess == s {
+		ce.sess = nil
+	}
+	srv.epochMu.Unlock()
 	srv.mu.Lock()
 	delete(srv.sessions, s)
 	srv.mu.Unlock()

@@ -349,3 +349,47 @@ func TestServerRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEndedSessionsLeaveEpochTable checks that the epoch table keeps no
+// ended session reachable: every client.Dial says Hello under a fresh
+// identity at an epoch of at least 1, and once its session ends no epoch
+// entry may still point at it.
+func TestEndedSessionsLeaveEpochTable(t *testing.T) {
+	srv, addr := startTestServer(t, 3, Config{})
+	const clients = 8
+	for i := 0; i < clients; i++ {
+		c, err := client.Dial(addr, client.WithRetries(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		srv.mu.Lock()
+		open := len(srv.sessions)
+		srv.mu.Unlock()
+		if open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still open after every client closed", open)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	srv.epochMu.Lock()
+	defer srv.epochMu.Unlock()
+	if len(srv.epochs) != clients {
+		t.Fatalf("epoch table holds %d clients, want %d", len(srv.epochs), clients)
+	}
+	for id, ce := range srv.epochs {
+		if _, live := srv.sessions[ce.sess]; ce.sess != nil && !live {
+			t.Errorf("epoch entry of %s (epoch %d) still points at its ended session", id, ce.epoch)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,8 +31,9 @@ import (
 // is closed: from the server's side, a client that has stopped reading.
 type gatedListener struct {
 	net.Listener
-	mu   sync.Mutex
-	open chan struct{} // closed while writes may proceed
+	mu      sync.Mutex
+	open    chan struct{} // closed while writes may proceed
+	blocked atomic.Int32  // writes waiting for the gate
 }
 
 func newGatedListener(ln net.Listener) *gatedListener {
@@ -69,7 +71,13 @@ func (c *gatedConn) Write(p []byte) (int, error) {
 	c.g.mu.Lock()
 	open := c.g.open
 	c.g.mu.Unlock()
-	<-open
+	select {
+	case <-open:
+	default:
+		c.g.blocked.Add(1)
+		<-open
+		c.g.blocked.Add(-1)
+	}
 	return c.Conn.Write(p)
 }
 
@@ -133,7 +141,8 @@ const streamSrc = `RETRIEVE o FROM Vehicles o WHERE EVENTUALLY WITHIN 10 INSIDE(
 // answer, rows and order alike.  Scenarios force the stream's edge
 // cases: a client that stops reading (the pump coalesces several installs
 // into one delta), the same with a two-install patch ring (the pump falls
-// off the ring and sends a full reset), and a NOTIFY lost in transit (the
+// off the ring and sends a full reset; see forceRingOverflow), and a
+// NOTIFY lost in transit (the
 // next delta's base does not match, and the client re-registers).
 func TestDeltaStreamDifferential(t *testing.T) {
 	cases := []struct {
@@ -305,6 +314,22 @@ func runStreamScenario(t *testing.T, dropAt int) {
 		// The chain breaks at the dropped NOTIFY; the next one exposes it.
 		converge()
 	}
+	if patchRing < 8 {
+		forceRingOverflow(t, srv, gate, func() {
+			for {
+				_, before := log.get(0)
+				id := fmt.Sprintf("car-%05d", rng.Intn(40))
+				v := geom.Vector{X: float64(rng.Intn(9) - 4), Y: float64(rng.Intn(9) - 4)}
+				if err := db.SetMotion(most.ObjectID(id), v); err != nil {
+					t.Fatal(err)
+				}
+				if _, last := log.get(0); last > before {
+					return
+				}
+			}
+		})
+		settle()
+	}
 	snap := reg.Snapshot().Counters
 	t.Logf("%d observations checked; notifies %d, coalesced %d, delta %d, reset %d, rows %d; client resyncs %d",
 		checked, snap["server.notifies"], snap["server.notifies_coalesced"], snap["server.notify_delta"],
@@ -325,5 +350,45 @@ func runStreamScenario(t *testing.T, dropAt int) {
 		if snap["server.notifies_coalesced"] == 0 {
 			t.Error("a paused reader never made the pump coalesce")
 		}
+	}
+}
+
+// forceRingOverflow makes the pump of the server's only session fall off
+// the patch ring.  With the client's writes held at the gate, it commits
+// answer-changing updates (install) one at a time until the writer is
+// blocked, the out queue is full and the pump has taken one more install
+// it cannot enqueue; patchRing+1 further installs then leave the install
+// the client will hold more than a ring behind the newest, so the pump's
+// next NOTIFY must be a full reset.
+func forceRingOverflow(t *testing.T, srv *Server, gate *gatedListener, install func()) {
+	t.Helper()
+	srv.mu.Lock()
+	var out chan wire.Frame
+	for s := range srv.sessions {
+		out = s.out
+	}
+	srv.mu.Unlock()
+	notifies := srv.m.notifies
+	gate.pause()
+	defer gate.resume()
+	for {
+		// Once the writer waits at the gate and the queue is full, nothing
+		// drains the queue: the pump blocks on the next install it takes.
+		full := gate.blocked.Load() > 0 && len(out) == cap(out)
+		n := notifies.Value()
+		install()
+		deadline := time.Now().Add(10 * time.Second)
+		for notifies.Value() == n {
+			if time.Now().After(deadline) {
+				t.Fatal("the pump never took an install")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if full {
+			break
+		}
+	}
+	for i := 0; i <= patchRing; i++ {
+		install()
 	}
 }

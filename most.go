@@ -309,8 +309,9 @@ type QueryOptions = query.Options
 type ContinuousQuery = query.Continuous
 
 // PersistentQuery is a registered persistent query anchored at entry time
-// (§2.3): reevaluated over the logged history on every update.  Safe for
-// concurrent use.
+// (§2.3): reevaluated over the logged history on every update.  Its
+// listeners fire only when a reevaluation changes the answer relation.
+// Safe for concurrent use.
 type PersistentQuery = query.Persistent
 
 // Trigger couples a continuous query with an action — the temporal
