@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench parallel delta faults chaos chaosbench fuzzwal fuzzckpt fuzzftl fuzzwire cover obs server city cityquick citycheck racequery racestream cluster clusterquick perfbench-smoke
+.PHONY: check fmt vet build test race bench lines delta faults chaos chaosbench fuzzwal fuzzckpt fuzzftl fuzzwire cover obs server city cityquick citycheck racequery racestream cluster clusterquick perfbench-smoke
 
 # Checked-in coverage floor for `make cover`: total statement coverage under
 # the race detector must not fall below this.
@@ -31,9 +31,10 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Sequential-vs-parallel evaluation sweep; writes BENCH_parallel.json.
-parallel:
-	$(GO) run ./cmd/mostbench -parallel
+# Non-test Go line count of the program (perfbench excluded), the size
+# figure simplicity changes report.
+lines:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 # Delta-maintenance vs full-reevaluation sweep; writes BENCH_delta.json.
 delta:

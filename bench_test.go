@@ -425,11 +425,10 @@ func BenchmarkQuadraticRangeSolve(b *testing.B) {
 	})
 }
 
-// ---- parallel evaluation ----
+// ---- continuous-query maintenance ----
 
-// benchFleetEngine builds an n-vehicle fleet and the query the parallel
-// benchmarks evaluate: a RETRIEVE whose per-object INSIDE checks dominate,
-// i.e. the loop solveInstantiations fans out.
+// benchFleetEngine builds an n-vehicle fleet and a RETRIEVE whose
+// per-object INSIDE checks dominate its evaluation.
 func benchFleetEngine(b *testing.B, n int) (*most.Database, *query.Engine, *ftl.Query, query.Options) {
 	b.Helper()
 	db, err := workload.Fleet(workload.FleetSpec{
@@ -450,59 +449,22 @@ func benchFleetEngine(b *testing.B, n int) (*most.Database, *query.Engine, *ftl.
 	return db, e, q, opts
 }
 
-// BenchmarkParallelInstantaneous compares sequential evaluation against the
-// worker-pool fan-out at fleet sizes 1k/10k/100k.  Run with -cpu 1,4,8 to
-// see how the parallel variant scales with GOMAXPROCS (Parallelism: -1
-// sizes the pool by it); the sequential variant is the baseline.
-func BenchmarkParallelInstantaneous(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		_, e, q, opts := benchFleetEngine(b, n)
-		b.Run(fmt.Sprintf("n=%d/seq", n), func(b *testing.B) {
-			o := opts
-			o.Parallelism = 1
-			for i := 0; i < b.N; i++ {
-				if _, err := e.InstantaneousRelation(q, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/par", n), func(b *testing.B) {
-			o := opts
-			o.Parallelism = -1 // GOMAXPROCS workers
-			for i := 0; i < b.N; i++ {
-				if _, err := e.InstantaneousRelation(q, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelMaintenance measures continuous-query upkeep — the
-// onUpdate fan-out over registered queries — sequential versus pooled.
-func BenchmarkParallelMaintenance(b *testing.B) {
-	for _, par := range []int{1, -1} {
-		name := "seq"
-		if par < 0 {
-			name = "par"
+// BenchmarkContinuousMaintenance measures continuous-query upkeep: the
+// onUpdate dispatch of one motion update to the registered queries.
+func BenchmarkContinuousMaintenance(b *testing.B) {
+	db, e, q, opts := benchFleetEngine(b, 1000)
+	for i := 0; i < 8; i++ {
+		if _, err := e.Continuous(q, opts); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			db, e, q, opts := benchFleetEngine(b, 1000)
-			opts.Parallelism = par
-			for i := 0; i < 8; i++ {
-				if _, err := e.Continuous(q, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// One motion-vector update triggers reevaluation of all
-				// eight registered continuous queries.
-				id := most.ObjectID(fmt.Sprintf("car-%05d", i%1000))
-				if err := db.SetMotion(id, geom.Vector{X: float64(i%5) - 2}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// One motion-vector update triggers reevaluation of all eight
+		// registered continuous queries.
+		id := most.ObjectID(fmt.Sprintf("car-%05d", i%1000))
+		if err := db.SetMotion(id, geom.Vector{X: float64(i%5) - 2}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -4,23 +4,21 @@
 //
 // Usage:
 //
-//	mostbench [-quick] [-only E3,E7] [-out dir] [-parallel] [-delta] [-faults] [-chaos] [-obs] [-server] [-city] [-cluster] [-http :6060]
+//	mostbench [-quick] [-only E3,E7] [-out dir] [-delta] [-faults] [-chaos] [-obs] [-server] [-city] [-cluster] [-http :6060]
 //
-// With -parallel it instead runs the parallel-evaluation benchmark
-// (sequential vs worker-pool at 1k/10k/100k objects) and writes the
-// machine-readable results to BENCH_parallel.json.  With -delta it runs
-// the continuous-query maintenance benchmark (per-object delta patches vs
-// full reevaluation per update) and writes BENCH_delta.json.  With -faults it runs
-// the fault-tolerance sweep (loss × partition × crashes; legacy vs reliable
-// delivery, staleness marking, WAL recovery) and writes BENCH_faults.json.
+// With -delta it instead runs the continuous-query maintenance benchmark
+// (per-object delta patches vs full reevaluation per update) and writes
+// BENCH_delta.json.  With -faults it runs the fault-tolerance sweep (loss
+// × partition × crashes; legacy vs reliable delivery, staleness marking,
+// WAL recovery) and writes BENCH_faults.json.
 // With -chaos it runs the live chaos scenarios (internal/chaos: real
 // durable server over TCP under kill/restart, partitions and churn) and
 // records recovery-time and failover-latency percentiles under the
 // "chaos" key of BENCH_faults.json, preserving any simulated sweep
 // already in the file.
-// With -obs it measures the observability instrumentation overhead on the
-// parallel benchmark and writes BENCH_obs.json, including a full metrics
-// snapshot from an instrumented three-query-type scenario.  With -server
+// With -obs it measures the observability instrumentation overhead on an
+// instantaneous fleet query and writes BENCH_obs.json, including a full
+// metrics snapshot from an instrumented three-query-type scenario.  With -server
 // it benchmarks the TCP network service (concurrent pipelining clients
 // committing update batches over loopback) and writes BENCH_server.json.
 // With -city it runs the city-scale application benchmark (internal/city:
@@ -64,7 +62,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "shrink sweeps for a fast run")
 	only := fs.String("only", "", "comma-separated experiment ids (e.g. E3,E7); empty runs all")
 	outDir := fs.String("out", "", "directory for BENCH_*.json files (default: working directory)")
-	parallel := fs.Bool("parallel", false, "benchmark parallel vs sequential evaluation and write BENCH_parallel.json")
 	deltaBench := fs.Bool("delta", false, "benchmark delta maintenance vs full reevaluation and write BENCH_delta.json")
 	faultsSweep := fs.Bool("faults", false, "run the fault-tolerance sweep and write BENCH_faults.json")
 	chaosBench := fs.Bool("chaos", false, "run the live chaos scenarios and record recovery/failover latency under the chaos key of BENCH_faults.json")
@@ -187,14 +184,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		rep := experiments.DeltaBench(*quick)
 		fmt.Fprintln(stdout, rep.Table().Render())
 		if err := writeReport("BENCH_delta.json", rep); err != nil {
-			return fail(err)
-		}
-		return 0
-
-	case *parallel:
-		rep := experiments.ParallelBench(*quick)
-		fmt.Fprintln(stdout, rep.Table().Render())
-		if err := writeReport("BENCH_parallel.json", rep); err != nil {
 			return fail(err)
 		}
 		return 0

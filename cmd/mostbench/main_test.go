@@ -23,7 +23,6 @@ func TestModeSmoke(t *testing.T) {
 		wants []string // files that must exist in the out dir afterwards
 	}{
 		{"default", []string{"-quick", "-only", "E1"}, nil},
-		{"parallel", []string{"-parallel", "-quick"}, []string{"BENCH_parallel.json"}},
 		{"delta", []string{"-delta", "-quick"}, []string{"BENCH_delta.json"}},
 		{"faults", []string{"-faults", "-quick"}, []string{"BENCH_faults.json"}},
 		{"chaos", []string{"-chaos", "-quick"}, []string{"BENCH_faults.json"}},

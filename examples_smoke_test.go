@@ -64,20 +64,20 @@ func TestToolsRun(t *testing.T) {
 		t.Fatal("mostbench with unknown experiment should fail")
 	}
 
-	// mostbench -parallel writes BENCH_parallel.json in its working dir.
-	par := exec.Command(bench, "-parallel", "-quick")
-	par.Dir = tmp
-	out, err = par.CombinedOutput()
+	// mostbench -delta writes BENCH_delta.json in its working dir.
+	delta := exec.Command(bench, "-delta", "-quick")
+	delta.Dir = tmp
+	out, err = delta.CombinedOutput()
 	if err != nil {
-		t.Fatalf("mostbench -parallel: %v\n%s", err, out)
+		t.Fatalf("mostbench -delta: %v\n%s", err, out)
 	}
-	data, err := os.ReadFile(filepath.Join(tmp, "BENCH_parallel.json"))
+	data, err := os.ReadFile(filepath.Join(tmp, "BENCH_delta.json"))
 	if err != nil {
-		t.Fatalf("BENCH_parallel.json not written: %v", err)
+		t.Fatalf("BENCH_delta.json not written: %v", err)
 	}
-	for _, want := range []string{"gomaxprocs", "sequential_ns", "parallel_ns", "speedup"} {
+	for _, want := range []string{"query", "full_ns_per_update", "delta_ns_per_update", "speedup"} {
 		if !strings.Contains(string(data), want) {
-			t.Fatalf("BENCH_parallel.json missing %q:\n%s", want, data)
+			t.Fatalf("BENCH_delta.json missing %q:\n%s", want, data)
 		}
 	}
 

@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"github.com/mostdb/most/internal/chaos"
@@ -39,15 +38,6 @@ type ChaosStats struct {
 // ChaosReport is the "chaos" payload in BENCH_faults.json.
 type ChaosReport struct {
 	Results []ChaosStats `json:"results"`
-}
-
-func pctNs(ds []time.Duration, p float64) int64 {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[int(p*float64(len(sorted)-1))].Nanoseconds()
 }
 
 // ChaosBench runs every scenario at each seed.  Each run gets a fresh
@@ -87,10 +77,10 @@ func ChaosBench(quick bool) (*ChaosReport, error) {
 			stats.ResumeRows += res.ResumeRows
 		}
 		stats.Restarts = len(recoveries)
-		stats.RecoveryP50Ns = pctNs(recoveries, 0.50)
-		stats.RecoveryP99Ns = pctNs(recoveries, 0.99)
-		stats.FailoverP50Ns = pctNs(failovers, 0.50)
-		stats.FailoverP99Ns = pctNs(failovers, 0.99)
+		stats.RecoveryP50Ns = pctDur(recoveries, 0.50).Nanoseconds()
+		stats.RecoveryP99Ns = pctDur(recoveries, 0.99).Nanoseconds()
+		stats.FailoverP50Ns = pctDur(failovers, 0.50).Nanoseconds()
+		stats.FailoverP99Ns = pctDur(failovers, 0.99).Nanoseconds()
 		rep.Results = append(rep.Results, stats)
 	}
 	return rep, nil

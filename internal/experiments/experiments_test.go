@@ -219,24 +219,6 @@ func parseDur(t *testing.T, s string) float64 {
 	}
 }
 
-func TestParallelBenchShape(t *testing.T) {
-	rep := ParallelBench(true)
-	if rep.GOMAXPROCS < 1 {
-		t.Fatalf("GOMAXPROCS = %d", rep.GOMAXPROCS)
-	}
-	if len(rep.Results) == 0 {
-		t.Fatal("no results")
-	}
-	for _, r := range rep.Results {
-		if r.SequentialNs <= 0 || r.ParallelNs <= 0 || r.Speedup <= 0 {
-			t.Errorf("objects=%d: bad timings %+v", r.Objects, r)
-		}
-	}
-	if out := rep.Table().Render(); !strings.Contains(out, "PAR") {
-		t.Errorf("table renders badly:\n%s", out)
-	}
-}
-
 // TestE13FaultsRobustness asserts the robustness claims on the quick sweep:
 // on every fault schedule the reliable paths lose no more than the legacy
 // ones; the legacy paths demonstrably lose displays and updates; and the

@@ -35,9 +35,9 @@ func newEngine(db *most.Database) *query.Engine {
 	return e
 }
 
-// ObsResult is one row of the observability-overhead benchmark: the
-// parallel-evaluation query from ParallelBench run with instrumentation
-// detached and attached.
+// ObsResult is one row of the observability-overhead benchmark: one
+// instantaneous INSIDE query over an n-vehicle fleet, evaluated with
+// instrumentation detached and attached.
 type ObsResult struct {
 	Objects     int     `json:"objects"`
 	DisabledNs  int64   `json:"disabled_ns"`
@@ -56,10 +56,10 @@ type ObsReport struct {
 }
 
 // ObsBench measures the instrumentation overhead of the observability layer
-// on the parallel benchmark query.  Each fleet size is timed with the
-// engine and database uninstrumented, then again with a live registry
-// attached; the claim locked in by the driver is that the enabled run costs
-// at most a few percent (the hooks are one atomic load plus a nil branch
+// on that query.  Each fleet size is timed with the engine and database
+// uninstrumented, then again with a live registry attached; the claim
+// locked in by the driver is that the enabled run costs at most a few
+// percent (the hooks are one atomic load plus a nil branch
 // when disabled, and lock-free counter/histogram updates when enabled).
 func ObsBench(quick bool) *ObsReport {
 	sizes := []int{1000, 10000}
@@ -82,9 +82,8 @@ func ObsBench(quick bool) *ObsReport {
 		e := query.NewEngine(db)
 		q := ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE Eventually INSIDE(o, P)`)
 		opts := query.Options{
-			Horizon:     200,
-			Regions:     map[string]geom.Polygon{"P": geom.RectPolygon(200, 200, 600, 600)},
-			Parallelism: -1,
+			Horizon: 200,
+			Regions: map[string]geom.Polygon{"P": geom.RectPolygon(200, 200, 600, 600)},
 		}
 		eval := func() {
 			if _, err := e.InstantaneousRelation(q, opts); err != nil {

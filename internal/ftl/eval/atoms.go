@@ -35,45 +35,54 @@ func (c *Context) atomCols(f ftl.Formula) ([]string, error) {
 	return cols, nil
 }
 
-// forEachInstantiation enumerates the domain product of cols.
-func (c *Context) forEachInstantiation(cols []string, fn func(env, []Val) error) error {
-	vals := make([]Val, len(cols))
-	en := env{}
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(cols) {
-			return fn(en, vals)
-		}
-		for _, v := range c.Domains[cols[i]] {
-			vals[i] = v
-			en[cols[i]] = v
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(en, cols[i])
+// eachInstantiation enumerates the domain product of cols in ascending
+// mixed-radix order (the last column varies fastest), calling fn once per
+// instantiation and counting them as eval.instantiations.  fn must not
+// retain en or vals, which are reused.
+func (c *Context) eachInstantiation(cols []string, fn func(en env, vals []Val) error) error {
+	sizes := make([]int, len(cols))
+	total := 1
+	for i, col := range cols {
+		sizes[i] = len(c.Domains[col])
+		total *= sizes[i]
+	}
+	if total == 0 {
 		return nil
 	}
-	return rec(0)
+	c.Obs.Counter("eval.instantiations").Add(int64(total))
+	vals := make([]Val, len(cols))
+	en := env{}
+	for idx := 0; idx < total; idx++ {
+		rest := idx
+		for i := len(cols) - 1; i >= 0; i-- {
+			v := c.Domains[cols[i]][rest%sizes[i]]
+			rest /= sizes[i]
+			vals[i] = v
+			en[cols[i]] = v
+		}
+		if err := fn(en, vals); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // evalAtom computes the relation of an atomic formula by solving it per
-// instantiation — in parallel when the context's Parallelism asks for it;
-// the merge into the relation is always sequential and in instantiation
-// order, so the result does not depend on the worker count.
+// instantiation, in instantiation order.
 func (c *Context) evalAtom(f ftl.Formula, solve func(env) (temporal.Set, error)) (*Relation, error) {
 	cols, err := c.atomCols(f)
 	if err != nil {
 		return nil, err
 	}
 	rel := NewRelation(cols...)
-	err = solveInstantiations(c,
-		cols,
-		func(en env, _ []Val) (temporal.Set, error) { return solve(en) },
-		func(vals []Val, set temporal.Set) error {
-			rel.Add(vals, set)
-			return nil
-		})
+	err = c.eachInstantiation(cols, func(en env, vals []Val) error {
+		set, err := solve(en)
+		if err != nil {
+			return err
+		}
+		rel.Add(vals, set)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

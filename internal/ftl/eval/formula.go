@@ -199,27 +199,23 @@ func (c *Context) evalAssign(n ftl.Assign) (*Relation, error) {
 		}
 	}
 
-	// The per-binding enumeration of the term's value rows fans out over
-	// the context's worker pool; the merge into Q stays sequential and in
-	// instantiation order.
 	q := NewRelation(append(append([]string{}, qcols...), n.Var)...)
 	distinct := map[Val]bool{}
-	err := solveInstantiations(c,
-		qcols,
-		func(en env, _ []Val) ([]termRow, error) {
-			tv, err := c.evalTerm(n.Term, en)
-			if err != nil {
-				return nil, err
-			}
-			return c.termRows(tv)
-		},
-		func(vals []Val, rows []termRow) error {
-			for _, row := range rows {
-				distinct[row.val] = true
-				q.Add(append(append([]Val{}, vals...), row.val), row.times)
-			}
-			return nil
-		})
+	err := c.eachInstantiation(qcols, func(en env, vals []Val) error {
+		tv, err := c.evalTerm(n.Term, en)
+		if err != nil {
+			return err
+		}
+		rows, err := c.termRows(tv)
+		if err != nil {
+			return err
+		}
+		for _, row := range rows {
+			distinct[row.val] = true
+			q.Add(append(append([]Val{}, vals...), row.val), row.times)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

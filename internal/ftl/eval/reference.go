@@ -67,6 +67,28 @@ func ReferenceEval(q *ftl.Query, c *Context) (*Relation, error) {
 	return rel.Expand(q.Targets, c.Domains)
 }
 
+// forEachInstantiation enumerates the domain product of cols.
+func (c *Context) forEachInstantiation(cols []string, fn func(env, []Val) error) error {
+	vals := make([]Val, len(cols))
+	en := env{}
+	var rec func(i int) error
+	rec = func(i int) error {
+		if i == len(cols) {
+			return fn(en, vals)
+		}
+		for _, v := range c.Domains[cols[i]] {
+			vals[i] = v
+			en[cols[i]] = v
+			if err := rec(i + 1); err != nil {
+				return err
+			}
+		}
+		delete(en, cols[i])
+		return nil
+	}
+	return rec(0)
+}
+
 // refSatFormula decides satisfaction of f at tick t under en, literally per
 // the §3.3 semantics, quantifying future states over the expiry window.
 func (c *Context) refSatFormula(f ftl.Formula, en env, t temporal.Tick) (bool, error) {

@@ -53,21 +53,13 @@ type Context struct {
 	// the polygon P" without examining all the objects.
 	InsideCandidates func(pg geom.Polygon, w temporal.Interval) []most.ObjectID
 
-	// Parallelism bounds the worker pool the per-instantiation loops (atom
-	// solving, assignment-term enumeration) fan out over: 0 or 1 evaluates
-	// sequentially, n > 1 uses n workers, and any negative value uses
-	// GOMAXPROCS.  Results are merged in instantiation order, so the answer
-	// relation is identical at every setting.
-	Parallelism int
-
 	// Obs receives evaluation metrics (sub-formula counts, instantiations,
 	// index probes and false hits).  Nil disables instrumentation at the
 	// cost of one branch per hook.
 	Obs *obs.Registry
 
 	// Span, when non-nil, is the stage span the evaluation hangs its
-	// sub-spans (index_probe, ...) off.  Annotations and children may be
-	// added from the evaluator's worker goroutines.
+	// sub-spans (index_probe, ...) off.
 	Span *obs.Span
 
 	// classOf maps each variable BindDomains bound to its FROM class, so

@@ -14,8 +14,6 @@
 // snapshot is a root, not a copy.
 package pmap
 
-import "sort"
-
 // Fanout bounds.  A node holds at most maxEntries entries (leaf values or
 // child pointers) and is merged with a sibling once it falls below
 // minEntries, so the tree stays O(log n) deep under any edit sequence.
@@ -62,8 +60,7 @@ func (m Map[V]) Len() int { return m.n }
 func (m Map[V]) Get(k string) (V, bool) {
 	for n := m.root; n != nil; {
 		if n.leaf() {
-			i := sort.SearchStrings(n.keys, k)
-			if i < len(n.keys) && n.keys[i] == k {
+			if i, ok := search(n.keys, k); ok {
 				return n.vals[i], true
 			}
 			break
@@ -74,14 +71,29 @@ func (m Map[V]) Get(k string) (V, bool) {
 	return zero, false
 }
 
+// search returns the index of the first key >= k (len(keys) if none) and
+// whether that key is k.
+func search(keys []string, k string) (int, bool) {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if keys[h] < k {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(keys) && keys[lo] == k
+}
+
 // route picks the child of an internal node whose key range holds k: the
 // last child whose lower bound is <= k, or the first child.
 func route(keys []string, k string) int {
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] > k }) - 1
-	if i < 0 {
-		return 0
+	i, ok := search(keys, k)
+	if !ok {
+		i--
 	}
-	return i
+	return max(i, 0)
 }
 
 // Ascend calls fn for every entry in ascending key order until fn returns
@@ -216,8 +228,8 @@ func (t *Txn[V]) Set(k string, v V) {
 // the new right sibling when it split, and whether the key was new.
 func (t *Txn[V]) set(n *node[V], k string, v V) (*node[V], *node[V], bool) {
 	if n.leaf() {
-		i := sort.SearchStrings(n.keys, k)
-		if i < len(n.keys) && n.keys[i] == k {
+		i, ok := search(n.keys, k)
+		if ok {
 			w := t.writable(n)
 			w.vals[i] = v
 			return w, nil, false
@@ -290,8 +302,8 @@ func (t *Txn[V]) Delete(k string) bool {
 // An underfull child is merged into a neighbour (or borrows from it).
 func (t *Txn[V]) del(n *node[V], k string) (*node[V], bool) {
 	if n.leaf() {
-		i := sort.SearchStrings(n.keys, k)
-		if i == len(n.keys) || n.keys[i] != k {
+		i, ok := search(n.keys, k)
+		if !ok {
 			return n, false
 		}
 		w := t.writable(n)

@@ -22,6 +22,21 @@ func check(t *testing.T, m Map[int], ref map[string]int) {
 		}
 	}
 	sort.Strings(keys)
+	// Absent keys: "" below the smallest key, and each key's immediate
+	// successor, which lies between it and the next key or above the
+	// largest.
+	absent := []string{""}
+	for _, k := range keys {
+		absent = append(absent, k+"\x00")
+	}
+	for _, k := range absent {
+		if _, in := ref[k]; in {
+			continue
+		}
+		if got, ok := m.Get(k); ok {
+			t.Fatalf("Get(%q) = %d, true on an absent key", k, got)
+		}
+	}
 	i := 0
 	m.Ascend(func(k string, v int) bool {
 		if i >= len(keys) || k != keys[i] || v != ref[k] {

@@ -40,22 +40,14 @@ type Options struct {
 	Horizon temporal.Tick
 	// Regions names the polygons referenced by INSIDE/OUTSIDE.
 	Regions map[string]geom.Polygon
-	// Params binds free variables to external constants.
-	Params map[string]eval.Val
-	// MaxAssignStates and BisectSamples tune the evaluator (see eval).
+	// MaxAssignStates caps the evaluator's per-tick discretization of an
+	// assignment term (see eval.Context).
 	MaxAssignStates int
-	BisectSamples   int
 	// MotionIndex, when set, accelerates INSIDE atoms: the evaluator probes
 	// the index for candidate objects instead of examining every object
 	// (§4).  The index must cover the same objects the query ranges over
 	// and a window containing [now, now+horizon].
 	MotionIndex *index.MotionIndex
-	// Parallelism fans the evaluator's per-object and per-binding loops out
-	// over a bounded worker pool: 0 or 1 evaluates sequentially, n > 1 uses
-	// n workers, and any negative value uses GOMAXPROCS.  The answer is
-	// identical at every setting (results merge in deterministic
-	// instantiation order); only the wall-clock time changes.
-	Parallelism int
 }
 
 // DefaultHorizon is the query expiry used when Options.Horizon is zero.
@@ -82,9 +74,9 @@ type Engine struct {
 	// hot path never locks, allocates, or sorts.
 	snap atomic.Pointer[regSnapshot]
 
-	// Evals counts full query evaluations, for the experiments comparing
+	// evals counts full query evaluations, for the experiments comparing
 	// evaluate-once against per-tick reevaluation.
-	evals int
+	evals atomic.Int64
 
 	// obsReg is the engine's observability registry; nil (the default)
 	// disables every hook at the cost of one branch.  Held atomically so
@@ -149,15 +141,11 @@ func (e *Engine) reg() *obs.Registry {
 
 // Evaluations returns the number of full FTL evaluations performed.
 func (e *Engine) Evaluations() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.evals
+	return int(e.evals.Load())
 }
 
 func (e *Engine) countEval() {
-	e.mu.Lock()
-	e.evals++
-	e.mu.Unlock()
+	e.evals.Add(1)
 }
 
 // newContext builds an evaluation context at now over objects, with no
@@ -168,11 +156,8 @@ func (e *Engine) newContext(opts Options, objects *most.Snapshot, now temporal.T
 		Horizon:         opts.horizon(),
 		Objects:         objects,
 		Regions:         opts.Regions,
-		Params:          opts.Params,
 		Domains:         map[string][]eval.Val{},
 		MaxAssignStates: opts.MaxAssignStates,
-		BisectSamples:   opts.BisectSamples,
-		Parallelism:     opts.Parallelism,
 		Obs:             e.reg(),
 		Span:            sp,
 	}

@@ -32,7 +32,7 @@ import (
 
 // naiveEval evaluates q from scratch against the database's current state:
 // the definitional "evaluate the whole query now" path with everything the
-// engine adds (index pruning, parallelism, rewrite) switched off.
+// engine adds (index pruning, rewrite) switched off.
 func naiveEval(t *testing.T, db *most.Database, q *ftl.Query, regions map[string]geom.Polygon, horizon temporal.Tick) *eval.Relation {
 	t.Helper()
 	ctx := &eval.Context{
@@ -147,7 +147,7 @@ func oracleSpec(seed int64, n int) workload.FleetSpec {
 // least one motion update per tick, and cross-checks every registered
 // query type against the from-scratch reference each tick:
 //
-//   - an index-accelerated, parallel continuous INSIDE query;
+//   - an index-accelerated continuous INSIDE query;
 //   - a bounded-Eventually continuous query;
 //   - a two-variable relationship (DIST) continuous query;
 //   - an assignment-quantifier persistent query (the paper's query R:
@@ -166,6 +166,7 @@ func TestDifferentialOracle(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
 			runOracle(t, seed, ticks)
 		})
 	}
@@ -213,7 +214,6 @@ func runOracle(t *testing.T, seed int64, ticks temporal.Tick) {
 		o := Options{Horizon: horizon, Regions: region}
 		if accelerated {
 			o.MotionIndex = ix
-			o.Parallelism = -1
 		}
 		return o
 	}
@@ -224,7 +224,7 @@ func runOracle(t *testing.T, seed int64, ticks temporal.Tick) {
 		opts Options
 	}{
 		{"inside-indexed", qInside, mkOpts(true)},
-		{"within-parallel", qWithin, Options{Horizon: horizon, Regions: region, Parallelism: -1}},
+		{"within", qWithin, mkOpts(false)},
 		{"dist-pairs", qDist, mkOpts(false)},
 		{"coupled-fallback", qCoupled, mkOpts(false)},
 	}

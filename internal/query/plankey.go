@@ -22,9 +22,9 @@ import (
 //
 // Two registrations with equal keys have identical Answer(CQ) at every
 // instant, so they can ride one sharedPlan: one evaluation/patch per
-// update, fanned out to all subscriber handles.  Options.Parallelism and
-// Options.MotionIndex are deliberately excluded — both change how an
-// answer is computed, never what it is.
+// update, fanned out to all subscriber handles.  Options.MotionIndex is
+// deliberately excluded — it changes how an answer is computed, never what
+// it is.
 func planKey(q *ftl.Query, opts Options) string {
 	nq := ftl.NormalizeQuery(*q)
 	w := &keyWriter{opts: opts, bound: map[string]string{}}
@@ -50,8 +50,6 @@ func planKey(q *ftl.Query, opts Options) string {
 	w.b.WriteString(strconv.FormatInt(int64(opts.horizon()), 10))
 	w.b.WriteString(";mas=")
 	w.b.WriteString(strconv.Itoa(opts.MaxAssignStates))
-	w.b.WriteString(";bs=")
-	w.b.WriteString(strconv.Itoa(opts.BisectSamples))
 	w.b.WriteString(";params=")
 	for _, p := range w.params {
 		w.b.WriteString(p)
@@ -102,12 +100,6 @@ func (w *keyWriter) formula(f ftl.Formula) {
 	case ftl.Not:
 		w.b.WriteString("not(")
 		w.formula(n.F)
-		w.b.WriteByte(')')
-	case ftl.Implies: // normalized away, kept for completeness
-		w.b.WriteString("implies(")
-		w.formula(n.L)
-		w.b.WriteByte(',')
-		w.formula(n.R)
 		w.b.WriteByte(')')
 	case ftl.Until:
 		w.b.WriteString("until(")
@@ -200,10 +192,6 @@ func (w *keyWriter) expr(e ftl.Expr) {
 		if pg, ok := w.opts.Regions[n.Name]; ok {
 			w.b.WriteString("region:")
 			w.b.WriteString(polyDigest(pg))
-			return
-		}
-		if v, ok := w.opts.Params[n.Name]; ok {
-			w.param("P" + v.String())
 			return
 		}
 		w.b.WriteString("free:")

@@ -96,7 +96,7 @@ type Config struct {
 	// DedupWindow is how many executed requests are remembered per client
 	// for idempotent retries (default 1024).
 	DedupWindow int
-	// BaseOptions seed every query evaluation: regions, index, parallelism.
+	// BaseOptions seed every query evaluation: regions and index.
 	// Per-request horizons override BaseOptions.Horizon.
 	BaseOptions query.Options
 	// Reg receives the server's metrics; nil disables instrumentation.

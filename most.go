@@ -33,10 +33,8 @@
 // Database, Engine, ContinuousQuery, PersistentQuery, Trigger and the three
 // index types are safe for concurrent use by multiple goroutines; value
 // types (Tick, Interval, Point, MotionFunc, DynamicAttr, Query, ...) are
-// immutable.  QueryOptions.Parallelism additionally fans one evaluation's
-// per-object loops over a worker pool — the answer is identical at every
-// setting.  Store, SQLSystem and Sim model single-site systems and must be
-// driven from one goroutine.  See ARCHITECTURE.md for the locking
+// immutable.  Store, SQLSystem and Sim model single-site systems and must
+// be driven from one goroutine.  See ARCHITECTURE.md for the locking
 // discipline and snapshot semantics.
 //
 // This file is the public facade: it re-exports the library's types and
@@ -296,10 +294,9 @@ type Val = eval.Val
 type Engine = query.Engine
 
 // QueryOptions configure an evaluation (§2.3, §3): horizon (query
-// expiry), regions, parameters, and the Parallelism knob that fans the
-// evaluator's per-object loops over a worker pool (0/1 sequential, n > 1
-// workers, negative = GOMAXPROCS) with an identical answer at every
-// setting.  Immutable value; safe to share.
+// expiry), regions, the assignment-term discretization cap, and an
+// optional motion index for INSIDE atoms (§4).  Immutable value; safe to
+// share.
 type QueryOptions = query.Options
 
 // ContinuousQuery is a registered continuous query with a maintained
