@@ -107,7 +107,7 @@ func TestClusterChaos(t *testing.T) {
 		ctx := &eval.Context{
 			Now:     oracle.Now(),
 			Horizon: spec.Horizon,
-			Objects: oracle.Snapshot(),
+			Objects: most.NewSnapshot(oracle.Now(), oracle.Objects("")...),
 			Regions: cat.Regions,
 			Domains: map[string][]eval.Val{},
 		}

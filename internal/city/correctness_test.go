@@ -35,7 +35,7 @@ func naiveCityEval(t *testing.T, db *most.Database, q *ftl.Query, regions map[st
 	ctx := &eval.Context{
 		Now:     db.Now(),
 		Horizon: horizon,
-		Objects: db.Snapshot(),
+		Objects: most.NewSnapshot(db.Now(), db.Objects("")...),
 		Regions: regions,
 		Domains: map[string][]eval.Val{},
 	}

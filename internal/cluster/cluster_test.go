@@ -99,7 +99,7 @@ func TestClusterCityOracle(t *testing.T) {
 		ctx := &eval.Context{
 			Now:     localDB.Now(),
 			Horizon: spec.Horizon,
-			Objects: localDB.Snapshot(),
+			Objects: most.NewSnapshot(localDB.Now(), localDB.Objects("")...),
 			Regions: cat.Regions,
 			Domains: map[string][]eval.Val{},
 		}

@@ -7,7 +7,6 @@ import (
 
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/geom"
-	"github.com/mostdb/most/internal/index"
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/query"
@@ -130,8 +129,8 @@ func timeOnce(fn func()) time.Duration {
 	return time.Since(start)
 }
 
-// obsDemoSnapshot runs a small fully-instrumented scenario — indexed
-// instantaneous text query, continuous query reevaluated by a motion
+// obsDemoSnapshot runs a small fully-instrumented scenario — instantaneous
+// text query answered from the database's grid index, continuous query reevaluated by a motion
 // update, persistent query over the logged history — and returns the
 // resulting registry snapshot.  All three query-type span trees appear in
 // Traces.
@@ -150,25 +149,15 @@ func obsDemoSnapshot() obs.Snapshot {
 	e := query.NewEngine(db)
 	e.Instrument(reg)
 
-	ix := index.NewMotionIndex(0, 256)
-	ix.Instrument(reg)
-	for _, o := range db.Objects("") {
-		pos, perr := o.Position()
-		if perr != nil {
-			continue
-		}
-		if ierr := ix.Insert(o.ID(), pos); ierr != nil {
-			panic(ierr)
-		}
-	}
-
 	opts := query.Options{
-		Horizon:     100,
-		Regions:     map[string]geom.Polygon{"P": geom.RectPolygon(200, 200, 600, 600)},
-		MotionIndex: ix,
+		Horizon: 100,
+		Regions: map[string]geom.Polygon{"P": geom.RectPolygon(200, 200, 600, 600)},
 	}
-	if _, err := e.Query(`RETRIEVE o FROM Vehicles o WHERE Eventually INSIDE(o, P)`, opts); err != nil {
-		panic(err)
+	// The first query activates the class's grid index; the second probes it.
+	for range 2 {
+		if _, err := e.Query(`RETRIEVE o FROM Vehicles o WHERE Eventually INSIDE(o, P)`, opts); err != nil {
+			panic(err)
+		}
 	}
 	q := ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE Eventually INSIDE(o, P)`)
 	cq, err := e.Continuous(q, opts)

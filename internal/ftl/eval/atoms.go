@@ -3,7 +3,6 @@ package eval
 import (
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/geom"
-	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/motion"
 	"github.com/mostdb/most/internal/temporal"
 )
@@ -394,40 +393,67 @@ func (c *Context) insideSet(obj ftl.Expr, region ftl.Expr, en env) (temporal.Set
 }
 
 func (c *Context) evalInside(n ftl.Inside) (*Relation, error) {
-	// With an index hook, probe once for the candidate objects and skip
-	// every instantiation outside the candidate set (whose satisfaction
-	// set is necessarily empty).
-	var candidates map[most.ObjectID]bool
-	if c.InsideCandidates != nil {
-		if pg, err := c.resolveRegion(n.Region); err == nil {
-			probe := c.Span.Child("index_probe")
-			candidates = map[most.ObjectID]bool{}
-			for _, id := range c.InsideCandidates(pg, c.Window()) {
-				candidates[id] = true
-			}
-			probe.Annotate("candidates", int64(len(candidates)))
-			probe.End()
-		}
+	if rel, ok, err := c.insideCandidates(n); ok {
+		return rel, err
 	}
-	falseHits := c.Obs.Counter("index.false_hits")
-	skipped := c.Obs.Counter("index.skipped_instantiations")
 	return c.evalAtom(n, func(en env) (temporal.Set, error) {
-		if candidates != nil {
-			if v, ok := n.Obj.(ftl.Var); ok {
-				if val, ok := c.lookupVar(en, v.Name); ok && val.Kind == ValObj && !candidates[val.Obj] {
-					skipped.Inc()
-					return temporal.Set{}, nil
-				}
-			}
-		}
+		return c.insideSet(n.Obj, n.Region, en)
+	})
+}
+
+// insideCandidates evaluates INSIDE(o, P) over the objects the snapshot's
+// index names for P's bounding box during the window, in id order, when
+// o is the atom's only column and ranges over its whole class: every other
+// object of the class is never in P during the window, so its
+// satisfaction set is empty and the relation has no tuple for it — §4's
+// purpose, answering "retrieve the objects that are currently in the
+// polygon P" without examining all the objects.  Every candidate is still
+// solved exactly.  ok is false when the atom must enumerate its whole
+// domain instead (another shape, or a probe the snapshot cannot answer).
+func (c *Context) insideCandidates(n ftl.Inside) (rel *Relation, ok bool, err error) {
+	v, isVar := n.Obj.(ftl.Var)
+	if !isVar || !c.wholeClass[v.Name] {
+		return nil, false, nil
+	}
+	cols, err := c.atomCols(n)
+	if err != nil || len(cols) != 1 || cols[0] != v.Name {
+		return nil, false, nil
+	}
+	pg, err := c.resolveRegion(n.Region)
+	if err != nil {
+		return nil, false, nil
+	}
+	probe := c.Span.Child("index_probe")
+	ids, covered := c.Objects.Candidates(c.classOf[v.Name], pg.Bounds(), c.Window())
+	if !covered {
+		probe.Annotate("scan", 1)
+		probe.End()
+		return nil, false, nil
+	}
+	probe.Annotate("candidates", int64(len(ids)))
+	probe.End()
+	c.Obs.Counter("index.snapshot_probes").Inc()
+	c.Obs.Histogram("index.candidates_per_probe").Observe(int64(len(ids)))
+	c.Obs.Counter("eval.instantiations").Add(int64(len(ids)))
+	falseHits := c.Obs.Counter("index.false_hits")
+	rel = NewRelation(cols...)
+	vals := make([]Val, 1)
+	en := env{}
+	for _, id := range ids {
+		vals[0] = ObjVal(id)
+		en[v.Name] = vals[0]
 		set, err := c.insideSet(n.Obj, n.Region, en)
-		// A candidate that turns out never to be inside is a false hit of
-		// the index probe (the strip cover over-approximates trajectories).
-		if err == nil && candidates != nil && set.IsEmpty() {
+		if err != nil {
+			return nil, true, err
+		}
+		// A candidate never inside is a false hit of the probe: the cells
+		// over-approximate trajectories.
+		if set.IsEmpty() {
 			falseHits.Inc()
 		}
-		return set, err
-	})
+		rel.Add(vals, set)
+	}
+	return rel, true, nil
 }
 
 func (c *Context) evalOutside(n ftl.Outside) (*Relation, error) {

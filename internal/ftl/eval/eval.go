@@ -1,7 +1,10 @@
 package eval
 
 import (
+	"maps"
+
 	"github.com/mostdb/most/internal/ftl"
+	"github.com/mostdb/most/internal/most"
 )
 
 // BindDomains populates the context's variable domains from a query's FROM
@@ -13,17 +16,16 @@ func (c *Context) BindDomains(q *ftl.Query) error {
 	}
 	if c.classOf == nil {
 		c.classOf = make(map[string]string, len(q.Bindings))
+		c.wholeClass = make(map[string]bool, len(q.Bindings))
 	}
 	for _, b := range q.Bindings {
 		if _, dup := c.Domains[b.Var]; dup {
 			return errf("variable %q bound twice", b.Var)
 		}
 		c.classOf[b.Var] = b.Class
-		objs := c.Objects.Objects(b.Class)
-		dom := make([]Val, len(objs))
-		for i, o := range objs {
-			dom[i] = ObjVal(o.ID())
-		}
+		c.wholeClass[b.Var] = true
+		dom := make([]Val, 0, c.Objects.ClassLen(b.Class))
+		c.Objects.EachID(b.Class, func(id most.ObjectID) { dom = append(dom, ObjVal(id)) })
 		c.Domains[b.Var] = dom
 	}
 	return nil
@@ -31,10 +33,10 @@ func (c *Context) BindDomains(q *ftl.Query) error {
 
 // EvalQueryPinned evaluates q with the FROM-bound variable pin restricted
 // to the single value val, returning Answer(CQ) limited to the tuples whose
-// pin column equals val.  It reuses the whole atom/term machinery (and the
-// motion index, via the context's candidate hook) but enumerates only the
-// pinned object's instantiations — the per-object entry point behind the
-// query engine's delta maintenance.  The context is not modified.
+// pin column equals val.  It reuses the whole atom/term machinery but
+// enumerates only the pinned object's instantiations — the per-object
+// entry point behind the query engine's delta maintenance.  The context is
+// not modified.
 func EvalQueryPinned(q *ftl.Query, c *Context, pin string, val Val) (*Relation, error) {
 	if _, ok := c.Domains[pin]; !ok {
 		return nil, errf("pinned variable %q has no FROM binding", pin)
@@ -45,6 +47,10 @@ func EvalQueryPinned(q *ftl.Query, c *Context, pin string, val Val) (*Relation, 
 		pc.Domains[k] = dom
 	}
 	pc.Domains[pin] = []Val{val}
+	if pc.wholeClass[pin] {
+		pc.wholeClass = maps.Clone(c.wholeClass)
+		delete(pc.wholeClass, pin)
+	}
 	return EvalQuery(q, &pc)
 }
 

@@ -23,8 +23,8 @@ import (
 // relations are read-only: Add panics on one.
 type Relation struct {
 	Cols   []string
-	tuples map[string]*Tuple // mutable form (nil when frozen)
-	tree   pmap.Map[*Tuple]  // frozen form
+	tuples map[string]*Tuple        // mutable form (nil when frozen)
+	tree   pmap.Map[string, *Tuple] // frozen form
 	frozen bool
 }
 

@@ -45,14 +45,6 @@ type Context struct {
 	// form (0 means 512).
 	BisectSamples int
 
-	// InsideCandidates, when non-nil, prunes INSIDE atoms with a spatial
-	// index probe: it returns the ids of the objects whose trajectories may
-	// intersect the polygon during the window (a superset of the satisfying
-	// objects).  Instantiations outside the candidate set are skipped —
-	// §4's purpose: answering "retrieve the objects that are currently in
-	// the polygon P" without examining all the objects.
-	InsideCandidates func(pg geom.Polygon, w temporal.Interval) []most.ObjectID
-
 	// Obs receives evaluation metrics (sub-formula counts, instantiations,
 	// index probes and false hits).  Nil disables instrumentation at the
 	// cost of one branch per hook.
@@ -65,6 +57,11 @@ type Context struct {
 	// classOf maps each variable BindDomains bound to its FROM class, so
 	// an object lookup through the variable probes that class first.
 	classOf map[string]string
+	// wholeClass marks the variables whose domain is still every object of
+	// their FROM class in Objects (EvalQueryPinned narrows one): an INSIDE
+	// atom over such a variable enumerates only the objects the snapshot's
+	// index names (Snapshot.Candidates).
+	wholeClass map[string]bool
 }
 
 // Window returns the evaluation window [Now, Now+Horizon].

@@ -209,7 +209,7 @@ func appendObject(b []byte, o *Object) []byte {
 			b[mask+i/8] |= 1 << (i % 8)
 			b = appendStatic(b, v)
 		} else {
-			d, ok := o.dynamics[a.Name]
+			d, ok := o.dynamic(a.Name)
 			if !ok {
 				continue
 			}
@@ -247,21 +247,22 @@ func readObject(r *binfmt.Reader, classes map[string]*Class, id ObjectID) *Objec
 		return nil
 	}
 	nStatic, nDynamic := 0, 0
+	o := &Object{id: id, class: c}
 	for i, a := range c.attrs {
 		if mask[i/8]&(1<<(i%8)) == 0 {
 			continue
 		}
 		if a.Kind == Static {
 			nStatic++
-		} else {
+		} else if p, _ := o.posCoord(a.Name); p == nil {
 			nDynamic++
 		}
 	}
-	o := &Object{
-		id:       id,
-		class:    c,
-		statics:  make(map[string]Value, nStatic),
-		dynamics: make(map[string]motion.DynamicAttr, nDynamic),
+	if nStatic > 0 {
+		o.statics = make(map[string]Value, nStatic)
+	}
+	if nDynamic > 0 {
+		o.dynamics = make(map[string]motion.DynamicAttr, nDynamic)
 	}
 	for i, a := range c.attrs {
 		if mask[i/8]&(1<<(i%8)) == 0 {
@@ -285,7 +286,12 @@ func readObject(r *binfmt.Reader, classes map[string]*Class, id ObjectID) *Objec
 			r.Fail("object %s: %v", id, err)
 			return nil
 		}
-		o.dynamics[a.Name] = d
+		if p, bit := o.posCoord(a.Name); p != nil {
+			*p = d
+			o.posSet |= bit
+		} else {
+			o.dynamics[a.Name] = d
+		}
 	}
 	if r.Err != nil {
 		return nil

@@ -229,7 +229,9 @@ func TestNonFiniteValuesRejected(t *testing.T) {
 	forge := func(mut func(o *Object)) *Object {
 		o, _ := db.Get("car")
 		c := *o
-		c.statics, c.dynamics = maps.Clone(o.statics), maps.Clone(o.dynamics)
+		c.statics, c.dynamics = map[string]Value{}, map[string]motion.DynamicAttr{}
+		maps.Copy(c.statics, o.statics)
+		maps.Copy(c.dynamics, o.dynamics)
 		mut(&c)
 		return &c
 	}

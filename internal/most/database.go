@@ -128,12 +128,14 @@ type Database struct {
 }
 
 // classTree is the writer's side of one class: the open Txn over its
-// objects, keyed by id, and the root it last published.
+// objects, keyed by id, the root it last published, and the class's grid
+// index once a probe has asked for one (see grid.go).
 type classTree struct {
 	class *Class
-	txn   *pmap.Txn[*Object]
-	root  pmap.Map[*Object]
+	txn   *pmap.Txn[string, *Object]
+	root  pmap.Map[string, *Object]
 	dirty bool // written since root was published
+	grid  *gridIndex
 }
 
 // NewDatabase returns an empty database with the clock at tick 0.
@@ -171,6 +173,11 @@ func (db *Database) advance(d temporal.Tick, p *Prov) temporal.Tick {
 		db.now = db.now.Add(d)
 		db.clock.Store(int64(db.now))
 		db.stale.Store(true)
+		for _, t := range db.classes {
+			if t.grid != nil {
+				t.grid.extend(db.now, t.txn)
+			}
+		}
 	}
 	if w := db.wal.Load(); w != nil {
 		w.append(&walRecord{kind: recClock, now: db.now, prov: p})
@@ -192,7 +199,7 @@ func (db *Database) DefineClass(c *Class) error {
 	i, _ := slices.BinarySearchFunc(db.classes, c.name, func(t *classTree, name string) int {
 		return cmp.Compare(t.class.name, name)
 	})
-	db.classes = slices.Insert(db.classes, i, &classTree{class: c, txn: pmap.Map[*Object]{}.Edit()})
+	db.classes = slices.Insert(db.classes, i, &classTree{class: c, txn: pmap.Map[string, *Object]{}.Edit()})
 	db.stale.Store(true)
 	if w := db.wal.Load(); w != nil {
 		w.append(&walRecord{kind: recClass, class: c})
@@ -240,6 +247,9 @@ type Tx struct {
 func (tx *Tx) commit(t *classTree, u Update) error {
 	db := tx.db
 	t.dirty = true
+	if t.grid != nil {
+		t.grid.apply(u, db.now)
+	}
 	db.stale.Store(true)
 	db.version.Add(1)
 	if len(db.holds) > 0 {
@@ -388,17 +398,45 @@ func (db *Database) publishLocked() *Snapshot {
 	if !db.stale.Load() {
 		return db.snap.Load()
 	}
-	s := &Snapshot{now: db.now, version: db.version.Load(), classes: make([]classRoot, len(db.classes))}
+	s := &Snapshot{now: db.now, version: db.version.Load(), classes: make([]classRoot, len(db.classes)), db: db}
 	for i, t := range db.classes {
 		if t.dirty {
 			t.root, t.dirty = t.txn.Map(), false
 		}
-		s.classes[i] = classRoot{class: t.class, objs: t.root}
+		s.classes[i] = classRoot{class: t.class, objs: t.root, grid: t.grid.view(db.now)}
 	}
 	db.snap.Store(s)
 	db.stale.Store(false)
 	db.obsv.Load().published()
 	return s
+}
+
+// indexFor makes sure the spatial class is indexed for windows reaching
+// need ticks past the current time: the first call builds the class's
+// grid index from its current objects, a later one with a wider need
+// widens the coverage of every object, up to gridMaxSlices slices.
+// Snapshots published afterwards carry the index; see grid.go.
+func (db *Database) indexFor(class string, need temporal.Tick) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, t := range db.classes {
+		if t.class.name != class || !t.class.spatial {
+			continue
+		}
+		switch {
+		case t.grid == nil:
+			t.grid = newGridIndex(t.txn.Map(), db.now, need, &db.obsv)
+			t.dirty = true // the Map above ended the objects' batch
+			db.obsv.Load().indexActivated()
+		case need > t.grid.horizon && need <= (gridMaxSlices-2)*t.grid.slice:
+			t.grid.horizon = need
+			t.grid.extend(db.now, t.txn)
+		default:
+			return
+		}
+		db.stale.Store(true)
+		return
+	}
 }
 
 // Count returns the number of live objects (all classes).

@@ -18,10 +18,17 @@ type ObjectID string
 // through the Database, which installs a new revision; holders of an old
 // *Object continue to see the state as of when they fetched it.
 type Object struct {
-	id       ObjectID
-	class    *Class
-	statics  map[string]Value
+	id      ObjectID
+	class   *Class
+	statics map[string]Value
+	// dynamics holds the dynamic attributes other than a spatial object's
+	// POSITION, which live in pos: the position is read on every spatial
+	// predicate, so it costs no map lookup.  posSet marks which of the
+	// three coordinates were ever set (bit i for X, Y, Z), which the codec
+	// needs to encode the object exactly as a map of attributes would.
 	dynamics map[string]motion.DynamicAttr
+	pos      motion.Position
+	posSet   uint8
 }
 
 // NewObject builds an object of the given class.  Unset static attributes
@@ -33,12 +40,7 @@ func NewObject(id ObjectID, class *Class) (*Object, error) {
 	if class == nil {
 		return nil, fmt.Errorf("most: object %s: class must not be nil", id)
 	}
-	return &Object{
-		id:       id,
-		class:    class,
-		statics:  map[string]Value{},
-		dynamics: map[string]motion.DynamicAttr{},
-	}, nil
+	return &Object{id: id, class: class}, nil
 }
 
 // ID returns the object identifier.
@@ -71,6 +73,9 @@ func (o *Object) WithStatic(name string, v Value) (*Object, error) {
 	// changes and shares the other.
 	c := *o
 	c.statics = maps.Clone(o.statics)
+	if c.statics == nil {
+		c.statics = map[string]Value{}
+	}
 	c.statics[name] = v
 	return &c, nil
 }
@@ -85,9 +90,49 @@ func (o *Object) WithDynamic(name string, a motion.DynamicAttr) (*Object, error)
 		return nil, err
 	}
 	c := *o
-	c.dynamics = maps.Clone(o.dynamics)
-	c.dynamics[name] = a
+	c.setDynamic(name, a)
 	return &c, nil
+}
+
+// posCoord returns the position coordinate that stores name, with its
+// presence bit, or nil when name is kept in the dynamics map.
+func (o *Object) posCoord(name string) (*motion.DynamicAttr, uint8) {
+	if !o.class.spatial {
+		return nil, 0
+	}
+	switch name {
+	case XPosition:
+		return &o.pos.X, 1
+	case YPosition:
+		return &o.pos.Y, 2
+	case ZPosition:
+		return &o.pos.Z, 4
+	}
+	return nil, 0
+}
+
+// dynamic returns the dynamic attribute name and whether it was ever set.
+func (o *Object) dynamic(name string) (motion.DynamicAttr, bool) {
+	if p, bit := o.posCoord(name); p != nil {
+		return *p, o.posSet&bit != 0
+	}
+	d, ok := o.dynamics[name]
+	return d, ok
+}
+
+// setDynamic stores a dynamic attribute into a revision under
+// construction: a POSITION coordinate in place, any other attribute in a
+// copy of the map, which revisions share and never change.
+func (o *Object) setDynamic(name string, a motion.DynamicAttr) {
+	if p, bit := o.posCoord(name); p != nil {
+		*p = a
+		o.posSet |= bit
+		return
+	}
+	m := make(map[string]motion.DynamicAttr, len(o.dynamics)+1)
+	maps.Copy(m, o.dynamics)
+	m[name] = a
+	o.dynamics = m
 }
 
 // checkStatic rejects a static value no snapshot can hold: a NaN or
@@ -133,10 +178,7 @@ func (o *Object) WithPosition(p motion.Position) (*Object, error) {
 		}
 	}
 	c := *o
-	c.dynamics = maps.Clone(o.dynamics)
-	c.dynamics[XPosition] = p.X
-	c.dynamics[YPosition] = p.Y
-	c.dynamics[ZPosition] = p.Z
+	c.pos, c.posSet = p, 7
 	return &c, nil
 }
 
@@ -153,7 +195,8 @@ func (o *Object) Dynamic(name string) (motion.DynamicAttr, error) {
 	if err := o.checkAttr(name, Dynamic); err != nil {
 		return motion.DynamicAttr{}, err
 	}
-	return o.dynamics[name], nil
+	d, _ := o.dynamic(name)
+	return d, nil
 }
 
 // ValueAt returns the attribute's value at tick t: for static attributes
@@ -168,7 +211,8 @@ func (o *Object) ValueAt(name string, t temporal.Tick) (Value, error) {
 	if def.Kind == Static {
 		return o.statics[name], nil
 	}
-	return Float(o.dynamics[name].At(t)), nil
+	d, _ := o.dynamic(name)
+	return Float(d.At(t)), nil
 }
 
 // Position returns the object's position attributes as a motion.Position.
@@ -176,11 +220,7 @@ func (o *Object) Position() (motion.Position, error) {
 	if !o.class.Spatial() {
 		return motion.Position{}, fmt.Errorf("most: class %s is not spatial", o.class.Name())
 	}
-	return motion.Position{
-		X: o.dynamics[XPosition],
-		Y: o.dynamics[YPosition],
-		Z: o.dynamics[ZPosition],
-	}, nil
+	return o.pos, nil
 }
 
 // PositionAt returns the object's location at tick t.

@@ -23,6 +23,10 @@ import (
 //	wal.flushes                   group-commit batch writes (syscalls)
 //	wal.syncs / wal.sync_ns       explicit fsyncs and their latency
 //	most.checkpoint_bytes   size of the latest checkpoint image written
+//	most.index.activations  classes whose grid index was built (grid.go)
+//	most.index.writes       grid index entries inserted or deleted
+//	most.index.extensions   objects whose index coverage a clock advance
+//	                        or a wider probe extended
 
 // dbObs is the database's pre-resolved instrument set.
 type dbObs struct {
@@ -32,6 +36,9 @@ type dbObs struct {
 	snapshots *obs.Counter
 	publishes *obs.Counter
 	ckptBytes *obs.Gauge
+	idxActs   *obs.Counter
+	idxWrites *obs.Counter
+	idxExts   *obs.Counter
 }
 
 // start returns the commit start time, or the zero time when disabled (so
@@ -66,6 +73,27 @@ func (o *dbObs) published() {
 	}
 }
 
+// indexActivated records one class index built.
+func (o *dbObs) indexActivated() {
+	if o != nil {
+		o.idxActs.Inc()
+	}
+}
+
+// indexWrites records n index entries written.
+func (o *dbObs) indexWrites(n int) {
+	if o != nil {
+		o.idxWrites.Add(int64(n))
+	}
+}
+
+// indexExtensions records n objects whose coverage was extended.
+func (o *dbObs) indexExtensions(n int) {
+	if o != nil && n > 0 {
+		o.idxExts.Add(int64(n))
+	}
+}
+
 // checkpointDone records the size of a checkpoint image just written.
 func (o *dbObs) checkpointDone(n int) {
 	if o == nil {
@@ -89,6 +117,9 @@ func (db *Database) Instrument(reg *obs.Registry) {
 			snapshots: reg.Counter("db.snapshots"),
 			publishes: reg.Counter("db.publishes"),
 			ckptBytes: reg.Gauge("most.checkpoint_bytes"),
+			idxActs:   reg.Counter("most.index.activations"),
+			idxWrites: reg.Counter("most.index.writes"),
+			idxExts:   reg.Counter("most.index.extensions"),
 		})
 	}
 	if w := db.wal.Load(); w != nil {

@@ -107,14 +107,18 @@ func encodeObject(o *Object) objectDTO {
 			od.Statics[k] = encodeValue(v)
 		}
 	}
-	if len(o.dynamics) > 0 {
-		od.Dynamics = map[string]dynDTO{}
-		for k, d := range o.dynamics {
-			od.Dynamics[k] = dynDTO{
-				Value:      d.Value,
-				UpdateTime: d.UpdateTime,
-				Function:   d.Function.String(),
-			}
+	for _, a := range o.class.attrs {
+		d, ok := o.dynamic(a.Name)
+		if a.Kind != Dynamic || !ok {
+			continue
+		}
+		if od.Dynamics == nil {
+			od.Dynamics = map[string]dynDTO{}
+		}
+		od.Dynamics[a.Name] = dynDTO{
+			Value:      d.Value,
+			UpdateTime: d.UpdateTime,
+			Function:   d.Function.String(),
 		}
 	}
 	return od

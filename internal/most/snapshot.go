@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"github.com/mostdb/most/internal/geom"
 	"github.com/mostdb/most/internal/pmap"
 	"github.com/mostdb/most/internal/temporal"
 )
@@ -17,16 +18,20 @@ type Snapshot struct {
 	now     temporal.Tick
 	version uint64
 	classes []classRoot // sorted by class name
+	db      *Database   // the database that published it; nil if standalone
 }
 
-// classRoot is one class's objects in a snapshot, keyed by id.
+// classRoot is one class's objects in a snapshot, keyed by id, and the
+// class's grid index as of the same commit (zero when not indexed).
 type classRoot struct {
 	class *Class
-	objs  pmap.Map[*Object]
+	objs  pmap.Map[string, *Object]
+	grid  gridView
 }
 
 // NewSnapshot builds a standalone snapshot at tick now holding objs, whose
-// ids must be distinct.
+// ids must be distinct.  It carries no index: Candidates on it always
+// reports that the caller must scan.
 func NewSnapshot(now temporal.Tick, objs ...*Object) *Snapshot {
 	sorted := slices.Clone(objs)
 	slices.SortFunc(sorted, func(a, b *Object) int {
@@ -87,6 +92,29 @@ func (s *Snapshot) Len() int {
 	return n
 }
 
+// ClassLen returns the number of objects of class.
+func (s *Snapshot) ClassLen(class string) int {
+	for _, c := range s.classes {
+		if c.class.name == class {
+			return c.objs.Len()
+		}
+	}
+	return 0
+}
+
+// EachID calls fn with the id of every object of class in ascending
+// order, reading no object revision.
+func (s *Snapshot) EachID(class string, fn func(ObjectID)) {
+	for _, c := range s.classes {
+		if c.class.name == class {
+			c.objs.Ascend(func(k string, _ *Object) bool {
+				fn(ObjectID(k))
+				return true
+			})
+		}
+	}
+}
+
 // Objects returns the objects of a class, or of every class with
 // class == "", sorted by id.
 func (s *Snapshot) Objects(class string) []*Object {
@@ -122,4 +150,31 @@ func (s *Snapshot) Objects(class string) []*Object {
 		out = append(out, lists[best][0])
 		lists[best] = lists[best][1:]
 	}
+}
+
+// Candidates returns, in id order, the objects of class whose trajectory
+// may meet rectangle r (in the plane) at some instant of window w: a
+// superset of the objects inside r at some tick of w, drawn from the
+// class's grid index as of this snapshot's commit.  covered is false when
+// the snapshot cannot answer — a standalone snapshot, a class not yet
+// indexed, a window its coverage does not reach, a rectangle too wide —
+// and the caller must examine every object.  A database snapshot that
+// misses for want of an index or of coverage asks the database to index
+// the class or widen its coverage, so that later snapshots can answer.
+func (s *Snapshot) Candidates(class string, r geom.Rect, w temporal.Interval) (ids []ObjectID, covered bool) {
+	for i := range s.classes {
+		c := &s.classes[i]
+		if c.class.name != class {
+			continue
+		}
+		if s.db == nil || !c.class.spatial || w.Start < s.now {
+			return nil, false
+		}
+		if c.grid.side == 0 || w.End > c.grid.until {
+			s.db.indexFor(class, w.End-s.now)
+			return nil, false
+		}
+		return c.grid.candidates(r, w)
+	}
+	return nil, false
 }

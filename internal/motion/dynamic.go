@@ -110,15 +110,23 @@ func (s Segment) Sub(t0, t1 float64) Segment {
 // Trajectory returns the attribute's straight segments over the absolute
 // time window [from, to].
 func (a DynamicAttr) Trajectory(from, to float64) []Segment {
+	var out []Segment
+	a.eachSegment(from, to, func(s Segment) { out = append(out, s) })
+	return out
+}
+
+// eachSegment calls fn with each polynomial segment of the attribute's
+// trajectory over [from, to], in time order.
+func (a DynamicAttr) eachSegment(from, to float64, fn func(Segment)) {
 	if from > to {
-		return nil
+		return
 	}
 	pieces := a.Function.Pieces()
 	base := float64(a.UpdateTime)
 	if len(pieces) == 0 {
-		return []Segment{{T0: from, T1: to, V0: a.Value, Slope: 0}}
+		fn(Segment{T0: from, T1: to, V0: a.Value, Slope: 0})
+		return
 	}
-	var out []Segment
 	for i, p := range pieces {
 		t0 := base + p.Start
 		t1 := to
@@ -132,7 +140,7 @@ func (a DynamicAttr) Trajectory(from, to float64) []Segment {
 		if s > e {
 			continue
 		}
-		out = append(out, Segment{
+		fn(Segment{
 			T0:    s,
 			T1:    e,
 			V0:    a.AtReal(s),
@@ -140,7 +148,23 @@ func (a DynamicAttr) Trajectory(from, to float64) []Segment {
 			Accel: p.Accel,
 		})
 	}
-	return out
+}
+
+// Range bounds the attribute's values over the absolute time window
+// [from, to]: the motion envelope both the query engine's spatial
+// relevance filter and the database's grid index are built from.
+func (a DynamicAttr) Range(from, to float64) (lo, hi float64) {
+	lo, hi = a.Value, a.Value
+	first := true
+	a.eachSegment(from, to, func(s Segment) {
+		_, _, vMin, vMax := s.Bounds()
+		if first {
+			lo, hi, first = vMin, vMax, false
+			return
+		}
+		lo, hi = min(lo, vMin), max(hi, vMax)
+	})
+	return lo, hi
 }
 
 // RangeTimes returns the real times t in [from, to] at which

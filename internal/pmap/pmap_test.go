@@ -9,7 +9,7 @@ import (
 
 // check compares m with the reference map: length, every lookup, and
 // ascending iteration order.
-func check(t *testing.T, m Map[int], ref map[string]int) {
+func check(t *testing.T, m Map[string, int], ref map[string]int) {
 	t.Helper()
 	if m.Len() != len(ref) {
 		t.Fatalf("Len = %d, want %d", m.Len(), len(ref))
@@ -48,6 +48,22 @@ func check(t *testing.T, m Map[int], ref map[string]int) {
 	if i != len(keys) {
 		t.Fatalf("Ascend visited %d entries, want %d", i, len(keys))
 	}
+	// AscendFrom starts at the first key >= lo, present or absent, and
+	// stops when fn says so.
+	for j, lo := range append(absent, keys...) {
+		want := sort.SearchStrings(keys, lo)
+		n := 0
+		m.AscendFrom(lo, func(k string, _ int) bool {
+			if k != keys[want+n] {
+				t.Fatalf("AscendFrom(%q) entry %d = %q, want %q", lo, n, k, keys[want+n])
+			}
+			n++
+			return n < j%4+1
+		})
+		if wantN := min(j%4+1, len(keys)-want); n != wantN {
+			t.Fatalf("AscendFrom(%q) visited %d entries, want %d", lo, n, wantN)
+		}
+	}
 	if m.root != nil {
 		checkNode(t, m.root, "", true)
 	}
@@ -55,7 +71,7 @@ func check(t *testing.T, m Map[int], ref map[string]int) {
 
 // checkNode verifies the separator invariant: every key of child i lies in
 // [keys[i], keys[i+1]).
-func checkNode(t *testing.T, n *node[int], lo string, first bool) {
+func checkNode(t *testing.T, n *node[string, int], lo string, first bool) {
 	t.Helper()
 	if n.size() > maxEntries {
 		t.Fatalf("node with %d entries exceeds fanout %d", n.size(), maxEntries)
@@ -72,7 +88,7 @@ func checkNode(t *testing.T, n *node[int], lo string, first bool) {
 		checkNode(t, c, n.keys[i], first && i == 0)
 		if i+1 < len(n.kids) {
 			var last string
-			(Map[int]{root: c}).Ascend(func(k string, _ int) bool { last = k; return true })
+			(Map[string, int]{root: c}).Ascend(func(k string, _ int) bool { last = k; return true })
 			if last >= n.keys[i+1] {
 				t.Fatalf("child %d holds %q beyond its upper separator %q", i, last, n.keys[i+1])
 			}
@@ -85,10 +101,10 @@ func checkNode(t *testing.T, n *node[int], lo string, first bool) {
 // and that every earlier version still matches its own snapshot.
 func TestRandomEditsPersist(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var m Map[int]
+	var m Map[string, int]
 	ref := map[string]int{}
 	type version struct {
-		m   Map[int]
+		m   Map[string, int]
 		ref map[string]int
 	}
 	var history []version
@@ -149,7 +165,7 @@ func TestFromSortedThenEdit(t *testing.T) {
 // TestDeleteEverything shrinks a large map to empty and back, exercising
 // merges and root collapse.
 func TestDeleteEverything(t *testing.T) {
-	var m Map[int]
+	var m Map[string, int]
 	tx := m.Edit()
 	for i := 0; i < 3000; i++ {
 		tx.Set(fmt.Sprintf("%05d", (i*7919)%3000), i)

@@ -27,7 +27,6 @@ import (
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/ftl/eval"
 	"github.com/mostdb/most/internal/geom"
-	"github.com/mostdb/most/internal/index"
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/temporal"
@@ -43,11 +42,6 @@ type Options struct {
 	// MaxAssignStates caps the evaluator's per-tick discretization of an
 	// assignment term (see eval.Context).
 	MaxAssignStates int
-	// MotionIndex, when set, accelerates INSIDE atoms: the evaluator probes
-	// the index for candidate objects instead of examining every object
-	// (§4).  The index must cover the same objects the query ranges over
-	// and a window containing [now, now+horizon].
-	MotionIndex *index.MotionIndex
 }
 
 // DefaultHorizon is the query expiry used when Options.Horizon is zero.
@@ -151,7 +145,7 @@ func (e *Engine) countEval() {
 // newContext builds an evaluation context at now over objects, with no
 // domains bound.
 func (e *Engine) newContext(opts Options, objects *most.Snapshot, now temporal.Tick, sp *obs.Span) *eval.Context {
-	ctx := &eval.Context{
+	return &eval.Context{
 		Now:             now,
 		Horizon:         opts.horizon(),
 		Objects:         objects,
@@ -161,12 +155,6 @@ func (e *Engine) newContext(opts Options, objects *most.Snapshot, now temporal.T
 		Obs:             e.reg(),
 		Span:            sp,
 	}
-	if ix := opts.MotionIndex; ix != nil {
-		ctx.InsideCandidates = func(pg geom.Polygon, w temporal.Interval) []most.ObjectID {
-			return ix.CandidatesInRect(pg.Bounds(), float64(w.Start), float64(w.End))
-		}
-	}
-	return ctx
 }
 
 // boundContext is newContext with the domains of q bound from objects, as

@@ -6,14 +6,13 @@ import (
 
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/geom"
-	"github.com/mostdb/most/internal/index"
 	"github.com/mostdb/most/internal/most"
-	"github.com/mostdb/most/internal/motion"
 	"github.com/mostdb/most/internal/obs"
 )
 
 // instrumentedScenario runs all three query types (§2.3) against a fully
-// instrumented engine, database and motion index, and returns the registry.
+// instrumented engine and database, whose grid index the first INSIDE
+// query activates, and returns the registry.
 func instrumentedScenario(t *testing.T) *obs.Registry {
 	t.Helper()
 	db, cls := testDB(t)
@@ -22,23 +21,20 @@ func instrumentedScenario(t *testing.T) *obs.Registry {
 	e := NewEngine(db)
 	e.Instrument(reg)
 
-	ix := index.NewMotionIndex(0, 256)
-	ix.Instrument(reg)
 	for i := 0; i < 20; i++ {
 		id := most.ObjectID(string(rune('a'+i)) + "-car")
-		p := geom.Point{X: float64(i * 3)}
-		v := geom.Vector{X: 1}
-		addCar(t, db, cls, id, p, v)
-		if err := ix.Insert(id, motion.MovingFrom(p, v, 0)); err != nil {
-			t.Fatal(err)
-		}
+		addCar(t, db, cls, id, geom.Point{X: float64(i * 3)}, geom.Vector{X: 1})
 	}
 
-	opts := Options{Horizon: 100, Regions: regionP(), MotionIndex: ix}
+	opts := Options{Horizon: 100, Regions: regionP()}
 
 	// Instantaneous, through the text entry point so the parse stage runs.
-	if _, err := e.Query(`RETRIEVE o FROM Vehicles o WHERE Eventually INSIDE(o, P)`, opts); err != nil {
-		t.Fatal(err)
+	// The first run finds the class unindexed, scans and activates the
+	// index; the second probes it.
+	for range 2 {
+		if _, err := e.Query(`RETRIEVE o FROM Vehicles o WHERE Eventually INSIDE(o, P)`, opts); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	q := ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE Eventually INSIDE(o, P)`)
@@ -55,13 +51,6 @@ func instrumentedScenario(t *testing.T) *obs.Registry {
 	db.Tick()
 	if err := db.SetMotion("a-car", geom.Vector{X: 2}); err != nil {
 		t.Fatal(err)
-	}
-	if o, ok := db.Get("a-car"); ok {
-		if pos, err := o.Position(); err == nil {
-			if err := ix.Update("a-car", pos, db.Now()); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	if _, err := cq.Current(db.Now()); err != nil {
 		t.Fatal(err)
@@ -90,9 +79,9 @@ func TestObsSnapshotSchema(t *testing.T) {
 		"query.persistent.reevals",
 		"eval.subformulas",
 		"eval.instantiations",
-		"index.probes",
-		"index.inserts",
-		"index.updates",
+		"index.snapshot_probes",
+		"most.index.activations",
+		"most.index.writes",
 		"db.commits",
 		"db.snapshots",
 	} {
@@ -106,6 +95,7 @@ func TestObsSnapshotSchema(t *testing.T) {
 		"query.continuous_ns",
 		"query.persistent_ns",
 		"db.commit_ns",
+		"index.candidates_per_probe",
 	} {
 		hs, ok := snap.Histograms[h]
 		if !ok || hs.Count <= 0 {

@@ -271,7 +271,7 @@ func TestLoopbackCityOracle(t *testing.T) {
 		ctx := &eval.Context{
 			Now:     localDB.Now(),
 			Horizon: spec.Horizon,
-			Objects: localDB.Snapshot(),
+			Objects: most.NewSnapshot(localDB.Now(), localDB.Objects("")...),
 			Regions: cat.Regions,
 			Domains: map[string][]eval.Val{},
 		}

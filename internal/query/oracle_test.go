@@ -9,7 +9,6 @@ import (
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/ftl/eval"
 	"github.com/mostdb/most/internal/geom"
-	"github.com/mostdb/most/internal/index"
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/temporal"
@@ -32,13 +31,14 @@ import (
 
 // naiveEval evaluates q from scratch against the database's current state:
 // the definitional "evaluate the whole query now" path with everything the
-// engine adds (index pruning, rewrite) switched off.
+// engine adds (index pruning, rewrite) switched off: it reads a standalone
+// snapshot of the objects, which carries no index.
 func naiveEval(t *testing.T, db *most.Database, q *ftl.Query, regions map[string]geom.Polygon, horizon temporal.Tick) *eval.Relation {
 	t.Helper()
 	ctx := &eval.Context{
 		Now:     db.Now(),
 		Horizon: horizon,
-		Objects: db.Snapshot(),
+		Objects: most.NewSnapshot(db.Now(), db.Objects("")...),
 		Regions: regions,
 		Domains: map[string][]eval.Val{},
 	}
@@ -111,29 +111,6 @@ func sameRows(a, b []Row) bool {
 	return true
 }
 
-// maintainIndex subscribes a listener keeping ix synchronized with db.
-// Subscribed before the engine exists, so the index already reflects an
-// update when the engine's synchronous reevaluation probes it.
-func maintainIndex(db *most.Database, ix *index.MotionIndex) {
-	db.Subscribe(func(u most.Update) {
-		if u.After == nil {
-			if u.Before != nil {
-				ix.Remove(u.Before.ID())
-			}
-			return
-		}
-		pos, err := u.After.Position()
-		if err != nil {
-			return
-		}
-		id := u.After.ID()
-		if err := ix.Update(id, pos, u.Tick); err != nil {
-			// Not indexed yet (insert).
-			_ = ix.Insert(id, pos)
-		}
-	})
-}
-
 func oracleSpec(seed int64, n int) workload.FleetSpec {
 	return workload.FleetSpec{
 		N:        n,
@@ -184,18 +161,6 @@ func runOracle(t *testing.T, seed int64, ticks temporal.Tick) {
 	}
 	region := map[string]geom.Polygon{"P": geom.RectPolygon(20, 20, 70, 70)}
 
-	// Index first, engine second: see maintainIndex.
-	ix := index.NewMotionIndex(0, ticks+horizon+1)
-	for _, o := range db.Objects("") {
-		pos, perr := o.Position()
-		if perr != nil {
-			continue
-		}
-		if ierr := ix.Insert(o.ID(), pos); ierr != nil {
-			t.Fatal(ierr)
-		}
-	}
-	maintainIndex(db, ix)
 	e := NewEngine(db)
 	reg := obs.New()
 	e.Instrument(reg)
@@ -210,34 +175,28 @@ func runOracle(t *testing.T, seed int64, ticks temporal.Tick) {
 		WHERE [x <- SPEED(o.X.POSITION)] EVENTUALLY WITHIN 10 SPEED(n.X.POSITION) >= x + 1`)
 	qSpeed := ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE [x <- SPEED(o.X.POSITION)] EVENTUALLY SPEED(o.X.POSITION) >= 2 * x`)
 
-	mkOpts := func(accelerated bool) Options {
-		o := Options{Horizon: horizon, Regions: region}
-		if accelerated {
-			o.MotionIndex = ix
-		}
-		return o
-	}
-
+	opts := Options{Horizon: horizon, Regions: region}
 	cqs := []struct {
 		name string
 		q    *ftl.Query
-		opts Options
 	}{
-		{"inside-indexed", qInside, mkOpts(true)},
-		{"within", qWithin, mkOpts(false)},
-		{"dist-pairs", qDist, mkOpts(false)},
-		{"coupled-fallback", qCoupled, mkOpts(false)},
+		// The first registration activates the Vehicles grid index; every
+		// later full evaluation of an INSIDE query probes it.
+		{"inside-indexed", qInside},
+		{"within", qWithin},
+		{"dist-pairs", qDist},
+		{"coupled-fallback", qCoupled},
 	}
 	regs := make([]*Continuous, len(cqs))
 	for i, c := range cqs {
-		cq, err := e.Continuous(c.q, c.opts)
+		cq, err := e.Continuous(c.q, opts)
 		if err != nil {
 			t.Fatalf("register %s: %v", c.name, err)
 		}
 		regs[i] = cq
 		defer cq.Cancel()
 	}
-	pq, err := e.Persistent(qSpeed, Options{Horizon: horizon, Regions: region})
+	pq, err := e.Persistent(qSpeed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,6 +293,7 @@ func runOracle(t *testing.T, seed int64, ticks temporal.Tick) {
 		"query.continuous.delta",
 		"query.continuous.full",
 		"query.continuous.fallback",
+		"index.snapshot_probes",
 	} {
 		if snap.Counters[c] <= 0 {
 			t.Errorf("counter %q = %d, want > 0", c, snap.Counters[c])

@@ -37,9 +37,6 @@ type Persistent struct {
 // is cancelled (most.Database.HoldHistory).
 func (e *Engine) Persistent(q *ftl.Query, opts Options) (*Persistent, error) {
 	anchor, release := e.db.HoldHistory()
-	// The motion index covers current trajectories, not the synthesized
-	// history.
-	opts.MotionIndex = nil
 	replay := func(sp *obs.Span) (*most.Snapshot, temporal.Tick, uint64) {
 		hist := sp.Child("synthesize_history")
 		h := e.db.History()

@@ -22,9 +22,7 @@ import (
 //
 // Two registrations with equal keys have identical Answer(CQ) at every
 // instant, so they can ride one sharedPlan: one evaluation/patch per
-// update, fanned out to all subscriber handles.  Options.MotionIndex is
-// deliberately excluded — it changes how an answer is computed, never what
-// it is.
+// update, fanned out to all subscriber handles.
 func planKey(q *ftl.Query, opts Options) string {
 	nq := ftl.NormalizeQuery(*q)
 	w := &keyWriter{opts: opts, bound: map[string]string{}}

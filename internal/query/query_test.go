@@ -7,9 +7,9 @@ import (
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/ftl/eval"
 	"github.com/mostdb/most/internal/geom"
-	"github.com/mostdb/most/internal/index"
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/motion"
+	"github.com/mostdb/most/internal/obs"
 )
 
 func testDB(t *testing.T) (*most.Database, *most.Class) {
@@ -345,40 +345,100 @@ func TestEngineErrorPaths(t *testing.T) {
 	}
 }
 
+// TestMotionIndexAcceleratedInside checks that an INSIDE query answered
+// from the database's grid index equals the scan: the first query finds
+// the class unindexed, scans and activates the index; the second probes it
+// and solves only the candidates.
 func TestMotionIndexAcceleratedInside(t *testing.T) {
 	db, c := testDB(t)
 	e := NewEngine(db)
-	ix := index.NewMotionIndex(0, 200)
+	reg := obs.New()
+	db.Instrument(reg)
+	e.Instrument(reg)
 	for i := 0; i < 50; i++ {
 		id := most.ObjectID(fmt.Sprintf("v%02d", i))
-		p := geom.Point{X: float64(i * 10), Y: 0}
-		v := geom.Vector{X: 1}
-		addCar(t, db, c, id, p, v)
-		pos := motion.MovingFrom(p, v, 0)
-		if err := ix.Insert(id, pos); err != nil {
-			t.Fatal(err)
-		}
+		addCar(t, db, c, id, geom.Point{X: float64(i * 10), Y: float64(i % 7)}, geom.Vector{X: 1})
 	}
 	q := ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE EVENTUALLY INSIDE(o, P)`)
-	plainOpts := Options{Horizon: 199, Regions: regionP()}
-	ixOpts := plainOpts
-	ixOpts.MotionIndex = ix
+	opts := Options{Horizon: 199, Regions: regionP()}
 
-	plain, err := e.InstantaneousRelation(q, plainOpts)
+	plain, err := e.InstantaneousRelation(q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	accel, err := e.InstantaneousRelation(q, ixOpts)
+	accel, err := e.InstantaneousRelation(q, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["most.index.activations"] != 1 || snap.Counters["index.snapshot_probes"] != 1 {
+		t.Fatalf("activations = %d, probes = %d; want 1 and 1",
+			snap.Counters["most.index.activations"], snap.Counters["index.snapshot_probes"])
+	}
+	if n := snap.Histograms["index.candidates_per_probe"].Sum; n <= 0 || n >= 50 {
+		t.Errorf("probe named %d candidates of 50 objects", n)
 	}
 	pt, at := plain.Tuples(), accel.Tuples()
-	if len(pt) != len(at) {
+	if len(pt) == 0 || len(pt) != len(at) {
 		t.Fatalf("plain %d tuples, accelerated %d", len(pt), len(at))
 	}
 	for i := range pt {
 		if pt[i].Vals[0] != at[i].Vals[0] || !pt[i].Times.Equal(at[i].Times) {
 			t.Fatalf("tuple %d differs: %v vs %v", i, pt[i], at[i])
 		}
+	}
+}
+
+// TestPinnedAndPersistentNeverProbe checks that the grid index stays off
+// the per-update maintenance path: pinned delta evaluations read a
+// standalone snapshot of the pinned object and persistent evaluations a
+// synthesized history, neither of which carries an index, so neither
+// probes — only full evaluations over a database snapshot do.
+func TestPinnedAndPersistentNeverProbe(t *testing.T) {
+	db, c := testDB(t)
+	e := NewEngine(db)
+	reg := obs.New()
+	db.Instrument(reg)
+	e.Instrument(reg)
+	for i := 0; i < 20; i++ {
+		addCar(t, db, c, most.ObjectID(fmt.Sprintf("v%02d", i)), geom.Point{X: float64(i * 2), Y: float64(i%5 - 2)}, geom.Vector{X: 1})
+	}
+	opts := Options{Horizon: 40, Regions: regionP()}
+	for range 2 { // activate, then probe
+		if _, err := e.Query(`RETRIEVE o FROM Vehicles o WHERE INSIDE(o, P)`, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cq, err := e.Continuous(ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE EVENTUALLY WITHIN 5 INSIDE(o, P)`), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cq.Cancel()
+	pq, err := e.Persistent(ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE EVENTUALLY INSIDE(o, P)`), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pq.Cancel()
+
+	before := reg.Snapshot().Counters
+	if before["index.snapshot_probes"] != 2 {
+		t.Fatalf("probes before the updates = %d, want 2 (second query, CQ registration)", before["index.snapshot_probes"])
+	}
+	for i := 0; i < 10; i++ {
+		if err := db.SetMotion(most.ObjectID(fmt.Sprintf("v%02d", i)), geom.Vector{X: -1, Y: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := reg.Snapshot().Counters
+	for _, name := range []string{"query.continuous.delta", "query.persistent.reevals"} {
+		if after[name] <= before[name] {
+			t.Errorf("%s did not move (%d): the updates were not maintained", name, after[name])
+		}
+	}
+	if after["query.continuous.full"] != before["query.continuous.full"] {
+		t.Errorf("a full continuous reevaluation ran; the test wants delta rounds only")
+	}
+	if after["index.snapshot_probes"] != before["index.snapshot_probes"] {
+		t.Errorf("maintenance probed the index %d times", after["index.snapshot_probes"]-before["index.snapshot_probes"])
 	}
 }

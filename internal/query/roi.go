@@ -3,7 +3,6 @@ package query
 import (
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/most"
-	"github.com/mostdb/most/internal/motion"
 	"github.com/mostdb/most/internal/temporal"
 )
 
@@ -185,8 +184,8 @@ func motionEnvelope(u most.Update, from, to temporal.Tick) (rect2, bool) {
 			return rect2{}, false
 		}
 		var r rect2
-		r.minX, r.maxX = attrRange(pos.X, float64(from), float64(to))
-		r.minY, r.maxY = attrRange(pos.Y, float64(from), float64(to))
+		r.minX, r.maxX = pos.X.Range(float64(from), float64(to))
+		r.minY, r.maxY = pos.Y.Range(float64(from), float64(to))
 		if first {
 			env, first = r, false
 		} else {
@@ -201,28 +200,4 @@ func motionEnvelope(u most.Update, from, to temporal.Tick) (rect2, bool) {
 	env.maxX += roiEpsilon
 	env.maxY += roiEpsilon
 	return env, true
-}
-
-// attrRange bounds one dynamic attribute over [from, to].
-func attrRange(a motion.DynamicAttr, from, to float64) (float64, float64) {
-	segs := a.Trajectory(from, to)
-	if len(segs) == 0 {
-		v := a.Value
-		return v, v
-	}
-	lo, hi := 0.0, 0.0
-	for i, s := range segs {
-		_, _, vMin, vMax := s.Bounds()
-		if i == 0 {
-			lo, hi = vMin, vMax
-			continue
-		}
-		if vMin < lo {
-			lo = vMin
-		}
-		if vMax > hi {
-			hi = vMax
-		}
-	}
-	return lo, hi
 }

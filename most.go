@@ -294,9 +294,10 @@ type Val = eval.Val
 type Engine = query.Engine
 
 // QueryOptions configure an evaluation (§2.3, §3): horizon (query
-// expiry), regions, the assignment-term discretization cap, and an
-// optional motion index for INSIDE atoms (§4).  Immutable value; safe to
-// share.
+// expiry), regions and the assignment-term discretization cap.  INSIDE
+// atoms need no option to use an index: the database keeps a grid index
+// (§4) inside every snapshot of a spatial class a query has probed.
+// Immutable value; safe to share.
 type QueryOptions = query.Options
 
 // ContinuousQuery is a registered continuous query with a maintained
