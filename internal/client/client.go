@@ -121,10 +121,6 @@ func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
 // (default: random).
 func WithClientID(id string) Option { return func(c *Client) { c.id = id } }
 
-// WithMaxPayload bounds inbound frame payloads (default
-// wire.DefaultMaxPayload).
-func WithMaxPayload(n int) Option { return func(c *Client) { c.maxPayload = n } }
-
 // WithDialer replaces the TCP dialer, e.g. with one wrapping connections
 // in a fault injector (internal/faults.WrapConn).
 func WithDialer(dial func(addr string) (net.Conn, error)) Option {
@@ -195,7 +191,6 @@ type Client struct {
 	maxBackoff   time.Duration
 	jitterSeed   int64
 	jitterSeeded bool
-	maxPayload   int
 	wantProto    int // highest protocol version offered in Hello
 	peer         bool
 	resolve      func(prev string) (string, error)
@@ -241,7 +236,6 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		retries:     3,
 		backoff:     50 * time.Millisecond,
 		maxBackoff:  2 * time.Second,
-		maxPayload:  wire.DefaultMaxPayload,
 		wantProto:   wire.MaxProtocolVersion,
 		pending:     map[uint64]chan wire.Frame{},
 		subs:        map[uint64]*Subscription{},
@@ -322,7 +316,7 @@ func (c *Client) connectLocked() error {
 		conn.Close()
 		return errTransport{err}
 	}
-	resp, err := wire.NewDecoder(conn, c.maxPayload).Next()
+	resp, err := wire.NewDecoder(conn, wire.DefaultMaxPayload).Next()
 	if err != nil {
 		conn.Close()
 		return errTransport{err}
@@ -425,7 +419,7 @@ func (c *Client) writeFrame(conn net.Conn, f wire.Frame) error {
 // a frame at any other version is a protocol violation that tears the
 // connection down.
 func (c *Client) readLoop(conn net.Conn, gen uint64, proto uint8) {
-	dec := wire.NewDecoder(conn, c.maxPayload)
+	dec := wire.NewDecoder(conn, wire.DefaultMaxPayload)
 	dec.SetVersion(proto)
 	for {
 		f, err := dec.Next()

@@ -48,8 +48,7 @@ func TestClientTypedCalls(t *testing.T) {
 	c, err := Dial(addr,
 		WithClientID("typed-calls"),
 		WithTimeout(5*time.Second),
-		WithRetries(2),
-		WithMaxPayload(wire.DefaultMaxPayload))
+		WithRetries(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,24 @@ import (
 	"testing"
 )
 
+// quickTables holds each experiment's quick table, computed once per test
+// binary through the registry (Run): the shape tests and TestAllRender
+// read the same table instead of running each experiment twice.
+var quickTables = map[string]*Table{}
+
+func quickTable(t *testing.T, id string) *Table {
+	t.Helper()
+	if tbl, ok := quickTables[id]; ok {
+		return tbl
+	}
+	tables := Run(map[string]bool{id: true}, true)
+	if len(tables) != 1 {
+		t.Fatalf("Run(%s) returned %d tables", id, len(tables))
+	}
+	quickTables[id] = tables[0]
+	return tables[0]
+}
+
 func atoiCell(t *testing.T, s string) int {
 	t.Helper()
 	n, err := strconv.Atoi(s)
@@ -17,7 +35,7 @@ func atoiCell(t *testing.T, s string) int {
 }
 
 func TestE1ShapeMatchesPaper(t *testing.T) {
-	tbl := E1QueryTypes()
+	tbl := quickTable(t, "E1")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -37,7 +55,7 @@ func TestE1ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestE2VectorTrafficFarBelowPosition(t *testing.T) {
-	tbl := E2UpdateTraffic(true)
+	tbl := quickTable(t, "E2")
 	for _, r := range tbl.Rows {
 		pos := atoiCell(t, r[3])
 		vec := atoiCell(t, r[4])
@@ -48,7 +66,7 @@ func TestE2VectorTrafficFarBelowPosition(t *testing.T) {
 }
 
 func TestE3IndexBeatsScanAtScale(t *testing.T) {
-	tbl := E3IndexVsScan(true)
+	tbl := quickTable(t, "E3")
 	last := tbl.Rows[len(tbl.Rows)-1]
 	speedup := strings.TrimSuffix(last[4], "x")
 	v, err := strconv.ParseFloat(speedup, 64)
@@ -61,7 +79,7 @@ func TestE3IndexBeatsScanAtScale(t *testing.T) {
 }
 
 func TestE4SingleProbeBeatsPerTick(t *testing.T) {
-	tbl := E4ContinuousIndex(true)
+	tbl := quickTable(t, "E4")
 	for _, r := range tbl.Rows {
 		ratio := strings.TrimSuffix(r[5], "x")
 		v, err := strconv.ParseFloat(ratio, 64)
@@ -75,7 +93,7 @@ func TestE4SingleProbeBeatsPerTick(t *testing.T) {
 }
 
 func TestE5EvaluationCounts(t *testing.T) {
-	tbl := E5ContinuousVsPerTick(true)
+	tbl := quickTable(t, "E5")
 	for _, r := range tbl.Rows {
 		ticks := atoiCell(t, r[1])
 		updates := atoiCell(t, r[2])
@@ -91,7 +109,7 @@ func TestE5EvaluationCounts(t *testing.T) {
 }
 
 func TestE6AlgorithmsAgreeAndDiverge(t *testing.T) {
-	tbl := E6UntilJoin(true)
+	tbl := quickTable(t, "E6")
 	if len(tbl.Rows) < 2 {
 		t.Fatal("need at least two sizes")
 	}
@@ -106,7 +124,7 @@ func TestE6AlgorithmsAgreeAndDiverge(t *testing.T) {
 }
 
 func TestE7Exactly2kQueries(t *testing.T) {
-	tbl := E7Decomposition(true)
+	tbl := quickTable(t, "E7")
 	for _, r := range tbl.Rows {
 		k := atoiCell(t, r[0])
 		issued := atoiCell(t, r[1])
@@ -117,7 +135,7 @@ func TestE7Exactly2kQueries(t *testing.T) {
 }
 
 func TestE9BroadcastCheaper(t *testing.T) {
-	tbl := E9DistStrategies(true)
+	tbl := quickTable(t, "E9")
 	for _, r := range tbl.Rows {
 		shipB := atoiCell(t, r[3])
 		bcastB := atoiCell(t, r[5])
@@ -133,7 +151,7 @@ func TestE9BroadcastCheaper(t *testing.T) {
 }
 
 func TestE10Shape(t *testing.T) {
-	tbl := E10ImmediateVsDelayed(true)
+	tbl := quickTable(t, "E10")
 	for i := 0; i+1 < len(tbl.Rows); i += 2 {
 		im, de := tbl.Rows[i], tbl.Rows[i+1]
 		imMsgs := atoiCell(t, im[4])
@@ -155,7 +173,8 @@ func TestE10Shape(t *testing.T) {
 }
 
 func TestAllRender(t *testing.T) {
-	for _, tbl := range All(true) {
+	for _, e := range registry {
+		tbl := quickTable(t, e.ID)
 		out := tbl.Render()
 		if !strings.Contains(out, tbl.ID) || len(tbl.Rows) == 0 {
 			t.Errorf("table %s renders badly or is empty", tbl.ID)
@@ -164,7 +183,7 @@ func TestAllRender(t *testing.T) {
 }
 
 func TestE11MechanismsBeatScan(t *testing.T) {
-	tbl := E11IndexMechanisms(true)
+	tbl := quickTable(t, "E11")
 	last := tbl.Rows[len(tbl.Rows)-1]
 	scan := parseDur(t, last[1])
 	rtree := parseDur(t, last[2])
@@ -175,7 +194,7 @@ func TestE11MechanismsBeatScan(t *testing.T) {
 }
 
 func TestE12HorizonShape(t *testing.T) {
-	tbl := E12HorizonChoice(true)
+	tbl := quickTable(t, "E12")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -55,17 +56,26 @@ type ObsReport struct {
 }
 
 // ObsBench measures the instrumentation overhead of the observability layer
-// on that query.  Each fleet size is timed with the engine and database
-// uninstrumented, then again with a live registry attached; the claim
-// locked in by the driver is that the enabled run costs at most a few
-// percent (the hooks are one atomic load plus a nil branch
-// when disabled, and lock-free counter/histogram updates when enabled).
+// on that query.  Each fleet size is timed in pairs of samples, one with
+// the engine and database uninstrumented and one with a live registry
+// attached; the claim it checks is that the enabled run costs at most a
+// few percent (the hooks are one atomic load plus a nil branch when
+// disabled, and lock-free counter/histogram updates when enabled).
+//
+// A single evaluation takes a few milliseconds on the small fleet, too
+// short to time against scheduler noise, so each sample is a loop of
+// evaluations lasting at least sampleFloor, and at least sampleRuns
+// evaluations on the large fleet, whose single evaluation lasts about as
+// long as the floor.  Each sample starts from a collected heap.  The two
+// samples of a pair run back to back, in alternating order from pair to
+// pair so drift falls on both arms alike, and the reported overhead is
+// the median of the per-pair overheads.
 func ObsBench(quick bool) *ObsReport {
 	sizes := []int{1000, 10000}
-	reps := 5
+	pairs := 9
 	if quick {
 		sizes = []int{1000}
-		reps = 3
+		pairs = 5
 	}
 	rep := &ObsReport{GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	for _, n := range sizes {
@@ -90,43 +100,65 @@ func ObsBench(quick bool) *ObsReport {
 			}
 		}
 		reg := obs.New()
-		// Interleave detached and attached measurements (min of reps each)
-		// so cache and allocator warm-up is shared fairly between the two.
+		sample := func(attach *obs.Registry) float64 {
+			e.Instrument(attach)
+			db.Instrument(attach)
+			runtime.GC()
+			return perEval(eval)
+		}
 		runtime.GC()
 		eval() // warm caches
-		var disabled, enabled time.Duration
-		for i := 0; i < reps; i++ {
-			e.Instrument(nil)
-			db.Instrument(nil)
-			if d := timeOnce(eval); disabled == 0 || d < disabled {
-				disabled = d
+		var disabled, enabled, overhead []float64
+		for i := 0; i < pairs; i++ {
+			var d, en float64
+			if i%2 == 0 {
+				d, en = sample(nil), sample(reg)
+			} else {
+				en, d = sample(reg), sample(nil)
 			}
-			e.Instrument(reg)
-			db.Instrument(reg)
-			if d := timeOnce(eval); enabled == 0 || d < enabled {
-				enabled = d
-			}
+			disabled, enabled = append(disabled, d), append(enabled, en)
+			overhead = append(overhead, (en-d)/d*100)
 		}
 		e.Instrument(nil)
 		db.Instrument(nil)
 		rep.Results = append(rep.Results, ObsResult{
 			Objects:     n,
-			DisabledNs:  disabled.Nanoseconds(),
-			EnabledNs:   enabled.Nanoseconds(),
-			OverheadPct: (float64(enabled) - float64(disabled)) / float64(disabled) * 100,
+			DisabledNs:  int64(median(disabled)),
+			EnabledNs:   int64(median(enabled)),
+			OverheadPct: median(overhead),
 		})
 	}
 	rep.Snapshot = obsDemoSnapshot()
 	return rep
 }
 
-// timeOnce times a single run.  ObsBench keeps the minimum over reps runs:
-// minimum-of-N is the standard estimator for an overhead comparison, since
-// scheduler noise only ever adds time.
-func timeOnce(fn func()) time.Duration {
+// One ObsBench sample is a loop of at least sampleRuns runs lasting at
+// least sampleFloor.
+const (
+	sampleFloor = 20 * time.Millisecond
+	sampleRuns  = 5
+)
+
+// perEval runs fn as one sample and returns the mean nanoseconds per run.
+func perEval(fn func()) float64 {
 	start := time.Now()
-	fn()
-	return time.Since(start)
+	runs := 0
+	for runs < sampleRuns || time.Since(start) < sampleFloor {
+		fn()
+		runs++
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(runs)
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count).  xs is sorted in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[m-1] + xs[m]) / 2
+	}
+	return xs[m]
 }
 
 // obsDemoSnapshot runs a small fully-instrumented scenario — instantaneous

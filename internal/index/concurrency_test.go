@@ -19,17 +19,20 @@ func lineAttr(v0, slope float64) motion.DynamicAttr {
 	return motion.DynamicAttr{Value: v0, UpdateTime: 0, Function: f}
 }
 
-// TestAttrIndexConcurrentProbes bulk-loads with InsertBatch while probe
-// goroutines hammer the read paths; run under -race this exercises the
-// RWMutex discipline, and the final state must match a sequential load.
+// entry is one object the concurrent-probe tests load.
+type entry struct {
+	id   most.ObjectID
+	attr motion.DynamicAttr
+}
+
+// TestAttrIndexConcurrentProbes loads objects one Insert at a time while
+// probe goroutines hammer the read paths; run under -race this exercises
+// the RWMutex discipline, and the final state must match a sequential load.
 func TestAttrIndexConcurrentProbes(t *testing.T) {
 	const n = 500
-	entries := make([]AttrEntry, n)
+	entries := make([]entry, n)
 	for i := range entries {
-		entries[i] = AttrEntry{
-			ID:   most.ObjectID(fmt.Sprintf("obj-%04d", i)),
-			Attr: lineAttr(float64(i%100), 0.5),
-		}
+		entries[i] = entry{most.ObjectID(fmt.Sprintf("obj-%04d", i)), lineAttr(float64(i%100), 0.5)}
 	}
 
 	ix := NewAttrIndex(0, 256)
@@ -53,22 +56,24 @@ func TestAttrIndexConcurrentProbes(t *testing.T) {
 			}
 		}()
 	}
-	if err := ix.InsertBatch(entries); err != nil {
-		t.Fatalf("InsertBatch: %v", err)
+	for _, e := range entries {
+		if err := ix.Insert(e.id, e.attr); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
 	}
 	close(done)
 	wg.Wait()
 
 	want := NewAttrIndex(0, 256)
 	for _, e := range entries {
-		if err := want.Insert(e.ID, e.Attr); err != nil {
+		if err := want.Insert(e.id, e.attr); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
 	got := ix.InstantQuery(10, 40, 16)
 	exp := want.InstantQuery(10, 40, 16)
 	if len(got) != len(exp) {
-		t.Fatalf("InstantQuery after batch: got %d ids, want %d", len(got), len(exp))
+		t.Fatalf("InstantQuery after the concurrent load: got %d ids, want %d", len(got), len(exp))
 	}
 	for i := range got {
 		if got[i] != exp[i] {
@@ -80,10 +85,11 @@ func TestAttrIndexConcurrentProbes(t *testing.T) {
 // TestMotionIndexConcurrentProbes does the same for the 3-d motion index.
 func TestMotionIndexConcurrentProbes(t *testing.T) {
 	const n = 300
-	entries := make([]MotionEntry, n)
-	for i := range entries {
-		pos := motion.MovingFrom(geom.Point{X: float64(i % 50), Y: float64(i % 30)}, geom.Vector{X: 1, Y: 0.5}, 0)
-		entries[i] = MotionEntry{ID: most.ObjectID(fmt.Sprintf("car-%04d", i)), Pos: pos}
+	ids := make([]most.ObjectID, n)
+	positions := make([]motion.Position, n)
+	for i := range ids {
+		ids[i] = most.ObjectID(fmt.Sprintf("car-%04d", i))
+		positions[i] = motion.MovingFrom(geom.Point{X: float64(i % 50), Y: float64(i % 30)}, geom.Vector{X: 1, Y: 0.5}, 0)
 	}
 
 	ix := NewMotionIndex(0, 256)
@@ -105,8 +111,10 @@ func TestMotionIndexConcurrentProbes(t *testing.T) {
 			}
 		}()
 	}
-	if err := ix.InsertBatch(entries); err != nil {
-		t.Fatalf("InsertBatch: %v", err)
+	for i, id := range ids {
+		if err := ix.Insert(id, positions[i]); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
 	}
 	close(done)
 	wg.Wait()
@@ -115,27 +123,24 @@ func TestMotionIndexConcurrentProbes(t *testing.T) {
 	}
 
 	want := NewMotionIndex(0, 256)
-	for _, e := range entries {
-		if err := want.Insert(e.ID, e.Pos); err != nil {
+	for i, id := range ids {
+		if err := want.Insert(id, positions[i]); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
 	got := ix.CandidatesInRect(rect, 0, 100)
 	exp := want.CandidatesInRect(rect, 0, 100)
 	if len(got) != len(exp) {
-		t.Fatalf("CandidatesInRect after batch: got %d ids, want %d", len(got), len(exp))
+		t.Fatalf("CandidatesInRect after the concurrent load: got %d ids, want %d", len(got), len(exp))
 	}
 }
 
 // TestGridIndexConcurrentProbes covers the grid variant.
 func TestGridIndexConcurrentProbes(t *testing.T) {
 	const n = 400
-	entries := make([]AttrEntry, n)
+	entries := make([]entry, n)
 	for i := range entries {
-		entries[i] = AttrEntry{
-			ID:   most.ObjectID(fmt.Sprintf("g-%04d", i)),
-			Attr: lineAttr(float64(i%100), 0.25),
-		}
+		entries[i] = entry{most.ObjectID(fmt.Sprintf("g-%04d", i)), lineAttr(float64(i%100), 0.25)}
 	}
 	g := NewGridIndex(0, 256, 0, 300, 32, 32)
 	done := make(chan struct{})
@@ -156,21 +161,23 @@ func TestGridIndexConcurrentProbes(t *testing.T) {
 			}
 		}()
 	}
-	if err := g.InsertBatch(entries); err != nil {
-		t.Fatalf("InsertBatch: %v", err)
+	for _, e := range entries {
+		if err := g.Insert(e.id, e.attr); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
 	}
 	close(done)
 	wg.Wait()
 
 	want := NewGridIndex(0, 256, 0, 300, 32, 32)
 	for _, e := range entries {
-		if err := want.Insert(e.ID, e.Attr); err != nil {
+		if err := want.Insert(e.id, e.attr); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
 	got := g.InstantQuery(10, 60, 32)
 	exp := want.InstantQuery(10, 60, 32)
 	if len(got) != len(exp) {
-		t.Fatalf("InstantQuery after batch: got %d, want %d", len(got), len(exp))
+		t.Fatalf("InstantQuery after the concurrent load: got %d, want %d", len(got), len(exp))
 	}
 }

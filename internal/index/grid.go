@@ -26,8 +26,7 @@ import (
 // correct (boundary cells just collect more strips).
 //
 // GridIndex is safe for concurrent use: probes take a read lock and run in
-// parallel; mutators take the write lock.  InsertBatch releases the write
-// lock between chunks so probes interleave with a bulk load.
+// parallel; mutators take the write lock.
 type GridIndex struct {
 	mu      sync.RWMutex
 	base    temporal.Tick
@@ -114,28 +113,6 @@ func (g *GridIndex) Insert(id most.ObjectID, attr motion.DynamicAttr) error {
 		return fmt.Errorf("index: object %s already indexed", id)
 	}
 	g.insertFrom(id, attr, float64(g.base))
-	return nil
-}
-
-// InsertBatch indexes many objects at once, taking the write lock per chunk
-// of insertChunk objects so concurrent probes interleave with the load.
-func (g *GridIndex) InsertBatch(entries []AttrEntry) error {
-	for start := 0; start < len(entries); start += insertChunk {
-		chunkEnd := start + insertChunk
-		if chunkEnd > len(entries) {
-			chunkEnd = len(entries)
-		}
-		g.mu.Lock()
-		for i := start; i < chunkEnd; i++ {
-			e := entries[i]
-			if _, dup := g.objects[e.ID]; dup {
-				g.mu.Unlock()
-				return fmt.Errorf("index: object %s already indexed", e.ID)
-			}
-			g.insertFrom(e.ID, e.Attr, float64(g.base))
-		}
-		g.mu.Unlock()
-	}
 	return nil
 }
 

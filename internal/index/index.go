@@ -28,11 +28,6 @@ import (
 	"github.com/mostdb/most/internal/temporal"
 )
 
-// insertChunk is how many objects a batched insert indexes per write-lock
-// hold.  Between chunks the lock is released, so concurrent probes (read
-// lock) interleave with a bulk load instead of stalling behind it.
-const insertChunk = 64
-
 // strip is one indexed rectangle: a time-bounded piece of one object's
 // trajectory.  It is the R-tree's stored value, so a probe can verify the
 // predicate inline on the hit without any auxiliary lookup.
@@ -50,8 +45,6 @@ type segRecord struct {
 // AttrIndex indexes one dynamic attribute over the time horizon
 // [Base, Base+T).  It is safe for concurrent use: probes take a read lock
 // and run in parallel with each other; mutators take the write lock.
-// InsertBatch releases the write lock between chunks so probes interleave
-// with a bulk load.
 type AttrIndex struct {
 	mu      sync.RWMutex
 	base    temporal.Tick
@@ -136,59 +129,6 @@ func (ix *AttrIndex) Insert(id most.ObjectID, attr motion.DynamicAttr) error {
 		return fmt.Errorf("index: object %s already indexed", id)
 	}
 	ix.insertFrom(id, attr, float64(ix.base))
-	return nil
-}
-
-// AttrEntry is one object of a batched attribute-index insert.
-type AttrEntry struct {
-	ID   most.ObjectID
-	Attr motion.DynamicAttr
-}
-
-// InsertBatch indexes many objects at once.  The strip records are computed
-// under the read lock — concurrent probes keep running — and applied to the
-// tree in chunks of insertChunk objects per write-lock hold, so probes
-// interleave with the load instead of waiting for all of it.  If the window
-// is rebuilt concurrently the batch aborts with an error rather than mixing
-// strips from two windows.
-func (ix *AttrIndex) InsertBatch(entries []AttrEntry) error {
-	ix.mu.RLock()
-	base := ix.base
-	for _, e := range entries {
-		if _, dup := ix.objects[e.ID]; dup {
-			ix.mu.RUnlock()
-			return fmt.Errorf("index: object %s already indexed", e.ID)
-		}
-	}
-	recs := make([][]segRecord, len(entries))
-	for i, e := range entries {
-		recs[i] = ix.makeRecords(e.ID, e.Attr, float64(base))
-	}
-	ix.mu.RUnlock()
-
-	for start := 0; start < len(entries); start += insertChunk {
-		chunkEnd := start + insertChunk
-		if chunkEnd > len(entries) {
-			chunkEnd = len(entries)
-		}
-		ix.mu.Lock()
-		if ix.base != base {
-			ix.mu.Unlock()
-			return fmt.Errorf("index: window rebuilt during batch insert")
-		}
-		for i := start; i < chunkEnd; i++ {
-			id := entries[i].ID
-			if _, dup := ix.objects[id]; dup {
-				ix.mu.Unlock()
-				return fmt.Errorf("index: object %s already indexed", id)
-			}
-			for _, rec := range recs[i] {
-				ix.tree.Insert(rec.rect, rec.strip)
-			}
-			ix.objects[id] = append(ix.objects[id], recs[i]...)
-		}
-		ix.mu.Unlock()
-	}
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/mostdb/most/internal/geom"
 	"github.com/mostdb/most/internal/most"
@@ -33,8 +32,7 @@ type motionRecord struct {
 // position is sliced into strips contributing one (x, y, t) box each.
 //
 // MotionIndex is safe for concurrent use: probes take a read lock and run
-// in parallel; mutators take the write lock.  InsertBatch releases the
-// write lock between chunks so probes interleave with a bulk load.
+// in parallel; mutators take the write lock.
 type MotionIndex struct {
 	mu      sync.RWMutex
 	base    temporal.Tick
@@ -42,10 +40,6 @@ type MotionIndex struct {
 	slice   float64
 	tree    *rtree.Tree[spanStrip]
 	objects map[most.ObjectID][]motionRecord
-
-	// obsv holds the pre-resolved observability instruments (see obs.go);
-	// nil means uninstrumented.
-	obsv atomic.Pointer[ixObs]
 }
 
 // NewMotionIndex returns an empty motion index covering [base, base+T).
@@ -98,59 +92,6 @@ func (ix *MotionIndex) Insert(id most.ObjectID, pos motion.Position) error {
 		return fmt.Errorf("index: object %s already indexed", id)
 	}
 	ix.insertFrom(id, pos, float64(ix.base))
-	ix.obsv.Load().insert(1)
-	return nil
-}
-
-// MotionEntry is one object of a batched motion-index insert.
-type MotionEntry struct {
-	ID  most.ObjectID
-	Pos motion.Position
-}
-
-// InsertBatch indexes many objects at once: strip records are computed
-// under the read lock and applied in chunks of insertChunk objects per
-// write-lock hold, so concurrent probes interleave with the bulk load.
-// Aborts with an error if the window is rebuilt mid-batch.
-func (ix *MotionIndex) InsertBatch(entries []MotionEntry) error {
-	ix.mu.RLock()
-	base := ix.base
-	for _, e := range entries {
-		if _, dup := ix.objects[e.ID]; dup {
-			ix.mu.RUnlock()
-			return fmt.Errorf("index: object %s already indexed", e.ID)
-		}
-	}
-	recs := make([][]motionRecord, len(entries))
-	for i, e := range entries {
-		recs[i] = ix.makeRecords(e.ID, e.Pos, float64(base))
-	}
-	ix.mu.RUnlock()
-
-	for start := 0; start < len(entries); start += insertChunk {
-		chunkEnd := start + insertChunk
-		if chunkEnd > len(entries) {
-			chunkEnd = len(entries)
-		}
-		ix.mu.Lock()
-		if ix.base != base {
-			ix.mu.Unlock()
-			return fmt.Errorf("index: window rebuilt during batch insert")
-		}
-		for i := start; i < chunkEnd; i++ {
-			id := entries[i].ID
-			if _, dup := ix.objects[id]; dup {
-				ix.mu.Unlock()
-				return fmt.Errorf("index: object %s already indexed", id)
-			}
-			for _, rec := range recs[i] {
-				ix.tree.Insert(rec.rect, rec.strip)
-			}
-			ix.objects[id] = append(ix.objects[id], recs[i]...)
-		}
-		ix.mu.Unlock()
-		ix.obsv.Load().insert(chunkEnd - start)
-	}
 	return nil
 }
 
@@ -239,7 +180,6 @@ func (ix *MotionIndex) Update(id most.ObjectID, pos motion.Position, t temporal.
 		start = float64(ix.base)
 	}
 	ix.insertFrom(id, pos, start)
-	ix.obsv.Load().update()
 	return nil
 }
 
@@ -259,7 +199,6 @@ func (ix *MotionIndex) CandidatesInRect(r geom.Rect, t0, t1 float64) []most.Obje
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	ix.obsv.Load().probe(len(out))
 	return out
 }
 
@@ -298,7 +237,6 @@ func (ix *MotionIndex) InsidePolygonDuring(pg geom.Polygon, t0, t1 float64) []Co
 	for _, id := range ids {
 		out = append(out, ContinuousAnswer{ID: id, Times: hits[id]})
 	}
-	ix.obsv.Load().probe(len(out))
 	return out
 }
 
@@ -326,5 +264,4 @@ func (ix *MotionIndex) Rebuild(base temporal.Tick, positions map[most.ObjectID]m
 	}
 	ix.tree = rtree.New[spanStrip](3, 16)
 	ix.tree.BulkLoad(rects, vals)
-	ix.obsv.Load().rebuild()
 }

@@ -12,10 +12,10 @@ import (
 
 // TestConcurrentUpdatesAndQueries runs 8 updaters against 8 instantaneous
 // queriers on one database, with a continuous and a persistent query
-// registered so maintenance reevaluation races with both.  Run under -race
-// this is the regression test for the snapshot/locking discipline; the
-// final materialized answers must equal a fresh evaluation of the final
-// state.
+// registered so maintenance races with both.  Run under -race this is the
+// regression test for the snapshot/locking discipline; the final
+// materialized answers must equal a fresh evaluation of the final state
+// (a full history replay for the persistent query).
 func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	db, cls := testDB(t)
 	e := NewEngine(db)
@@ -91,5 +91,14 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	now := db.Now()
 	if fmt.Sprint(got.At(now)) != fmt.Sprint(fresh.At(now)) {
 		t.Fatalf("Answer(CQ) diverged from fresh evaluation:\n got %v\nwant %v", got.At(now), fresh.At(now))
+	}
+	// The persistent plan patched the same concurrent updates object by
+	// object; it must have converged to a full replay of the final history.
+	rows, err := pq.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := naivePersistent(t, db, q, opts.Regions, pq.Anchor(), opts.horizon()); !sameRows(rows, want) {
+		t.Fatalf("persistent answer diverged from a full replay:\n got %v\nwant %v", rowKeys(rows), rowKeys(want))
 	}
 }

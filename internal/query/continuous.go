@@ -73,8 +73,7 @@ func (e *Engine) Continuous(q *ftl.Query, opts Options) (*Continuous, error) {
 			e.reg().Counter("query.continuous.shared_hits").Inc()
 			return h, nil
 		}
-		p := newPlan(e, key, q, opts, continuousMetrics, e.currentState)
-		p.plan = newDeltaPlan(q)
+		p := newPlan(e, key, q, opts, "query.continuous", source{read: e.currentState})
 		p.roi = newROIPlan(q, opts, p.plan.analysis)
 		if err := e.start(p, h); err != nil {
 			return nil, err
@@ -83,10 +82,17 @@ func (e *Engine) Continuous(q *ftl.Query, opts Options) (*Continuous, error) {
 	}
 }
 
-// currentState is a continuous plan's source: the current database
-// version, anchored at its own time.
-func (e *Engine) currentState(sp *obs.Span) (*most.Snapshot, temporal.Tick, uint64) {
-	s := e.snapshot(sp)
+// currentState reads a continuous plan's source: the current database
+// version, anchored at its own time.  It holds every object whatever the
+// ids; a delta round's read (ids given) is one atomic load and is not
+// recorded as a stage of sp.
+func (e *Engine) currentState(sp *obs.Span, ids []most.ObjectID) (*most.Snapshot, temporal.Tick, uint64) {
+	var s *most.Snapshot
+	if ids == nil {
+		s = e.snapshot(sp)
+	} else {
+		s = e.db.Snapshot()
+	}
 	return s, s.Now(), s.Version()
 }
 

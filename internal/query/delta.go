@@ -38,11 +38,13 @@ func newDeltaPlan(q *ftl.Query) deltaPlan {
 }
 
 // deltable reports whether the update can be applied as a per-object
-// delta: the formula's lookahead must be finite and fit the horizon, and
-// every variable ranging over the updated object's class must be
-// maintainable (a RETRIEVE target, uncoupled by assignment quantifiers).
-func (p deltaPlan) deltable(u most.Update, horizon temporal.Tick) bool {
-	if !p.analysis.Bounded || p.analysis.Depth > horizon {
+// delta: every variable ranging over the updated object's class must be
+// maintainable (a RETRIEVE target, uncoupled by assignment quantifiers),
+// and, unless every evaluation is anchored at one tick (fixed), the
+// formula's lookahead must be finite and fit the horizon, because a patch
+// evaluated past the installed anchor mixes two windows.
+func (p deltaPlan) deltable(u most.Update, horizon temporal.Tick, fixed bool) bool {
+	if !fixed && (!p.analysis.Bounded || p.analysis.Depth > horizon) {
 		return false
 	}
 	class := updateClass(u)
@@ -85,7 +87,7 @@ func (e *Engine) pinnedContext(opts Options, now temporal.Tick, sp *obs.Span, pi
 
 // runDelta applies one batch of queued updates as per-object patches: each
 // distinct touched object has its answer tuples recomputed from the
-// current state — one pinned evaluation per variable of its class — and
+// plan's source — one pinned evaluation per variable of its class — and
 // the difference against the object's installed tuples becomes the
 // round's patch (eval.Delta).  The next install is the installed relation
 // with the patch applied, sharing every untouched part of its tree, so a
@@ -94,14 +96,16 @@ func (e *Engine) pinnedContext(opts Options, now temporal.Tick, sp *obs.Span, pi
 // Reading the *current* state makes the patch idempotent: a later update
 // to the same object queued behind this round is absorbed, and
 // recomputing in any order converges.  Returns false when the batch cannot
-// be applied and the caller must fall back to a full reevaluation.
-func (p *sharedPlan) runDelta(batch []most.Update) bool {
+// be applied and the caller must fall back to a full reevaluation: the
+// source has moved past the validity of the answer installed at anchor, or
+// the application failed.
+func (p *sharedPlan) runDelta(batch []most.Update, anchor temporal.Tick) bool {
 	e := p.engine
 	reg := e.reg()
-	sp := reg.StartSpan("query.continuous.delta")
+	sp := reg.StartSpan(p.metrics.delta)
 	defer sp.End()
 	t0 := reg.Start()
-	defer reg.Histogram("query.continuous.delta_ns").Since(t0)
+	defer reg.Histogram(p.metrics.deltaLatency).Since(t0)
 
 	// Distinct touched objects, in arrival order.  The scratch set is the
 	// drain's own: only one goroutine drains a plan at a time.
@@ -117,24 +121,30 @@ func (p *sharedPlan) runDelta(batch []most.Update) bool {
 	}
 	clear(p.seen)
 
-	// One version supplies the install stamp, the clock and the touched
-	// objects' current revisions.
-	snap := e.db.Snapshot()
-	v, now := snap.Version(), snap.Now()
 	nq := &p.plan.query
 	// Single-binding fast path: a pinned evaluation of a one-variable query
 	// touches only the pinned object, so the context can carry just that
 	// object instead of a full database snapshot and all-ids domain — this
 	// is what keeps per-update maintenance cost independent of fleet size.
-	single := ""
+	// Any other shape binds its domains from every object.
+	single, read := "", []most.ObjectID(nil)
 	if len(nq.Bindings) == 1 {
-		single = nq.Bindings[0].Var
+		single, read = nq.Bindings[0].Var, ids
+	}
+	// One read supplies the install stamp, the evaluation tick and the
+	// touched objects' revisions.
+	snap, now, v := p.source.read(sp, read)
+	if now != anchor && now > anchor.Add(p.opts.horizon()-p.plan.analysis.Depth) {
+		// Unchanged tuples are no longer presentable this far past the
+		// anchor: re-anchor the whole relation.  A read at the anchor
+		// itself, as every persistent read is, never needs it.
+		return false
 	}
 	var ctx *eval.Context
 	if single == "" {
 		full, err := e.boundContext(nq, p.opts, snap, now, sp)
 		if err != nil {
-			reg.Counter("query.continuous.fallback").Inc()
+			p.count(p.metrics.fallback, 1)
 			return false
 		}
 		ctx = full
@@ -153,7 +163,7 @@ func (p *sharedPlan) runDelta(batch []most.Update) bool {
 			}
 			rel, err := eval.EvalQueryPinned(nq, ectx, pin, eval.ObjVal(id))
 			if err != nil {
-				reg.Counter("query.continuous.fallback").Inc()
+				p.count(p.metrics.fallback, 1)
 				return false
 			}
 			e.countEval()
@@ -186,11 +196,11 @@ func (p *sharedPlan) runDelta(batch []most.Update) bool {
 	if v > p.version {
 		p.version = v
 	}
-	reg.Counter("query.continuous.delta").Add(int64(len(ids)))
+	p.count(p.metrics.delta, int64(len(ids)))
 	if d.Empty() {
 		// The patch changed nothing: keep the installed relation and do
 		// not fan out.
-		reg.Counter("query.continuous.suppressed").Inc()
+		p.count(p.metrics.suppressed, 1)
 		p.mu.Unlock()
 		return true
 	}

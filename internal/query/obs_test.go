@@ -75,8 +75,8 @@ func TestObsSnapshotSchema(t *testing.T) {
 		"query.instantaneous",
 		"query.continuous",
 		"query.persistent",
-		"query.continuous.reevals",
-		"query.persistent.reevals",
+		"query.continuous.full",
+		"query.persistent.delta",
 		"eval.subformulas",
 		"eval.instantiations",
 		"index.snapshot_probes",
@@ -108,6 +108,8 @@ func TestObsSnapshotSchema(t *testing.T) {
 		"query.instantaneous": {"parse", "rewrite", "snapshot", "bind", "subformula_eval", "index_probe", "answer_assembly"},
 		"query.continuous":    {"rewrite", "snapshot", "bind", "subformula_eval", "index_probe", "answer_assembly"},
 		"query.persistent":    {"synthesize_history", "rewrite", "bind", "subformula_eval", "answer_assembly"},
+		// The update's delta round synthesizes the updated object alone.
+		"query.persistent.delta": {"synthesize_history"},
 	}
 	for root, want := range stages {
 		tr, ok := snap.Traces[root]

@@ -25,8 +25,12 @@ import (
 // the doubling.
 //
 // It runs on the continuous queries' scheduler as a plan of its own that
-// is never shared, patched or skipped spatially: every update to a class
-// it ranges over replays the history once.
+// is never shared or skipped spatially, and is maintained like a
+// continuous plan: an update to object o rewrites only o's trajectory, so
+// on a deltable shape the plan synthesizes o's history alone and patches
+// o's tuples with one pinned evaluation at the anchor.  Every evaluation
+// is anchored at t0, so the plan never re-anchors, and a patch is exact
+// whatever the formula's lookahead.
 type Persistent struct {
 	cq     *Continuous
 	anchor temporal.Tick
@@ -37,16 +41,16 @@ type Persistent struct {
 // is cancelled (most.Database.HoldHistory).
 func (e *Engine) Persistent(q *ftl.Query, opts Options) (*Persistent, error) {
 	anchor, release := e.db.HoldHistory()
-	replay := func(sp *obs.Span) (*most.Snapshot, temporal.Tick, uint64) {
+	replay := func(sp *obs.Span, ids []most.ObjectID) (*most.Snapshot, temporal.Tick, uint64) {
 		hist := sp.Child("synthesize_history")
 		h := e.db.History()
-		objects := synthesizeHistory(h, anchor, anchor.Add(opts.horizon()))
+		objects := synthesizeHistory(h, anchor, anchor.Add(opts.horizon()), ids...)
 		hist.Annotate("objects", int64(objects.Len()))
 		hist.End()
 		return objects, anchor, h.Current().Version()
 	}
 	h := &Continuous{}
-	p := newPlan(e, fmt.Sprintf("persistent %p", h), q, opts, persistentMetrics, replay) // never shared
+	p := newPlan(e, fmt.Sprintf("persistent %p", h), q, opts, "query.persistent", source{read: replay, fixed: true}) // never shared
 	p.release = release
 	e.mu.Lock()
 	if err := e.start(p, h); err != nil {
@@ -75,78 +79,104 @@ func (pq *Persistent) Subscribe(fn func([]Row)) error {
 // Cancel unregisters the query and releases its hold on the update log.
 func (pq *Persistent) Cancel() { pq.cq.Cancel() }
 
-// synthesizeHistory builds, for every object currently in the database, a
-// synthetic revision whose dynamic attributes trace the object's *actual*
-// trajectory from t0 (replayed from the update log) followed by the current
-// implicit future up to horizonEnd.  Static attributes take their current
-// values (a static attribute has a single value per revision; queries over
-// past static values should bind them with the assignment quantifier at
-// entry time instead).  It makes one pass over the retained log.
-func synthesizeHistory(h most.History, t0, horizonEnd temporal.Tick) *most.Snapshot {
+// synthesizeHistory builds, for every object currently in the database —
+// or, given ids, for those objects alone — a synthetic revision whose
+// dynamic attributes trace the object's *actual* trajectory from t0
+// (replayed from the update log) followed by the current implicit future
+// up to horizonEnd.  An id the current version does not hold (a deleted
+// object) is left out.  Static attributes take their current values (a
+// static attribute has a single value per revision; queries over past
+// static values should bind them with the assignment quantifier at entry
+// time instead).  It makes one pass over the retained log, and an
+// object's revision depends on that object's own updates only, so
+// synthesizing {o} alone gives the revision a whole-history synthesis
+// gives o.
+func synthesizeHistory(h most.History, t0, horizonEnd temporal.Tick, ids ...most.ObjectID) *most.Snapshot {
+	current := h.Current()
+	var objs []*most.Object
+	var want map[most.ObjectID]bool
+	if ids == nil {
+		objs = current.Objects("")
+	} else {
+		want = make(map[most.ObjectID]bool, len(ids))
+		for _, id := range ids {
+			want[id] = true
+			if o, ok := current.Get(id); ok {
+				objs = append(objs, o)
+			}
+		}
+	}
 	byObj := map[most.ObjectID][]most.Update{}
 	for _, u := range h.Updates() {
-		byObj[u.Object] = append(byObj[u.Object], u)
+		if want == nil || want[u.Object] {
+			byObj[u.Object] = append(byObj[u.Object], u)
+		}
 	}
-	current := h.Current().Objects("")
-	out := make([]*most.Object, 0, len(current))
-	for _, cur := range current {
-		id := cur.ID()
-		ups := byObj[id]
-		// Collect this object's revision changepoints in [t0, now].
-		type rev struct {
-			tick temporal.Tick
-			obj  *most.Object
+	out := make([]*most.Object, 0, len(objs))
+	for _, cur := range objs {
+		if synth, ok := synthesizeObject(h, cur, byObj[cur.ID()], t0, horizonEnd); ok {
+			out = append(out, synth)
 		}
-		revs := []rev{}
-		if o, ok := h.RevisionIn(id, ups, t0); ok {
-			revs = append(revs, rev{tick: t0, obj: o})
-		}
-		for _, u := range ups {
-			if u.Tick <= t0 || u.After == nil {
-				continue
-			}
-			if u.Tick > h.Now() {
-				break
-			}
-			revs = append(revs, rev{tick: u.Tick, obj: u.After})
-		}
-		if len(revs) == 0 {
-			// Object did not exist at t0 (inserted later): anchor at its
-			// first known revision.
-			continue
-		}
-		synth := cur
-		for _, def := range cur.Class().Attrs() {
-			if def.Kind != most.Dynamic {
-				continue
-			}
-			var segs []motion.Segment
-			for i, r := range revs {
-				from := float64(r.tick)
-				to := float64(horizonEnd)
-				if i+1 < len(revs) {
-					to = float64(revs[i+1].tick)
-				}
-				if to <= from {
-					continue
-				}
-				dyn, err := r.obj.Dynamic(def.Name)
-				if err != nil {
-					continue
-				}
-				segs = append(segs, dyn.Trajectory(from, to)...)
-			}
-			attr, ok := segsToDynamicAttr(segs, t0)
-			if !ok {
-				continue
-			}
-			if next, err := synth.WithDynamic(def.Name, attr); err == nil {
-				synth = next
-			}
-		}
-		out = append(out, synth)
 	}
 	return most.NewSnapshot(h.Now(), out...)
+}
+
+// synthesizeObject builds the synthetic revision of one current object
+// from its retained updates ups (see synthesizeHistory).  It reports false
+// when the object has no revision in [t0, now].
+func synthesizeObject(h most.History, cur *most.Object, ups []most.Update, t0, horizonEnd temporal.Tick) (*most.Object, bool) {
+	id := cur.ID()
+	// Collect this object's revision changepoints in [t0, now].
+	type rev struct {
+		tick temporal.Tick
+		obj  *most.Object
+	}
+	revs := []rev{}
+	if o, ok := h.RevisionIn(id, ups, t0); ok {
+		revs = append(revs, rev{tick: t0, obj: o})
+	}
+	for _, u := range ups {
+		if u.Tick <= t0 || u.After == nil {
+			continue
+		}
+		if u.Tick > h.Now() {
+			break
+		}
+		revs = append(revs, rev{tick: u.Tick, obj: u.After})
+	}
+	if len(revs) == 0 {
+		return nil, false
+	}
+	synth := cur
+	for _, def := range cur.Class().Attrs() {
+		if def.Kind != most.Dynamic {
+			continue
+		}
+		var segs []motion.Segment
+		for i, r := range revs {
+			from := float64(r.tick)
+			to := float64(horizonEnd)
+			if i+1 < len(revs) {
+				to = float64(revs[i+1].tick)
+			}
+			if to <= from {
+				continue
+			}
+			dyn, err := r.obj.Dynamic(def.Name)
+			if err != nil {
+				continue
+			}
+			segs = append(segs, dyn.Trajectory(from, to)...)
+		}
+		attr, ok := segsToDynamicAttr(segs, t0)
+		if !ok {
+			continue
+		}
+		if next, err := synth.WithDynamic(def.Name, attr); err == nil {
+			synth = next
+		}
+	}
+	return synth, true
 }
 
 // segsToDynamicAttr folds absolute-time segments into a single DynamicAttr

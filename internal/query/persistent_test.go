@@ -1,13 +1,18 @@
 package query
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/geom"
 	"github.com/mostdb/most/internal/most"
+	"github.com/mostdb/most/internal/motion"
 	"github.com/mostdb/most/internal/obs"
+	"github.com/mostdb/most/internal/temporal"
 )
 
 // TestPersistentPlanListenerFiresOnChange pins the listener contract a
@@ -118,8 +123,9 @@ func TestPersistentPlanFailedRegistrationReleasesHold(t *testing.T) {
 // TestPersistentPlanNeverSkips registers a persistent and a continuous
 // query of one ROI-bounded, deltable shape.  The continuous plan patches
 // relevant updates and skips spatially irrelevant ones; the persistent
-// plan replays the history once for every update to its class, and its
-// rounds move only the query.persistent counters.
+// plan skips none, and patches every update to its class at the cost of
+// the updated object alone: one delta round that synthesizes one object's
+// history and runs one pinned evaluation, never a full replay.
 func TestPersistentPlanNeverSkips(t *testing.T) {
 	db, cls := testDB(t)
 	reg := obs.New()
@@ -162,13 +168,30 @@ func TestPersistentPlanNeverSkips(t *testing.T) {
 		if err := db.SetMotion(most.ObjectID(u.id), u.v); err != nil {
 			t.Fatal(err)
 		}
-		after := counters()
+		snap := reg.Snapshot()
+		after := snap.Counters
 		moved := func(name string) int64 { return after[name] - before[name] }
-		if got := e.Evaluations() - evals; u.skip && got != 1 {
-			t.Errorf("%s: %d evaluations, want the persistent replay only", u.id, got)
+		// The continuous plan adds one pinned evaluation when it patches.
+		want := 2
+		if u.skip {
+			want = 1
 		}
-		if got := moved("query.persistent.reevals"); got != 1 {
-			t.Errorf("%s: query.persistent.reevals moved %d, want 1", u.id, got)
+		if got := e.Evaluations() - evals; got != want {
+			t.Errorf("%s: %d evaluations, want %d (one pinned evaluation per patching plan)", u.id, got, want)
+		}
+		if got := moved("query.persistent.delta"); got != 1 {
+			t.Errorf("%s: query.persistent.delta moved %d, want 1", u.id, got)
+		}
+		if got := moved("query.persistent.full"); got != 0 {
+			t.Errorf("%s: query.persistent.full moved %d, want 0 (the persistent plan patches)", u.id, got)
+		}
+		tr, ok := snap.Traces["query.persistent.delta"]
+		if !ok {
+			t.Fatalf("%s: no query.persistent.delta trace", u.id)
+		}
+		hist, ok := tr.Find("synthesize_history")
+		if !ok || hist.Attrs["objects"] != 1 {
+			t.Errorf("%s: delta round synthesized %v objects, want 1", u.id, hist.Attrs["objects"])
 		}
 		if got := moved("query.continuous.skipped_irrelevant"); (got == 1) != u.skip {
 			t.Errorf("%s: skipped_irrelevant moved %d, want skip=%v", u.id, got, u.skip)
@@ -177,4 +200,94 @@ func TestPersistentPlanNeverSkips(t *testing.T) {
 			t.Errorf("%s: query.continuous.full moved %d, want 0 (the continuous plan patches)", u.id, got)
 		}
 	}
+}
+
+// TestSynthesizeOneObjectMatchesWhole is the property the persistent delta
+// path rests on: synthesizing the history of {o} alone gives exactly the
+// revision (byte for byte in the binary object encoding) that a
+// whole-history synthesis gives o, and leaves o out exactly when the
+// whole synthesis does.  Seeded random schedules mix motion updates,
+// teleports (a jump of X.POSITION), inserts after the anchor and deletes,
+// and run the clock well past anchor+horizon, checking every id ever seen
+// after every step.
+func TestSynthesizeOneObjectMatchesWhole(t *testing.T) {
+	const horizon = temporal.Tick(20)
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			db, cls := testDB(t)
+			rng := rand.New(rand.NewSource(seed))
+			point := func() geom.Point { return geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100} }
+			vector := func() geom.Vector { return geom.Vector{X: rng.Float64()*4 - 2, Y: rng.Float64()*4 - 2} }
+			var live, seen []most.ObjectID
+			add := func() {
+				id := most.ObjectID(fmt.Sprintf("car-%02d", len(seen)))
+				addCar(t, db, cls, id, point(), vector())
+				live, seen = append(live, id), append(seen, id)
+			}
+			for range 4 {
+				add()
+			}
+			db.Advance(3)
+			t0, release := db.HoldHistory()
+			defer release()
+			end := t0.Add(horizon)
+
+			var moves, teleports, inserts, deletes, pastHorizon int
+			for step := 0; step < 40; step++ {
+				db.Advance(temporal.Tick(rng.Intn(4)))
+				switch op := rng.Intn(4); {
+				case op == 2 || len(live) == 0:
+					add()
+					inserts++
+				case op == 3 && len(live) > 1:
+					i := rng.Intn(len(live))
+					if err := db.Delete(live[i]); err != nil {
+						t.Fatal(err)
+					}
+					live = append(live[:i], live[i+1:]...)
+					deletes++
+				case op == 1:
+					id := live[rng.Intn(len(live))]
+					jump := motion.LinearFrom(rng.Float64()*100, db.Now(), rng.Float64()*4-2)
+					if err := db.SetDynamic(id, most.XPosition, jump); err != nil {
+						t.Fatal(err)
+					}
+					teleports++
+				default:
+					if err := db.SetMotion(live[rng.Intn(len(live))], vector()); err != nil {
+						t.Fatal(err)
+					}
+					moves++
+				}
+				if db.Now() > end {
+					pastHorizon++
+				}
+
+				h := db.History()
+				whole := synthesizeHistory(h, t0, end)
+				for _, id := range seen {
+					one := synthesizeHistory(h, t0, end, id)
+					want, inWhole := whole.Get(id)
+					got, inOne := one.Get(id)
+					if inWhole != inOne || one.Len() != btoi(inOne) {
+						t.Fatalf("step %d %s: alone holds %d objects (has it: %v), whole has it: %v", step, id, one.Len(), inOne, inWhole)
+					}
+					if inWhole && !bytes.Equal(most.EncodeObject(got), most.EncodeObject(want)) {
+						t.Fatalf("step %d %s: synthesized alone differs from the whole-history revision", step, id)
+					}
+				}
+			}
+			if moves == 0 || teleports == 0 || inserts == 0 || deletes == 0 || pastHorizon == 0 {
+				t.Fatalf("schedule missed a case: moves %d, teleports %d, inserts %d, deletes %d, steps past t0+horizon %d",
+					moves, teleports, inserts, deletes, pastHorizon)
+			}
+		})
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -430,7 +430,7 @@ func TestPinnedAndPersistentNeverProbe(t *testing.T) {
 		}
 	}
 	after := reg.Snapshot().Counters
-	for _, name := range []string{"query.continuous.delta", "query.persistent.reevals"} {
+	for _, name := range []string{"query.continuous.delta", "query.persistent.delta"} {
 		if after[name] <= before[name] {
 			t.Errorf("%s did not move (%d): the updates were not maintained", name, after[name])
 		}

@@ -20,9 +20,10 @@ import (
 // relation fans out to all attached handles, making per-update maintenance
 // cost proportional to the number of distinct query shapes rather than the
 // subscriber count.  A persistent plan (see Engine.Persistent) runs on the
-// same scheduler; only the data set at registration differ: what an
-// evaluation reads (source), which counters it moves (metrics), and what
-// its removal gives back (release).
+// same scheduler and is maintained the same way; only the data set at
+// registration differ: what an evaluation reads (source), the prefix of
+// the counters it moves (metrics), and what its removal gives back
+// (release).
 type sharedPlan struct {
 	key     string
 	planID  uint64
@@ -33,11 +34,7 @@ type sharedPlan struct {
 	roi     roiPlan
 	classes map[string]bool
 	metrics planMetrics
-
-	// source takes the objects one evaluation reads, as a stage of sp,
-	// with the tick the evaluation is anchored at and the database
-	// version it reflects.
-	source func(sp *obs.Span) (*most.Snapshot, temporal.Tick, uint64)
+	source  source
 	// release gives back what the plan's creation took; it runs once,
 	// when the plan is removed from the engine.
 	release func()
@@ -73,37 +70,53 @@ type sharedPlan struct {
 	validUntil atomic.Int64
 }
 
-// planMetrics names the counters a plan's rounds move.  An empty name is
-// a counter the plan's kind does not keep.
+// source is what a plan's evaluations read: the current state for a
+// continuous plan, the replayed history at a fixed anchor for a persistent
+// one.  Maintenance is otherwise the same for both kinds.
+type source struct {
+	// read returns the objects one evaluation reads, as a stage of sp,
+	// with the tick the evaluation is anchored at and the database
+	// version it reflects.  Given ids it need return only those objects,
+	// leaving out the ones that no longer exist; nil ids asks for every
+	// object.
+	read func(sp *obs.Span, ids []most.ObjectID) (*most.Snapshot, temporal.Tick, uint64)
+	// fixed is true when every read is anchored at the same tick, so a
+	// patch never mixes the windows of two anchors.
+	fixed bool
+}
+
+// planMetrics names the counters, histograms and spans a plan's rounds
+// move, all under its kind's prefix ("query.continuous" or
+// "query.persistent").
 type planMetrics struct {
-	root, latency, reevals               string
+	root, latency                        string // full evaluations
+	delta, deltaLatency                  string // delta rounds; delta also counts touched objects
 	full, fallback, suppressed, patchLen string
 	plans                                string // live-plan gauge
 }
 
-var (
-	continuousMetrics = planMetrics{
-		root: "query.continuous", latency: "query.continuous_ns", reevals: "query.continuous.reevals",
-		full: "query.continuous.full", fallback: "query.continuous.fallback",
-		suppressed: "query.continuous.suppressed", patchLen: "query.continuous.patch_tuples",
-		plans: "query.continuous.shared_plans",
+func newPlanMetrics(prefix string) planMetrics {
+	return planMetrics{
+		root: prefix, latency: prefix + "_ns",
+		delta: prefix + ".delta", deltaLatency: prefix + ".delta_ns",
+		full: prefix + ".full", fallback: prefix + ".fallback",
+		suppressed: prefix + ".suppressed", patchLen: prefix + ".patch_tuples",
+		plans: prefix + ".shared_plans",
 	}
-	persistentMetrics = planMetrics{
-		root: "query.persistent", latency: "query.persistent_ns", reevals: "query.persistent.reevals",
-	}
-)
+}
 
 // newPlan returns an unregistered plan for q that reads the objects of
-// source and never applies deltas or skips updates spatially.
-func newPlan(e *Engine, key string, q *ftl.Query, opts Options, m planMetrics, source func(*obs.Span) (*most.Snapshot, temporal.Tick, uint64)) *sharedPlan {
+// src, counts under the metrics prefix, and patches deltable updates.
+func newPlan(e *Engine, key string, q *ftl.Query, opts Options, prefix string, src source) *sharedPlan {
 	p := &sharedPlan{
 		key:     key,
 		engine:  e,
 		query:   q,
 		opts:    opts,
+		plan:    newDeltaPlan(q),
 		classes: map[string]bool{},
-		metrics: m,
-		source:  source,
+		metrics: newPlanMetrics(prefix),
+		source:  src,
 		release: func() {},
 		ready:   make(chan struct{}),
 	}
@@ -115,9 +128,7 @@ func newPlan(e *Engine, key string, q *ftl.Query, opts Options, m planMetrics, s
 
 // count adds n to the plan's counter name (see planMetrics).
 func (p *sharedPlan) count(name string, n int64) {
-	if name != "" {
-		p.engine.reg().Counter(name).Add(n)
-	}
+	p.engine.reg().Counter(name).Add(n)
 }
 
 // start registers the new plan p with h as its first handle and runs its
@@ -199,7 +210,7 @@ func (p *sharedPlan) evaluate() (*eval.Relation, temporal.Tick, uint64, error) {
 	defer sp.End()
 	t0 := reg.Start()
 	defer reg.Histogram(p.metrics.latency).Since(t0)
-	objects, now, v := p.source(sp)
+	objects, now, v := p.source.read(sp, nil)
 	rel, err := e.evalRelation(p.query, p.opts, objects, now, sp)
 	return rel, now, v, err
 }
@@ -248,15 +259,15 @@ func (p *sharedPlan) maintain(u most.Update) {
 // deltable reports whether u can be applied as a per-object patch.  Callers
 // hold p.mu.
 func (p *sharedPlan) deltable(u most.Update) bool {
-	return p.plan.deltable(u, p.opts.horizon())
+	return p.plan.deltable(u, p.opts.horizon(), p.source.fixed)
 }
 
 // drain runs maintenance rounds until no work is queued.  The caller must
 // have won the evaluating flag.  Each round applies the queued updates as
 // per-object deltas, or runs one full reevaluation when a fallback
 // condition holds: needFull was set, the materialized state is errored or
-// missing, the clock has advanced past the last full anchor's validity, or
-// the delta application itself failed.
+// missing, or the delta round refused the batch (its source has moved past
+// the installed answer's validity, or the application itself failed).
 func (p *sharedPlan) drain() {
 	for {
 		p.mu.Lock()
@@ -278,16 +289,7 @@ func (p *sharedPlan) drain() {
 		}
 		anchor := p.anchor
 		p.mu.Unlock()
-		if !full && p.engine.db.Now() > anchor.Add(p.opts.horizon()-p.plan.analysis.Depth) {
-			// Unchanged tuples are no longer presentable this far past the
-			// anchor: re-anchor the whole relation.
-			full = true
-		}
-		if full {
-			p.runFull()
-			continue
-		}
-		if !p.runDelta(batch) {
+		if full || !p.runDelta(batch, anchor) {
 			p.runFull()
 		}
 	}
@@ -302,7 +304,6 @@ func (p *sharedPlan) drain() {
 // version/anchor/validity but does not fan out: same-class no-op updates
 // stop producing spurious pushes to every subscriber.
 func (p *sharedPlan) runFull() {
-	p.count(p.metrics.reevals, 1)
 	p.count(p.metrics.full, 1)
 	rel, now, v, err := p.evaluate()
 	p.mu.Lock()

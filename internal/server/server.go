@@ -78,9 +78,6 @@ import (
 
 // Config tunes a Server.  The zero value serves with sane defaults.
 type Config struct {
-	// MaxPayload bounds per-frame payload allocation (default
-	// wire.DefaultMaxPayload).
-	MaxPayload int
 	// MaxProtocol caps the protocol version the server negotiates in the
 	// Hello handshake: 2 forces full NOTIFYs for every session, and 3
 	// (wire.MaxProtocolVersion, the default) allows delta NOTIFYs; clients
@@ -93,9 +90,6 @@ type Config struct {
 	// to enter a session's queue, or a single write may take, before the
 	// session is disconnected (default 5s).
 	WriteBudget time.Duration
-	// DedupWindow is how many executed requests are remembered per client
-	// for idempotent retries (default 1024).
-	DedupWindow int
 	// BaseOptions seed every query evaluation: regions and index.
 	// Per-request horizons override BaseOptions.Horizon.
 	BaseOptions query.Options
@@ -125,9 +119,9 @@ type Config struct {
 	Cluster ClusterHooks
 	// PeerMaxPayload raises the decoder's per-frame payload bound for
 	// sessions that identify as cluster peers (HelloReq.Peer), so bulk
-	// handoff frames can exceed the client-facing MaxPayload cap without
-	// loosening the hostile-input limit for ordinary connections.  0 keeps
-	// peers at MaxPayload.
+	// handoff frames can exceed the client-facing bound
+	// (wire.DefaultMaxPayload) without loosening the hostile-input limit
+	// for ordinary connections.  0 keeps peers at wire.DefaultMaxPayload.
 	PeerMaxPayload int
 }
 
@@ -190,9 +184,6 @@ func (srv *Server) WithCommitLock(fn func()) {
 func (srv *Server) DB() *most.Database { return srv.state().db }
 
 func (c Config) normalized() Config {
-	if c.MaxPayload <= 0 {
-		c.MaxPayload = wire.DefaultMaxPayload
-	}
 	if c.MaxProtocol <= 0 || c.MaxProtocol > wire.MaxProtocolVersion {
 		c.MaxProtocol = wire.MaxProtocolVersion
 	}
@@ -201,9 +192,6 @@ func (c Config) normalized() Config {
 	}
 	if c.WriteBudget <= 0 {
 		c.WriteBudget = 5 * time.Second
-	}
-	if c.DedupWindow <= 0 {
-		c.DedupWindow = 1024
 	}
 	if c.Name == "" {
 		c.Name = "mostserver"
@@ -479,10 +467,14 @@ type dedupEntry struct {
 	frame wire.Frame
 }
 
-// dedupCache remembers the last cap mutating requests of one client.
+// dedupWindow is how many executed requests are remembered per client
+// for idempotent retries.
+const dedupWindow = 1024
+
+// dedupCache remembers the last dedupWindow mutating requests of one
+// client.
 type dedupCache struct {
 	mu      sync.Mutex
-	cap     int
 	entries map[uint64]*dedupEntry
 	order   []uint64
 }
@@ -500,7 +492,7 @@ func (c *dedupCache) begin(id uint64) (*dedupEntry, bool) {
 	e := &dedupEntry{done: make(chan struct{})}
 	c.entries[id] = e
 	c.order = append(c.order, id)
-	for len(c.order) > c.cap {
+	for len(c.order) > dedupWindow {
 		evict := c.order[0]
 		c.order = c.order[1:]
 		delete(c.entries, evict)
@@ -535,7 +527,7 @@ func (srv *Server) dedupFor(clientID string) *dedupCache {
 	defer srv.dedupMu.Unlock()
 	c, ok := srv.dedup[clientID]
 	if !ok {
-		c = &dedupCache{cap: srv.cfg.DedupWindow, entries: map[uint64]*dedupEntry{}}
+		c = &dedupCache{entries: map[uint64]*dedupEntry{}}
 		srv.dedup[clientID] = c
 	}
 	return c

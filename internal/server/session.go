@@ -111,7 +111,7 @@ func newSession(srv *Server, conn net.Conn) *session {
 // after a best-effort error push.
 func (s *session) run() {
 	go s.writeLoop()
-	dec := wire.NewDecoder(bufio.NewReaderSize(s.conn, 64<<10), s.srv.cfg.MaxPayload)
+	dec := wire.NewDecoder(bufio.NewReaderSize(s.conn, 64<<10), wire.DefaultMaxPayload)
 	peerRaised := false
 	for {
 		if s.peer && !peerRaised && s.srv.cfg.PeerMaxPayload > 0 {

@@ -329,8 +329,7 @@ func NewEngine(db *Database) *Engine { return query.NewEngine(db) }
 
 // AttrIndex is the dynamic-attribute index of §4: a (time, value)-plane
 // R-tree over trajectory strips within a finite window.  Safe for
-// concurrent use — probes share a read lock; InsertBatch interleaves a
-// bulk load with probes.
+// concurrent use: probes share a read lock, mutators take the write lock.
 type AttrIndex = index.AttrIndex
 
 // MotionIndex is the 3-D (x, y, time) variant of §4 for objects moving in
