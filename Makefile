@@ -151,7 +151,8 @@ perfbench-smoke:
 
 # Race-detector pass over the shared-plan registration/cancel/drain races
 # and the snapshot guarantees (batch-atomic cuts, domains bound from the
-# evaluated version, update-log hold release): the cheap always-on slice
+# evaluated version, update-log hold release, one round per committed
+# batch): the cheap always-on slice
 # of `make race` that guards query lifecycle.
 racequery:
-	$(GO) test -race -count=1 -run 'TestSubscribeCancelRace|TestSubscribeAfterCancel|TestRegistrationWindow|TestSnapshotAtomicBatch|TestSnapshotDomainsMatchObjects|TestPersistentHoldRelease|TestPersistentPlan' ./internal/query/
+	$(GO) test -race -count=1 -run 'TestSubscribeCancelRace|TestSubscribeAfterCancel|TestRegistrationWindow|TestSnapshotAtomicBatch|TestSnapshotDomainsMatchObjects|TestPersistentHoldRelease|TestPersistentPlan|TestBatchOneRoundPerPlan' ./internal/query/

@@ -450,7 +450,7 @@ func benchFleetEngine(b *testing.B, n int) (*most.Database, *query.Engine, *ftl.
 }
 
 // BenchmarkContinuousMaintenance measures continuous-query upkeep: the
-// onUpdate dispatch of one motion update to the registered queries.
+// dispatch of one motion update to the registered queries.
 func BenchmarkContinuousMaintenance(b *testing.B) {
 	db, e, q, opts := benchFleetEngine(b, 1000)
 	for i := 0; i < 8; i++ {

@@ -54,12 +54,13 @@ type Prov struct {
 	Op     int    `json:"o,omitempty"`
 }
 
-// Listener observes explicit updates.  Listeners run synchronously on the
-// committing goroutine after the commit lock is released, so the update
-// is already visible to Snapshot; a Batch notifies its updates in commit
-// order once the whole batch is visible.  Updates committed by different
-// goroutines may notify in either order.
-type Listener func(Update)
+// Listener observes explicit updates, one committed Batch per call: the
+// batch's updates in commit order, never empty.  Listeners run
+// synchronously on the committing goroutine after the commit lock is
+// released, so every update of the batch is already visible to Snapshot.
+// All listeners share the slice; none may modify it.  Batches committed by
+// different goroutines may notify in either order.
+type Listener func([]Update)
 
 // Database is a MOST database: a set of object classes and their current
 // objects, and a global discrete clock.  The paper's "database history"
@@ -214,7 +215,8 @@ func (db *Database) Class(name string) (*Class, bool) {
 	return c, ok
 }
 
-// Subscribe registers a listener for explicit updates.
+// Subscribe registers a listener for explicit updates, called once per
+// committed Batch (see Listener).
 func (db *Database) Subscribe(l Listener) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -322,12 +324,13 @@ func (tx *Tx) mutate(id ObjectID, kind UpdateKind, attr string, p *Prov, fn func
 }
 
 // Batch runs fn under the commit lock and commits its updates as one unit:
-// no snapshot sees some of them without the others, and the listeners are
-// notified of them, in order, once all are visible.  An update that fails
-// does not undo the ones before it: Batch returns fn's error with those
-// committed.  fn must not call other methods of the database (Class
-// excepted); the Tx carries everything a batch needs.  Every single-update
-// method is a one-update Batch.
+// no snapshot sees some of them without the others, and each listener is
+// called once with all of them, in order, once all are visible (not at
+// all when fn committed nothing).  An update that fails does not undo the
+// ones before it: Batch returns fn's error with those committed.  fn must
+// not call other methods of the database (Class excepted); the Tx carries
+// everything a batch needs.  Every single-update method is a one-update
+// Batch.
 func (db *Database) Batch(fn func(tx *Tx) error) error {
 	dob := db.obsv.Load()
 	t0 := dob.start()
@@ -336,16 +339,16 @@ func (db *Database) Batch(fn func(tx *Tx) error) error {
 	err := fn(tx)
 	n, ls := len(tx.ups), db.listeners
 	var ups []Update
-	if len(ls) > 0 {
+	if len(ls) > 0 && n > 0 {
 		ups = slices.Clone(tx.ups)
 	}
 	clear(tx.ups) // the buffer is reused; drop its revisions
 	tx.ups = tx.ups[:0]
 	db.mu.Unlock()
 	dob.commitDone(t0, n)
-	for _, u := range ups {
+	if ups != nil {
 		for _, l := range ls {
-			l(u)
+			l(ups)
 		}
 	}
 	return err

@@ -270,7 +270,8 @@ func TestUpdateFunctionAndSubattributeQuery(t *testing.T) {
 func TestListeners(t *testing.T) {
 	db, c := newTestDB(t)
 	var events []Update
-	db.Subscribe(func(u Update) { events = append(events, u) })
+	calls := 0
+	db.Subscribe(func(ups []Update) { calls++; events = append(events, ups...) })
 	insertCar(t, db, c, "car", geom.Point{}, geom.Vector{})
 	if err := db.SetStatic("car", "PRICE", Float(50)); err != nil {
 		t.Fatal(err)
@@ -278,14 +279,36 @@ func TestListeners(t *testing.T) {
 	if err := db.Delete("car"); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 3 {
-		t.Fatalf("events = %d", len(events))
+	if len(events) != 3 || calls != 3 {
+		t.Fatalf("events = %d in %d calls", len(events), calls)
 	}
 	if events[0].Kind != UpdateInsert || events[1].Kind != UpdateStatic || events[2].Kind != UpdateDelete {
 		t.Fatalf("event kinds = %v %v %v", events[0].Kind, events[1].Kind, events[2].Kind)
 	}
 	if events[1].Attr != "PRICE" || events[1].Before == nil || events[1].After == nil {
 		t.Fatalf("static update event = %+v", events[1])
+	}
+
+	// A Batch notifies once, with its updates in commit order; a batch
+	// that commits nothing does not notify.
+	insertCar(t, db, c, "a", geom.Point{}, geom.Vector{})
+	insertCar(t, db, c, "b", geom.Point{}, geom.Vector{})
+	events, calls = nil, 0
+	if err := db.Batch(func(tx *Tx) error {
+		for _, id := range []ObjectID{"b", "a", "b"} {
+			if err := tx.SetMotion(id, geom.Vector{X: 1}, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Batch(func(*Tx) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || len(events) != 3 || events[0].Object != "b" || events[1].Object != "a" || events[2].Object != "b" {
+		t.Fatalf("batch notified %d times with %d updates, want once with b, a, b", calls, len(events))
 	}
 }
 

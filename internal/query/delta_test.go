@@ -222,7 +222,7 @@ func TestContinuousDeltaFallbacks(t *testing.T) {
 // even with GOMAXPROCS=1 the armed updater goroutine is scheduled in the
 // middle of the evaluation and its commit lands inside the registration
 // window.  An update committed there used to vanish — the handle was not
-// yet in the engine's map, so onUpdate never saw it, and the installed
+// yet in the engine's map, so the update dispatch never saw it, and the installed
 // answer reflected the pre-update snapshot — leaving Answer(CQ) stale
 // until the next relevant update.  With registration-before-evaluation the
 // update either lands in the evaluated snapshot or is queued behind the

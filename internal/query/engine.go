@@ -63,10 +63,12 @@ type Engine struct {
 	nextPlanID uint64
 	plans      map[string]*sharedPlan
 
-	// snap is the pre-sorted registration snapshot onUpdate dispatches
-	// from, rebuilt under mu on every (un)registration: the per-update
+	// snap is the pre-sorted registration snapshot onBatch dispatches
+	// from, rebuilt under mu on every (un)registration: the per-batch
 	// hot path never locks, allocates, or sorts.
 	snap atomic.Pointer[regSnapshot]
+	// dispatches pools onBatch's grouping scratch.
+	dispatches sync.Pool
 
 	// evals counts full query evaluations, for the experiments comparing
 	// evaluate-once against per-tick reevaluation.
@@ -115,7 +117,7 @@ func NewEngine(db *most.Database) *Engine {
 		plans: map[string]*sharedPlan{},
 	}
 	e.snap.Store(&regSnapshot{})
-	db.Subscribe(e.onUpdate)
+	db.Subscribe(e.onBatch)
 	return e
 }
 
@@ -262,78 +264,103 @@ func (e *Engine) instantaneous(q *ftl.Query, src string, opts Options) (*eval.Re
 	return rel, s.Now(), err
 }
 
-// onUpdate maintains registered queries after an explicit update (§2.3:
-// "a continuous query CQ has to be reevaluated when an update occurs that
-// may change the set of tuples Answer(CQ)").  Dispatch runs off the
-// pre-sorted registration snapshot in three cheap stages — class filter,
-// then the plans' spatial relevance filter against the update's motion
-// envelope, then fan-out — so an update no registered query ranges over
-// costs a snapshot load and a scan, with no locking or allocation.
-// Independent plans maintain concurrently on a pool bounded by
-// GOMAXPROCS.  With a single updater, onUpdate returns only once every
-// registered query reflects the update — exactly the sequential
-// semantics; under concurrent updaters, work already in flight absorbs
-// this update instead: a burst of K updates to distinct objects drains as
-// K per-object patches in one round rather than K full joins (see
+// onBatch maintains registered queries after a committed batch of
+// explicit updates (§2.3: "a continuous query CQ has to be reevaluated when
+// an update occurs that may change the set of tuples Answer(CQ)").
+// Dispatch runs off the pre-sorted registration snapshot in three cheap
+// stages per update — class filter, then the plans' spatial relevance
+// filter against the update's motion envelope, then grouping by plan — so
+// a batch no registered query keeps costs a snapshot load and a scan, with
+// no locking or allocation.  Each plan the batch touches then runs one
+// maintenance round over its group, and independent plans maintain
+// concurrently on at most GOMAXPROCS goroutines.  With a single updater,
+// onBatch returns only once every registered query reflects the batch —
+// exactly the sequential semantics; under concurrent updaters, work
+// already in flight absorbs this batch instead (see
 // sharedPlan.maintain/drain).
-func (e *Engine) onUpdate(u most.Update) {
+func (e *Engine) onBatch(ups []most.Update) {
 	s := e.snap.Load()
 	if len(s.plans) == 0 {
 		return
 	}
-	class := updateClass(u)
-	var pbuf [16]*sharedPlan
-	plans := pbuf[:0]
-	for _, p := range s.plans {
-		if class == "" || p.classes[class] {
-			plans = append(plans, p)
-		}
-	}
-	if len(plans) > 0 && s.roi && class != "" {
-		if env, ok := motionEnvelope(u, u.Tick, u.Tick.Add(s.maxHorizon)); ok {
-			kept := plans[:0]
-			skipped := 0
-			for _, p := range plans {
-				if p.canSkip(class, u.Tick, env) {
-					skipped++
-					continue
+	var d *dispatch
+	skipped := 0
+	for i := range ups {
+		u := &ups[i]
+		class := updateClass(*u)
+		var env rect2
+		first, envOK := true, false
+		for j, p := range s.plans {
+			if class != "" && !p.classes[class] {
+				continue
+			}
+			if first {
+				// One envelope per update, over the widest horizon.
+				first = false
+				if s.roi && class != "" {
+					env, envOK = motionEnvelope(*u, u.Tick, u.Tick.Add(s.maxHorizon))
 				}
-				kept = append(kept, p)
 			}
-			plans = kept
-			if skipped > 0 {
-				e.reg().Counter("query.continuous.skipped_irrelevant").Add(int64(skipped))
+			if envOK && p.canSkip(class, u.Tick, env) {
+				skipped++
+				continue
 			}
+			if d == nil {
+				d = e.takeDispatch(len(s.plans))
+			}
+			if len(d.groups[j]) == 0 {
+				d.touched = append(d.touched, j)
+			}
+			d.groups[j] = append(d.groups[j], *u)
 		}
 	}
-	switch len(plans) {
-	case 0:
-		return
-	case 1:
-		plans[0].maintain(u)
+	if skipped > 0 {
+		e.reg().Counter("query.continuous.skipped_irrelevant").Add(int64(skipped))
+	}
+	if d == nil {
 		return
 	}
-	work := make([]func(), 0, len(plans))
-	for _, p := range plans {
-		work = append(work, func() { p.maintain(u) })
+	runBounded(len(d.touched), func(k int) {
+		j := d.touched[k]
+		s.plans[j].maintain(d.groups[j])
+	})
+	for _, j := range d.touched {
+		clear(d.groups[j]) // drop the revisions before pooling
+		d.groups[j] = d.groups[j][:0]
 	}
-	runBounded(work)
+	d.touched = d.touched[:0]
+	e.dispatches.Put(d)
 }
 
-// runBounded runs the tasks on at most GOMAXPROCS goroutines and waits for
-// all of them.  A single task runs inline.
-func runBounded(work []func()) {
-	if len(work) == 0 {
+// dispatch is onBatch's scratch: the batch's kept updates grouped by plan,
+// indexed by the plan's position in the registration snapshot, and the
+// positions of the plans the batch touches, in order.  Pooled, so batches
+// reuse the groups of earlier ones.
+type dispatch struct {
+	groups  [][]most.Update
+	touched []int
+}
+
+// takeDispatch returns empty scratch for a snapshot of n plans.
+func (e *Engine) takeDispatch(n int) *dispatch {
+	d, _ := e.dispatches.Get().(*dispatch)
+	if d == nil {
+		d = &dispatch{}
+	}
+	if len(d.groups) < n {
+		d.groups = append(d.groups, make([][]most.Update, n-len(d.groups))...)
+	}
+	return d
+}
+
+// runBounded runs task(0) … task(n-1) on at most GOMAXPROCS goroutines and
+// waits for all of them.  A single task runs inline.
+func runBounded(n int, task func(i int)) {
+	if n == 1 {
+		task(0)
 		return
 	}
-	if len(work) == 1 {
-		work[0]()
-		return
-	}
-	nw := runtime.GOMAXPROCS(0)
-	if nw > len(work) {
-		nw = len(work)
-	}
+	nw := min(runtime.GOMAXPROCS(0), n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
@@ -342,10 +369,10 @@ func runBounded(work []func()) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(work) {
+				if i >= n {
 					return
 				}
-				work[i]()
+				task(i)
 			}
 		}()
 	}

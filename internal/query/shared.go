@@ -66,7 +66,7 @@ type sharedPlan struct {
 	// validUntil is anchor+horizon-depth of the installed answer (the last
 	// tick it stays presentable at): the ROI filter may skip an update only
 	// while its tick is inside this window.  Updated on every full install;
-	// read lock-free by Engine.onUpdate.
+	// read lock-free by Engine.onBatch.
 	validUntil atomic.Int64
 }
 
@@ -137,7 +137,7 @@ func (p *sharedPlan) count(name string, n int64) {
 // (evaluating=true), so an update committed between the initial read and
 // the registration is queued and applied by the drain below instead of
 // being lost: the update either commits before the evaluated version is
-// published (and is in it) or after the registration (and its onUpdate,
+// published (and is in it) or after the registration (and its onBatch,
 // which runs after its commit, finds the plan).  A failed initial
 // evaluation removes the plan again and is returned.
 func (e *Engine) start(p *sharedPlan, h *Continuous) error {
@@ -221,31 +221,34 @@ func (p *sharedPlan) storeValidity(anchor temporal.Tick) {
 	p.validUntil.Store(int64(anchor.Add(p.opts.horizon() - p.plan.analysis.Depth)))
 }
 
-// maintain folds one relevant update into the maintenance state and, if no
-// other goroutine is draining, drains.  Concurrent calls coalesce: one
-// goroutine works at a time and the others just deposit their update.
-func (p *sharedPlan) maintain(u most.Update) {
+// maintain folds one batch's relevant updates, in commit order, into the
+// maintenance state and, if no other goroutine is draining, drains: one
+// round covers the whole batch.  Concurrent calls coalesce: one goroutine
+// works at a time and the others just deposit their updates.
+func (p *sharedPlan) maintain(ups []most.Update) {
 	p.mu.Lock()
 	if p.removed {
 		p.mu.Unlock()
 		return
 	}
-	// Classification is counted independently of scheduling: the fallback
-	// counter answers "how many updates could not be applied as deltas",
-	// including ones arriving while a full reevaluation was already
-	// pending (those used to be swallowed unclassified).
-	deltable := p.deltable(u)
-	if !deltable {
-		p.count(p.metrics.fallback, 1)
-	}
-	switch {
-	case p.needFull:
-		// A full reevaluation is already scheduled; it covers this update.
-	case deltable:
-		p.queue = append(p.queue, u)
-	default:
-		p.needFull = true
-		p.queue = nil
+	// Classification is counted per update, independently of scheduling:
+	// the fallback counter answers "how many updates could not be applied
+	// as deltas", including ones arriving while a full reevaluation was
+	// already pending.
+	for _, u := range ups {
+		deltable := p.deltable(u)
+		if !deltable {
+			p.count(p.metrics.fallback, 1)
+		}
+		switch {
+		case p.needFull:
+			// A full reevaluation is already scheduled; it covers this update.
+		case deltable:
+			p.queue = append(p.queue, u)
+		default:
+			p.needFull = true
+			p.queue = nil
+		}
 	}
 	if p.evaluating {
 		p.mu.Unlock()

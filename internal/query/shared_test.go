@@ -352,13 +352,16 @@ func TestSubscribeCancelRace(t *testing.T) {
 	updWG.Wait()
 }
 
-// TestOnUpdateIrrelevantNoAllocs pins the zero-alloc dispatch path: an
-// update to a class no registered plan ranges over costs a snapshot load
-// and a scan — no locks taken, nothing heap-allocated.
-func TestOnUpdateIrrelevantNoAllocs(t *testing.T) {
+// TestOnBatchIrrelevantNoAllocs pins the zero-alloc dispatch path: a
+// 16-update batch that no registered plan keeps — every update to a class
+// no plan ranges over, or every one skipped by the spatial relevance
+// filter — costs a snapshot load and a scan: no locks taken, nothing
+// heap-allocated.
+func TestOnBatchIrrelevantNoAllocs(t *testing.T) {
 	db, cls := testDB(t)
 	e := NewEngine(db)
 	addCar(t, db, cls, "a", geom.Point{X: 15}, geom.Vector{})
+	addCar(t, db, cls, "far", geom.Point{X: 5000}, geom.Vector{X: 1})
 	cq, err := e.Continuous(
 		ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE EVENTUALLY WITHIN 10 INSIDE(o, P)`),
 		Options{Horizon: 100, Regions: regionP()})
@@ -367,10 +370,26 @@ func TestOnUpdateIrrelevantNoAllocs(t *testing.T) {
 	}
 	defer cq.Cancel()
 
-	u := pedestrianUpdate(t, db)
-	if avg := testing.AllocsPerRun(200, func() { e.onUpdate(u) }); avg != 0 {
-		t.Errorf("irrelevant-class dispatch allocates %.1f objects/op, want 0", avg)
+	far, _ := db.Get("far")
+	batches := map[string][]most.Update{
+		"wrong-class": batchOf16(pedestrianUpdate(t, db)),
+		"roi-skip":    batchOf16(most.Update{Tick: db.Now(), Kind: most.UpdateDynamic, Object: "far", Before: far, After: far}),
 	}
+	for name, ups := range batches {
+		if avg := testing.AllocsPerRun(200, func() { e.onBatch(ups) }); avg != 0 {
+			t.Errorf("%s batch dispatch allocates %.1f objects/op, want 0", name, avg)
+		}
+	}
+}
+
+// batchOf16 is a 16-update batch of u, the size of a server UpdateBatch in
+// the city benchmark.
+func batchOf16(u most.Update) []most.Update {
+	ups := make([]most.Update, 16)
+	for i := range ups {
+		ups[i] = u
+	}
+	return ups
 }
 
 // pedestrianUpdate builds a synthetic committed update for a spatial class
@@ -392,10 +411,11 @@ func pedestrianUpdate(t *testing.T, db *most.Database) most.Update {
 	return most.Update{Tick: db.Now(), Kind: most.UpdateDynamic, Object: "p1", Before: o, After: o}
 }
 
-// BenchmarkOnUpdateIrrelevant measures the dispatch cost of updates the
-// registered plans do not care about: by class, and by the spatial
-// relevance filter (the envelope computation is the price of the skip).
-func BenchmarkOnUpdateIrrelevant(b *testing.B) {
+// BenchmarkOnBatchIrrelevant measures the dispatch cost of 16-update
+// batches the registered plans do not care about: by class, and by the
+// spatial relevance filter (the envelope computation is the price of the
+// skip).
+func BenchmarkOnBatchIrrelevant(b *testing.B) {
 	db := most.NewDatabase()
 	cls := most.MustClass("Vehicles", true, most.AttrDef{Name: "PRICE", Kind: most.Static})
 	if err := db.DefineClass(cls); err != nil {
@@ -442,19 +462,19 @@ func BenchmarkOnUpdateIrrelevant(b *testing.B) {
 	}
 
 	b.Run("wrong-class", func(b *testing.B) {
-		u := most.Update{Tick: db.Now(), Kind: most.UpdateDynamic, Object: "w1", Before: walker, After: walker}
+		ups := batchOf16(most.Update{Tick: db.Now(), Kind: most.UpdateDynamic, Object: "w1", Before: walker, After: walker})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.onUpdate(u)
+			e.onBatch(ups)
 		}
 	})
 	b.Run("roi-skip", func(b *testing.B) {
-		u := most.Update{Tick: db.Now(), Kind: most.UpdateDynamic, Object: "far", Before: far, After: far}
+		ups := batchOf16(most.Update{Tick: db.Now(), Kind: most.UpdateDynamic, Object: "far", Before: far, After: far})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.onUpdate(u)
+			e.onBatch(ups)
 		}
 	})
 }

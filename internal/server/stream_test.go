@@ -143,27 +143,31 @@ const streamSrc = `RETRIEVE o FROM Vehicles o WHERE EVENTUALLY WITHIN 10 INSIDE(
 // into one delta), the same with a two-install patch ring (the pump falls
 // off the ring and sends a full reset; see forceRingOverflow), and a
 // NOTIFY lost in transit (the
-// next delta's base does not match, and the client re-registers).
+// next delta's base does not match, and the client re-registers), and
+// 8-update batches each committed as one Database.Batch (the plan installs
+// at most once per batch, so the subscription gets at most one NOTIFY).
 func TestDeltaStreamDifferential(t *testing.T) {
 	cases := []struct {
-		name   string
-		ring   int
-		dropAt int
+		name    string
+		ring    int
+		dropAt  int
+		batched bool
 	}{
 		{name: "coalescing", ring: 64},
 		{name: "ring overflow", ring: 2},
 		{name: "base mismatch", ring: 64, dropAt: 3},
+		{name: "batched", ring: 64, batched: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func(n int) { patchRing = n }(patchRing)
 			patchRing = tc.ring
-			runStreamScenario(t, tc.dropAt)
+			runStreamScenario(t, tc.dropAt, tc.batched)
 		})
 	}
 }
 
-func runStreamScenario(t *testing.T, dropAt int) {
+func runStreamScenario(t *testing.T, dropAt int, batched bool) {
 	db, err := workload.Fleet(workload.FleetSpec{
 		N: 40, Region: geom.Rect{Max: geom.Point{X: 100, Y: 100}}, MaxSpeed: 2, Seed: 7,
 	})
@@ -286,6 +290,28 @@ func runStreamScenario(t *testing.T, dropAt int) {
 
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 40; round++ {
+		if batched {
+			_, gen := log.get(0)
+			sent := srv.m.notifies.Value()
+			if err := db.Batch(func(tx *most.Tx) error {
+				for k := 0; k < 8; k++ {
+					id := most.ObjectID(fmt.Sprintf("car-%05d", rng.Intn(40)))
+					v := geom.Vector{X: float64(rng.Intn(9) - 4), Y: float64(rng.Intn(9) - 4)}
+					if err := tx.SetMotion(id, v, nil); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			settle()
+			_, last := log.get(0)
+			if n := srv.m.notifies.Value() - sent; last-gen > 1 || n > 1 {
+				t.Fatalf("round %d: one batch made %d installs and %d NOTIFYs, want at most one each", round, last-gen, n)
+			}
+			continue
+		}
 		gate.pause()
 		for k := 1 + rng.Intn(12); k > 0; k-- {
 			id := fmt.Sprintf("car-%05d", rng.Intn(40))
@@ -346,6 +372,7 @@ func runStreamScenario(t *testing.T, dropAt int) {
 		if snap["server.notify_reset"] == 0 {
 			t.Error("ring overflow never forced a reset")
 		}
+	case batched:
 	default:
 		if snap["server.notifies_coalesced"] == 0 {
 			t.Error("a paused reader never made the pump coalesce")
