@@ -155,4 +155,4 @@ perfbench-smoke:
 # batch): the cheap always-on slice
 # of `make race` that guards query lifecycle.
 racequery:
-	$(GO) test -race -count=1 -run 'TestSubscribeCancelRace|TestSubscribeAfterCancel|TestRegistrationWindow|TestSnapshotAtomicBatch|TestSnapshotDomainsMatchObjects|TestPersistentHoldRelease|TestPersistentPlan|TestBatchOneRoundPerPlan' ./internal/query/
+	$(GO) test -race -count=1 -run 'TestSubscribeCancelRace|TestSubscribeAfterCancel|TestRegistrationWindow|TestSnapshotAtomicBatch|TestSnapshotDomainsMatchObjects|TestPersistentHoldRelease|TestPersistentPlan|TestPlanReevalError|TestBatchOneRoundPerPlan' ./internal/query/

@@ -1,7 +1,7 @@
 package query
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/ftl/eval"
@@ -18,17 +18,17 @@ import (
 // of the query; reevaluation has to occur only if the motion vector of the
 // car changes").
 //
-// Registrations that canonicalize to the same plan key (see planKey) share
-// one maintained sharedPlan: the handle carries only its own listeners and
-// cancellation state, while evaluation, delta maintenance, and the
-// version-guarded install live on the plan.  N subscribers to the same
-// query shape cost one maintenance per update, not N.
+// A handle is thin: registrations that canonicalize to the same plan key
+// (see planKey) share one maintained sharedPlan, which holds the prepared
+// query, the installed answer, the maintenance rounds and every handle's
+// listeners.  The handle itself only names its plan and whether it was
+// cancelled.  N subscribers to the same query shape cost one maintenance
+// per update, not N.
 type Continuous struct {
 	sp *sharedPlan
-
-	mu        sync.Mutex
-	listeners []func(Install)
-	cancelled bool
+	// cancelled is set once, by Cancel under the plan's lock; fan-out
+	// reads it lock-free to skip a handle cancelled after the install.
+	cancelled atomic.Bool
 }
 
 // Install is one installed Answer(CQ) as fanned out to listeners: the
@@ -52,14 +52,13 @@ type Install struct {
 // plan with the same canonical key is already maintained, attaching to it
 // without any evaluation at all.
 func (e *Engine) Continuous(q *ftl.Query, opts Options) (*Continuous, error) {
-	key := planKey(q, opts)
+	nq := ftl.NormalizeQuery(*q)
+	key := planKey(&nq, opts)
 	h := &Continuous{}
 	for {
 		e.mu.Lock()
 		if p, ok := e.plans[key]; ok {
-			p.mu.Lock()
-			p.subs = append(p.subs, h)
-			p.mu.Unlock()
+			p.handles++
 			h.sp = p
 			e.mu.Unlock()
 			<-p.ready
@@ -67,14 +66,13 @@ func (e *Engine) Continuous(q *ftl.Query, opts Options) (*Continuous, error) {
 				// The creator's initial evaluation failed and removed the
 				// plan; retry (either creating it ourselves and observing
 				// the same error, or joining a fresh healthy plan).
-				h.sp = nil
 				continue
 			}
 			e.reg().Counter("query.continuous.shared_hits").Inc()
 			return h, nil
 		}
-		p := newPlan(e, key, q, opts, "query.continuous", source{read: e.currentState})
-		p.roi = newROIPlan(q, opts, p.plan.analysis)
+		p := newPlan(e, key, nq, opts, "query.continuous", source{read: e.currentState})
+		p.roi = newROIPlan(p)
 		if err := e.start(p, h); err != nil {
 			return nil, err
 		}
@@ -113,15 +111,12 @@ func (cq *Continuous) Answer() (*eval.Relation, error) {
 // and then reads Installed receives, through the listener, every install
 // numbered above the one returned here, and possibly that one again.
 func (cq *Continuous) Installed() (Install, error) {
-	cq.mu.Lock()
-	if cq.cancelled {
-		cq.mu.Unlock()
-		return Install{}, errUnregistered
-	}
-	cq.mu.Unlock()
 	p := cq.sp
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if cq.cancelled.Load() {
+		return Install{}, errUnregistered
+	}
 	return Install{Rel: p.answer, Gen: p.gen}, p.err
 }
 
@@ -151,13 +146,7 @@ func (cq *Continuous) Subscribe(fn func(*eval.Relation)) error {
 // stream: the listener receives each install with its number and patch,
 // in install order.
 func (cq *Continuous) SubscribeInstalls(fn func(Install)) error {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	if cq.cancelled {
-		return errUnregistered
-	}
-	cq.listeners = append(cq.listeners, fn)
-	return nil
+	return cq.sp.subscribe(cq, fn)
 }
 
 // Cancel unregisters the handle ("until cancelled", §2.3).  The shared
@@ -167,20 +156,8 @@ func (cq *Continuous) Cancel() {
 	p := cq.sp
 	e := p.engine
 	e.mu.Lock()
-	p.mu.Lock()
-	for i, s := range p.subs {
-		if s == cq {
-			p.subs = append(p.subs[:i], p.subs[i+1:]...)
-			break
-		}
-	}
-	last := len(p.subs) == 0 && e.plans[p.key] == p
-	p.mu.Unlock()
-	if last {
+	defer e.mu.Unlock()
+	if p.detach(cq) && e.plans[p.key] == p {
 		e.removeLocked(p)
 	}
-	e.mu.Unlock()
-	cq.mu.Lock()
-	cq.cancelled = true
-	cq.mu.Unlock()
 }

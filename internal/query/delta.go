@@ -3,65 +3,11 @@ package query
 import (
 	"slices"
 
-	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/ftl/eval"
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/temporal"
 )
-
-// deltaPlan is the per-registration decomposability classification: which
-// updates can be folded into the materialized Answer(CQ) by recomputing
-// only the touched object's instantiations.  Computed once from the
-// normalized query at registration; immutable afterwards.
-type deltaPlan struct {
-	// query is the normalized query every pinned evaluation runs.
-	query    ftl.Query
-	analysis ftl.DeltaAnalysis
-	// varsByClass lists the FROM-bound variables ranging over each class:
-	// an update to an object of class C is covered by re-pinning each of
-	// C's variables to that object.
-	varsByClass map[string][]string
-}
-
-func newDeltaPlan(q *ftl.Query) deltaPlan {
-	nq := ftl.NormalizeQuery(*q)
-	p := deltaPlan{
-		query:       nq,
-		analysis:    ftl.AnalyzeDelta(&nq),
-		varsByClass: map[string][]string{},
-	}
-	for _, b := range nq.Bindings {
-		p.varsByClass[b.Class] = append(p.varsByClass[b.Class], b.Var)
-	}
-	return p
-}
-
-// deltable reports whether the update can be applied as a per-object
-// delta: every variable ranging over the updated object's class must be
-// maintainable (a RETRIEVE target, uncoupled by assignment quantifiers),
-// and, unless every evaluation is anchored at one tick (fixed), the
-// formula's lookahead must be finite and fit the horizon, because a patch
-// evaluated past the installed anchor mixes two windows.
-func (p deltaPlan) deltable(u most.Update, horizon temporal.Tick, fixed bool) bool {
-	if !fixed && (!p.analysis.Bounded || p.analysis.Depth > horizon) {
-		return false
-	}
-	class := updateClass(u)
-	if class == "" {
-		return false
-	}
-	vars := p.varsByClass[class]
-	if len(vars) == 0 {
-		return false
-	}
-	for _, v := range vars {
-		if !p.analysis.Maintainable[v] {
-			return false
-		}
-	}
-	return true
-}
 
 // updateClass names the class of the object an update touches ("" when the
 // update carries no revision).
@@ -85,21 +31,20 @@ func (e *Engine) pinnedContext(opts Options, now temporal.Tick, sp *obs.Span, pi
 	return ctx
 }
 
-// runDelta applies one batch of queued updates as per-object patches: each
-// distinct touched object has its answer tuples recomputed from the
-// plan's source — one pinned evaluation per variable of its class — and
-// the difference against the object's installed tuples becomes the
-// round's patch (eval.Delta).  The next install is the installed relation
-// with the patch applied, sharing every untouched part of its tree, so a
-// round costs O(touched tuples · log |answer|) however large the answer
-// is; a round whose patch is empty changes nothing and is not fanned out.
-// Reading the *current* state makes the patch idempotent: a later update
-// to the same object queued behind this round is absorbed, and
-// recomputing in any order converges.  Returns false when the batch cannot
-// be applied and the caller must fall back to a full reevaluation: the
-// source has moved past the validity of the answer installed at anchor, or
-// the application failed.
-func (p *sharedPlan) runDelta(batch []most.Update, anchor temporal.Tick) bool {
+// patch computes one round's patch from the queued updates: each distinct
+// touched object has its answer tuples recomputed from the plan's source —
+// one pinned evaluation per variable of its class — and the difference
+// against the object's installed tuples is the round's patch
+// (eval.Delta).  Installing it shares every untouched part of the
+// installed relation's tree, so a round costs O(touched tuples ·
+// log |answer|) however large the answer is.  Reading the *current* state
+// makes the patch idempotent: a later update to the same object queued
+// behind this round is absorbed, and recomputing in any order converges.
+// It reports false when the batch cannot be patched and the round must
+// rerun instead: the source has moved past the validity of the installed
+// answer, or a pinned evaluation failed.  Called by the drain, with an
+// answer installed.
+func (p *sharedPlan) patch(batch []most.Update) (round, bool) {
 	e := p.engine
 	reg := e.reg()
 	sp := reg.StartSpan(p.metrics.delta)
@@ -121,7 +66,7 @@ func (p *sharedPlan) runDelta(batch []most.Update, anchor temporal.Tick) bool {
 	}
 	clear(p.seen)
 
-	nq := &p.plan.query
+	nq := &p.nq
 	// Single-binding fast path: a pinned evaluation of a one-variable query
 	// touches only the pinned object, so the context can carry just that
 	// object instead of a full database snapshot and all-ids domain — this
@@ -134,80 +79,51 @@ func (p *sharedPlan) runDelta(batch []most.Update, anchor temporal.Tick) bool {
 	// One read supplies the install stamp, the evaluation tick and the
 	// touched objects' revisions.
 	snap, now, v := p.source.read(sp, read)
-	if now != anchor && now > anchor.Add(p.opts.horizon()-p.plan.analysis.Depth) {
+	if now != p.anchor && now > p.anchor.Add(p.opts.horizon()-p.analysis.Depth) {
 		// Unchanged tuples are no longer presentable this far past the
 		// anchor: re-anchor the whole relation.  A read at the anchor
 		// itself, as every persistent read is, never needs it.
-		return false
+		return round{}, false
 	}
 	var ctx *eval.Context
 	if single == "" {
 		full, err := e.boundContext(nq, p.opts, snap, now, sp)
 		if err != nil {
 			p.count(p.metrics.fallback, 1)
-			return false
+			return round{}, false
 		}
 		ctx = full
 	}
-	var replacements []*eval.Relation
+	cur := p.answer
+	repl := eval.NewRelation(cur.Cols...)
 	for _, id := range ids {
 		o, ok := snap.Get(id)
 		if !ok {
 			// Object deleted: removal only.
 			continue
 		}
-		for _, pin := range p.plan.varsByClass[o.Class().Name()] {
+		for _, pin := range p.vars[o.Class().Name()] {
 			ectx := ctx
 			if single != "" {
 				ectx = e.pinnedContext(p.opts, now, sp, pin, id, o)
 			}
 			rel, err := eval.EvalQueryPinned(nq, ectx, pin, eval.ObjVal(id))
+			if err == nil {
+				e.countEval()
+				err = repl.InsertFrom(rel)
+			}
 			if err != nil {
 				p.count(p.metrics.fallback, 1)
-				return false
+				return round{}, false
 			}
-			e.countEval()
-			replacements = append(replacements, rel)
-		}
-	}
-
-	p.mu.Lock()
-	if p.removed {
-		p.mu.Unlock()
-		return true // drain observes removal and stops
-	}
-	if p.err != nil || p.answer == nil {
-		p.mu.Unlock()
-		return false
-	}
-	cur := p.answer
-	repl := eval.NewRelation(cur.Cols...)
-	for _, rel := range replacements {
-		if err := repl.InsertFrom(rel); err != nil {
-			p.mu.Unlock()
-			return false
 		}
 	}
 	var oldKeys []string
 	for _, id := range ids {
 		oldKeys = append(oldKeys, p.keysOf(cur, id)...)
 	}
-	d := cur.ReplaceDelta(oldKeys, repl)
-	if v > p.version {
-		p.version = v
-	}
 	p.count(p.metrics.delta, int64(len(ids)))
-	if d.Empty() {
-		// The patch changed nothing: keep the installed relation and do
-		// not fan out.
-		p.count(p.metrics.suppressed, 1)
-		p.mu.Unlock()
-		return true
-	}
-	subs, in := p.installLocked(cur.Patch(d), &d)
-	p.mu.Unlock()
-	p.notify(subs, in)
-	return true
+	return round{d: cur.ReplaceDelta(oldKeys, repl), now: now, v: v}, true
 }
 
 // keysOf returns the keys of the installed tuples that mention object id.

@@ -70,8 +70,8 @@ type Engine struct {
 	// dispatches pools onBatch's grouping scratch.
 	dispatches sync.Pool
 
-	// evals counts full query evaluations, for the experiments comparing
-	// evaluate-once against per-tick reevaluation.
+	// evals counts FTL evaluations, full and pinned, for the experiments
+	// comparing evaluate-once against per-tick reevaluation.
 	evals atomic.Int64
 
 	// obsReg is the engine's observability registry; nil (the default)
@@ -135,7 +135,10 @@ func (e *Engine) reg() *obs.Registry {
 	return e.obsReg.Load()
 }
 
-// Evaluations returns the number of full FTL evaluations performed.
+// Evaluations returns the number of FTL evaluations performed: every full
+// evaluation (instantaneous queries, registrations, reruns) and every
+// pinned evaluation of a patch round (one per updated object and variable
+// of its class).
 func (e *Engine) Evaluations() int {
 	return int(e.evals.Load())
 }
@@ -179,19 +182,16 @@ func (e *Engine) snapshot(sp *obs.Span) *most.Snapshot {
 	return s
 }
 
-// evalRelation is the shared evaluation path behind all three query types:
-// rewrite (ftl.Normalize), context construction over objects at now with
-// the domains bound from the same objects, and the FTL evaluation itself,
-// all recorded as child stages of sp.
-func (e *Engine) evalRelation(q *ftl.Query, opts Options, objects *most.Snapshot, now temporal.Tick, sp *obs.Span) (*eval.Relation, error) {
-	rw := sp.Child("rewrite")
-	nq := ftl.NormalizeQuery(*q)
-	rw.End()
-	ctx, err := e.boundContext(&nq, opts, objects, now, sp)
+// evalRelation is the full evaluation path behind all three query types:
+// context construction over objects at now with the domains bound from the
+// same objects, and the FTL evaluation of the normalized query nq itself,
+// recorded as child stages of sp.
+func (e *Engine) evalRelation(nq *ftl.Query, opts Options, objects *most.Snapshot, now temporal.Tick, sp *obs.Span) (*eval.Relation, error) {
+	ctx, err := e.boundContext(nq, opts, objects, now, sp)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := eval.EvalQuery(&nq, ctx)
+	rel, err := eval.EvalQuery(nq, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -241,8 +241,8 @@ func (e *Engine) InstantaneousRelation(q *ftl.Query, opts Options) (*eval.Relati
 }
 
 // instantaneous evaluates q — or, when q is nil, src parsed as the parse
-// stage — over one snapshot, returning the relation and the tick it is
-// anchored at.
+// stage — normalized as the rewrite stage, over one snapshot, returning
+// the relation and the tick it is anchored at.
 func (e *Engine) instantaneous(q *ftl.Query, src string, opts Options) (*eval.Relation, temporal.Tick, error) {
 	reg := e.reg()
 	reg.Counter("query.instantaneous").Inc()
@@ -259,8 +259,11 @@ func (e *Engine) instantaneous(q *ftl.Query, src string, opts Options) (*eval.Re
 			return nil, 0, err
 		}
 	}
+	rw := sp.Child("rewrite")
+	nq := ftl.NormalizeQuery(*q)
+	rw.End()
 	s := e.snapshot(sp)
-	rel, err := e.evalRelation(q, opts, s, s.Now(), sp)
+	rel, err := e.evalRelation(&nq, opts, s, s.Now(), sp)
 	return rel, s.Now(), err
 }
 
@@ -291,7 +294,7 @@ func (e *Engine) onBatch(ups []most.Update) {
 		var env rect2
 		first, envOK := true, false
 		for j, p := range s.plans {
-			if class != "" && !p.classes[class] {
+			if class != "" && p.vars[class] == nil {
 				continue
 			}
 			if first {

@@ -106,8 +106,8 @@ func TestObsSnapshotSchema(t *testing.T) {
 	// Every query type must leave a non-empty span tree with its stages.
 	stages := map[string][]string{
 		"query.instantaneous": {"parse", "rewrite", "snapshot", "bind", "subformula_eval", "index_probe", "answer_assembly"},
-		"query.continuous":    {"rewrite", "snapshot", "bind", "subformula_eval", "index_probe", "answer_assembly"},
-		"query.persistent":    {"synthesize_history", "rewrite", "bind", "subformula_eval", "answer_assembly"},
+		"query.continuous":    {"snapshot", "bind", "subformula_eval", "index_probe", "answer_assembly"},
+		"query.persistent":    {"synthesize_history", "bind", "subformula_eval", "answer_assembly"},
 		// The update's delta round synthesizes the updated object alone.
 		"query.persistent.delta": {"synthesize_history"},
 	}

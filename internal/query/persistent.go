@@ -50,7 +50,7 @@ func (e *Engine) Persistent(q *ftl.Query, opts Options) (*Persistent, error) {
 		return objects, anchor, h.Current().Version()
 	}
 	h := &Continuous{}
-	p := newPlan(e, fmt.Sprintf("persistent %p", h), q, opts, "query.persistent", source{read: replay, fixed: true}) // never shared
+	p := newPlan(e, fmt.Sprintf("persistent %p", h), ftl.NormalizeQuery(*q), opts, "query.persistent", source{read: replay, fixed: true}) // never shared
 	p.release = release
 	e.mu.Lock()
 	if err := e.start(p, h); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -69,34 +70,94 @@ func TestPersistentPlanListenerFiresOnChange(t *testing.T) {
 	}
 }
 
-// TestPersistentPlanReevalError checks that a failed reevaluation is
-// reported by Current as Continuous reports it: the round's error and no
-// rows, not the answer of an earlier round.
-func TestPersistentPlanReevalError(t *testing.T) {
-	db, cls := testDB(t)
-	e := NewEngine(db)
-	addCar(t, db, cls, "v", geom.Point{X: 15}, geom.Vector{})
-	// The assignment term is piecewise constant while v is parked; once v
-	// moves it varies continuously over more states than allowed.
-	q := ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE [x <- o.X.POSITION] o.X.POSITION >= x`)
-	pq, err := e.Persistent(q, Options{Horizon: 50, MaxAssignStates: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pq.Cancel()
-	if rows, err := pq.Current(); err != nil || len(rows) != 1 {
-		t.Fatalf("initial Current = %v, %v; want [v]", ids(rows), err)
-	}
-	db.Advance(1)
-	if err := db.SetMotion("v", geom.Vector{X: 1}); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := pq.Current()
-	if err == nil || !strings.Contains(err.Error(), "MaxAssignStates") {
-		t.Fatalf("Current after a failed reevaluation: err = %v, want the round's error", err)
-	}
-	if rows != nil {
-		t.Errorf("Current after a failed reevaluation returned rows %v beside the error", ids(rows))
+// TestPlanReevalError checks the error and reset branches of a plan's
+// install, on a continuous and on a persistent plan: a failed round makes
+// Installed and Current report the round's error and no rows, not the
+// answer of an earlier round, and the next successful round fans out a
+// reset (the whole answer, numbered one past the last install, with no
+// patch) equal to a fresh evaluation.
+func TestPlanReevalError(t *testing.T) {
+	for _, persistent := range []bool{false, true} {
+		name := map[bool]string{false: "continuous", true: "persistent"}[persistent]
+		t.Run(name, func(t *testing.T) {
+			db, cls := testDB(t)
+			e := NewEngine(db)
+			addCar(t, db, cls, "v", geom.Point{X: 15}, geom.Vector{})
+			addCar(t, db, cls, "w", geom.Point{X: 30}, geom.Vector{})
+			// The assignment term is piecewise constant while the cars are
+			// parked; once v moves it varies continuously over more states
+			// than allowed, in the present and in the logged history.
+			q := ftl.MustParse(`RETRIEVE o FROM Vehicles o WHERE [x <- o.X.POSITION] o.X.POSITION >= x`)
+			const horizon = 50
+			opts := Options{Horizon: horizon, MaxAssignStates: 10}
+			var h *Continuous
+			var current func() ([]Row, error)
+			var fresh func() []Row
+			at := db.Now
+			if persistent {
+				pq, err := e.Persistent(q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pq.Cancel()
+				h, current, at = pq.cq, pq.Current, pq.Anchor
+				fresh = func() []Row { return naivePersistent(t, db, q, nil, pq.Anchor(), horizon) }
+			} else {
+				cq, err := e.Continuous(q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cq.Cancel()
+				h, current = cq, func() ([]Row, error) { return cq.Current(db.Now()) }
+				fresh = func() []Row { return rowsAt(naiveEval(t, db, q, nil, horizon), db.Now()) }
+			}
+			var fanned []Install
+			if err := h.SubscribeInstalls(func(in Install) { fanned = append(fanned, in) }); err != nil {
+				t.Fatal(err)
+			}
+			if rows, err := current(); err != nil || len(rows) != 2 {
+				t.Fatalf("initial Current = %v, %v; want [v w]", ids(rows), err)
+			}
+			in0, _ := h.Installed()
+
+			db.Advance(1)
+			if err := db.SetMotion("v", geom.Vector{X: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if in, err := h.Installed(); err == nil || !strings.Contains(err.Error(), "MaxAssignStates") || in.Rel != nil {
+				t.Fatalf("Installed after a failed round = %v, %v; want no answer and the round's error", in.Rel, err)
+			}
+			rows, err := current()
+			if err == nil || !strings.Contains(err.Error(), "MaxAssignStates") {
+				t.Fatalf("Current after a failed round: err = %v, want the round's error", err)
+			}
+			if rows != nil {
+				t.Errorf("Current after a failed round returned rows %v beside the error", ids(rows))
+			}
+			if len(fanned) != 0 {
+				t.Fatalf("a failed round fanned out %d installs", len(fanned))
+			}
+
+			// Deleting v takes its motion out of both sources.
+			db.Advance(1)
+			if err := db.Delete("v"); err != nil {
+				t.Fatal(err)
+			}
+			if len(fanned) != 1 {
+				t.Fatalf("recovering round fanned out %d installs, want 1", len(fanned))
+			}
+			in := fanned[0]
+			if in.Patch != nil || in.Gen != in0.Gen+1 {
+				t.Errorf("recovering install: gen %d (patch %v), want a reset numbered %d", in.Gen, in.Patch, in0.Gen+1)
+			}
+			got, want := rowKeys(rowsAt(in.Rel, at())), rowKeys(fresh())
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("reset answer %v, fresh evaluation %v", got, want)
+			}
+			if rows, err := current(); err != nil || !reflect.DeepEqual(rowKeys(rows), want) {
+				t.Errorf("Current after the reset = %v, %v; want %v", rowKeys(rows), err, want)
+			}
+		})
 	}
 }
 

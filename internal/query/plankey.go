@@ -22,9 +22,9 @@ import (
 //
 // Two registrations with equal keys have identical Answer(CQ) at every
 // instant, so they can ride one sharedPlan: one evaluation/patch per
-// update, fanned out to all subscriber handles.
-func planKey(q *ftl.Query, opts Options) string {
-	nq := ftl.NormalizeQuery(*q)
+// update, fanned out to all subscriber handles.  nq must be normalized
+// (ftl.NormalizeQuery), as the plan runs it.
+func planKey(nq *ftl.Query, opts Options) string {
 	w := &keyWriter{opts: opts, bound: map[string]string{}}
 	for _, b := range nq.Bindings {
 		w.b.WriteString("from ")

@@ -59,30 +59,25 @@ func (a rect2) union(b rect2) rect2 {
 	return a
 }
 
-// newROIPlan derives the relevance filter from the normalized query.  It
-// is conservative: any shape it cannot prove guarded simply yields no
+// newROIPlan derives the relevance filter from the plan's prepared query.
+// It is conservative: any shape it cannot prove guarded simply yields no
 // entry, and the plan then treats every class-relevant update as relevant.
-func newROIPlan(q *ftl.Query, opts Options, analysis ftl.DeltaAnalysis) roiPlan {
-	if !analysis.Bounded || analysis.Depth > opts.horizon() {
+func newROIPlan(p *sharedPlan) roiPlan {
+	if !p.analysis.Bounded || p.analysis.Depth > p.opts.horizon() {
 		return roiPlan{}
-	}
-	nq := ftl.NormalizeQuery(*q)
-	byClass := map[string][]string{}
-	for _, b := range nq.Bindings {
-		byClass[b.Class] = append(byClass[b.Class], b.Var)
 	}
 	bounds := map[string]rect2{}
 class:
-	for class, vars := range byClass {
+	for class, vars := range p.vars {
 		var box rect2
 		first := true
 		for _, v := range vars {
-			regs, ok := guardRegions(nq.Where, v)
+			regs, ok := guardRegions(p.nq.Where, v)
 			if !ok {
 				continue class
 			}
 			for _, name := range regs {
-				pg, ok := opts.Regions[name]
+				pg, ok := p.opts.Regions[name]
 				if !ok || pg.Len() == 0 {
 					continue class
 				}

@@ -12,9 +12,11 @@ import (
 	"github.com/mostdb/most/internal/temporal"
 )
 
-// sharedPlan is one maintained registered-query plan.  A continuous plan
-// is shared by every subscriber handle whose registration canonicalizes
-// to the same planKey: the paper's evaluate-once-then-maintain discipline
+// sharedPlan is one maintained registered-query plan: the query prepared
+// once at registration, the installed answer, the maintenance decision and
+// the listeners of every handle attached to it.  A continuous plan is
+// shared by every subscriber handle whose registration canonicalizes to
+// the same planKey: the paper's evaluate-once-then-maintain discipline
 // (§3.5) is applied per *distinct* plan, not per registration, so an
 // update pays one delta patch or one reevaluation here and the installed
 // relation fans out to all attached handles, making per-update maintenance
@@ -25,14 +27,19 @@ import (
 // the counters it moves (metrics), and what its removal gives back
 // (release).
 type sharedPlan struct {
-	key     string
-	planID  uint64
-	engine  *Engine
-	query   *ftl.Query // first registrant's query; sharers are canonically identical
-	opts    Options
-	plan    deltaPlan
+	key    string
+	planID uint64
+	engine *Engine
+	opts   Options
+	// nq is the normalized query every evaluation of the plan runs, full
+	// or pinned; sharers' queries normalize to the same shape.
+	nq       ftl.Query
+	analysis ftl.DeltaAnalysis
+	// vars lists the FROM-bound variables ranging over each class: an
+	// update to an object of class C concerns the plan only if C is a key,
+	// and is patched by re-pinning each of C's variables to the object.
+	vars    map[string][]string
 	roi     roiPlan
-	classes map[string]bool
 	metrics planMetrics
 	source  source
 	// release gives back what the plan's creation took; it runs once,
@@ -44,22 +51,30 @@ type sharedPlan struct {
 	// joiners block on it so a returned handle always has an answer.
 	ready   chan struct{}
 	initErr error
+	// handles counts the attached handles, under Engine.mu: the last
+	// Cancel removes the plan.
+	handles int
 
+	// mu guards the fields below.  answer, err, gen, version, anchor and
+	// byObj are written only by the goroutine holding the evaluating flag,
+	// which may therefore read them without mu.
 	mu         sync.Mutex
 	answer     *eval.Relation // frozen; replaced, never mutated
 	err        error
 	gen        uint64 // number of the installed answer (see Install.Gen)
-	version    uint64
+	version    uint64 // database version the installed state reflects
 	anchor     temporal.Tick
 	evaluating bool
 	needFull   bool
 	queue      []most.Update
 	removed    bool
-	subs       []*Continuous
+	// listeners is copy-on-write: an install fans out to the slice it
+	// saw, unaffected by later Subscribe and Cancel calls.
+	listeners []listener
 
 	// byObj indexes a multi-column answer's tuple keys by the objects
-	// they mention, and seen is runDelta's scratch set; both belong to the
-	// goroutine holding the evaluating flag.
+	// they mention, and seen is a patch round's scratch set; both belong
+	// to the goroutine holding the evaluating flag.
 	byObj map[most.ObjectID][]string
 	seen  map[most.ObjectID]struct{}
 
@@ -68,6 +83,12 @@ type sharedPlan struct {
 	// while its tick is inside this window.  Updated on every full install;
 	// read lock-free by Engine.onBatch.
 	validUntil atomic.Int64
+}
+
+// listener is one function subscribed through handle h.
+type listener struct {
+	h  *Continuous
+	fn func(Install)
 }
 
 // source is what a plan's evaluations read: the current state for a
@@ -105,23 +126,24 @@ func newPlanMetrics(prefix string) planMetrics {
 	}
 }
 
-// newPlan returns an unregistered plan for q that reads the objects of
-// src, counts under the metrics prefix, and patches deltable updates.
-func newPlan(e *Engine, key string, q *ftl.Query, opts Options, prefix string, src source) *sharedPlan {
+// newPlan returns an unregistered plan for the normalized query nq that
+// reads the objects of src, counts under the metrics prefix, and patches
+// deltable updates.
+func newPlan(e *Engine, key string, nq ftl.Query, opts Options, prefix string, src source) *sharedPlan {
 	p := &sharedPlan{
-		key:     key,
-		engine:  e,
-		query:   q,
-		opts:    opts,
-		plan:    newDeltaPlan(q),
-		classes: map[string]bool{},
-		metrics: newPlanMetrics(prefix),
-		source:  src,
-		release: func() {},
-		ready:   make(chan struct{}),
+		key:      key,
+		engine:   e,
+		opts:     opts,
+		nq:       nq,
+		analysis: ftl.AnalyzeDelta(&nq),
+		vars:     map[string][]string{},
+		metrics:  newPlanMetrics(prefix),
+		source:   src,
+		release:  func() {},
+		ready:    make(chan struct{}),
 	}
-	for _, b := range q.Bindings {
-		p.classes[b.Class] = true
+	for _, b := range nq.Bindings {
+		p.vars[b.Class] = append(p.vars[b.Class], b.Var)
 	}
 	return p
 }
@@ -142,7 +164,7 @@ func (p *sharedPlan) count(name string, n int64) {
 // evaluation removes the plan again and is returned.
 func (e *Engine) start(p *sharedPlan, h *Continuous) error {
 	p.evaluating = true
-	p.subs = []*Continuous{h}
+	p.handles = 1
 	h.sp = p
 	e.nextPlanID++
 	p.planID = e.nextPlanID
@@ -183,6 +205,32 @@ func (e *Engine) removeLocked(p *sharedPlan) {
 	p.release()
 }
 
+// subscribe adds fn to the plan's listeners on behalf of h, unless h was
+// cancelled.
+func (p *sharedPlan) subscribe(h *Continuous, fn func(Install)) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if h.cancelled.Load() {
+		return errUnregistered
+	}
+	p.listeners = append(slices.Clip(p.listeners), listener{h: h, fn: fn})
+	return nil
+}
+
+// detach cancels h and drops its listeners, reporting whether h was the
+// plan's last handle.  A second detach of the same handle does nothing.
+// Callers hold e.mu.
+func (p *sharedPlan) detach(h *Continuous) (last bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if h.cancelled.Swap(true) {
+		return false
+	}
+	p.handles--
+	p.listeners = slices.DeleteFunc(slices.Clone(p.listeners), func(l listener) bool { return l.h == h })
+	return p.handles == 0
+}
+
 // canSkip reports whether an update to class with the given motion
 // envelope provably cannot change any presentation of the installed
 // answer (see roiPlan for the full soundness argument).
@@ -211,14 +259,14 @@ func (p *sharedPlan) evaluate() (*eval.Relation, temporal.Tick, uint64, error) {
 	t0 := reg.Start()
 	defer reg.Histogram(p.metrics.latency).Since(t0)
 	objects, now, v := p.source.read(sp, nil)
-	rel, err := e.evalRelation(p.query, p.opts, objects, now, sp)
+	rel, err := e.evalRelation(&p.nq, p.opts, objects, now, sp)
 	return rel, now, v, err
 }
 
 // storeValidity records the installed answer's presentability window end.
 // Callers hold p.mu.
 func (p *sharedPlan) storeValidity(anchor temporal.Tick) {
-	p.validUntil.Store(int64(anchor.Add(p.opts.horizon() - p.plan.analysis.Depth)))
+	p.validUntil.Store(int64(anchor.Add(p.opts.horizon() - p.analysis.Depth)))
 }
 
 // maintain folds one batch's relevant updates, in commit order, into the
@@ -259,18 +307,47 @@ func (p *sharedPlan) maintain(ups []most.Update) {
 	p.drain()
 }
 
-// deltable reports whether u can be applied as a per-object patch.  Callers
-// hold p.mu.
+// deltable reports whether u can be applied as a per-object patch: every
+// variable ranging over the updated object's class must be maintainable (a
+// RETRIEVE target, uncoupled by assignment quantifiers), and, unless every
+// evaluation is anchored at one tick (source.fixed), the formula's
+// lookahead must be finite and fit the horizon, because a patch evaluated
+// past the installed anchor mixes two windows.
 func (p *sharedPlan) deltable(u most.Update) bool {
-	return p.plan.deltable(u, p.opts.horizon(), p.source.fixed)
+	if !p.source.fixed && (!p.analysis.Bounded || p.analysis.Depth > p.opts.horizon()) {
+		return false
+	}
+	vars := p.vars[updateClass(u)]
+	if len(vars) == 0 {
+		return false
+	}
+	for _, v := range vars {
+		if !p.analysis.Maintainable[v] {
+			return false
+		}
+	}
+	return true
+}
+
+// round is one maintenance round's outcome, ready to install: an error, a
+// whole answer to reset to, or a patch against the installed answer.
+type round struct {
+	err   error
+	reset *eval.Relation
+	d     eval.Delta
+	// rerun marks a full evaluation, which re-anchors the answer at now.
+	rerun bool
+	now   temporal.Tick
+	v     uint64 // database version the round read
 }
 
 // drain runs maintenance rounds until no work is queued.  The caller must
-// have won the evaluating flag.  Each round applies the queued updates as
-// per-object deltas, or runs one full reevaluation when a fallback
-// condition holds: needFull was set, the materialized state is errored or
-// missing, or the delta round refused the batch (its source has moved past
-// the installed answer's validity, or the application itself failed).
+// have won the evaluating flag.  Each round makes one decision: it patches
+// the queued updates into the installed answer (patch), or reruns the
+// query from scratch (rerun) when a patch is ruled out — needFull was set,
+// the installed state is errored, or the patch refused the batch (its
+// source has moved past the installed answer's validity, or a pinned
+// evaluation failed).  Either way the round ends in install.
 func (p *sharedPlan) drain() {
 	for {
 		p.mu.Lock()
@@ -279,72 +356,89 @@ func (p *sharedPlan) drain() {
 			p.mu.Unlock()
 			return
 		}
-		full := p.needFull
-		batch := p.queue
+		full, batch := p.needFull, p.queue
 		p.needFull, p.queue = false, nil
 		if !full && len(batch) == 0 {
 			p.evaluating = false
 			p.mu.Unlock()
 			return
 		}
-		if !full && (p.err != nil || p.answer == nil) {
-			full = true
-		}
-		anchor := p.anchor
 		p.mu.Unlock()
-		if full || !p.runDelta(batch, anchor) {
-			p.runFull()
+		r, ok := round{}, false
+		if !full && p.answer != nil { // a failed round leaves no answer to patch
+			r, ok = p.patch(batch)
 		}
+		if !ok {
+			r = p.rerun()
+		}
+		p.install(r)
 	}
 }
 
-// runFull recomputes the answer from the current state and installs it
-// under the version guard, so a slow evaluation finishing late never
-// overwrites a newer answer.  The new answer is diffed against the
-// installed one (a full run is O(data) anyway) and installed as a patch,
-// so listeners see the same patch stream as after delta rounds.  An
-// install that reproduces the previous relation exactly still advances
-// version/anchor/validity but does not fan out: same-class no-op updates
-// stop producing spurious pushes to every subscriber.
-func (p *sharedPlan) runFull() {
+// rerun recomputes the answer from the plan's source.  The new answer is
+// diffed against the installed one (a full run is O(data) anyway), so
+// listeners see the same patch stream as after patch rounds; with no
+// installed answer to diff against (the first success after a failed
+// round) it is a reset.
+func (p *sharedPlan) rerun() round {
 	p.count(p.metrics.full, 1)
 	rel, now, v, err := p.evaluate()
+	r := round{err: err, rerun: true, now: now, v: v}
+	switch {
+	case err != nil:
+	case p.answer != nil && slices.Equal(p.answer.Cols, rel.Cols):
+		r.d = eval.Diff(p.answer, rel)
+	default:
+		r.reset = rel
+	}
+	return r
+}
+
+// install is every round's tail.  Unless the plan was removed meanwhile
+// or the round read an older database version than the installed state
+// reflects, it re-anchors after a rerun, then installs the round's error
+// (which fans nothing out), reset or patch, and fans the install out to
+// the listeners.  An empty patch leaves the installed answer in place and
+// is counted as suppressed: an update that changes no answer pushes
+// nothing to any subscriber.
+func (p *sharedPlan) install(r round) {
 	p.mu.Lock()
-	if p.removed {
+	if p.removed || r.v < p.version {
 		p.mu.Unlock()
 		return
 	}
-	var subs []*Continuous
-	var in Install
-	if v >= p.version {
-		p.version = v
-		p.anchor = now
-		switch {
-		case err != nil:
-			p.err, p.answer = err, nil
-		case p.err == nil && p.answer != nil && slices.Equal(p.answer.Cols, rel.Cols):
-			p.storeValidity(now)
-			if d := eval.Diff(p.answer, rel); d.Empty() {
-				p.count(p.metrics.suppressed, 1)
-			} else {
-				subs, in = p.installLocked(p.answer.Patch(d), &d)
-			}
-		default:
-			// No installed answer to patch (first success after a failed
-			// round): the install is a reset.
-			p.err = nil
-			p.storeValidity(now)
-			subs, in = p.installLocked(rel.Freeze(), nil)
+	p.version = r.v
+	if r.rerun {
+		p.anchor = r.now
+		if r.err == nil {
+			p.storeValidity(r.now)
 		}
 	}
+	var ls []listener
+	var in Install
+	switch {
+	case r.err != nil:
+		p.err, p.answer = r.err, nil
+	case r.reset != nil:
+		p.err = nil
+		ls, in = p.installLocked(r.reset.Freeze(), nil)
+	case r.d.Empty():
+		p.count(p.metrics.suppressed, 1)
+	default:
+		ls, in = p.installLocked(p.answer.Patch(r.d), &r.d)
+	}
 	p.mu.Unlock()
-	p.notify(subs, in)
+	for _, l := range ls {
+		if !l.h.cancelled.Load() {
+			l.fn(in)
+		}
+	}
 }
 
 // installLocked makes next the installed answer, numbers it, and returns
-// the handles to fan it out to.  d is the patch from the previous install,
-// nil for a reset.  Callers hold p.mu and the evaluating flag.
-func (p *sharedPlan) installLocked(next *eval.Relation, d *eval.Delta) ([]*Continuous, Install) {
+// the listeners to fan it out to.  d is the patch from the previous
+// install, nil for a reset.  Callers hold p.mu and the evaluating flag.
+func (p *sharedPlan) installLocked(next *eval.Relation, d *eval.Delta) ([]listener, Install) {
 	p.answer = next
 	p.gen++
 	p.reindex(next, d)
@@ -353,23 +447,5 @@ func (p *sharedPlan) installLocked(next *eval.Relation, d *eval.Delta) ([]*Conti
 	} else {
 		p.count(p.metrics.patchLen, int64(next.Len()))
 	}
-	return append([]*Continuous(nil), p.subs...), Install{Rel: next, Gen: p.gen, Patch: d}
-}
-
-// notify fans one install out to the listeners of the given subscriber
-// handles.  Handle listener lists are snapshotted under each handle's
-// lock; invocations run lock-free.
-func (p *sharedPlan) notify(subs []*Continuous, in Install) {
-	for _, h := range subs {
-		h.mu.Lock()
-		if h.cancelled {
-			h.mu.Unlock()
-			continue
-		}
-		ls := append([]func(Install){}, h.listeners...)
-		h.mu.Unlock()
-		for _, fn := range ls {
-			fn(in)
-		}
-	}
+	return p.listeners, Install{Rel: next, Gen: p.gen, Patch: d}
 }

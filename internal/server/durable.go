@@ -300,13 +300,7 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 		return nil, nil, err
 	}
 
-	cfg = cfg.normalized()
-	eng := query.NewEngine(db)
-	if cfg.Reg != nil {
-		db.Instrument(cfg.Reg)
-		eng.Instrument(cfg.Reg)
-	}
-	srv := New(db, eng, cfg)
+	srv := New(db, query.NewEngine(db), cfg)
 	srv.durable = true
 	srv.wal = w
 	srv.snapPath = snapPath

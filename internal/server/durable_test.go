@@ -383,6 +383,55 @@ func TestDeadlineRefusalNotCached(t *testing.T) {
 	}
 }
 
+// A refused request that is retried takes one slot of its client's dedup
+// window: the checkpoint sidecar holds its receipt once, and the retry
+// still replays after dedupWindow-1 further requests.
+func TestDedupRefusedRetryTakesOneSlot(t *testing.T) {
+	srv := &Server{dedup: map[string]*dedupCache{}}
+	cache := srv.dedupFor("alice")
+	run := func(id uint64, refused bool) {
+		t.Helper()
+		e, replay := cache.begin(id)
+		if replay {
+			t.Fatalf("request %d replayed on its first execution", id)
+		}
+		if refused {
+			cache.remove(id)
+		}
+		e.finish(wire.Frame{Op: wire.OpResult, ID: id})
+	}
+	receipts := func() map[uint64]int {
+		t.Helper()
+		n := map[uint64]int{}
+		err := readSidecar(srv.encodeSidecar(), func(r receiptRec) { n[r.Req]++ }, func(most.Prov) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	run(7, true)  // refused without executing: forgotten
+	run(7, false) // the retry executes
+	if n := receipts(); len(n) != 1 || n[7] != 1 {
+		t.Fatalf("sidecar receipts by request = %v, want 7 once", n)
+	}
+	for id := uint64(100); id < 100+dedupWindow-1; id++ {
+		run(id, false)
+	}
+	if _, replay := cache.begin(7); !replay {
+		t.Fatal("the retry was evicted before dedupWindow requests followed it")
+	}
+	n := receipts()
+	if len(n) != dedupWindow {
+		t.Errorf("sidecar holds %d requests, want %d", len(n), dedupWindow)
+	}
+	for id, c := range n {
+		if c != 1 {
+			t.Errorf("sidecar holds request %d's receipt %d times", id, c)
+		}
+	}
+}
+
 func TestEpochFencing(t *testing.T) {
 	dir := t.TempDir()
 	srv, _ := startDurable(t, dir, "", Config{})

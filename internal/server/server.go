@@ -66,6 +66,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -514,6 +515,12 @@ func (c *dedupCache) remove(id uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.entries, id)
+	// The reservation is the newest occurrence of id: a retry re-reserves
+	// it at the end of the window, and a stale copy left behind would
+	// later evict the retry's entry.
+	if i := slices.Index(c.order, id); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
+	}
 }
 
 // dedupFor returns the cache for a client identity, creating it on first
