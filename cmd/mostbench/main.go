@@ -115,7 +115,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		if *cityGate != "" {
-			if err := gateClusterThroughput(*cityGate, rep, stdout); err != nil {
+			if err := gateThroughput(*cityGate, rep.Quick, rep.UpdatesPerSec, &rep.Speedup, stdout); err != nil {
 				return fail(err)
 			}
 		}
@@ -131,7 +131,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		if *cityGate != "" {
-			if err := gateCityThroughput(*cityGate, rep, stdout); err != nil {
+			if err := gateThroughput(*cityGate, rep.Quick, rep.UpdatesPerSec, nil, stdout); err != nil {
 				return fail(err)
 			}
 		}
@@ -207,65 +207,46 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// gateClusterThroughput gates the cluster benchmark the same way the city
-// gate works: aggregate cluster updates/sec must stay within 75% of the
-// checked-in baseline, and partitioning must still be a win — a cluster
-// run slower than its own single-node phase means routing or handoff
-// overhead ate the parallelism.
-func gateClusterThroughput(baselinePath string, rep *experiments.ClusterReport, stdout io.Writer) error {
+// gateThroughput compares a fresh run's sustained update throughput
+// against the checked-in baseline report at baselinePath (the city or the
+// cluster report: both carry quick and updates_per_sec) and fails when it
+// drops below 75% of the baseline — a CI tripwire for regressions on the
+// update and maintenance hot path.  A faster run quietly passes; refresh
+// the baseline when the ceiling moves up for real.  speedup, non-nil for
+// the cluster benchmark, is its aggregate over its own single-node phase
+// and must stay at least 1: a slower cluster means routing or handoff
+// overhead ate the parallelism, so partitioning no longer pays.
+func gateThroughput(baselinePath string, quick bool, updatesPerSec float64, speedup *float64, stdout io.Writer) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("gate: read baseline: %w", err)
 	}
-	var base experiments.ClusterReport
+	var base struct {
+		Quick         bool    `json:"quick"`
+		UpdatesPerSec float64 `json:"updates_per_sec"`
+	}
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("gate: parse baseline %s: %w", baselinePath, err)
 	}
 	if base.UpdatesPerSec <= 0 {
 		return fmt.Errorf("gate: baseline %s has no updates_per_sec", baselinePath)
 	}
-	if base.Quick != rep.Quick {
-		return fmt.Errorf("gate: baseline quick=%v but run quick=%v — modes are not comparable", base.Quick, rep.Quick)
+	if base.Quick != quick {
+		return fmt.Errorf("gate: baseline quick=%v but run quick=%v — modes are not comparable", base.Quick, quick)
 	}
 	const floor = 0.75
-	ratio := rep.UpdatesPerSec / base.UpdatesPerSec
-	fmt.Fprintf(stdout, "gate: cluster %.0f updates/s vs baseline %.0f (%.2fx, floor %.2fx); speedup over single node %.2fx\n",
-		rep.UpdatesPerSec, base.UpdatesPerSec, ratio, floor, rep.Speedup)
-	if ratio < floor {
-		return fmt.Errorf("gate: cluster throughput regressed to %.2fx of baseline (floor %.2fx)", ratio, floor)
-	}
-	if rep.Speedup < 1 {
-		return fmt.Errorf("gate: cluster is %.2fx of single-node throughput — partitioning no longer pays for itself", rep.Speedup)
-	}
-	return nil
-}
-
-// gateCityThroughput compares the fresh city report's sustained update
-// throughput against a checked-in baseline report and fails when it drops
-// below 75% of the baseline — a CI tripwire for regressions on the
-// continuous-query maintenance hot path.  A faster run quietly passes;
-// refresh the baseline when the ceiling moves up for real.
-func gateCityThroughput(baselinePath string, rep *experiments.CityReport, stdout io.Writer) error {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("gate: read baseline: %w", err)
-	}
-	var base experiments.CityReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("gate: parse baseline %s: %w", baselinePath, err)
-	}
-	if base.UpdatesPerSec <= 0 {
-		return fmt.Errorf("gate: baseline %s has no updates_per_sec", baselinePath)
-	}
-	if base.Quick != rep.Quick {
-		return fmt.Errorf("gate: baseline quick=%v but run quick=%v — modes are not comparable", base.Quick, rep.Quick)
-	}
-	const floor = 0.75
-	ratio := rep.UpdatesPerSec / base.UpdatesPerSec
+	ratio := updatesPerSec / base.UpdatesPerSec
 	fmt.Fprintf(stdout, "gate: %.0f updates/s vs baseline %.0f (%.2fx, floor %.2fx)\n",
-		rep.UpdatesPerSec, base.UpdatesPerSec, ratio, floor)
+		updatesPerSec, base.UpdatesPerSec, ratio, floor)
 	if ratio < floor {
 		return fmt.Errorf("gate: throughput regressed to %.2fx of baseline (floor %.2fx)", ratio, floor)
+	}
+	if speedup == nil {
+		return nil
+	}
+	fmt.Fprintf(stdout, "gate: speedup over single node %.2fx\n", *speedup)
+	if *speedup < 1 {
+		return fmt.Errorf("gate: cluster is %.2fx of single-node throughput — partitioning no longer pays for itself", *speedup)
 	}
 	return nil
 }

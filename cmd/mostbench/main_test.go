@@ -71,3 +71,51 @@ func TestRunErrors(t *testing.T) {
 		t.Fatalf("unexpected stderr: %s", stderr.String())
 	}
 }
+
+// TestGateThroughput drives the baseline gate on temporary baseline files,
+// without running a benchmark: the 0.75 floor is inclusive, the modes
+// must match, an unreadable or empty baseline fails, and a cluster run
+// must also beat its own single-node phase.
+func TestGateThroughput(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	quick := write("quick.json", `{"quick": true, "updates_per_sec": 1000}`)
+	full := write("full.json", `{"quick": false, "updates_per_sec": 1000}`)
+	empty := write("empty.json", `{"quick": true}`)
+	garbled := write("garbled.json", `{"quick":`)
+	fast, slow := 1.2, 0.9
+	cases := []struct {
+		name    string
+		base    string
+		ups     float64
+		speedup *float64
+		wantErr string // "" = pass
+	}{
+		{"pass", quick, 900, nil, ""},
+		{"at floor", quick, 750, nil, ""},
+		{"below floor", quick, 749, nil, "regressed to 0.75x"},
+		{"mode mismatch", full, 900, nil, "not comparable"},
+		{"unreadable", filepath.Join(dir, "missing.json"), 900, nil, "read baseline"},
+		{"unparsable", garbled, 900, nil, "parse baseline"},
+		{"no throughput", empty, 900, nil, "no updates_per_sec"},
+		{"cluster pass", quick, 900, &fast, ""},
+		{"cluster slower than one node", quick, 900, &slow, "no longer pays"},
+		{"cluster below floor", quick, 700, &fast, "regressed"},
+	}
+	for _, tc := range cases {
+		var out bytes.Buffer
+		err := gateThroughput(tc.base, true, tc.ups, tc.speedup, &out)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}

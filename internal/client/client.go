@@ -33,7 +33,8 @@
 // client's session epoch, carried in the Hello, so the server can fence
 // the zombie predecessor session and tell a resumed client from a new one.
 // A server restart therefore looks, from the caller's side, like a brief
-// latency spike.
+// latency spike.  Healing redials the address the client was dialed with;
+// a server that moves to another address needs a new Dial.
 //
 // # Subscriptions
 //
@@ -155,17 +156,6 @@ func WithJitterSeed(seed int64) Option {
 	return func(c *Client) { c.jitterSeed, c.jitterSeeded = seed, true }
 }
 
-// WithResolver installs an address resolver consulted before every
-// reconnect (never the initial dial): it receives the previous address and
-// returns the one to dial next.  A cluster router uses this so a healing
-// subscription re-resolves the node that now owns its objects via the zone
-// map, instead of redialing a fixed address that may have lost them (or
-// died for good).  Errors and empty returns fall back to the previous
-// address.
-func WithResolver(resolve func(prev string) (string, error)) Option {
-	return func(c *Client) { c.resolve = resolve }
-}
-
 // WithPeer marks the connection as cluster-internal in its Hello: the
 // server (when configured with a PeerMaxPayload) raises the frame bound so
 // bulk handoff transfers fit.  Ordinary clients never set this.
@@ -193,7 +183,6 @@ type Client struct {
 	jitterSeeded bool
 	wantProto    int // highest protocol version offered in Hello
 	peer         bool
-	resolve      func(prev string) (string, error)
 	reg          *obs.Registry
 
 	reconnects    *obs.Counter
@@ -284,15 +273,6 @@ func randomID() string {
 func (c *Client) connectLocked() error {
 	if c.closed {
 		return ErrClosed
-	}
-	if c.resolve != nil && c.gen > 0 {
-		// Reconnect: the party we should talk to may have moved (a cluster
-		// rebalance, a replacement node).  Re-resolve; failures keep the
-		// previous address so healing still works when the resolver's own
-		// source is down.
-		if addr, err := c.resolve(c.addr); err == nil && addr != "" {
-			c.addr = addr
-		}
 	}
 	conn, err := c.dial(c.addr)
 	if err != nil {

@@ -3,7 +3,6 @@ package client
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -149,93 +148,6 @@ func TestClientDialFailure(t *testing.T) {
 		return // immediate refusal is fine
 	}
 	t.Fatal("dial of a dead port succeeded")
-}
-
-// TestClientResolverHeal kills the node a subscribed client is talking to
-// and proves the heal loop consults the WithResolver hook, redials the
-// address it returns (not the dead one), and resumes the parked
-// subscription on the replacement — the cluster router's mechanism for
-// following objects to whichever node now owns them.
-func TestClientResolverHeal(t *testing.T) {
-	srvA, addrA := startServer(t, 4)
-	_, addrB := startServer(t, 6) // distinguishable fleet size: 6 proves B answered
-
-	var mu sync.Mutex
-	calls := 0
-	c, err := Dial(addrA,
-		WithClientID("resolver-heal"),
-		WithRetries(20),
-		WithBackoff(10*time.Millisecond, 100*time.Millisecond),
-		WithResolver(func(prev string) (string, error) {
-			mu.Lock()
-			calls++
-			mu.Unlock()
-			if prev != addrA && prev != addrB {
-				t.Errorf("resolver consulted with unknown previous address %q", prev)
-			}
-			return addrB, nil
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	sub, err := c.Subscribe(`RETRIEVE o FROM Vehicles o WHERE Eventually WITHIN 30 INSIDE(o, P)`, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	if _, _, err := sub.Answer(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash the original node mid-subscription.  The heal loop must ask the
-	// resolver where to go and come back on B.
-	srvA.Abort()
-	if err := c.Ping(); err != nil {
-		t.Fatalf("client never healed onto the resolved node: %v", err)
-	}
-	objs, err := c.Objects("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs.Objects) != 6 {
-		t.Fatalf("healed client sees %d objects, want 6 — it redialed the wrong node", len(objs.Objects))
-	}
-	mu.Lock()
-	consulted := calls
-	mu.Unlock()
-	if consulted == 0 {
-		t.Fatal("heal loop reconnected without consulting the resolver")
-	}
-
-	// The subscription must have followed: it is live on B and pushes when
-	// B's answer changes.
-	if err := sub.Err(); err != nil {
-		t.Fatalf("subscription did not survive the heal: %v", err)
-	}
-	_, seq0, err := sub.Answer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.UpdateBatch([]wire.UpdateOp{parkedInsert(t, "car-healed", 25, 25)}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(10 * time.Second)
-	for {
-		_, seq, err := sub.Answer()
-		if err != nil {
-			t.Fatalf("healed subscription failed: %v", err)
-		}
-		if seq > seq0 {
-			break
-		}
-		select {
-		case <-sub.Updates():
-		case <-deadline:
-			t.Fatal("healed subscription never pushed from the replacement node")
-		}
-	}
 }
 
 // parkedInsert builds an OpInsert for a fresh vehicle parked at (x, y).

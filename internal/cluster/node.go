@@ -357,7 +357,14 @@ func (n *Node) Relay(addr string, req *wire.ForwardReq) (*wire.UpdateBatchResp, 
 	if err != nil {
 		var se *client.ServerError
 		if errors.As(err, &se) {
-			return nil, &server.RelayError{Code: se.Code, Msg: se.Msg, Addr: se.Addr}
+			// The owner's per-op redirects name its own ops "": the origin
+			// sent them here, so name the owner instead.
+			for i, a := range se.Redirects {
+				if a == "" {
+					se.Redirects[i] = addr
+				}
+			}
+			return nil, &server.RelayError{Code: se.Code, Msg: se.Msg, Addr: se.Addr, Redirects: se.Redirects}
 		}
 		return nil, err
 	}
@@ -563,8 +570,8 @@ func (n *Node) peerClient(addr string) (*client.Client, error) {
 	}
 	// The retry budget is deliberately modest: a transfer that cannot
 	// reach its receiver (partition, crash) is not worth stalling the
-	// commit path for — the object stays owned here and the next
-	// rebalance barrier retries the whole handoff.
+	// commit path for — the object stays frozen here, parked as an
+	// in-doubt transfer that retryLoop re-offers every 150 ms.
 	opts := []client.Option{
 		client.WithClientID("peer:" + n.name + ":" + n.nonce),
 		client.WithPeer(),

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/mostdb/most/internal/client"
@@ -24,24 +23,29 @@ import (
 //
 // Routing state is a cache, not a source of truth.  The owner map is
 // seeded from each node's object listing and corrected by the nodes
-// themselves: a batch that lands wholesale on a wrong node is relayed
-// server-side (OpForward), and a mixed or unknown batch comes back as a
-// wrong_zone redirect carrying the owner's address.  Either way the
-// router learns and the next batch flies direct.
+// themselves, by one rule: send each group to its cached owner; on a
+// wrong_zone refusal follow its Addr, or regroup by its per-op
+// Redirects, every hop and regroup spending one shared budget
+// (maxHops).  A batch that lands wholesale on a wrong node is relayed
+// server-side (OpForward) and succeeds; learn then records the relaying
+// node as the owner, so the next batch for those objects is relayed
+// again.
 type Router struct {
-	zm   atomic.Pointer[ZoneMap]
-	dial func(addr string) (net.Conn, error)
+	zm    *ZoneMap
+	order []string // node addresses, zone-map order
+	dial  func(addr string) (net.Conn, error)
+	nonce string
 
-	mu       sync.Mutex
-	clients  map[string]*client.Client // by node address
-	order    []string                  // node addresses, zone-map order
-	owner    map[string]string         // object id -> node address (cache)
-	repl     map[string]bool           // object id -> replicated class member
-	ownerGen uint64                    // bumped by each completed refreshOwners
-	nonce    string
-
-	refreshMu sync.Mutex // single-flights refreshOwners
+	mu      sync.Mutex
+	clients map[string]*client.Client // by node address
+	owner   map[string]string         // object id -> node address (cache)
+	repl    map[string]bool           // object id -> replicated class member
 }
+
+// maxHops bounds the redirects, regroups and heals one op may ride before
+// the router gives up: redirects are hints a concurrent handoff can
+// stale, and two mutually stale nodes must not bounce a batch forever.
+const maxHops = 4
 
 // NewRouter bootstraps a router from any live node: it fetches the zone
 // map, connects to every node in it, and seeds the ownership cache from
@@ -64,10 +68,9 @@ func NewRouter(addr, nonce string, dial func(addr string) (net.Conn, error)) (*R
 		r.Close()
 		return nil, fmt.Errorf("cluster: fetch zone map: %w", err)
 	}
-	zm := FromWire(&zmw)
-	r.zm.Store(zm)
+	r.zm = FromWire(&zmw)
 	seen := map[string]bool{}
-	for _, z := range zm.Zones {
+	for _, z := range r.zm.Zones {
 		if seen[z.Addr] {
 			continue
 		}
@@ -77,6 +80,10 @@ func NewRouter(addr, nonce string, dial func(addr string) (net.Conn, error)) (*R
 			r.Close()
 			return nil, err
 		}
+	}
+	if len(r.order) == 0 {
+		r.Close()
+		return nil, fmt.Errorf("cluster: zone map from %s names no nodes", addr)
 	}
 	if err := r.seedOwners(); err != nil {
 		r.Close()
@@ -101,10 +108,6 @@ func (r *Router) connect(addr string) (*client.Client, error) {
 		client.WithRetries(400),
 		client.WithTimeout(10 * time.Second),
 		client.WithBackoff(2*time.Millisecond, 250*time.Millisecond),
-		// If the cluster is ever re-homed, a healing subscription re-asks
-		// the zone map for the address now serving this node's zones
-		// instead of redialing a dead one forever.
-		client.WithResolver(func(prev string) (string, error) { return r.resolveNode(prev) }),
 	}
 	if r.dial != nil {
 		opts = append(opts, client.WithDialer(r.dial))
@@ -117,32 +120,10 @@ func (r *Router) connect(addr string) (*client.Client, error) {
 	return cl, nil
 }
 
-// resolveNode maps a (possibly dead) node address to the address serving
-// its zones in the current map — the heal-loop's zone-map indirection.
-func (r *Router) resolveNode(prev string) (string, error) {
-	zm := r.zm.Load()
-	if zm == nil {
-		return prev, nil
-	}
-	for _, z := range zm.Zones {
-		if z.Addr == prev {
-			return z.Addr, nil
-		}
-	}
-	// The address vanished from the map entirely: its zones were re-homed;
-	// any surviving node can say where.  With a static map this is
-	// unreachable, but the contract keeps the heal loop zone-map-driven.
-	if len(zm.Zones) > 0 {
-		return zm.Zones[0].Addr, nil
-	}
-	return prev, nil
-}
-
 // seedOwners fills the ownership cache from every node's object listing
 // and records which objects belong to replicated classes.
 func (r *Router) seedOwners() error {
-	zm := r.zm.Load()
-	for _, addr := range r.nodes() {
+	for _, addr := range r.order {
 		cl, err := r.connect(addr)
 		if err != nil {
 			return err
@@ -153,7 +134,7 @@ func (r *Router) seedOwners() error {
 		}
 		r.mu.Lock()
 		for _, o := range resp.Objects {
-			if zm != nil && zm.IsReplicated(o.Class) {
+			if r.zm.IsReplicated(o.Class) {
 				r.repl[o.ID] = true
 				continue
 			}
@@ -163,16 +144,6 @@ func (r *Router) seedOwners() error {
 	}
 	return nil
 }
-
-// nodes returns the node addresses in zone-map order.
-func (r *Router) nodes() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
-// ZoneMap returns the topology the router currently routes by.
-func (r *Router) ZoneMap() *ZoneMap { return r.zm.Load() }
 
 // NodeClient returns the router's connection to one node, for callers
 // that need per-node inspection (tests, benchmarks).
@@ -188,255 +159,154 @@ func (r *Router) Close() {
 	}
 }
 
+// fanOut runs fn once per node address, all concurrently, and returns the
+// first error in addrs order.  Requests to different nodes ride
+// independent connections, so a round over N nodes costs one round trip,
+// not N.
+func fanOut(addrs []string, fn func(i int, addr string) error) error {
+	errs := make([]error, len(addrs))
+	var wg sync.WaitGroup
+	for i, addr := range addrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i, addr)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ---- updates ----
 
 // UpdateBatch routes ops to their owning nodes and applies them.  Ops on
-// replicated-class objects broadcast to every node (each maintains its
-// own full copy); the rest group by cached owner and fly direct, with
-// server-side relaying and wrong_zone redirects correcting stale cache
-// entries.  Applied counts each original op once, however many replicas
-// applied it; Now and Version are taken from the last response and are
-// only meaningful to callers quiescing at barriers.
+// replicated-class objects, fresh inserts included, broadcast to every
+// node (each maintains its own full copy); the rest group by cached
+// owner, an unknown one meaning the first node, whose gate relays or
+// redirects.  Applied counts each original op once, however many
+// replicas applied it; Now and Version are taken from the last response
+// and are only meaningful to callers quiescing at barriers.
 func (r *Router) UpdateBatch(ops []wire.UpdateOp) (wire.UpdateBatchResp, error) {
 	groups := map[string][]wire.UpdateOp{}
 	var bcast []wire.UpdateOp
 	r.mu.Lock()
-	fallback := ""
-	if len(r.order) > 0 {
-		fallback = r.order[0]
-	}
 	for _, op := range ops {
+		if op.Op == wire.OpInsert {
+			if class, err := most.ObjectClass(op.Object); err == nil && r.zm.IsReplicated(class) {
+				r.repl[op.ID] = true
+			}
+		}
 		if r.repl[op.ID] {
 			bcast = append(bcast, op)
 			continue
 		}
-		addr, ok := r.owner[op.ID]
-		if !ok || addr == "" {
-			addr = r.routeColdLocked(&op, fallback)
+		addr := r.owner[op.ID]
+		if addr == "" {
+			addr = r.order[0]
 		}
 		groups[addr] = append(groups[addr], op)
 	}
 	r.mu.Unlock()
 
-	var out wire.UpdateBatchResp
+	out, err := r.sendGroups(groups, maxHops)
+	if err != nil || len(bcast) == 0 {
+		return out, err
+	}
+	resps := make([]wire.UpdateBatchResp, len(r.order))
+	err = fanOut(r.order, func(i int, addr string) error {
+		cl, err := r.connect(addr)
+		if err != nil {
+			return err
+		}
+		if resps[i], err = cl.UpdateBatch(bcast); err != nil {
+			return fmt.Errorf("cluster: replicated batch on %s: %w", addr, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return out, err
+	}
+	last := resps[len(resps)-1]
+	out.Applied += len(bcast)
+	out.Now, out.Version = last.Now, last.Version
+	return out, nil
+}
+
+// sendGroups delivers each destination's group concurrently, each with
+// budget hops left, and sums the responses.
+func (r *Router) sendGroups(groups map[string][]wire.UpdateOp, budget int) (wire.UpdateBatchResp, error) {
 	addrs := sortedKeys(groups)
 	resps := make([]wire.UpdateBatchResp, len(addrs))
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		// Per-node groups are independent requests on independent
-		// connections: scatter them concurrently so a batch spanning N
-		// zones costs one round trip, not N.
-		i, addr := i, addr
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := r.sendGroup(addr, groups[addr])
-			if err != nil {
-				resp, err = r.healGroup(addr, groups[addr], err)
-			}
-			resps[i], errs[i] = resp, err
-		}()
+	err := fanOut(addrs, func(i int, addr string) (err error) {
+		resps[i], err = r.sendGroup(addr, groups[addr], budget)
+		return err
+	})
+	var out wire.UpdateBatchResp
+	if err != nil {
+		return out, err
 	}
-	wg.Wait()
-	for i := range addrs {
-		if errs[i] != nil {
-			return out, errs[i]
-		}
-		out.Applied += resps[i].Applied
-		out.Now, out.Version = resps[i].Now, resps[i].Version
-	}
-	if len(bcast) > 0 {
-		for _, addr := range r.nodes() {
-			cl, err := r.connect(addr)
-			if err != nil {
-				return out, err
-			}
-			resp, err := cl.UpdateBatch(bcast)
-			if err != nil {
-				return out, fmt.Errorf("cluster: replicated batch on %s: %w", addr, err)
-			}
-			out.Now, out.Version = resp.Now, resp.Version
-		}
-		out.Applied += len(bcast)
+	for _, resp := range resps {
+		out.Applied += resp.Applied
+		out.Now, out.Version = resp.Now, resp.Version
 	}
 	return out, nil
 }
 
-// routeColdLocked picks a destination for an op whose owner is unknown:
-// inserts route by the encoded object's start position, everything else
-// goes to the fallback node, whose gate will redirect or relay.
-func (r *Router) routeColdLocked(op *wire.UpdateOp, fallback string) string {
-	if op.Op == wire.OpInsert && len(op.Object) > 0 {
-		if zm := r.zm.Load(); zm != nil {
-			if class, err := most.ObjectClass(op.Object); err == nil && zm.IsReplicated(class) {
-				// Newly inserted replicated objects are rare enough to
-				// learn lazily: send to fallback, remember the class.
-				r.repl[op.ID] = true
-			}
-		}
-	}
-	return fallback
-}
-
-// sendGroup delivers one single-owner group, following wrong_zone
-// redirects (bounded) and splitting when a group turns out to be mixed.
-func (r *Router) sendGroup(addr string, ops []wire.UpdateOp) (wire.UpdateBatchResp, error) {
-	return r.sendGroupOpts(addr, ops, true)
-}
-
-// sendGroupOpts is sendGroup with the mixed-batch resplit budget made
-// explicit: a regrouped subgroup must not trigger another cache refresh,
-// or two stale routers could ping-pong indefinitely.
-func (r *Router) sendGroupOpts(addr string, ops []wire.UpdateOp, canResplit bool) (wire.UpdateBatchResp, error) {
-	var resp wire.UpdateBatchResp
-	for hop := 0; hop < 4; hop++ {
+// sendGroup delivers one group believed to belong to addr.  A wrong_zone
+// refusal naming one owner is a hop there; one naming each op's owner
+// regroups the batch along those Redirects, ops the refusing node owns
+// going straight back to it.  Either spends one hop of the budget, which
+// the regrouped subgroups share; any other refusal goes to healGroup,
+// whose retry spends one too.
+func (r *Router) sendGroup(addr string, ops []wire.UpdateOp, budget int) (wire.UpdateBatchResp, error) {
+	for ; budget > 0; budget-- {
 		cl, err := r.connect(addr)
 		if err != nil {
-			return resp, err
+			return wire.UpdateBatchResp{}, err
 		}
-		resp, err = cl.UpdateBatch(ops)
+		resp, err := cl.UpdateBatch(ops)
 		if err == nil {
 			r.learn(ops, addr)
 			return resp, nil
 		}
 		var se *client.ServerError
-		if !errors.As(err, &se) || se.Code != wire.CodeWrongZone {
+		if !errors.As(err, &se) {
 			return resp, err
 		}
-		if se.Addr == "" {
-			// Mixed batch: no single owner to redirect to.
-			if len(ops) == 1 {
-				return resp, err
-			}
-			if len(se.Redirects) == len(ops) && canResplit {
-				return r.regroupByRedirects(addr, ops, se.Redirects)
-			}
-			return r.splitGroup(addr, ops, canResplit)
-		}
-		addr = se.Addr
-	}
-	return resp, fmt.Errorf("cluster: redirect loop routing %d ops", len(ops))
-}
-
-// regroupByRedirects resends a refused batch along the per-op owners the
-// gate answered with: ops the refusing node owns go straight back to it,
-// the rest to the named owners.  One failed round trip buys an exact
-// regrouping — no ownership sweep, no per-op probing.  Subgroups run with
-// the resplit budget spent, so two mutually-stale nodes cannot ping-pong
-// a batch between them forever.
-func (r *Router) regroupByRedirects(addr string, ops []wire.UpdateOp, redirects []string) (wire.UpdateBatchResp, error) {
-	groups := map[string][]wire.UpdateOp{}
-	for i, op := range ops {
-		a := redirects[i]
-		if a == "" {
-			a = addr
-		}
-		groups[a] = append(groups[a], op)
-	}
-	var out wire.UpdateBatchResp
-	for _, a := range sortedKeys(groups) {
-		one, err := r.sendGroupOpts(a, groups[a], false)
-		if err != nil {
-			one, err = r.healGroup(a, groups[a], err)
-		}
-		if err != nil {
-			return out, err
-		}
-		out.Applied += one.Applied
-		out.Now, out.Version = one.Now, one.Version
-	}
-	return out, nil
-}
-
-// splitGroup recovers a group the gate refused as mixed.  The cheap path
-// refreshes the ownership cache (one coalesced listing sweep covers a
-// whole barrier's worth of moved objects) and resends the regrouped
-// subgroups; only if the refresh changes nothing does it fall back to
-// routing each op on its own — singles always carry a redirect address
-// or get relayed server-side.
-func (r *Router) splitGroup(addr string, ops []wire.UpdateOp, canResplit bool) (wire.UpdateBatchResp, error) {
-	if canResplit && r.refreshOwners() == nil {
-		groups := map[string][]wire.UpdateOp{}
-		r.mu.Lock()
-		for _, op := range ops {
-			a, ok := r.owner[op.ID]
-			if !ok || a == "" {
-				a = r.routeColdLocked(&op, addr)
-			}
-			groups[a] = append(groups[a], op)
-		}
-		r.mu.Unlock()
-		if len(groups) > 1 || groups[addr] == nil {
-			var out wire.UpdateBatchResp
-			for _, a := range sortedKeys(groups) {
-				one, err := r.sendGroupOpts(a, groups[a], false)
-				if err != nil {
-					one, err = r.healGroup(a, groups[a], err)
+		switch {
+		case se.Code == wire.CodeWrongZone && se.Addr != "":
+			addr = se.Addr
+		case se.Code == wire.CodeWrongZone && len(se.Redirects) == len(ops):
+			groups := map[string][]wire.UpdateOp{}
+			for i, op := range ops {
+				a := se.Redirects[i]
+				if a == "" {
+					a = addr
 				}
-				if err != nil {
-					return out, err
-				}
-				out.Applied += one.Applied
-				out.Now, out.Version = one.Now, one.Version
+				groups[a] = append(groups[a], op)
 			}
-			return out, nil
+			return r.sendGroups(groups, budget-1)
+		default:
+			return r.healGroup(addr, ops, err, budget-1)
 		}
-		// The refresh reproduced the same single group: the cache cannot
-		// explain the refusal, so isolate the offender op by op.
 	}
-	var out wire.UpdateBatchResp
-	for _, op := range ops {
-		one, err := r.sendGroupOpts(addr, []wire.UpdateOp{op}, false)
-		if err != nil {
-			// Singles get the same last-line recovery as top-level groups:
-			// rebuild the possession map and retry once at the actual holder.
-			one, err = r.healGroup(addr, []wire.UpdateOp{op}, err)
-		}
-		if err != nil {
-			return out, err
-		}
-		out.Applied += one.Applied
-		out.Now, out.Version = one.Now, one.Version
-	}
-	return out, nil
+	return wire.UpdateBatchResp{}, fmt.Errorf("cluster: redirect loop routing %d ops", len(ops))
 }
 
-// refreshOwners rebuilds the ownership cache from the nodes, coalescing
-// concurrent callers on a generation counter: whoever loses the race
-// returns once the winner's sweep lands instead of sweeping again.
-func (r *Router) refreshOwners() error {
-	r.mu.Lock()
-	gen := r.ownerGen
-	r.mu.Unlock()
-	r.refreshMu.Lock()
-	defer r.refreshMu.Unlock()
-	r.mu.Lock()
-	cur := r.ownerGen
-	r.mu.Unlock()
-	if cur != gen {
-		return nil // refreshed while we waited for the lock
-	}
-	if err := r.seedOwners(); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.ownerGen++
-	r.mu.Unlock()
-	return nil
-}
-
-// healGroup is the last line of routing recovery: a single op the cached
-// owner refused or failed outright.  Redirects normally correct the
-// cache, but a restarted node loses its tombstones — it can no longer
-// point at where a departed object went, so it answers with the
-// database's own unknown-object error even though the object lives
-// elsewhere.  Rebuild the possession map from the nodes and retry once
-// wherever the object actually is; if no node holds it, the original
-// error stands (the object really is unknown).
-func (r *Router) healGroup(addr string, ops []wire.UpdateOp, orig error) (wire.UpdateBatchResp, error) {
-	var se *client.ServerError
-	if len(ops) != 1 || !errors.As(orig, &se) {
+// healGroup recovers a single op its node refused outright.  Redirects
+// normally correct the cache, but a restarted node loses its tombstones
+// — it can no longer point at where a departed object went, so it
+// answers with the database's own unknown-object error even though the
+// object lives elsewhere.  Re-seed the possession map from the nodes and
+// retry wherever the object actually is; if no other node holds it, the
+// original error stands (the object really is unknown).
+func (r *Router) healGroup(addr string, ops []wire.UpdateOp, orig error, budget int) (wire.UpdateBatchResp, error) {
+	if len(ops) != 1 {
 		return wire.UpdateBatchResp{}, orig
 	}
 	r.mu.Lock()
@@ -451,7 +321,7 @@ func (r *Router) healGroup(addr string, ops []wire.UpdateOp, orig error) (wire.U
 	if next == "" || next == addr {
 		return wire.UpdateBatchResp{}, orig
 	}
-	return r.sendGroup(next, ops)
+	return r.sendGroup(next, ops, budget)
 }
 
 // learn records a confirmed owner for every op in a delivered group.
@@ -483,38 +353,23 @@ func (r *Router) Advance(d temporal.Tick) (temporal.Tick, error) {
 	// Each round (the clock move, then the barrier) hits every node
 	// concurrently; the rounds themselves stay sequential so the barrier
 	// scan always runs on agreeing clocks.
-	addrs := r.nodes()
-	ticks := make([]temporal.Tick, len(addrs))
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		i, addr := i, addr
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := r.connect(addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			got, err := cl.Advance(d)
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: advance on %s: %w", addr, err)
-				return
-			}
-			ticks[i] = got
-		}()
-	}
-	wg.Wait()
-	var now temporal.Tick
-	for i := range addrs {
-		if errs[i] != nil {
-			return 0, errs[i]
+	ticks := make([]temporal.Tick, len(r.order))
+	err := fanOut(r.order, func(i int, addr string) error {
+		cl, err := r.connect(addr)
+		if err != nil {
+			return err
 		}
-		if i == 0 {
-			now = ticks[i]
-		} else if ticks[i] != now {
-			return 0, fmt.Errorf("cluster: clocks diverged: %s at %d, want %d", addrs[i], ticks[i], now)
+		if ticks[i], err = cl.Advance(d); err != nil {
+			return fmt.Errorf("cluster: advance on %s: %w", addr, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	for i, tk := range ticks {
+		if tk != ticks[0] {
+			return 0, fmt.Errorf("cluster: clocks diverged: %s at %d, want %d", r.order[i], tk, ticks[0])
 		}
 	}
 	if d != 0 {
@@ -522,7 +377,7 @@ func (r *Router) Advance(d temporal.Tick) (temporal.Tick, error) {
 			return 0, err
 		}
 	}
-	return now, nil
+	return ticks[0], nil
 }
 
 // ---- queries ----
@@ -534,55 +389,36 @@ func (r *Router) Advance(d temporal.Tick) (temporal.Tick, error) {
 // reconstructs precisely the single-database answer.  Rows come back
 // sorted by that key, making the merge deterministic.
 func (r *Router) Query(src string, horizon temporal.Tick) (temporal.Tick, [][]wire.Value, error) {
-	addrs := r.nodes()
-	ticks := make([]temporal.Tick, len(addrs))
-	rowsPer := make([][][]wire.Value, len(addrs))
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		i, addr := i, addr
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := r.connect(addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			got, rows, err := cl.Query(src, horizon)
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: query on %s: %w", addr, err)
-				return
-			}
-			ticks[i], rowsPer[i] = got, rows
-		}()
+	ticks := make([]temporal.Tick, len(r.order))
+	rowsPer := make([][][]wire.Value, len(r.order))
+	err := fanOut(r.order, func(i int, addr string) error {
+		cl, err := r.connect(addr)
+		if err != nil {
+			return err
+		}
+		if ticks[i], rowsPer[i], err = cl.Query(src, horizon); err != nil {
+			return fmt.Errorf("cluster: query on %s: %w", addr, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, nil, err
 	}
-	wg.Wait()
-	var now temporal.Tick
 	merged := map[string][]wire.Value{}
-	for i := range addrs {
-		if errs[i] != nil {
-			return 0, nil, errs[i]
+	for i, rows := range rowsPer {
+		if ticks[i] != ticks[0] {
+			return 0, nil, fmt.Errorf("cluster: query clocks diverged: %s at %d, want %d", r.order[i], ticks[i], ticks[0])
 		}
-		if i == 0 {
-			now = ticks[i]
-		} else if ticks[i] != now {
-			return 0, nil, fmt.Errorf("cluster: query clocks diverged: %s at %d, want %d", addrs[i], ticks[i], now)
-		}
-		for _, row := range rowsPer[i] {
+		for _, row := range rows {
 			merged[rowKey(row)] = row
 		}
 	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(merged)
 	out := make([][]wire.Value, len(keys))
 	for i, k := range keys {
 		out[i] = merged[k]
 	}
-	return now, out, nil
+	return ticks[0], out, nil
 }
 
 // rowKey is the canonical form of one presented row.
@@ -631,7 +467,7 @@ func (r *Router) Subscribe(src string, horizon temporal.Tick) (*MergedSub, error
 		updates: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
-	for _, addr := range r.nodes() {
+	for _, addr := range r.order {
 		cl, err := r.connect(addr)
 		if err != nil {
 			m.Close()

@@ -147,7 +147,9 @@ type ClusterHooks interface {
 	Handoff(req *wire.HandoffReq, prov *most.Prov) (*wire.HandoffResp, error)
 	// Relay forwards a whole batch to the owning node on behalf of the
 	// origin client (used when every op in a client batch belongs to one
-	// foreign node).  The response or error is returned verbatim.
+	// foreign node).  The response is returned verbatim; the owner's
+	// refusal comes back as a *RelayError with its code, redirect address
+	// and per-op redirects, the owner's own ops named by addr.
 	Relay(addr string, req *wire.ForwardReq) (*wire.UpdateBatchResp, error)
 	// AfterCommit runs on the session goroutine after a mutation commits:
 	// touched lists the object IDs written by the batch (nil after a clock
@@ -158,12 +160,13 @@ type ClusterHooks interface {
 }
 
 // RelayError carries a typed failure from a relayed batch back to the
-// origin client with its machine-readable code (and redirect address)
-// intact, so retry semantics survive the extra hop.
+// origin client with its machine-readable code, redirect address and
+// per-op redirects intact, so retry semantics survive the extra hop.
 type RelayError struct {
-	Code string
-	Msg  string
-	Addr string
+	Code      string
+	Msg       string
+	Addr      string
+	Redirects []string
 }
 
 func (e *RelayError) Error() string { return e.Msg }

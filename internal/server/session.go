@@ -809,7 +809,7 @@ func (s *session) relayBatch(f wire.Frame, req *wire.UpdateBatchReq, hooks Clust
 		var re *RelayError
 		if errors.As(err, &re) {
 			s.lastCode = re.Code
-			return s.enc(wire.OpError, f.ID, &wire.ErrorResp{Msg: re.Msg, Code: re.Code, Addr: re.Addr})
+			return s.enc(wire.OpError, f.ID, &wire.ErrorResp{Msg: re.Msg, Code: re.Code, Addr: re.Addr, Redirects: re.Redirects})
 		}
 		// Transport failure: the owner may or may not have applied the
 		// batch, but its receipt is keyed (origin, request ID), so telling
