@@ -139,9 +139,10 @@ citycheck:
 
 # Race-detector pass over the delta NOTIFY stream: the client-vs-server
 # stream differential (coalescing, patch-ring overflow, broken delta
-# chains) and the orphan-notify ordering regression.
+# chains), the SUBSCRIBE-result-before-NOTIFY ordering rule on raw frames,
+# and the client registering each subscription before its first NOTIFY.
 racestream:
-	$(GO) test -race -count=1 -run 'TestDeltaStreamDifferential|TestOrphanNotifiesKeepOrder' ./internal/server/ ./internal/client/
+	$(GO) test -race -count=1 -run 'TestDeltaStreamDifferential|TestSubscribeResultPrecedesNotifies|TestSubscribeUnderCommits' ./internal/server/ ./internal/client/
 
 # The benchmark's own smoke test: every perfbench workload on a tiny city,
 # untraced and traced, with its output checks.  perfbench is a separate

@@ -1,11 +1,12 @@
 package client
 
-// White-box tests for the retry/reconnect backoff schedule and the
-// subscription resume reconciliation — the two pieces of self-healing
-// with arithmetic worth pinning down in isolation.
+// White-box tests for the retry/reconnect backoff schedule, the
+// subscription resume reconciliation and the delta base check — the
+// pieces of self-healing with arithmetic worth pinning down in isolation.
 
 import (
 	mathrand "math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -147,5 +148,24 @@ func TestResumeReconcileInstallsChangedAnswer(t *testing.T) {
 	s.deliver(wire.Notify{Seq: 1, Answer: []wire.AnswerRow{row(4, 0, 10)}})
 	if _, seq, _ := s.Answer(); seq != 7 {
 		t.Fatalf("next delivery landed at seq %d, want 7", seq)
+	}
+}
+
+func answerRow(obj string, start, end int) wire.AnswerRow {
+	return wire.AnswerRow{Vals: []wire.Value{{Kind: 1, Obj: obj}}, Start: temporal.Tick(start), End: temporal.Tick(end)}
+}
+
+// A delta whose base is not the held answer is refused, not applied.
+func TestDeliverRefusesForeignBase(t *testing.T) {
+	s := &Subscription{updates: make(chan struct{}, 1), answer: []wire.AnswerRow{answerRow("a", 0, 1)}}
+	if s.deliver(wire.Notify{Seq: 2, Delta: true, Base: 1, Answer: []wire.AnswerRow{answerRow("b", 0, 1)}}) {
+		t.Fatal("delta based on seq 1 applied to the answer at seq 0")
+	}
+	if !s.deliver(wire.Notify{Seq: 1, Delta: true, Base: 0, Answer: []wire.AnswerRow{answerRow("b", 0, 1)}}) {
+		t.Fatal("delta based on the held answer refused")
+	}
+	rows, seq, _ := s.Answer()
+	if want := []wire.AnswerRow{answerRow("a", 0, 1), answerRow("b", 0, 1)}; seq != 1 || !reflect.DeepEqual(rows, want) {
+		t.Fatalf("answer %v at seq %d, want %v at 1", rows, seq, want)
 	}
 }

@@ -201,19 +201,27 @@ type Client struct {
 	epoch   uint64 // session epoch, incremented per connection attempt
 	nextID  uint64
 	nextKey uint64 // client-side subscription keys (stable across resumes)
-	pending map[uint64]chan wire.Frame
+	pending map[uint64]waiter
 	subs    map[uint64]*Subscription // by current server subscription ID
 	parked  map[uint64]*Subscription // by key: awaiting resume after a teardown
-	// orphans buffers, per server subscription ID and in arrival order,
-	// the notifies that beat their SubscribeResp.  They are kept only
-	// while a Subscribe is in flight (subscribing > 0): no other notify
-	// for an unknown ID can ever be claimed.
-	orphans     map[uint64]*orphanQueue
-	subscribing int
-	resumed     bool // last Hello's Resumed flag
-	healing     bool
-	closed      bool
+	resumed bool                     // last Hello's Resumed flag
+	healing bool
+	closed  bool
 }
+
+// waiter is one in-flight request: where its response goes and, when the
+// call passed a resultHook, the hook the read loop runs on its result.
+type waiter struct {
+	ch   chan wire.Frame
+	hook resultHook
+}
+
+// resultHook, passed as a call's out, runs on the read loop under c.mu
+// with the request's OpResult frame, before the read loop reads the next
+// frame.  Subscribe registers its handle this way: the server sends a
+// SUBSCRIBE result before any NOTIFY of that subscription (PROTOCOL.md
+// §6), so every NOTIFY finds the handle registered.
+type resultHook func(wire.Frame)
 
 // Dial connects to a mostserver at addr.
 func Dial(addr string, opts ...Option) (*Client, error) {
@@ -226,10 +234,9 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		backoff:     50 * time.Millisecond,
 		maxBackoff:  2 * time.Second,
 		wantProto:   wire.MaxProtocolVersion,
-		pending:     map[uint64]chan wire.Frame{},
+		pending:     map[uint64]waiter{},
 		subs:        map[uint64]*Subscription{},
 		parked:      map[uint64]*Subscription{},
-		orphans:     map[uint64]*orphanQueue{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -419,9 +426,6 @@ func (c *Client) readLoop(conn net.Conn, gen uint64, proto uint8) {
 			}
 			c.mu.Lock()
 			sub, ok := c.subs[n.SubID]
-			if !ok && c.subscribing > 0 {
-				c.bufferOrphanLocked(n)
-			}
 			c.mu.Unlock()
 			if ok && !sub.deliver(n) {
 				c.resync(sub)
@@ -444,13 +448,19 @@ func (c *Client) readLoop(conn net.Conn, gen uint64, proto uint8) {
 			}
 		default:
 			c.mu.Lock()
-			ch, ok := c.pending[f.ID]
-			if ok {
+			// A frame read after this connection was torn down answers
+			// nothing: its request's waiter is gone or belongs to a retry
+			// on the next connection.
+			w, ok := c.pending[f.ID]
+			if ok = ok && c.gen == gen; ok {
 				delete(c.pending, f.ID)
+				if w.hook != nil && f.Op == wire.OpResult {
+					w.hook(f)
+				}
 			}
 			c.mu.Unlock()
 			if ok {
-				ch <- f
+				w.ch <- f
 			}
 		}
 	}
@@ -465,13 +475,12 @@ func (c *Client) teardownConnLocked(conn net.Conn, cause error) {
 	if c.conn == conn {
 		c.conn = nil
 	}
-	for id, ch := range c.pending {
-		close(ch)
+	for id, w := range c.pending {
+		close(w.ch)
 		delete(c.pending, id)
 	}
 	subs := c.subs
 	c.subs = map[uint64]*Subscription{}
-	c.orphans = map[uint64]*orphanQueue{}
 	if c.closed {
 		for _, sub := range subs {
 			go sub.fail(fmt.Errorf("%w: %v", ErrConnLost, cause))
@@ -562,13 +571,26 @@ func (c *Client) drainParkedLocked() []*Subscription {
 // attempt should be retried after backoff (transport failure), true when
 // the subscription was resumed, permanently rejected, or withdrawn.
 func (c *Client) resubscribe(sub *Subscription) bool {
-	var resp wire.SubscribeResp
-	c.beginSubscribe()
-	err := c.call(wire.OpSubscribe, &wire.SubscribeReq{Src: sub.src, Horizon: sub.horizon}, &resp)
+	var (
+		resp    wire.SubscribeResp
+		decErr  error
+		resumed bool
+	)
+	err := c.call(wire.OpSubscribe, &wire.SubscribeReq{Src: sub.src, Horizon: sub.horizon}, resultHook(func(f wire.Frame) {
+		if decErr = wire.Unmarshal(f, &resp); decErr != nil {
+			return
+		}
+		if _, resumed = c.parked[sub.key]; !resumed {
+			return // closed while the registration was in flight
+		}
+		delete(c.parked, sub.key)
+		sub.subID = resp.SubID
+		if rows, changed := sub.resumeReconcile(resp.Answer); changed {
+			c.resumeGapRows.Add(int64(rows))
+		}
+		c.subs[resp.SubID] = sub
+	}))
 	if err != nil {
-		c.mu.Lock()
-		c.endSubscribeLocked(0)
-		c.mu.Unlock()
 		var se *ServerError
 		if errors.As(err, &se) {
 			// The server evaluated and refused the query itself: resuming
@@ -581,95 +603,13 @@ func (c *Client) resubscribe(sub *Subscription) bool {
 		}
 		return false
 	}
-	c.mu.Lock()
-	orphans := c.endSubscribeLocked(resp.SubID)
-	if _, still := c.parked[sub.key]; !still || c.closed {
-		// Closed while the registration was in flight: withdraw it.
-		c.mu.Unlock()
+	if decErr != nil {
+		return false
+	}
+	if !resumed {
 		_ = c.call(wire.OpUnsubscribe, &wire.UnsubscribeReq{SubID: resp.SubID}, nil)
-		return true
-	}
-	delete(c.parked, sub.key)
-	sub.subID = resp.SubID
-	// Reconcile and replay the orphans before the read loop can see the
-	// registration, so no later notify overtakes them.
-	rows, changed := sub.resumeReconcile(resp.Answer)
-	claimed := sub.claim(orphans)
-	c.subs[resp.SubID] = sub
-	c.mu.Unlock()
-	if changed {
-		c.resumeGapRows.Add(int64(rows))
-	}
-	if !claimed {
-		c.resync(sub)
 	}
 	return true
-}
-
-// maxOrphans bounds one subscription's buffered orphan notifies.  Past it
-// the chain is marked broken and the subscription resyncs once claimed.
-const maxOrphans = 1024
-
-// orphanQueue is one subscription ID's buffered notifies, oldest first.
-type orphanQueue struct {
-	notes  []wire.Notify
-	broken bool // a notify was dropped: the chain cannot be applied
-}
-
-// bufferOrphanLocked queues a notify for a subscription whose
-// SubscribeResp has not been processed yet.  A full-form notify
-// supersedes everything queued before it; delta-form notifies chain, so
-// all are kept in order.  Callers hold c.mu.
-func (c *Client) bufferOrphanLocked(n wire.Notify) {
-	q := c.orphans[n.SubID]
-	if q == nil {
-		q = &orphanQueue{}
-		c.orphans[n.SubID] = q
-	}
-	switch {
-	case !n.Delta:
-		q.notes, q.broken = append(q.notes[:0], n), false
-	case len(q.notes) < maxOrphans:
-		q.notes = append(q.notes, n)
-	default:
-		q.broken = true
-	}
-}
-
-// beginSubscribe opens the orphan-buffering window for one Subscribe.
-func (c *Client) beginSubscribe() {
-	c.mu.Lock()
-	c.subscribing++
-	c.mu.Unlock()
-}
-
-// endSubscribeLocked closes one Subscribe's buffering window and takes the
-// orphans of its server subscription ID (0: the call failed).  The last
-// window to close drops every unclaimed orphan.  Callers hold c.mu.
-func (c *Client) endSubscribeLocked(subID uint64) *orphanQueue {
-	q := c.orphans[subID]
-	delete(c.orphans, subID)
-	if c.subscribing--; c.subscribing <= 0 {
-		c.subscribing = 0
-		clear(c.orphans)
-	}
-	return q
-}
-
-// claim delivers a new registration's buffered notifies in arrival
-// order, reporting false when the chain is broken and the subscription
-// must resync.  Callers hold c.mu and have not yet made the registration
-// visible to the read loop, so no later notify can overtake these.
-func (s *Subscription) claim(q *orphanQueue) bool {
-	if q == nil {
-		return true
-	}
-	for _, n := range q.notes {
-		if !s.deliver(n) {
-			return false
-		}
-	}
-	return !q.broken
 }
 
 // resync re-registers a live subscription whose delta stream broke (a
@@ -696,7 +636,8 @@ func (c *Client) resync(sub *Subscription) {
 // application.  The request is encoded once: requests encode
 // byte-identically at every protocol version, so an attempt on a fresh
 // connection with another negotiated version only restamps the frame's
-// version byte.
+// version byte.  A successful response is decoded into out, or handed to
+// out when it is a resultHook.
 func (c *Client) call(op wire.Opcode, payload, out any) error {
 	c.mu.Lock()
 	if c.closed {
@@ -710,12 +651,13 @@ func (c *Client) call(op wire.Opcode, payload, out any) error {
 		return err
 	}
 
+	hook, _ := out.(resultHook)
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.backoffDelay(attempt))
 		}
-		resp, err := c.roundTrip(req)
+		resp, err := c.roundTrip(req, hook)
 		if err == nil {
 			if resp.Op == wire.OpError {
 				var e wire.ErrorResp
@@ -729,7 +671,7 @@ func (c *Client) call(op wire.Opcode, payload, out any) error {
 				}
 				return serr
 			}
-			if out != nil {
+			if out != nil && hook == nil {
 				return wire.Unmarshal(resp, out)
 			}
 			return nil
@@ -745,7 +687,7 @@ func (c *Client) call(op wire.Opcode, payload, out any) error {
 
 // roundTrip sends one request at the current connection's negotiated
 // protocol version (dialing if needed) and waits for its response.
-func (c *Client) roundTrip(req wire.Frame) (wire.Frame, error) {
+func (c *Client) roundTrip(req wire.Frame, hook resultHook) (wire.Frame, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -760,7 +702,7 @@ func (c *Client) roundTrip(req wire.Frame) (wire.Frame, error) {
 	conn, id := c.conn, req.ID
 	req.Version = c.proto
 	ch := make(chan wire.Frame, 1)
-	c.pending[id] = ch
+	c.pending[id] = waiter{ch: ch, hook: hook}
 	c.mu.Unlock()
 
 	if err := c.writeFrame(conn, req); err != nil {
@@ -896,15 +838,6 @@ func (c *Client) Handoff(req *wire.HandoffReq) (wire.HandoffResp, error) {
 	return resp, err
 }
 
-// Forward relays an update batch to this node on behalf of req.Origin
-// (peer-to-peer use).  The receiver executes it under the origin identity
-// and request ID, preserving cluster-wide idempotence.
-func (c *Client) Forward(req *wire.ForwardReq) (wire.UpdateBatchResp, error) {
-	var resp wire.UpdateBatchResp
-	err := c.call(wire.OpForward, req, &resp)
-	return resp, err
-}
-
 // ---- subscriptions ----
 
 // Subscription is the client half of a server-maintained continuous
@@ -941,36 +874,28 @@ type Subscription struct {
 
 // Subscribe registers src as a continuous query on the server.
 func (c *Client) Subscribe(src string, horizon temporal.Tick) (*Subscription, error) {
-	var resp wire.SubscribeResp
-	c.beginSubscribe()
-	if err := c.call(wire.OpSubscribe, &wire.SubscribeReq{Src: src, Horizon: horizon}, &resp); err != nil {
-		c.mu.Lock()
-		c.endSubscribeLocked(0)
-		c.mu.Unlock()
-		return nil, err
-	}
 	sub := &Subscription{
 		c:       c,
-		subID:   resp.SubID,
 		src:     src,
 		horizon: horizon,
-		answer:  resp.Answer,
 		updates: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
-	c.mu.Lock()
-	orphans := c.endSubscribeLocked(resp.SubID)
-	if c.conn == nil || c.closed {
-		c.mu.Unlock()
-		return nil, ErrConnLost
+	var decErr error
+	err := c.call(wire.OpSubscribe, &wire.SubscribeReq{Src: src, Horizon: horizon}, resultHook(func(f wire.Frame) {
+		var resp wire.SubscribeResp
+		if decErr = wire.Unmarshal(f, &resp); decErr != nil {
+			return
+		}
+		c.nextKey++
+		sub.key, sub.subID, sub.answer = c.nextKey, resp.SubID, resp.Answer
+		c.subs[resp.SubID] = sub
+	}))
+	if err == nil {
+		err = decErr
 	}
-	c.nextKey++
-	sub.key = c.nextKey
-	claimed := sub.claim(orphans)
-	c.subs[resp.SubID] = sub
-	c.mu.Unlock()
-	if !claimed {
-		c.resync(sub)
+	if err != nil {
+		return nil, err
 	}
 	return sub, nil
 }

@@ -2,13 +2,17 @@ package client
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/mostdb/most/internal/geom"
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/motion"
+	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/query"
 	"github.com/mostdb/most/internal/server"
 	"github.com/mostdb/most/internal/wire"
@@ -251,5 +255,102 @@ func TestClientSubscriptionFailsOnClose(t *testing.T) {
 	}
 	if sub.Err() == nil {
 		t.Fatal("subscription has no error after client close")
+	}
+}
+
+// TestSubscribeUnderCommits subscribes many times, from several
+// goroutines at once, while another connection commits answer-changing
+// batches.  The client registers each subscription as its result is
+// read, so no NOTIFY finds its subscription unknown: no delta chain
+// breaks (no resync), and every subscription ends on the answer a fresh
+// subscription reads once the commits stop.
+func TestSubscribeUnderCommits(t *testing.T) {
+	const cars, subs, readers = 300, 120, 4
+	const src = `RETRIEVE o FROM Vehicles o WHERE Eventually WITHIN 10 INSIDE(o, P)`
+	_, addr := startServer(t, cars)
+	reg := obs.New()
+	c, err := Dial(addr, WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	w, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ops := make([]wire.UpdateOp, 4)
+			for i := range ops {
+				ops[i] = wire.UpdateOp{Op: wire.OpSetMotion, ID: fmt.Sprintf("car-%05d", rng.Intn(cars)),
+					VX: rng.Float64()*8 - 4, VY: rng.Float64()*8 - 4}
+			}
+			if _, err := w.UpdateBatch(ops); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	all := make([]*Subscription, subs)
+	errs := make([]error, subs)
+	var sg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		sg.Add(1)
+		go func() {
+			defer sg.Done()
+			for i := g; i < subs; i += readers {
+				all[i], errs[i] = c.Subscribe(src, 50)
+			}
+		}()
+	}
+	sg.Wait()
+	close(stop)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ref, err := c.Subscribe(src, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := ref.Answer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wire.CanonicalAnswers(rows)
+	deadline := time.After(10 * time.Second)
+	for i, sub := range all {
+		for {
+			rows, _, err := sub.Answer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wire.CanonicalAnswers(rows) == want {
+				break
+			}
+			select {
+			case <-sub.Updates():
+			case <-deadline:
+				t.Fatalf("subscription %d never reached the final answer", i)
+			}
+		}
+	}
+	if n := reg.Counter("client.resyncs").Value(); n != 0 {
+		t.Fatalf("%d subscriptions resynced: a NOTIFY was dropped", n)
 	}
 }

@@ -16,8 +16,9 @@ import (
 
 // Node is one cluster member: the glue between a server.Server and the
 // zone map.  It implements server.ClusterHooks — the server calls in on
-// its session goroutines to route ops, apply incoming handoffs, relay
-// foreign batches, and scan for zone exits after each commit.
+// its session goroutines to route ops (naming the owner of each op it
+// does not own), apply incoming handoffs, and scan for zone exits after
+// each commit.
 //
 // # Ownership and the version fence
 //
@@ -344,31 +345,6 @@ func (n *Node) accept(req *wire.HandoffObject, prov *most.Prov) (bool, error) {
 	n.mu.Unlock()
 	n.handoffsIn.Add(1)
 	return true, nil
-}
-
-// Relay forwards a wrong-node batch to its owner on behalf of the origin
-// client.
-func (n *Node) Relay(addr string, req *wire.ForwardReq) (*wire.UpdateBatchResp, error) {
-	cl, err := n.peerClient(addr)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := cl.Forward(req)
-	if err != nil {
-		var se *client.ServerError
-		if errors.As(err, &se) {
-			// The owner's per-op redirects name its own ops "": the origin
-			// sent them here, so name the owner instead.
-			for i, a := range se.Redirects {
-				if a == "" {
-					se.Redirects[i] = addr
-				}
-			}
-			return nil, &server.RelayError{Code: se.Code, Msg: se.Msg, Addr: se.Addr, Redirects: se.Redirects}
-		}
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // AfterCommit scans for zone exits once a mutating request has committed

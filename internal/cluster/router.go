@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/mostdb/most/internal/client"
@@ -24,12 +25,11 @@ import (
 // Routing state is a cache, not a source of truth.  The owner map is
 // seeded from each node's object listing and corrected by the nodes
 // themselves, by one rule: send each group to its cached owner; on a
-// wrong_zone refusal follow its Addr, or regroup by its per-op
-// Redirects, every hop and regroup spending one shared budget
-// (maxHops).  A batch that lands wholesale on a wrong node is relayed
-// server-side (OpForward) and succeeds; learn then records the relaying
-// node as the owner, so the next batch for those objects is relayed
-// again.
+// wrong_zone refusal follow its Addr (the one node owning the whole
+// group), or regroup by its per-op Redirects, every hop and regroup
+// spending one shared budget (maxHops).  Nodes never execute each
+// other's ops, so a success comes from the node that applied the group,
+// and learn records that node as the owner.
 type Router struct {
 	zm    *ZoneMap
 	order []string // node addresses, zone-map order
@@ -40,6 +40,25 @@ type Router struct {
 	clients map[string]*client.Client // by node address
 	owner   map[string]string         // object id -> node address (cache)
 	repl    map[string]bool           // object id -> replicated class member
+
+	sends, hops, regroups, heals, loops atomic.Uint64
+}
+
+// RouterStats counts the routing rule's steps since the Router was built.
+type RouterStats struct {
+	Sends    uint64 `json:"sends"`    // routed group sends (replicated broadcasts excluded)
+	Hops     uint64 `json:"hops"`     // wrong_zone refusals followed to the Addr they named
+	Regroups uint64 `json:"regroups"` // wrong_zone refusals split along their Redirects
+	Heals    uint64 `json:"heals"`    // owner caches re-seeded after a single op was refused
+	Loops    uint64 `json:"loops"`    // groups given up after maxHops sends (redirect loop)
+}
+
+// Stats returns the routing counters.
+func (r *Router) Stats() RouterStats {
+	return RouterStats{
+		Sends: r.sends.Load(), Hops: r.hops.Load(), Regroups: r.regroups.Load(),
+		Heals: r.heals.Load(), Loops: r.loops.Load(),
+	}
 }
 
 // maxHops bounds the redirects, regroups and heals one op may ride before
@@ -93,10 +112,9 @@ func NewRouter(addr, nonce string, dial func(addr string) (net.Conn, error)) (*R
 }
 
 // connect returns (dialing on first use) the client for one node.  Each
-// per-node client carries a distinct identity: a forwarded request is
-// deduplicated on the destination under (origin identity, request id),
-// and two clients with one identity but independent id counters could
-// collide there.
+// per-node client carries a distinct identity, so a node's idempotence
+// cache and epoch fence never see two of the router's independent
+// request-id counters under one name.
 func (r *Router) connect(addr string) (*client.Client, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -187,10 +205,11 @@ func fanOut(addrs []string, fn func(i int, addr string) error) error {
 // UpdateBatch routes ops to their owning nodes and applies them.  Ops on
 // replicated-class objects, fresh inserts included, broadcast to every
 // node (each maintains its own full copy); the rest group by cached
-// owner, an unknown one meaning the first node, whose gate relays or
-// redirects.  Applied counts each original op once, however many
-// replicas applied it; Now and Version are taken from the last response
-// and are only meaningful to callers quiescing at barriers.
+// owner, an unknown one meaning the first node, whose gate names the
+// owner (a fresh insert's by its encoded position).  Applied counts each
+// original op once, however many replicas applied it; Now and Version
+// are taken from the last response and are only meaningful to callers
+// quiescing at barriers.
 func (r *Router) UpdateBatch(ops []wire.UpdateOp) (wire.UpdateBatchResp, error) {
 	groups := map[string][]wire.UpdateOp{}
 	var bcast []wire.UpdateOp
@@ -269,6 +288,7 @@ func (r *Router) sendGroup(addr string, ops []wire.UpdateOp, budget int) (wire.U
 		if err != nil {
 			return wire.UpdateBatchResp{}, err
 		}
+		r.sends.Add(1)
 		resp, err := cl.UpdateBatch(ops)
 		if err == nil {
 			r.learn(ops, addr)
@@ -280,8 +300,10 @@ func (r *Router) sendGroup(addr string, ops []wire.UpdateOp, budget int) (wire.U
 		}
 		switch {
 		case se.Code == wire.CodeWrongZone && se.Addr != "":
+			r.hops.Add(1)
 			addr = se.Addr
 		case se.Code == wire.CodeWrongZone && len(se.Redirects) == len(ops):
+			r.regroups.Add(1)
 			groups := map[string][]wire.UpdateOp{}
 			for i, op := range ops {
 				a := se.Redirects[i]
@@ -295,6 +317,7 @@ func (r *Router) sendGroup(addr string, ops []wire.UpdateOp, budget int) (wire.U
 			return r.healGroup(addr, ops, err, budget-1)
 		}
 	}
+	r.loops.Add(1)
 	return wire.UpdateBatchResp{}, fmt.Errorf("cluster: redirect loop routing %d ops", len(ops))
 }
 
@@ -309,6 +332,7 @@ func (r *Router) healGroup(addr string, ops []wire.UpdateOp, orig error, budget 
 	if len(ops) != 1 {
 		return wire.UpdateBatchResp{}, orig
 	}
+	r.heals.Add(1)
 	r.mu.Lock()
 	delete(r.owner, ops[0].ID)
 	r.mu.Unlock()

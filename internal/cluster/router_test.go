@@ -6,10 +6,8 @@ import (
 	"net"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 
-	"github.com/mostdb/most/internal/client"
 	"github.com/mostdb/most/internal/geom"
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/motion"
@@ -142,28 +140,6 @@ func crossTwoTicks(t *testing.T, r *Router) {
 	}
 }
 
-// TestRelayedRefusalNamesOwners sends a batch to a node whose tombstones
-// name one other node for every op, so the node relays it; that owner
-// finds the batch mixed and refuses it.  The refusal must reach the
-// client with the owner's per-op Redirects, the owner's own ops named by
-// its address.
-func TestRelayedRefusalNamesOwners(t *testing.T) {
-	c, r := startStripes(t, 3, stripeWorld(crossing...))
-	crossTwoTicks(t, r)
-	west, err := r.NodeClient(c.addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = west.UpdateBatch([]wire.UpdateOp{motionOp("fast", 1, 0), motionOp("slow", 1, 0)})
-	var se *client.ServerError
-	if !errors.As(err, &se) || se.Code != wire.CodeWrongZone {
-		t.Fatalf("relayed mixed batch: got %v, want a wrong_zone refusal", err)
-	}
-	if want := []string{c.addrs[2], c.addrs[1]}; se.Addr != "" || !slices.Equal(se.Redirects, want) {
-		t.Fatalf("refusal names Addr %q, Redirects %q; want no Addr and Redirects %q", se.Addr, se.Redirects, want)
-	}
-}
-
 // TestRouterRegroupsStaleBatch routes one batch through an owner cache
 // that predates two ticks of handoffs.  The west node refuses its group
 // as mixed, the regrouped middle subgroup is refused as mixed again, and
@@ -215,52 +191,48 @@ func TestRouterRegroupsStaleBatch(t *testing.T) {
 			}
 		}
 	}
-	// The regrouped ops landed direct and the cache learned their owners;
-	// "back" was relayed by the middle node, which the cache records.
-	for id, node := range map[string]int{"fast": 2, "slow": 1, "stay": 0, "back": 1, "east": 2} {
+	// Every op landed at its owner, and the cache learned each from the
+	// node that applied it: "back" hopped from the middle node to west.
+	for id, node := range map[string]int{"fast": 2, "slow": 1, "stay": 0, "back": 0, "east": 2} {
 		if r.owner[id] != c.addrs[node] {
 			t.Fatalf("cache names %s for %s, want node %d", r.owner[id], id, node)
 		}
 	}
 }
 
-// pingPong is a stub gate that names the other node as every op's owner.
-// Its relay answers as that owner would, naming this node back: by Addr,
-// or by per-op Redirects when perOp is set.
-type pingPong struct {
-	self, other string
-	zm          *wire.ZoneMapResp
-	perOp       bool
-	relays      *atomic.Int64
+// ring is a stub gate on node self of a three-node ring that names
+// another node as every op's owner: the next node, or with perOp the node
+// after it for "ghost-2", so a batch of both ops is refused with per-op
+// Redirects instead of one Addr.
+type ring struct {
+	self  int
+	addrs []string
+	zm    *wire.ZoneMapResp
+	perOp bool
 }
 
-func (p *pingPong) RouteOp(*wire.UpdateOp) (string, bool, bool) { return p.other, false, false }
-func (p *pingPong) ZoneMap() *wire.ZoneMapResp                  { return p.zm }
-func (p *pingPong) AfterCommit([]string)                        {}
-func (p *pingPong) Handoff(*wire.HandoffReq, *most.Prov) (*wire.HandoffResp, error) {
-	return nil, errors.New("pingPong: no handoffs")
-}
-func (p *pingPong) Relay(_ string, req *wire.ForwardReq) (*wire.UpdateBatchResp, error) {
-	p.relays.Add(1)
-	re := &server.RelayError{Code: wire.CodeWrongZone, Msg: "owned by " + p.self}
-	if p.perOp {
-		for range req.Ops {
-			re.Redirects = append(re.Redirects, p.self)
-		}
-	} else {
-		re.Addr = p.self
+func (g *ring) RouteOp(op *wire.UpdateOp) (string, bool, bool) {
+	next := g.self + 1
+	if g.perOp && op.ID == "ghost-2" {
+		next++
 	}
-	return nil, re
+	return g.addrs[next%len(g.addrs)], false, false
+}
+func (g *ring) ZoneMap() *wire.ZoneMapResp { return g.zm }
+func (g *ring) AfterCommit([]string)       {}
+func (g *ring) Handoff(*wire.HandoffReq, *most.Prov) (*wire.HandoffResp, error) {
+	return nil, errors.New("ring: no handoffs")
 }
 
-// TestRouterHopBudget runs two nodes whose gates each name the other as
-// every op's owner.  Following the refusals, by Addr or by Redirects,
-// must end in the redirect-loop error after maxHops sends, not loop.
+// TestRouterHopBudget runs three nodes whose gates each name another node
+// as every op's owner.  Following the refusals, by Addr or by Redirects,
+// must end in the redirect-loop error once each op has ridden maxHops
+// sends, not loop.
 func TestRouterHopBudget(t *testing.T) {
 	for _, perOp := range []bool{false, true} {
 		var lns []net.Listener
 		var addrs []string
-		for i := 0; i < 2; i++ {
+		for i := 0; i < 3; i++ {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -268,14 +240,13 @@ func TestRouterHopBudget(t *testing.T) {
 			lns = append(lns, ln)
 			addrs = append(addrs, ln.Addr().String())
 		}
-		zm, err := NewGridMap(geom.Rect{Max: geom.Point{X: 200, Y: 100}}, 2, 1, addrs, nil)
+		zm, err := NewGridMap(geom.Rect{Max: geom.Point{X: 300, Y: 100}}, 3, 1, addrs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var relays atomic.Int64 // only the first node relays: the router keeps going back to it
 		for i, ln := range lns {
 			db := most.NewDatabase()
-			hooks := &pingPong{self: addrs[i], other: addrs[1-i], zm: zm.Wire(), perOp: perOp, relays: &relays}
+			hooks := &ring{self: i, addrs: addrs, zm: zm.Wire(), perOp: perOp}
 			srv := server.New(db, query.NewEngine(db), server.Config{Cluster: hooks})
 			go srv.Serve(ln)
 			t.Cleanup(srv.Abort)
@@ -289,17 +260,25 @@ func TestRouterHopBudget(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "redirect loop") {
 			t.Fatalf("perOp=%v: got %v, want the redirect-loop error", perOp, err)
 		}
-		if n := relays.Load(); n != maxHops {
-			t.Fatalf("perOp=%v: %d sends before giving up, want %d", perOp, n, maxHops)
+		// By Addr both ops ride one group through maxHops sends, each
+		// refused onward.  By Redirects the first send splits them, and
+		// each then rides its own maxHops-1: maxHops sends per op either
+		// way.
+		want := RouterStats{Sends: maxHops, Hops: maxHops, Loops: 1}
+		if perOp {
+			want = RouterStats{Sends: 1 + 2*(maxHops-1), Hops: 2 * (maxHops - 1), Regroups: 1, Loops: 2}
+		}
+		if got := r.Stats(); got != want {
+			t.Fatalf("perOp=%v: stats %+v, want %+v", perOp, got, want)
 		}
 	}
 }
 
 // TestRouterInserts routes fresh inserts: a partitioned-class object
-// lands only on the node owning its position; a replicated-class object
-// lands on every node, and the router remembers it as replicated, so a
-// later update reaches every copy.  A later update to the partitioned
-// object reaches it too.
+// lands only on the node owning its position, and the router learns that
+// node as its owner, so a later update goes straight there without a
+// heal; a replicated-class object lands on every node, and the router
+// remembers it as replicated, so a later update reaches every copy.
 func TestRouterInserts(t *testing.T) {
 	c, r := startStripes(t, 3, stripeWorld())
 	car, err := vehicle("car-new", 250, 0)
@@ -325,10 +304,15 @@ func TestRouterInserts(t *testing.T) {
 	if !r.repl["motel-new"] {
 		t.Fatal("router does not remember motel-new as replicated")
 	}
-	// The cache learned the relaying west node for car-new, which never
-	// held it: the update is refused there as unknown and healed.
+	if r.owner["car-new"] != c.addrs[2] {
+		t.Fatalf("cache names %q for car-new, want its zone owner %q", r.owner["car-new"], c.addrs[2])
+	}
+	before := r.Stats()
 	if err := r.SetMotion("car-new", 0, 5); err != nil {
 		t.Fatal(err)
+	}
+	if got := r.Stats(); got.Heals != before.Heals || got.Sends != before.Sends+1 {
+		t.Fatalf("update to car-new: stats %+v after %+v, want one send and no heal", got, before)
 	}
 	if o, _ := c.srvs[2].DB().Get("car-new"); o == nil {
 		t.Fatal("car-new left its zone owner")

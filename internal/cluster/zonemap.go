@@ -5,10 +5,11 @@
 // Replicated list (small reference fleets, stationary points of interest)
 // are instead kept in full on every node so join templates never cross the
 // network.  A Router fans client traffic out: updates go to the owning
-// node (with server-side relaying for batches that land wholesale on a
-// wrong node), queries scatter to every node and the per-zone answers
-// merge by canonical-row union, and continuous queries are registered
-// everywhere so their merged stream follows objects across zone crossings.
+// node (a node refuses any op it does not own, naming the owner, and the
+// Router re-sends there), queries scatter to every node and the per-zone
+// answers merge by canonical-row union, and continuous queries are
+// registered everywhere so their merged stream follows objects across
+// zone crossings.
 //
 // Ownership moves with the objects.  After every mutating request a node
 // scans what the request touched (everything, after a rebalance barrier)

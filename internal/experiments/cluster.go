@@ -27,6 +27,8 @@ type ClusterPhase struct {
 	QuerySamples   int     `json:"query_samples"`
 	QueryP50Ns     int64   `json:"query_p50_ns"`
 	QueryP99Ns     int64   `json:"query_p99_ns"`
+	// Routing sums the update routers' routing counters.
+	Routing cluster.RouterStats `json:"routing"`
 }
 
 // ClusterReport is the payload mostbench -cluster writes to
@@ -240,6 +242,14 @@ func runClusterPhase(n int, cty *city.City, spec city.Spec, updConns, updateCap,
 	phase.QueryP50Ns = pctDur(qlats, 0.50).Nanoseconds()
 	phase.QueryP99Ns = pctDur(qlats, 0.99).Nanoseconds()
 
+	for _, r := range routers {
+		st := r.Stats()
+		phase.Routing.Sends += st.Sends
+		phase.Routing.Hops += st.Hops
+		phase.Routing.Regroups += st.Regroups
+		phase.Routing.Heals += st.Heals
+		phase.Routing.Loops += st.Loops
+	}
 	for i := 0; i < n; i++ {
 		out, _, _, b := cl.Node(i).Stats()
 		phase.Handoffs += out

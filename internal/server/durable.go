@@ -301,7 +301,6 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 	}
 
 	srv := New(db, query.NewEngine(db), cfg)
-	srv.durable = true
 	srv.wal = w
 	srv.snapPath = snapPath
 	srv.dedupPath = dedupPath
@@ -361,7 +360,7 @@ func (srv *Server) logReceipt(client string, req uint64, f wire.Frame) {
 // the highest operation index already applied before the crash, if replay
 // saw provenance for (client, req) without a receipt.
 func (srv *Server) takePartial(client string, req uint64) (int, bool) {
-	if client == "" || !srv.durable {
+	if client == "" || srv.wal == nil {
 		return 0, false
 	}
 	srv.partialMu.Lock()
@@ -397,7 +396,7 @@ func (srv *Server) wasRecovered(client string) bool {
 // snapshot is durable) and is counted in server.checkpoint_errors; the
 // next period retries.
 func (srv *Server) afterMutation() {
-	if !srv.durable || srv.checkpointEvery <= 0 {
+	if srv.wal == nil || srv.checkpointEvery <= 0 {
 		return
 	}
 	if srv.mutSince.Add(1)%uint64(srv.checkpointEvery) == 0 {
@@ -414,7 +413,7 @@ func (srv *Server) afterMutation() {
 // call lands in server.checkpoints and server.checkpoint_ns, or in
 // server.checkpoint_errors when it fails.
 func (srv *Server) Checkpoint() error {
-	if !srv.durable {
+	if srv.wal == nil {
 		return errors.New("server: not a durable server")
 	}
 	srv.commitMu.Lock()
@@ -525,7 +524,7 @@ func (srv *Server) Abort() {
 // checkpoint is counted in server.checkpoint_errors and leaves the log
 // intact, so the next start replays it.
 func (srv *Server) finishDurable(clean bool) {
-	if !srv.durable {
+	if srv.wal == nil {
 		return
 	}
 	if clean {

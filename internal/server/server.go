@@ -114,7 +114,7 @@ type Config struct {
 	CheckpointEvery int
 	// Cluster, when set, makes this server one node of a spatially
 	// partitioned cluster (internal/cluster): updates are gated on zone
-	// ownership, OpZoneMap/OpHandoff/OpForward are served, and every
+	// ownership, OpZoneMap/OpHandoff are served, and every
 	// committed mutation triggers a handoff scan.  Nil (the default) keeps
 	// single-node behavior exactly as before.
 	Cluster ClusterHooks
@@ -130,13 +130,17 @@ type Config struct {
 // server's request path.  All methods are called from session goroutines
 // and must be safe for concurrent use.  The interface lives here, and the
 // implementation in internal/cluster, so server does not import cluster.
+// A node only ever applies the updates it owns: a batch with any foreign
+// op is refused with wire.CodeWrongZone naming the owners (PROTOCOL.md
+// §7.2), and the client re-sends it there; nodes talk to each other only
+// to hand objects off.
 type ClusterHooks interface {
 	// RouteOp classifies one update op: owned reports whether this node
 	// may apply it (it owns the object's zone, the class is replicated, or
 	// the op is positionless).  When owned is false, addr is the owning
 	// node's address ("" when unknown).  frozen reports an object mid-
 	// handoff: the caller must reject with a retryable error rather than
-	// apply or relay.
+	// apply it or name an owner.
 	RouteOp(op *wire.UpdateOp) (addr string, owned, frozen bool)
 	// ZoneMap returns the cluster topology served to OpZoneMap requests.
 	ZoneMap() *wire.ZoneMapResp
@@ -145,12 +149,6 @@ type ClusterHooks interface {
 	// re-applying.  prov (non-nil on a durable node) stamps the applies
 	// for crash recovery: object i is stamped with operation prov.Op+i.
 	Handoff(req *wire.HandoffReq, prov *most.Prov) (*wire.HandoffResp, error)
-	// Relay forwards a whole batch to the owning node on behalf of the
-	// origin client (used when every op in a client batch belongs to one
-	// foreign node).  The response is returned verbatim; the owner's
-	// refusal comes back as a *RelayError with its code, redirect address
-	// and per-op redirects, the owner's own ops named by addr.
-	Relay(addr string, req *wire.ForwardReq) (*wire.UpdateBatchResp, error)
 	// AfterCommit runs on the session goroutine after a mutation commits:
 	// touched lists the object IDs written by the batch (nil after a clock
 	// advance, meaning scan everything).  The node checks each for zone
@@ -158,18 +156,6 @@ type ClusterHooks interface {
 	// cluster has no undelivered handoffs.
 	AfterCommit(touched []string)
 }
-
-// RelayError carries a typed failure from a relayed batch back to the
-// origin client with its machine-readable code, redirect address and
-// per-op redirects intact, so retry semantics survive the extra hop.
-type RelayError struct {
-	Code      string
-	Msg       string
-	Addr      string
-	Redirects []string
-}
-
-func (e *RelayError) Error() string { return e.Msg }
 
 // WithCommitLock runs fn holding the durable commit lock shared, so a
 // cluster node's out-of-band local mutations (deleting an object once its
@@ -243,10 +229,9 @@ type Server struct {
 	epochMu sync.Mutex
 	epochs  map[string]*clientEpoch
 
-	// Durability (zero on plain New servers; see durable.go).  commitMu
-	// orders mutating requests (shared) against checkpoints and WAL rebases
-	// (exclusive).
-	durable         bool
+	// Durability (zero on plain New servers, whose wal is nil; see
+	// durable.go).  commitMu orders mutating requests (shared) against
+	// checkpoints and WAL rebases (exclusive).
 	wal             *most.WAL
 	snapPath        string
 	dedupPath       string

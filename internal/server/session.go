@@ -67,15 +67,17 @@ type session struct {
 
 	// Reader-goroutine-only cluster state: peer marks a session that
 	// identified as another node (HelloReq.Peer — gets the raised decoder
-	// bound); inForward/forwardOrigin are set while executing a relayed
-	// batch on behalf of the origin client (the batch may not be relayed
-	// again — one hop only); touched/scanAll accumulate what the request
-	// mutated so the post-dispatch handoff scan knows where to look.
-	peer          bool
-	inForward     bool
-	forwardOrigin string
-	touched       []string
-	scanAll       bool
+	// bound); touched/scanAll accumulate what the request mutated so the
+	// post-dispatch handoff scan knows where to look.
+	peer    bool
+	touched []string
+	scanAll bool
+
+	// Reader-goroutine-only: set by a SUBSCRIBE to start the new
+	// subscription's pump once its result is enqueued.  The out-queue is
+	// FIFO, so the result precedes every NOTIFY of the subscription
+	// (PROTOCOL.md §6).
+	startPump func()
 
 	// Writer-goroutine-only frame serialization buffer.
 	wbuf []byte
@@ -312,6 +314,10 @@ func (s *session) handle(f wire.Frame) {
 		m.errors.Inc()
 	}
 	_ = s.enqueue(resp)
+	if start := s.startPump; start != nil {
+		s.startPump = nil
+		start()
+	}
 }
 
 // deadlineExpired reports whether a request's per-attempt budget ran out
@@ -329,64 +335,32 @@ func (s *session) deadlineFrame(id uint64) wire.Frame {
 }
 
 // reqClientID is the identity mutations execute under: the session's
-// Hello-bound client, or — while executing a relayed batch — the origin
-// client the owning node acts on behalf of, so idempotence and provenance
-// stay keyed to the real author cluster-wide.
+// Hello-bound client.
 func (s *session) reqClientID() string {
-	if s.inForward {
-		return s.forwardOrigin
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.clientID
 }
 
 // dispatch routes one request.  Mutating opcodes pass through the client's
-// idempotence cache when a Hello established one, and through the durable
-// commit protocol on a durable server.
+// idempotence cache when a Hello established one, and execute under the
+// commit lock (shared — exclusive for SnapshotLoad, which rebases a WAL):
+// on a durable server the request's receipt note is appended under the
+// same lock, so a checkpoint can never separate a request's WAL records
+// from its receipt.  The cache and the WAL both store the response as
+// executed; replay restamps its version.
 func (s *session) dispatch(f wire.Frame) wire.Frame {
 	switch f.Op {
 	case wire.OpUpdateBatch, wire.OpAdvance, wire.OpSnapshotLoad, wire.OpHandoff:
-		clientID := s.reqClientID()
-		cache := s.srv.dedupFor(clientID)
-		if s.srv.durable {
-			return s.dispatchDurable(f, clientID, cache)
-		}
-		if cache == nil {
-			return s.execute(f)
-		}
-		e, replay := cache.begin(f.ID)
-		if replay {
-			return s.replay(e)
-		}
-		s.lastCode = ""
-		resp := s.execute(f)
-		if s.lastCode != "" {
-			// Refused without executing (deadline expired, wrong zone,
-			// mid-handoff): forget the reservation so a retry runs afresh
-			// instead of replaying the refusal.
-			cache.remove(f.ID)
-		}
-		// The cache owns a detached copy: the enqueued original may be
-		// pool-backed and is recycled by the writer after the socket write.
-		e.finish(resp.Detach())
-		return resp
 	default:
 		return s.execute(f)
 	}
-}
-
-// dispatchDurable is the mutating path on a durable server: execute and
-// append the receipt note under the commit lock (shared — exclusive for
-// SnapshotLoad, which rebases the WAL), so a checkpoint can never separate
-// a request's WAL records from its receipt.  The cache and the WAL both
-// store the response as executed; replay restamps its version.
-func (s *session) dispatchDurable(f wire.Frame, clientID string, cache *dedupCache) wire.Frame {
+	clientID := s.reqClientID()
+	cache := s.srv.dedupFor(clientID)
 	var e *dedupEntry
 	if cache != nil {
 		var replay bool
-		e, replay = cache.begin(f.ID)
-		if replay {
+		if e, replay = cache.begin(f.ID); replay {
 			return s.replay(e)
 		}
 	}
@@ -407,8 +381,13 @@ func (s *session) dispatchDurable(f wire.Frame, clientID string, cache *dedupCac
 	s.rollForward = 0
 	var kept wire.Frame
 	if e != nil {
+		// The cache owns a detached copy: the enqueued original may be
+		// pool-backed and is recycled by the writer after the socket write.
 		kept = resp.Detach()
 		if s.lastCode != "" {
+			// Refused without executing (deadline expired, wrong zone,
+			// mid-handoff): forget the reservation so a retry runs afresh
+			// instead of replaying the refusal.
 			cache.remove(f.ID)
 		} else {
 			s.srv.logReceipt(clientID, f.ID, kept)
@@ -465,8 +444,6 @@ func (s *session) execute(f wire.Frame) wire.Frame {
 		return s.handleZoneMap(f)
 	case wire.OpHandoff:
 		return s.handleHandoff(f)
-	case wire.OpForward:
-		return s.handleForward(f)
 	default:
 		return s.errFrame(f.ID, fmt.Errorf("server: %s is not a request opcode", f.Op))
 	}
@@ -565,7 +542,7 @@ func (s *session) handleUpdateBatch(f wire.Frame) wire.Frame {
 	// with provenance so a crash mid-batch is recoverable exactly-once; the
 	// plain path stays allocation-free.  skip > 0 replays a recovered
 	// partial batch: the first skip ops are already in the database.
-	durable := s.srv.durable
+	durable := s.srv.wal != nil
 	clientID := s.reqClientID()
 	skip := s.rollForward
 	t0 := s.srv.m.reg.Start()
@@ -662,7 +639,7 @@ func (s *session) handleAdvance(f wire.Frame) wire.Frame {
 		return s.enc(wire.OpResult, f.ID, &wire.AdvanceResp{Now: s.srv.state().db.Now()})
 	}
 	var p *most.Prov
-	if s.srv.durable {
+	if s.srv.wal != nil {
 		if clientID := s.reqClientID(); clientID != "" {
 			p = &most.Prov{Client: clientID, Req: f.ID}
 		}
@@ -716,11 +693,11 @@ func (s *session) handleSnapshotLoad(f wire.Frame) wire.Frame {
 	if err != nil {
 		return s.errFrame(f.ID, err)
 	}
-	if s.srv.durable {
+	if s.srv.wal != nil {
 		// Wholesale replacement on a durable server rebases the WAL onto
 		// the new database (a "reset" record plus a fresh base image), so
 		// the log alone reconstructs the post-replacement state even over a
-		// stale checkpoint snapshot.  dispatchDurable holds the commit lock
+		// stale checkpoint snapshot.  dispatch holds the commit lock
 		// exclusively here, so no concurrent commit can interleave with the
 		// rebase.
 		old := s.srv.state().db
@@ -739,8 +716,11 @@ func (s *session) handleSnapshotLoad(f wire.Frame) wire.Frame {
 
 // gateBatch enforces zone ownership on a cluster node before any op is
 // applied (rejections are therefore always safe to retry elsewhere).  It
-// returns (frame, true) when the batch was handled — relayed to the owner
-// or refused — and (_, false) when every op is this node's to apply.
+// returns (refusal, true) when any op is not this node's to apply, and
+// (_, false) when every op is.  A batch wholly owned by one other node is
+// refused naming that owner in Addr; any other batch with a foreign op is
+// refused naming each op's owner in Redirects.  The node never executes
+// another node's ops: the client re-sends them to the owner.
 func (s *session) gateBatch(f wire.Frame, req *wire.UpdateBatchReq, hooks ClusterHooks) (wire.Frame, bool) {
 	foreignAddr := ""
 	foreign := 0
@@ -769,13 +749,6 @@ func (s *session) gateBatch(f wire.Frame, req *wire.UpdateBatchReq, hooks Cluste
 	if foreign == 0 {
 		return wire.Frame{}, false
 	}
-	if foreign == len(req.Ops) && foreignAddr != "" && !s.inForward {
-		// The whole batch belongs to one other node: relay it on behalf of
-		// the origin client instead of bouncing it back.  A relayed batch
-		// is never relayed again (one hop); if ownership moved meanwhile
-		// the owner's redirect propagates to the client.
-		return s.relayBatch(f, req, hooks, foreignAddr), true
-	}
 	s.lastCode = wire.CodeWrongZone
 	var redirects []string
 	if foreign < len(req.Ops) || foreignAddr == "" {
@@ -797,30 +770,6 @@ func (s *session) gateBatch(f wire.Frame, req *wire.UpdateBatchReq, hooks Cluste
 		Addr:      foreignAddr,
 		Redirects: redirects,
 	}), true
-}
-
-// relayBatch forwards a whole client batch to the owning node.  The remote
-// executes it under the origin's identity and request ID, so cluster-wide
-// idempotence is preserved even when the client later retries the same
-// request directly at the owner.
-func (s *session) relayBatch(f wire.Frame, req *wire.UpdateBatchReq, hooks ClusterHooks, addr string) wire.Frame {
-	resp, err := hooks.Relay(addr, &wire.ForwardReq{Origin: s.reqClientID(), ReqID: f.ID, Ops: req.Ops})
-	if err != nil {
-		var re *RelayError
-		if errors.As(err, &re) {
-			s.lastCode = re.Code
-			return s.enc(wire.OpError, f.ID, &wire.ErrorResp{Msg: re.Msg, Code: re.Code, Addr: re.Addr, Redirects: re.Redirects})
-		}
-		// Transport failure: the owner may or may not have applied the
-		// batch, but its receipt is keyed (origin, request ID), so telling
-		// the client to retry is safe — a duplicate replays the receipt.
-		s.lastCode = wire.CodeOverloaded
-		return s.enc(wire.OpError, f.ID, &wire.ErrorResp{
-			Msg:  fmt.Sprintf("relay to %s failed: %v", addr, err),
-			Code: wire.CodeOverloaded,
-		})
-	}
-	return s.enc(wire.OpResult, f.ID, resp)
 }
 
 func (s *session) handleZoneMap(f wire.Frame) wire.Frame {
@@ -856,7 +805,7 @@ func (s *session) handleHandoff(f wire.Frame) wire.Frame {
 	}
 	rest := wire.HandoffReq{From: req.From, Objects: req.Objects[skip:]}
 	var p *most.Prov
-	if s.srv.durable {
+	if s.srv.wal != nil {
 		if id := s.reqClientID(); id != "" {
 			p = &most.Prov{Client: id, Req: f.ID, Op: skip}
 		}
@@ -884,37 +833,6 @@ func (s *session) handleHandoff(f wire.Frame) wire.Frame {
 		resp.Accepted = append(acks, resp.Accepted...)
 	}
 	return s.enc(wire.OpResult, f.ID, resp)
-}
-
-// handleForward executes a relayed batch on behalf of the origin client:
-// the inner UpdateBatch is re-dispatched under (Origin, ReqID), reusing
-// the exact dedup, durability, and roll-forward machinery a direct request
-// would hit.  One hop only — a forwarded batch that still isn't ours
-// answers with a redirect, never another relay.
-func (s *session) handleForward(f wire.Frame) wire.Frame {
-	if s.srv.cfg.Cluster == nil {
-		return s.errFrame(f.ID, errors.New("server: not a cluster node"))
-	}
-	var req wire.ForwardReq
-	if err := wire.Unmarshal(f, &req); err != nil {
-		return s.errFrame(f.ID, err)
-	}
-	if s.inForward {
-		return s.errFrame(f.ID, errors.New("server: forward loop"))
-	}
-	inner, err := wire.EncodeFrame(uint8(s.proto.Load()), wire.OpUpdateBatch, req.ReqID,
-		&wire.UpdateBatchReq{Ops: req.Ops})
-	if err != nil {
-		panic(err)
-	}
-	s.inForward = true
-	s.forwardOrigin = req.Origin
-	resp := s.dispatch(inner)
-	s.inForward = false
-	s.forwardOrigin = ""
-	// The response frame answers the Forward request, not the inner batch.
-	resp.ID = f.ID
-	return resp
 }
 
 // ---- subscriptions ----
@@ -1065,7 +983,7 @@ func (s *session) handleSubscribe(f wire.Frame) wire.Frame {
 	s.subs[sub.id] = sub
 	s.mu.Unlock()
 	s.srv.m.subscriptions.Add(1)
-	go s.pump(sub, in.Gen)
+	s.startPump = func() { go s.pump(sub, in.Gen) }
 	return s.enc(wire.OpResult, f.ID, &wire.SubscribeResp{
 		SubID: sub.id, Now: st.db.Now(), Answer: sub.wire.fullRows(in.Rel, in.Gen, s.srv.m),
 	})

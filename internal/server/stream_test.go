@@ -419,3 +419,112 @@ func forceRingOverflow(t *testing.T, srv *Server, gate *gatedListener, install f
 		install()
 	}
 }
+
+// TestSubscribeResultPrecedesNotifies subscribes many times on one raw
+// connection while another connection commits answer-changing batches,
+// and reads the raw frames: each subscription's SUBSCRIBE result must
+// arrive before any of its NOTIFYs, since a NOTIFY is based on the answer
+// that result carries (PROTOCOL.md §6).
+func TestSubscribeResultPrecedesNotifies(t *testing.T) {
+	const cars, subs = 400, 1500
+	_, addr := startTestServer(t, cars, Config{})
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(20 * time.Second))
+	dec := wire.NewDecoder(bufio.NewReader(conn), wire.DefaultMaxPayload)
+	hello, _ := wire.EncodeFrame(wire.MinProtocolVersion, wire.OpHello, 1,
+		&wire.HelloReq{ClientID: "order", MaxVersion: wire.MaxProtocolVersion})
+	if err := wire.WriteFrame(conn, hello); err != nil {
+		t.Fatal(err)
+	}
+	f, err := dec.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hr wire.HelloResp
+	if err := wire.Unmarshal(f, &hr); err != nil {
+		t.Fatal(err)
+	}
+	dec.SetVersion(uint8(hr.Version))
+
+	w, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		// Steer cars in and out of P, one small batch after another.
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ops := make([]wire.UpdateOp, 4)
+			for i := range ops {
+				ops[i] = wire.UpdateOp{Op: wire.OpSetMotion, ID: vid(rng.Intn(cars)), VX: rng.Float64()*8 - 4, VY: rng.Float64()*8 - 4}
+			}
+			if _, err := w.UpdateBatch(ops); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < subs; i++ {
+			req, _ := wire.EncodeFrame(uint8(hr.Version), wire.OpSubscribe, uint64(2+i),
+				&wire.SubscribeReq{Src: `RETRIEVE o FROM Vehicles o WHERE Eventually WITHIN 10 INSIDE(o, P)`})
+			if err := wire.WriteFrame(conn, req); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	subscribed := map[uint64]bool{}
+	notifies, early := 0, 0
+	for len(subscribed) < subs {
+		f, err := dec.Next()
+		if err != nil {
+			t.Fatalf("after %d results: %v", len(subscribed), err)
+		}
+		switch f.Op {
+		case wire.OpResult:
+			var resp wire.SubscribeResp
+			if err := wire.Unmarshal(f, &resp); err != nil {
+				t.Fatal(err)
+			}
+			subscribed[resp.SubID] = true
+		case wire.OpNotify:
+			var n wire.Notify
+			if err := wire.Unmarshal(f, &n); err != nil {
+				t.Fatal(err)
+			}
+			notifies++
+			if !subscribed[n.SubID] {
+				early++
+			}
+		default:
+			t.Fatalf("unexpected %s frame", f.Op)
+		}
+	}
+	if early > 0 {
+		t.Fatalf("%d of %d NOTIFYs arrived before their subscription's result", early, notifies)
+	}
+	if notifies == 0 {
+		t.Fatal("no NOTIFY arrived while subscribing: the test raced nothing")
+	}
+}

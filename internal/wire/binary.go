@@ -692,29 +692,3 @@ func (h *HandoffResp) decodeBinary(r *binReader) error {
 	h.Now = r.tick()
 	return r.Err
 }
-
-func (f *ForwardReq) appendBinary(b []byte) []byte {
-	b = binfmt.AppendStr(b, f.Origin)
-	b = binfmt.AppendU64(b, f.ReqID)
-	b = binfmt.AppendU32(b, uint32(len(f.Ops)))
-	for i := range f.Ops {
-		b = f.Ops[i].appendBinary(b)
-	}
-	return b
-}
-
-func (f *ForwardReq) decodeBinary(r *binReader) error {
-	f.Origin = r.internedStr()
-	f.ReqID = r.U64()
-	n := r.Count(minUpdateOpSize)
-	if cap(f.Ops) < n {
-		f.Ops = make([]UpdateOp, n)
-	}
-	f.Ops = f.Ops[:n]
-	for i := range f.Ops {
-		if err := f.Ops[i].decodeBinary(r); err != nil {
-			return err
-		}
-	}
-	return r.Err
-}

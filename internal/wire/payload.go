@@ -303,18 +303,6 @@ type HandoffResp struct {
 	Now      temporal.Tick
 }
 
-// ForwardReq relays an update batch to the owning node on behalf of the
-// origin client.  The receiving node executes it exactly as if the client
-// had sent UpdateBatch directly: idempotence is keyed on (Origin, ReqID),
-// so a batch that raced a zone crossing — rejected here, retried there —
-// still applies at most once cluster-wide.  The response is a plain
-// UpdateBatchResp (or ErrorResp).
-type ForwardReq struct {
-	Origin string
-	ReqID  uint64
-	Ops    []UpdateOp
-}
-
 // ---- values ----
 
 // Value is the wire form of eval.Val.

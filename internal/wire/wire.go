@@ -95,11 +95,11 @@ const (
 	OpUnsubscribe  Opcode = 10 // UnsubscribeReq: cancel a subscription
 
 	// Cluster opcodes (PROTOCOL.md §7).  ZoneMap is spoken by ordinary
-	// clients discovering the cluster topology; Handoff and Forward are
-	// node-to-node, carried on peer sessions (HelloReq.Peer).
+	// clients discovering the cluster topology; Handoff is node-to-node,
+	// carried on peer sessions (HelloReq.Peer).  Opcode 13 is retired
+	// (it relayed a batch between nodes) and never reused.
 	OpZoneMap Opcode = 11 // empty request: fetch the cluster zone map
 	OpHandoff Opcode = 12 // HandoffReq: transfer a moving object between nodes
-	OpForward Opcode = 13 // ForwardReq: relay a batch to the owning node
 )
 
 // Response and push opcodes (server to client).
@@ -137,8 +137,6 @@ func (o Opcode) String() string {
 		return "zone_map"
 	case OpHandoff:
 		return "handoff"
-	case OpForward:
-		return "forward"
 	case OpResult:
 		return "result"
 	case OpError:
@@ -154,7 +152,7 @@ func (o Opcode) String() string {
 
 // valid reports whether the opcode is one this protocol defines.
 func (o Opcode) valid() bool {
-	return (o >= OpHello && o <= OpForward) || (o >= OpResult && o <= OpSubClosed)
+	return (o >= OpHello && o <= OpHandoff) || (o >= OpResult && o <= OpSubClosed)
 }
 
 // Frame is one decoded protocol frame.  Version is the protocol version

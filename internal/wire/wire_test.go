@@ -61,6 +61,7 @@ func TestDecoderRejectsMalformed(t *testing.T) {
 		{"bad version", corrupt(2, 99), ErrBadFrame},
 		{"retired version 1", corrupt(2, 1), ErrBadFrame},
 		{"bad opcode", corrupt(3, 200), ErrBadFrame},
+		{"retired opcode 13", corrupt(3, 13), ErrBadFrame},
 		{"oversized", oversized, ErrFrameTooLarge},
 		{"truncated header", valid[:5], io.ErrUnexpectedEOF},
 		{"truncated payload", valid[:len(valid)-1], io.ErrUnexpectedEOF},
