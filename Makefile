@@ -132,10 +132,12 @@ clusterquick:
 	$(GO) run ./cmd/mostbench -cluster -quick $(CGATE)
 
 # Short-mode city differential correctness (one seed): the fast gate the
-# city benchmark rides on.  The full two-seed suite and the loopback city
-# oracle already run inside `make test`; this target is the quick repro.
+# city benchmark rides on, plus the catalog's DIST joins checked against
+# the §3.3 reference evaluator.  The full two-seed suite and the loopback
+# city oracle already run inside `make test`; this target is the quick
+# repro.
 citycheck:
-	$(GO) test -short -count=1 -run 'TestCityCorrectnessOracle|TestCityDeterminism' ./internal/city/
+	$(GO) test -short -count=1 -run 'TestCityCorrectnessOracle|TestCityDeterminism|TestCityDistReference' ./internal/city/
 
 # Race-detector pass over the delta NOTIFY stream: the client-vs-server
 # stream differential (coalescing, patch-ring overflow, broken delta

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/mostdb/most/internal/most"
+	"github.com/mostdb/most/internal/obs"
 	"github.com/mostdb/most/internal/query"
 )
 
@@ -45,7 +46,11 @@ func benchCity(b *testing.B, ticks int) (*City, *most.Database, query.Options) {
 // BenchmarkCityQuery times the instantaneous INSIDE queries of the
 // query_mix workload on the mid city, cycling over every district
 // (range_district) or every POI ring (nearest_poi).  The warm-up query
-// activates the Cars grid index, so the timed queries probe it.
+// activates the Cars grid index, so the timed queries probe it.  The
+// bus_meet and follow_bus families time the catalog's two DIST joins
+// (follow_bus, a continuous template, evaluated as an instantaneous
+// query) and report the instantiations enumerated and the pairs the
+// motion envelopes decided, per query.
 func BenchmarkCityQuery(b *testing.B) {
 	c, db, opts := benchCity(b, 3)
 	e := query.NewEngine(db)
@@ -70,6 +75,29 @@ func BenchmarkCityQuery(b *testing.B) {
 				if _, err := e.Query(fam.srcs[i%len(fam.srcs)], opts); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+	for _, tpl := range c.Catalog().Templates {
+		if tpl.Family != "bus_meet" && tpl.Family != "follow_bus" {
+			continue
+		}
+		b.Run(tpl.Family, func(b *testing.B) {
+			reg := obs.New()
+			e.Instrument(reg)
+			defer e.Instrument(nil)
+			before := reg.Snapshot().Counters
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Query(tpl.Src, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			after := reg.Snapshot().Counters
+			for name, unit := range map[string]string{"eval.instantiations": "inst/op", "eval.dist_pruned": "pruned/op"} {
+				b.ReportMetric(float64(after[name]-before[name])/float64(b.N), unit)
 			}
 		})
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/query"
 	"github.com/mostdb/most/internal/temporal"
+	"github.com/mostdb/most/internal/workload"
 )
 
 // This file is the city-scale arm of the differential-oracle
@@ -194,6 +195,114 @@ func runCityOracle(t *testing.T, seed int64, ticks temporal.Tick) {
 				t.Fatalf("tick %d: CQ %s diverged from naive oracle:\n  engine: %q\n  naive:  %q",
 					tk, cq.tpl.Name, g, w)
 			}
+		}
+	}
+}
+
+// TestCityDistReference checks the catalog's two DIST joins — bus_meet
+// (a static conjunct narrowing the POIs, then Buses × stations) and
+// follow_bus (a static conjunct pinning the tracked bus, then a bounded
+// EVENTUALLY over DIST) — against eval.ReferenceEval, the definitional
+// §3.3 semantics, which decides each instantiation tick by tick and
+// shares neither the conjunction's narrowing nor the DIST kernel with the
+// engine.  At several ticks of a small city's replay, the engine's
+// instantaneous answer relation must equal the reference's, and the
+// registered follow_bus CQ must present the reference's rows.
+func TestCityDistReference(t *testing.T) {
+	ticks := temporal.Tick(16)
+	c, err := Generate(Spec{
+		Seed: 21, Cars: 30, Buses: 6,
+		GridW: 8, GridH: 8, DistrictsX: 2, DistrictsY: 2, POIsPerDistrict: 3,
+		Ticks: ticks, Horizon: 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := c.Database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := c.Catalog()
+	eng := query.NewEngine(db)
+	opts := query.Options{Horizon: c.Spec.Horizon, Regions: cat.Regions}
+	var joins []Template
+	var follow *query.Continuous
+	var followQ *ftl.Query
+	for _, tpl := range cat.Templates {
+		if tpl.Family != "bus_meet" && tpl.Family != "follow_bus" {
+			continue
+		}
+		joins = append(joins, tpl)
+		if tpl.Kind == ContinuousCQ {
+			followQ = ftl.MustParse(tpl.Src)
+			if follow, err = eng.Continuous(followQ, opts); err != nil {
+				t.Fatal(err)
+			}
+			defer follow.Cancel()
+		}
+	}
+	if len(joins) != 2 || follow == nil {
+		t.Fatalf("catalog has %d DIST templates and follow_bus CQ %v", len(joins), follow != nil)
+	}
+	reference := func(q *ftl.Query) *eval.Relation {
+		t.Helper()
+		ctx := &eval.Context{
+			Now:     db.Now(),
+			Horizon: c.Spec.Horizon,
+			Objects: most.NewSnapshot(db.Now(), db.Objects("")...),
+			Regions: cat.Regions,
+			Domains: map[string][]eval.Val{},
+		}
+		if err := ctx.BindDomains(q); err != nil {
+			t.Fatal(err)
+		}
+		rel, err := eval.ReferenceEval(q, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	byTick := map[temporal.Tick][]workload.UpdateEvent{}
+	for _, e := range c.Events {
+		byTick[e.Tick] = append(byTick[e.Tick], e)
+	}
+	lastVec := map[most.ObjectID]geom.Vector{}
+	busStir := most.ObjectID(c.Buses[0].Plate)
+	for tk := temporal.Tick(1); tk <= ticks; tk++ {
+		db.Advance(1)
+		busesTouched := false
+		for _, e := range byTick[tk] {
+			if err := db.SetMotion(e.Object, e.Vector); err != nil {
+				t.Fatal(err)
+			}
+			lastVec[e.Object] = e.Vector
+			busesTouched = busesTouched || !strings.HasPrefix(string(e.Object), "car-")
+		}
+		// Re-anchor the CQ at Now (see the window-alignment note above).
+		if !busesTouched {
+			if err := db.SetMotion(busStir, lastVec[busStir]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tk%4 != 0 {
+			continue
+		}
+		for _, tpl := range joins {
+			q := ftl.MustParse(tpl.Src)
+			got, err := eng.InstantaneousRelation(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := got.Answers(), reference(q).Answers(); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Fatalf("tick %d: %s diverged from the reference:\n  engine:    %v\n  reference: %v", tk, tpl.Name, g, w)
+			}
+		}
+		rows, err := follow.Current(db.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := presentKey(rows), rowsKey(reference(followQ).At(db.Now())); g != w {
+			t.Fatalf("tick %d: follow_bus CQ diverged from the reference:\n  engine:    %q\n  reference: %q", tk, g, w)
 		}
 	}
 }

@@ -1,8 +1,12 @@
 package eval
 
 import (
+	"math"
+	"slices"
+
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/geom"
+	"github.com/mostdb/most/internal/most"
 	"github.com/mostdb/most/internal/motion"
 	"github.com/mostdb/most/internal/temporal"
 )
@@ -91,6 +95,9 @@ func (c *Context) evalAtom(f ftl.Formula, solve func(env) (temporal.Set, error))
 // ---- comparisons ----
 
 func (c *Context) evalCompare(n ftl.Compare) (*Relation, error) {
+	if d, op, k, ok := c.distAtom(n); ok {
+		return c.evalDistAtom(n, d, op, k)
+	}
 	return c.evalAtom(n, func(en env) (temporal.Set, error) {
 		l, err := c.evalTerm(n.L, en)
 		if err != nil {
@@ -120,13 +127,6 @@ func (c *Context) compareSets(op string, l, r termVal) (temporal.Set, error) {
 	}
 	if !l.numeric() || !r.numeric() {
 		return temporal.Set{}, errf("comparison %q needs numeric or constant operands", op)
-	}
-	// DIST(o1,o2) against a constant: exact quadratic solve.
-	if l.dist != nil && r.isConst {
-		return c.distCompare(op, l.dist, r.c.Num)
-	}
-	if r.dist != nil && l.isConst {
-		return c.distCompare(flipOp(op), r.dist, l.c.Num)
 	}
 	// Exact piecewise-linear difference.
 	if l.segs != nil && r.segs != nil {
@@ -225,14 +225,200 @@ func solveSegLE(s motion.Segment) []geom.RealInterval {
 	return out
 }
 
+// ---- DIST joins ----
+
+// distMargin scales the envelope prune's safety margin: a pair is decided
+// from its envelopes only when they are farther apart than k by more than
+// distMargin times the magnitude of the coordinates and of k (at least 1).
+// That is far above the rounding of the envelopes, so a decided pair is
+// truly apart, and above the tolerances of the exact solve, which answers
+// such a pair the same way — except at k near 0, where the solve counts
+// objects within 1e-6 of each other as touching and the prune answers as
+// the §3.3 semantics does.
+const distMargin = 1e-9
+
+// distAtom reports whether n is DIST(x, y) op k with x and y variables and
+// k a numeric constant — a term over no enumerable variable — returning the
+// DIST term, the operator with DIST on its left, and k.
+func (c *Context) distAtom(n ftl.Compare) (d ftl.DistOf, op string, k float64, ok bool) {
+	op, kx := n.Op, n.R
+	if d, ok = n.L.(ftl.DistOf); !ok {
+		if d, ok = n.R.(ftl.DistOf); !ok {
+			return d, "", 0, false
+		}
+		op, kx = flipOp(n.Op), n.L
+	}
+	_, aVar := d.A.(ftl.Var)
+	_, bVar := d.B.(ftl.Var)
+	if !aVar || !bVar {
+		return d, "", 0, false
+	}
+	var vars []string
+	collectTermVars(kx, &vars)
+	for _, v := range vars {
+		if _, enum := c.Domains[v]; enum {
+			return d, "", 0, false
+		}
+	}
+	tv, err := c.evalTerm(kx, env{})
+	if err != nil || !tv.isConst || tv.c.Kind != ValNum {
+		return d, "", 0, false
+	}
+	return d, op, tv.c.Num, true
+}
+
+// distEnd is one object a DIST atom measures from, resolved once per
+// atom: its position, its motion envelope over the window (a bounding
+// box of the trajectory) and, once a pair needs the exact solve, its
+// linear spans over the window.
+type distEnd struct {
+	val    Val
+	pos    motion.Position
+	lo, hi [3]float64
+	mag    float64 // the largest coordinate magnitude of the envelope
+	spans  []motion.Span
+}
+
+// distEnds resolves every value of variable name — its domain, or its
+// parameter — to a distEnd over [lo, hi].
+func (c *Context) distEnds(name string, lo, hi float64) ([]distEnd, error) {
+	dom, ok := c.Domains[name]
+	if !ok {
+		v, isParam := c.Params[name]
+		if !isParam {
+			return nil, errf("unbound variable %q", name)
+		}
+		dom = []Val{v}
+	}
+	ends := make([]distEnd, len(dom))
+	for i, v := range dom {
+		obj, err := c.object(name, v)
+		if err != nil {
+			return nil, err
+		}
+		pos, err := obj.Position()
+		if err != nil {
+			return nil, err
+		}
+		e := &ends[i]
+		e.val, e.pos = v, pos
+		for ax, a := range [3]motion.DynamicAttr{pos.X, pos.Y, pos.Z} {
+			e.lo[ax], e.hi[ax] = a.Range(lo, hi)
+			e.mag = max(e.mag, math.Abs(e.lo[ax]), math.Abs(e.hi[ax]))
+		}
+	}
+	return ends, nil
+}
+
+// apart reports whether the envelopes of a and b are farther apart than k
+// by the margin: then DIST(a, b) > k at every instant of the window.
+func apart(a, b *distEnd, k float64) bool {
+	var gap2 float64
+	for ax := range a.lo {
+		d := max(a.lo[ax]-b.hi[ax], b.lo[ax]-a.hi[ax], 0)
+		gap2 += d * d
+	}
+	return math.Sqrt(gap2) > k+distMargin*max(1, math.Abs(k), a.mag, b.mag)
+}
+
+// evalDistAtom computes the relation of DIST(x, y) op k — a filter, then
+// refine join.  Each value of x and of y is resolved to its object,
+// position and motion envelope once, not once per pair.  A pair whose
+// envelopes are farther apart than k is decided in closed form: DIST
+// stays above k all window, so <, <= and = hold at no tick and >, >= and
+// != at every tick.  Only the remaining pairs are solved exactly
+// (distCompare).  x and y may be one variable (the pairs are then the
+// diagonal) and either may be a parameter (a one-value domain).  The
+// pairs the envelopes decide are counted as eval.dist_pruned.
+func (c *Context) evalDistAtom(n ftl.Compare, d ftl.DistOf, op string, k float64) (*Relation, error) {
+	cols, err := c.atomCols(n)
+	if err != nil {
+		return nil, err
+	}
+	rel := NewRelation(cols...)
+	total := 1
+	for _, col := range cols {
+		total *= len(c.Domains[col])
+	}
+	if total == 0 {
+		return rel, nil
+	}
+	w := c.Window()
+	lo, hi := float64(w.Start), float64(w.End)
+	x, y := d.A.(ftl.Var).Name, d.B.(ftl.Var).Name
+	xs, err := c.distEnds(x, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	ys := xs
+	if y != x {
+		if ys, err = c.distEnds(y, lo, hi); err != nil {
+			return nil, err
+		}
+	}
+	var whole temporal.Set // the answer of a pruned pair
+	switch op {
+	case ">", ">=", "!=":
+		whole = temporal.NewSet(w)
+	case "<", "<=", "=":
+	default:
+		return nil, errf("unknown comparison operator %q", op)
+	}
+	c.Obs.Counter("eval.instantiations").Add(int64(total))
+	xCol, yCol := slices.Index(cols, x), slices.Index(cols, y)
+	vals := make([]Val, len(cols))
+	pruned := 0
+	pair := func(a, b *distEnd) error {
+		if xCol >= 0 {
+			vals[xCol] = a.val
+		}
+		if yCol >= 0 {
+			vals[yCol] = b.val
+		}
+		if apart(a, b, k) {
+			pruned++
+			rel.Add(vals, whole)
+			return nil
+		}
+		set, err := c.distCompare(op, a.spansOver(lo, hi), b.spansOver(lo, hi), k)
+		if err != nil {
+			return err
+		}
+		rel.Add(vals, set)
+		return nil
+	}
+	for i := range xs {
+		row := ys
+		if y == x {
+			row = xs[i : i+1]
+		}
+		for j := range row {
+			if err := pair(&xs[i], &row[j]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	c.Obs.Counter("eval.dist_pruned").Add(int64(pruned))
+	return rel, nil
+}
+
+// spansOver returns the end's linear spans over [lo, hi], computing them
+// on first use.
+func (e *distEnd) spansOver(lo, hi float64) []motion.Span {
+	if e.spans == nil {
+		e.spans = e.pos.MovingPointsOver(lo, hi)
+	}
+	return e.spans
+}
+
 // distCompare solves DIST(a,b) op c exactly per linear span of the two
-// positions.
-func (c *Context) distCompare(op string, d *distTerm, radius float64) (temporal.Set, error) {
+// positions, given as their spans over the window.
+func (c *Context) distCompare(op string, sa, sb []motion.Span, radius float64) (temporal.Set, error) {
 	w := c.Window()
 	lo, hi := float64(w.Start), float64(w.End)
 	within := geom.RealSet{} // DIST <= radius
 	eq := geom.RealSet{}     // DIST == radius (boundary instants)
-	forSpans(d.a, d.b, lo, hi, func(ma, mb geom.MovingPoint, s0, s1 float64) {
+	forSpans(sa, sb, lo, hi, func(ma, mb geom.MovingPoint, s0, s1 float64) {
 		in := geom.DistWithinTimes(ma, mb, radius, s0, s1)
 		within = within.Union(in)
 		// Equality instants: boundary of the within set inside the span.
@@ -268,11 +454,9 @@ func (c *Context) distCompare(op string, d *distTerm, radius float64) (temporal.
 	}
 }
 
-// forSpans splits [lo,hi] at the breakpoints of both positions and invokes
-// fn with the exact linear motion of each object on every span.
-func forSpans(a, b motion.Position, lo, hi float64, fn func(ma, mb geom.MovingPoint, s0, s1 float64)) {
-	sa := a.MovingPointsOver(lo, hi)
-	sb := b.MovingPointsOver(lo, hi)
+// forSpans splits [lo,hi] at the breakpoints of both objects' spans and
+// invokes fn with the exact linear motion of each object on every span.
+func forSpans(sa, sb []motion.Span, lo, hi float64, fn func(ma, mb geom.MovingPoint, s0, s1 float64)) {
 	cuts := []float64{lo, hi}
 	for _, s := range sa {
 		if s.From > lo && s.From < hi {
@@ -403,16 +587,18 @@ func (c *Context) evalInside(n ftl.Inside) (*Relation, error) {
 
 // insideCandidates evaluates INSIDE(o, P) over the objects the snapshot's
 // index names for P's bounding box during the window, in id order, when
-// o is the atom's only column and ranges over its whole class: every other
-// object of the class is never in P during the window, so its
-// satisfaction set is empty and the relation has no tuple for it — §4's
-// purpose, answering "retrieve the objects that are currently in the
-// polygon P" without examining all the objects.  Every candidate is still
-// solved exactly.  ok is false when the atom must enumerate its whole
-// domain instead (another shape, or a probe the snapshot cannot answer).
+// o is the atom's only column and its domain is drawn from its class
+// (indexable): every other object of the class is never in P during the
+// window, so its satisfaction set is empty and the relation has no tuple
+// for it — §4's purpose, answering "retrieve the objects that are
+// currently in the polygon P" without examining all the objects.  When a
+// conjunction narrowed o's domain, the candidates are intersected with
+// it.  Every candidate is still solved exactly.  ok is false when the atom
+// must enumerate its whole domain instead (another shape, or a probe the
+// snapshot cannot answer).
 func (c *Context) insideCandidates(n ftl.Inside) (rel *Relation, ok bool, err error) {
 	v, isVar := n.Obj.(ftl.Var)
-	if !isVar || !c.wholeClass[v.Name] {
+	if !isVar || !c.indexable[v.Name] {
 		return nil, false, nil
 	}
 	cols, err := c.atomCols(n)
@@ -423,8 +609,9 @@ func (c *Context) insideCandidates(n ftl.Inside) (rel *Relation, ok bool, err er
 	if err != nil {
 		return nil, false, nil
 	}
+	class := c.classOf[v.Name]
 	probe := c.Span.Child("index_probe")
-	ids, covered := c.Objects.Candidates(c.classOf[v.Name], pg.Bounds(), c.Window())
+	ids, covered := c.Objects.Candidates(class, pg.Bounds(), c.Window())
 	if !covered {
 		probe.Annotate("scan", 1)
 		probe.End()
@@ -434,6 +621,9 @@ func (c *Context) insideCandidates(n ftl.Inside) (rel *Relation, ok bool, err er
 	probe.End()
 	c.Obs.Counter("index.snapshot_probes").Inc()
 	c.Obs.Histogram("index.candidates_per_probe").Observe(int64(len(ids)))
+	if dom := c.Domains[v.Name]; len(dom) < c.Objects.ClassLen(class) {
+		ids = inDomain(ids, dom)
+	}
 	c.Obs.Counter("eval.instantiations").Add(int64(len(ids)))
 	falseHits := c.Obs.Counter("index.false_hits")
 	rel = NewRelation(cols...)
@@ -454,6 +644,24 @@ func (c *Context) insideCandidates(n ftl.Inside) (rel *Relation, ok bool, err er
 		rel.Add(vals, set)
 	}
 	return rel, true, nil
+}
+
+// inDomain returns the ids that dom holds, by merging the two id-ordered
+// lists.
+func inDomain(ids []most.ObjectID, dom []Val) []most.ObjectID {
+	out := make([]most.ObjectID, 0, min(len(ids), len(dom)))
+	for i, j := 0, 0; i < len(ids) && j < len(dom); {
+		switch {
+		case ids[i] < dom[j].Obj:
+			i++
+		case ids[i] > dom[j].Obj:
+			j++
+		default:
+			out = append(out, ids[i])
+			i, j = i+1, j+1
+		}
+	}
+	return out
 }
 
 func (c *Context) evalOutside(n ftl.Outside) (*Relation, error) {

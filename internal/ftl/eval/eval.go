@@ -16,14 +16,14 @@ func (c *Context) BindDomains(q *ftl.Query) error {
 	}
 	if c.classOf == nil {
 		c.classOf = make(map[string]string, len(q.Bindings))
-		c.wholeClass = make(map[string]bool, len(q.Bindings))
+		c.indexable = make(map[string]bool, len(q.Bindings))
 	}
 	for _, b := range q.Bindings {
 		if _, dup := c.Domains[b.Var]; dup {
 			return errf("variable %q bound twice", b.Var)
 		}
 		c.classOf[b.Var] = b.Class
-		c.wholeClass[b.Var] = true
+		c.indexable[b.Var] = true
 		dom := make([]Val, 0, c.Objects.ClassLen(b.Class))
 		c.Objects.EachID(b.Class, func(id most.ObjectID) { dom = append(dom, ObjVal(id)) })
 		c.Domains[b.Var] = dom
@@ -47,9 +47,9 @@ func EvalQueryPinned(q *ftl.Query, c *Context, pin string, val Val) (*Relation, 
 		pc.Domains[k] = dom
 	}
 	pc.Domains[pin] = []Val{val}
-	if pc.wholeClass[pin] {
-		pc.wholeClass = maps.Clone(c.wholeClass)
-		delete(pc.wholeClass, pin)
+	if pc.indexable[pin] {
+		pc.indexable = maps.Clone(c.indexable)
+		delete(pc.indexable, pin)
 	}
 	return EvalQuery(q, &pc)
 }

@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"github.com/mostdb/most/internal/ftl"
 	"github.com/mostdb/most/internal/temporal"
@@ -32,15 +34,7 @@ func (c *Context) EvalFormula(f ftl.Formula) (*Relation, error) {
 		return c.evalWithinSphere(n)
 
 	case ftl.And:
-		l, err := c.EvalFormula(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.EvalFormula(n.R)
-		if err != nil {
-			return nil, err
-		}
-		return Join(l, r), nil
+		return c.evalAnd(n)
 
 	case ftl.Or:
 		return c.evalBinaryAligned(n.L, n.R, func(a, b temporal.Set) temporal.Set {
@@ -131,6 +125,94 @@ func (c *Context) EvalFormula(f ftl.Formula) (*Relation, error) {
 	default:
 		return nil, errf("unsupported formula %T", f)
 	}
+}
+
+// evalAnd evaluates a conjunction as a semi-join.  The conjunct whose
+// enumerable columns are a subset of the other's goes first (the left one
+// on a tie, or when neither is); each variable the two share is then
+// narrowed to the values the first conjunct's tuples give it, and the
+// other conjunct is evaluated over the narrowed domains.  Narrowing drops
+// only tuples Join would drop: every relation is instantiation-local (a
+// tuple's satisfaction set depends on its instantiation alone, never on
+// the other values of a domain), and an instantiation with no tuple in the
+// first conjunct has no tuple in the join.
+func (c *Context) evalAnd(n ftl.And) (*Relation, error) {
+	first, second := n.L, n.R
+	lv, rv := c.enumerable(n.L), c.enumerable(n.R)
+	swap := !lv.subsetOf(rv) && rv.subsetOf(lv)
+	if swap {
+		first, second, rv = second, first, lv
+	}
+	fr, err := c.EvalFormula(first)
+	if err != nil {
+		return nil, err
+	}
+	sr, err := c.narrowed(fr, rv).EvalFormula(second)
+	if err != nil {
+		return nil, err
+	}
+	if swap {
+		return Join(sr, fr), nil
+	}
+	return Join(fr, sr), nil
+}
+
+// varSet is a set of variable names.
+type varSet map[string]bool
+
+func (s varSet) subsetOf(o varSet) bool {
+	for v := range s {
+		if !o[v] {
+			return false
+		}
+	}
+	return true
+}
+
+// enumerable returns the free variables of f that have domains: the
+// columns of f's relation.
+func (c *Context) enumerable(f ftl.Formula) varSet {
+	out := varSet{}
+	for _, v := range ftl.FreeVars(f) {
+		if _, ok := c.Domains[v]; ok {
+			out[v] = true
+		}
+	}
+	return out
+}
+
+// narrowed returns c with the domain of each column of rel that is in vars
+// restricted to the values rel's tuples give it, in value order; c itself
+// when that restricts nothing.  A narrowed variable stays indexable: its
+// values are still drawn from its class in id order.
+func (c *Context) narrowed(rel *Relation, vars varSet) *Context {
+	var nc *Context
+	for i, col := range rel.Cols {
+		// A one-column relation holds one tuple per value.
+		if !vars[col] || len(rel.Cols) == 1 && rel.Len() == len(c.Domains[col]) {
+			continue
+		}
+		vals := make([]Val, 0, rel.Len())
+		rel.each(func(_ string, t *Tuple) bool {
+			vals = append(vals, t.Vals[i])
+			return true
+		})
+		slices.SortFunc(vals, Val.Compare)
+		vals = slices.Compact(vals)
+		if len(vals) == len(c.Domains[col]) {
+			continue
+		}
+		if nc == nil {
+			cp := *c
+			cp.Domains = maps.Clone(c.Domains)
+			nc = &cp
+		}
+		nc.Domains[col] = vals
+	}
+	if nc == nil {
+		return c
+	}
+	return nc
 }
 
 // evalBinaryAligned evaluates both operands, aligns them on the union of

@@ -36,6 +36,15 @@ func FuzzFTLEval(f *testing.F) {
 		`RETRIEVE o FROM V o WHERE time + 1 >= 2 IMPLIES NEXTTIME TRUE`,
 		`RETRIEVE o FROM V o WHERE WITHIN_SPHERE(2.5, o, o, o)`,
 		`RETRIEVE o FROM V o WHERE INSIDE(o, P) UNTIL OUTSIDE(o, Q)`,
+		// DIST joins: a static conjunct narrowing either side, every
+		// operator, DIST on the right, one variable, a far radius.
+		`RETRIEVE o, n FROM V o, V n WHERE o.PRICE <= 50 AND DIST(o, n) > 3`,
+		`RETRIEVE o, n FROM V o, V n WHERE DIST(o, n) >= 7 AND n.PRICE = 25`,
+		`RETRIEVE o, n FROM V o, V n WHERE 4 < DIST(o, n) AND INSIDE(n, P)`,
+		`RETRIEVE o, n FROM V o, V n WHERE EVENTUALLY WITHIN 3 (o.PRICE > 25 AND DIST(o, n) = 5)`,
+		`RETRIEVE o, n FROM V o, V n WHERE NOT (DIST(o, n) != 2 AND o.PRICE < 100)`,
+		`RETRIEVE o FROM V o WHERE DIST(o, o) <= 0`,
+		`RETRIEVE o, n FROM V o, V n WHERE DIST(n, o) < 1000000 AND DIST(o, n) >= 0.5 * 3`,
 		`RETRIEVE`,
 		`[`,
 	}

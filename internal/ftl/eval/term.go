@@ -57,11 +57,13 @@ type Context struct {
 	// classOf maps each variable BindDomains bound to its FROM class, so
 	// an object lookup through the variable probes that class first.
 	classOf map[string]string
-	// wholeClass marks the variables whose domain is still every object of
-	// their FROM class in Objects (EvalQueryPinned narrows one): an INSIDE
-	// atom over such a variable enumerates only the objects the snapshot's
-	// index names (Snapshot.Candidates).
-	wholeClass map[string]bool
+	// indexable marks the variables whose domain is drawn, in id order,
+	// from their FROM class in Objects: every object of the class, or
+	// those a conjunction narrowed it to.  An INSIDE atom over such a
+	// variable enumerates only the objects the snapshot's index names
+	// (Snapshot.Candidates) that are in its domain.  EvalQueryPinned
+	// clears the mark for the pinned variable.
+	indexable map[string]bool
 }
 
 // Window returns the evaluation window [Now, Now+Horizon].
@@ -110,19 +112,13 @@ func (c *Context) lookupVar(e env, name string) (Val, bool) {
 // termVal is the value of a term over the evaluation window for one
 // instantiation: either a non-numeric constant, or a numeric function of
 // time.  Numeric terms carry an exact piecewise-linear form when available
-// (segs) and always a generic evaluator (fn); dist marks the special
-// DIST(o1,o2) shape so comparisons can use the exact quadratic solver.
+// (segs) and always a generic evaluator (fn).
 type termVal struct {
 	isConst bool
 	c       Val
 
 	segs []motion.Segment // exact piecewise-linear form; nil if unavailable
 	fn   func(float64) float64
-	dist *distTerm
-}
-
-type distTerm struct {
-	a, b motion.Position
 }
 
 func constTerm(v Val) termVal { return termVal{isConst: true, c: v} }
@@ -290,6 +286,9 @@ func (c *Context) evalSpeed(n ftl.SpeedOf, en env) (termVal, error) {
 	return speedTerm(dyn, c.Window()), nil
 }
 
+// evalDist is DIST(o1, o2) as a generic term, for DIST inside arithmetic
+// or compared with a non-constant term; a comparison with a constant is an
+// atom of its own (evalDistAtom).
 func (c *Context) evalDist(n ftl.DistOf, en env) (termVal, error) {
 	posOf := func(e ftl.Expr) (motion.Position, error) {
 		v, ok := e.(ftl.Var)
@@ -318,7 +317,6 @@ func (c *Context) evalDist(n ftl.DistOf, en env) (termVal, error) {
 		fn: func(t float64) float64 {
 			return geom.Dist(pa.AtReal(t), pb.AtReal(t))
 		},
-		dist: &distTerm{a: pa, b: pb},
 	}, nil
 }
 

@@ -122,13 +122,24 @@ func (s RealSet) ComplementWithin(lo, hi float64) RealSet {
 // tolerance absorbs root-finding noise so a predicate that holds exactly at
 // an integer instant is not dropped.
 func (s RealSet) Ticks(w temporal.Interval) temporal.Set {
+	switch len(s.ivs) {
+	case 0:
+		return temporal.Set{}
+	case 1:
+		return temporal.NewSet(s.ivs[0].ticks(w))
+	}
 	out := make([]temporal.Interval, 0, len(s.ivs))
 	for _, iv := range s.ivs {
-		start := temporal.CeilTick(iv.Lo - mergeEps)
-		end := temporal.FloorTick(iv.Hi + mergeEps)
-		if start <= end {
-			out = append(out, temporal.Interval{Start: start, End: end})
-		}
+		out = append(out, iv.ticks(w))
 	}
-	return temporal.NewSet(out...).Clip(w)
+	return temporal.NewSet(out...)
+}
+
+// ticks snaps one real interval onto the clock, clipped to window w; the
+// result is invalid when no tick qualifies.
+func (ri RealInterval) ticks(w temporal.Interval) temporal.Interval {
+	return temporal.Interval{
+		Start: max(temporal.CeilTick(ri.Lo-mergeEps), w.Start),
+		End:   min(temporal.FloorTick(ri.Hi+mergeEps), w.End),
+	}
 }

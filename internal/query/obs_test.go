@@ -10,9 +10,9 @@ import (
 	"github.com/mostdb/most/internal/obs"
 )
 
-// instrumentedScenario runs all three query types (§2.3) against a fully
-// instrumented engine and database, whose grid index the first INSIDE
-// query activates, and returns the registry.
+// instrumentedScenario runs all three query types (§2.3) and a DIST join
+// against a fully instrumented engine and database, whose grid index the
+// first INSIDE query activates, and returns the registry.
 func instrumentedScenario(t *testing.T) *obs.Registry {
 	t.Helper()
 	db, cls := testDB(t)
@@ -27,6 +27,12 @@ func instrumentedScenario(t *testing.T) *obs.Registry {
 	}
 
 	opts := Options{Horizon: 100, Regions: regionP()}
+
+	// A DIST join whose far pairs the motion envelopes decide; run first,
+	// so the INSIDE queries below leave the instantaneous trace.
+	if _, err := e.Query(`RETRIEVE o, n FROM Vehicles o, Vehicles n WHERE DIST(o, n) <= 2`, Options{Horizon: 1}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Instantaneous, through the text entry point so the parse stage runs.
 	// The first run finds the class unindexed, scans and activates the
@@ -79,6 +85,7 @@ func TestObsSnapshotSchema(t *testing.T) {
 		"query.persistent.delta",
 		"eval.subformulas",
 		"eval.instantiations",
+		"eval.dist_pruned",
 		"index.snapshot_probes",
 		"most.index.activations",
 		"most.index.writes",

@@ -1,6 +1,8 @@
 package temporal
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -20,19 +22,26 @@ type Set struct {
 
 // NewSet builds a normalized set from arbitrary (possibly overlapping,
 // unordered, or invalid) intervals; invalid intervals are dropped and
-// overlapping or consecutive ones are coalesced.
+// overlapping or consecutive ones are coalesced.  An empty set costs no
+// allocation and a one-interval set one.
 func NewSet(ivs ...Interval) Set {
+	switch len(ivs) {
+	case 0:
+		return Set{}
+	case 1:
+		if !ivs[0].Valid() {
+			return Set{}
+		}
+		return Set{ivs: []Interval{ivs[0]}}
+	}
 	valid := make([]Interval, 0, len(ivs))
 	for _, iv := range ivs {
 		if iv.Valid() {
 			valid = append(valid, iv)
 		}
 	}
-	sort.Slice(valid, func(i, j int) bool {
-		if valid[i].Start != valid[j].Start {
-			return valid[i].Start < valid[j].Start
-		}
-		return valid[i].End < valid[j].End
+	slices.SortFunc(valid, func(a, b Interval) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 	})
 	out := valid[:0]
 	for _, iv := range valid {
@@ -171,12 +180,31 @@ func (s Set) ComplementWithin(w Interval) Set {
 	return NewSet(w).Subtract(s)
 }
 
-// Clip restricts the set to window w.
+// Clip restricts the set to window w.  A set already inside w is returned
+// as is, and otherwise only its first and last kept intervals change, so
+// clipping allocates at most once.
 func (s Set) Clip(w Interval) Set {
 	if !w.Valid() {
 		return Set{}
 	}
-	return s.Intersect(NewSet(w))
+	i, j := 0, len(s.ivs)
+	for i < j && s.ivs[i].End < w.Start {
+		i++
+	}
+	for j > i && s.ivs[j-1].Start > w.End {
+		j--
+	}
+	if i == j {
+		return Set{}
+	}
+	kept := s.ivs[i:j:j]
+	if kept[0].Start >= w.Start && kept[len(kept)-1].End <= w.End {
+		return Set{ivs: kept}
+	}
+	out := slices.Clone(kept)
+	out[0].Start = max(out[0].Start, w.Start)
+	out[len(out)-1].End = min(out[len(out)-1].End, w.End)
+	return Set{ivs: out}
 }
 
 // Shift translates every tick by d (negative d shifts earlier).  Used to

@@ -189,3 +189,34 @@ func TestSetQuickProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSetAllocs pins the allocation cost of the hot constructors: an empty
+// set costs nothing, a one-interval set one allocation, and clipping a set
+// that already lies inside the window returns it without copying.
+func TestSetAllocs(t *testing.T) {
+	w := Interval{Start: 0, End: 100}
+	one := Interval{Start: 3, End: 9}
+	s := NewSet(one, Interval{Start: 20, End: 30})
+	for _, c := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"NewSet()", 0, func() { _ = NewSet() }},
+		{"NewSet(one)", 1, func() { _ = NewSet(one) }},
+		{"NewSet(invalid)", 0, func() { _ = NewSet(Interval{Start: 5, End: 4}) }},
+		{"Clip inside", 0, func() { _ = s.Clip(w) }},
+		{"Clip empty", 0, func() { _ = Set{}.Clip(w) }},
+		{"Clip trimmed", 1, func() { _ = s.Clip(Interval{Start: 5, End: 25}) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got > c.max {
+			t.Errorf("%s: %v allocations, want <= %v", c.name, got, c.max)
+		}
+	}
+	if got := s.Clip(Interval{Start: 5, End: 25}); !got.Equal(NewSet(Interval{Start: 5, End: 9}, Interval{Start: 20, End: 25})) {
+		t.Errorf("Clip trimmed = %v", got)
+	}
+	if got := s.Clip(Interval{Start: 10, End: 19}); !got.IsEmpty() {
+		t.Errorf("Clip into the gap = %v, want empty", got)
+	}
+}
